@@ -3,14 +3,15 @@
 
 GO ?= go
 
-.PHONY: all tier1 build vet fmt test race bench bench-json bench-check bench-floors trace chaos fuzz-smoke repro examples figures clean help
+.PHONY: all tier1 build vet fmt test race cross bench bench-json bench-check bench-floors trace chaos fuzz-smoke repro examples figures clean help
 
 all: build vet test
 
 help:
 	@echo "Targets:"
 	@echo "  all        build + vet + test"
-	@echo "  tier1      build + vet + gofmt check + test + race (the CI gate)"
+	@echo "  tier1      build + vet + gofmt check + test + race + arm64 cross-build"
+	@echo "             (the CI gate)"
 	@echo "  bench      every benchmark with -benchmem"
 	@echo "  bench-json hot-path benchmarks (RunAll, DAGSchedule, MDForces,"
 	@echo "             TrainStepAlloc, Gemm, ObsHotPath, ChaosHotPath,"
@@ -26,14 +27,15 @@ help:
 	@echo "  bench-floors kernel floor rules only (Gemm 2x, MDForces 1.2x,"
 	@echo "             ServeHotPath batching 2x, CampaignHotPath 1.2x,"
 	@echo "             CheckpointDrain async 1.5x at >=4 cores;"
-	@echo "             TrainStep allocs <=45 always), no baseline"
+	@echo "             GemmSIMD 3x and TrainStep allocs <=45 always),"
+	@echo "             no baseline"
 	@echo "  repro      full reproduction report (cmd/summit-repro)"
 	@echo "  examples   run every example once"
 	@echo "  figures    regenerate the paper figures as SVG"
 	@echo "  clean      remove generated figures"
 
 # Tier-1 gate: what CI (and the growth driver) holds the repo to.
-tier1: build vet fmt test race
+tier1: build vet fmt test race cross
 
 build:
 	$(GO) build ./...
@@ -52,6 +54,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every amd64 runner takes the assembly GEMM kernel, so only a build for
+# another architecture compiles and vets the pure-Go fallback
+# (internal/tensor/gemm_other.go).
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/tensor/
+	GOARCH=arm64 $(GO) build ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -87,10 +96,11 @@ bench-check:
 # >= 1.2x serial, serving micro-batch >= 2x single-row dispatch,
 # campaign evaluation parallel >= 1.2x serial, async checkpoint drain
 # >= 1.5x the synchronous stall — all only enforced when the run
-# recorded >= 4 cores) plus the deterministic TrainStepAlloc/scratch
-# <= 45 allocs/op ceiling. This is what CI's perf-smoke job runs: it
-# works on any runner, even one whose core count differs from the
-# committed baseline's.
+# recorded >= 4 cores), the single-thread AVX2 GEMM >= 3x the serial
+# row-stream at any core count (skipped on hosts without AVX2), plus the
+# deterministic TrainStepAlloc/scratch <= 45 allocs/op ceiling. This is
+# what CI's perf-smoke job runs: it works on any runner, even one whose
+# core count differs from the committed baseline's.
 bench-floors:
 	$(BENCH_ENV) $(GO) test -run '^$$' -bench 'Gemm|MDForces|TrainStepAlloc|ServeHotPath|CampaignHotPath|CheckpointDrain' -benchmem \
 		./internal/tensor/ ./internal/md/ ./internal/ddl/ ./internal/serve/ ./internal/bench/ ./internal/checkpoint/ \

@@ -18,15 +18,19 @@ import (
 // checkTolerance is the fractional regression allowed before failing.
 const checkTolerance = 0.30
 
-// Parallel-kernel floor rules. Like minParallelSpeedup these are ratios
-// within ONE fresh run, so runner speed cancels out; unlike it they only
-// mean anything when there are cores to fan out over, so the speedup
-// floors are skipped below kernelFloorMinProcs. The allocation floor is
-// deterministic and applies at any core count.
+// Kernel floor rules. Like minParallelSpeedup these are ratios within ONE
+// fresh run, so runner speed cancels out. A parallel speedup only means
+// something when there are cores to fan out over, so those floors are
+// skipped below kernelFloorMinProcs; a floor whose two sides both run on
+// one thread, and the deterministic allocation floor, apply at any core
+// count.
 const (
 	// minGemmSpeedup floors GemmRowStream256 / GemmParallel256: the
 	// packed parallel GEMM must beat the serial row-stream kernel 2x.
 	minGemmSpeedup = 2.0
+	// minGemmSIMDSpeedup floors GemmRowStream256 / GemmSIMD256: the AVX2
+	// micro-kernel must beat the row-stream kernel 3x on one thread.
+	minGemmSIMDSpeedup = 3.0
 	// minMDSpeedup floors MDForces/serial / MDForces/parallel: the
 	// persistent-pool force kernel must actually beat serial.
 	minMDSpeedup = 1.2
@@ -47,7 +51,7 @@ const (
 	// finishes the same step+commit+drain workload at least 1.5x faster.
 	minCheckpointDrainSpeedup = 1.5
 	// kernelFloorMinProcs is the recorded GOMAXPROCS below which the
-	// speedup floors are skipped (reported, not enforced).
+	// parallel speedup floors are skipped (reported, not enforced).
 	kernelFloorMinProcs = 4
 	// maxTrainStepAllocs caps TrainStepAlloc/scratch allocs/op: the
 	// arena + persistent-pool training step must stay allocation-flat.
@@ -62,20 +66,35 @@ type ratioRule struct {
 	label    string
 	num, den string // benchmark names as recorded in the document
 	floor    float64
+	// minProcs is the recorded GOMAXPROCS below which the floor is
+	// reported, not enforced.
+	minProcs int
+	// denOptional marks a denominator that skips itself on hosts without
+	// the hardware it measures; its absence skips the rule instead of
+	// failing it as an incomplete pair.
+	denOptional bool
 }
 
 // ratioRules is the floor table -check and -floors enforce.
 var ratioRules = []ratioRule{
-	{"GemmRowStream256/GemmParallel256",
-		"BenchmarkGemmRowStream256", "BenchmarkGemmParallel256", minGemmSpeedup},
-	{"MDForces serial/parallel",
-		"BenchmarkMDForces/serial", "BenchmarkMDForces/parallel", minMDSpeedup},
-	{"ServeHotPath unbatched/batched",
-		"BenchmarkServeHotPath/unbatched", "BenchmarkServeHotPath/batched", minServeBatchSpeedup},
-	{"CampaignHotPath serial/parallel",
-		"BenchmarkCampaignHotPath/serial", "BenchmarkCampaignHotPath/parallel", minCampaignSpeedup},
-	{"CheckpointDrain sync/async",
-		"BenchmarkCheckpointDrain/sync", "BenchmarkCheckpointDrain/async", minCheckpointDrainSpeedup},
+	{label: "GemmRowStream256/GemmParallel256",
+		num: "BenchmarkGemmRowStream256", den: "BenchmarkGemmParallel256",
+		floor: minGemmSpeedup, minProcs: kernelFloorMinProcs},
+	{label: "GemmRowStream256/GemmSIMD256",
+		num: "BenchmarkGemmRowStream256", den: "BenchmarkGemmSIMD256",
+		floor: minGemmSIMDSpeedup, minProcs: 1, denOptional: true},
+	{label: "MDForces serial/parallel",
+		num: "BenchmarkMDForces/serial", den: "BenchmarkMDForces/parallel",
+		floor: minMDSpeedup, minProcs: kernelFloorMinProcs},
+	{label: "ServeHotPath unbatched/batched",
+		num: "BenchmarkServeHotPath/unbatched", den: "BenchmarkServeHotPath/batched",
+		floor: minServeBatchSpeedup, minProcs: kernelFloorMinProcs},
+	{label: "CampaignHotPath serial/parallel",
+		num: "BenchmarkCampaignHotPath/serial", den: "BenchmarkCampaignHotPath/parallel",
+		floor: minCampaignSpeedup, minProcs: kernelFloorMinProcs},
+	{label: "CheckpointDrain sync/async",
+		num: "BenchmarkCheckpointDrain/sync", den: "BenchmarkCheckpointDrain/async",
+		floor: minCheckpointDrainSpeedup, minProcs: kernelFloorMinProcs},
 }
 
 // checkKernelFloors enforces the alloc ceiling and every table rule on a
@@ -105,14 +124,19 @@ func checkKernelFloors(fresh *document) (lines []string, failed []string) {
 		if nr == nil && dr == nil {
 			continue
 		}
+		if dr == nil && rule.denOptional {
+			lines = append(lines, fmt.Sprintf("  %s floor %.1fx skipped (%s not run on this host)",
+				rule.label, rule.floor, rule.den))
+			continue
+		}
 		if nr == nil || dr == nil || dr.NsPerOp == 0 {
 			lines = append(lines, fmt.Sprintf("  %s: pair incomplete", rule.label))
 			failed = append(failed, rule.label)
 			continue
 		}
-		if fresh.Gomaxprocs < kernelFloorMinProcs {
+		if fresh.Gomaxprocs < rule.minProcs {
 			lines = append(lines, fmt.Sprintf("  %s floor %.1fx skipped (gomaxprocs %d < %d)",
-				rule.label, rule.floor, fresh.Gomaxprocs, kernelFloorMinProcs))
+				rule.label, rule.floor, fresh.Gomaxprocs, rule.minProcs))
 			continue
 		}
 		got := nr.NsPerOp / dr.NsPerOp

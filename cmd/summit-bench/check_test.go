@@ -234,3 +234,45 @@ func TestKernelFloorsReportAllViolations(t *testing.T) {
 		t.Fatalf("want 4 REGRESSION markers, got %d:\n%s", got, joined)
 	}
 }
+
+// TestGemmSIMDFloor: both sides of the SIMD floor run on one thread, so
+// it binds at any recorded core count, the 1-core run included. The
+// packed benchmark rides along, as in any Gemm sweep; at 1 or 2 cores its
+// own floor is reported, not enforced.
+func TestGemmSIMDFloor(t *testing.T) {
+	gemm := func(rowStream, simd float64) *document {
+		d := doc(result{Name: "BenchmarkGemmRowStream256", NsPerOp: rowStream},
+			result{Name: "BenchmarkGemmParallel256", NsPerOp: rowStream})
+		if simd > 0 {
+			d.Benchmarks = append(d.Benchmarks, result{Name: "BenchmarkGemmSIMD256", NsPerOp: simd})
+		}
+		return d
+	}
+	// 5x clears the 3x floor.
+	fresh := gemm(5000, 1000)
+	fresh.Gomaxprocs = 1
+	if _, failed := checkKernelFloors(fresh); len(failed) != 0 {
+		t.Fatalf("5x SIMD speedup failed the 3x floor: %v", failed)
+	}
+	// 2x breaches it, even on one core.
+	fresh = gemm(2000, 1000)
+	fresh.Gomaxprocs = 1
+	lines, failed := checkKernelFloors(fresh)
+	if len(failed) != 1 || failed[0] != "GemmRowStream256/GemmSIMD256" {
+		t.Fatalf("below-floor SIMD ratio not flagged at 1 core: %v", failed)
+	}
+	if !strings.Contains(strings.Join(lines, "\n"), "GemmSIMD256 ratio 2.00x (floor 3.0x)  [REGRESSION]") {
+		t.Fatalf("SIMD breach not marked:\n%s", strings.Join(lines, "\n"))
+	}
+	// On a host without AVX2 the SIMD benchmark skips itself: the rule is
+	// reported as skipped, not failed as an incomplete pair.
+	fresh = gemm(1000, 0)
+	fresh.Gomaxprocs = 2
+	lines, failed = checkKernelFloors(fresh)
+	if len(failed) != 0 {
+		t.Fatalf("absent SIMD benchmark failed the gate: %v", failed)
+	}
+	if !strings.Contains(strings.Join(lines, "\n"), "GemmSIMD256 floor 3.0x skipped") {
+		t.Fatalf("absent SIMD benchmark not reported as skipped:\n%s", strings.Join(lines, "\n"))
+	}
+}

@@ -180,11 +180,17 @@ func Scale(a *Value, s float64) *Value {
 func MatMul(a, b *Value) *Value {
 	n := newNode(a.Data.MatMul(b.Data), a, b)
 	n.backward = func() {
-		// Transposes of the (possibly heap-resident) operands go to the
-		// gradient's arena so parameter matrices don't force per-step heap
-		// temporaries.
-		a.accum(n.Grad.MatMul(b.Data.Transpose2DIn(n.Grad.Arena())))
-		b.accum(a.Data.Transpose2DIn(n.Grad.Arena()).MatMul(n.Grad))
+		// Each operand's gradient is built only if it flows somewhere: a
+		// model's first layer multiplies a constant batch, whose dX
+		// accum would discard. Transposes of the (possibly
+		// heap-resident) operands go to the gradient's arena so parameter
+		// matrices don't force per-step heap temporaries.
+		if a.requiresGrad {
+			a.accum(n.Grad.MatMul(b.Data.Transpose2DIn(n.Grad.Arena())))
+		}
+		if b.requiresGrad {
+			b.accum(a.Data.Transpose2DIn(n.Grad.Arena()).MatMul(n.Grad))
+		}
 	}
 	return n
 }
@@ -378,23 +384,29 @@ func Conv2DScratch(a, kernel, bias *Value, opts tensor.Conv2DOpts, scratch *Conv
 				}
 			}
 		}
-		var cols *tensor.Tensor // (N*OH*OW, C*KH*KW)
-		if scratch != nil {
-			scratch.bwd.Cols = tensor.Im2ColInto(scratch.bwd.Cols, a.Data, kh, kw, opts)
-			cols = scratch.bwd.Cols
-		} else {
-			cols = tensor.Im2Col(a.Data, kh, kw, opts)
+		// As in MatMul, only gradients that flow somewhere are built: a
+		// first conv layer's constant input needs no dcols or fold.
+		if kernel.requiresGrad {
+			var cols *tensor.Tensor // (N*OH*OW, C*KH*KW)
+			if scratch != nil {
+				scratch.bwd.Cols = tensor.Im2ColInto(scratch.bwd.Cols, a.Data, kh, kw, opts)
+				cols = scratch.bwd.Cols
+			} else {
+				cols = tensor.Im2Col(a.Data, kh, kw, opts)
+			}
+			// dKernel = dflat^T @ cols, shape (F, C*KH*KW).
+			dk := dflat.Transpose2D().MatMul(cols)
+			kernel.accum(dk.Reshape(f, c, kh, kw))
 		}
-		// dKernel = dflat^T @ cols, shape (F, C*KH*KW).
-		dk := dflat.Transpose2D().MatMul(cols)
-		kernel.accum(dk.Reshape(f, c, kh, kw))
-		if bias != nil {
+		if bias != nil && bias.requiresGrad {
 			bias.accum(dflat.SumAxis0())
 		}
-		// dInput = Col2Im(dflat @ kernelMat), kernelMat (F, C*KH*KW).
-		kmat := kernel.Data.ReshapeIn(n.Grad.Arena(), f, c*kh*kw)
-		dcols := dflat.MatMul(kmat)
-		a.accum(tensor.Col2Im(dcols, nIn, c, h, w, kh, kw, opts))
+		if a.requiresGrad {
+			// dInput = Col2Im(dflat @ kernelMat), kernelMat (F, C*KH*KW).
+			kmat := kernel.Data.ReshapeIn(n.Grad.Arena(), f, c*kh*kw)
+			dcols := dflat.MatMul(kmat)
+			a.accum(tensor.Col2Im(dcols, nIn, c, h, w, kh, kw, opts))
+		}
 	}
 	return n
 }

@@ -2,6 +2,7 @@ package autograd
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"summitscale/internal/stats"
@@ -283,4 +284,70 @@ func TestBackwardSeedShapeMismatchPanics(t *testing.T) {
 	}()
 	a := NewLeaf(tensor.New(2, 2), true)
 	Sum(a).Backward(tensor.New(2))
+}
+
+// backwardAlloc runs one Backward from out and returns the bytes it
+// allocated on the heap.
+func backwardAlloc(out *Value) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out.Backward(nil)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMatMulBackwardSkipsConstantOperand: with a constant left operand,
+// the backward builds dW = xᵀ·dY and nothing for x. The transpose of x is
+// the one x-sized temporary that remains; a discarded dX = dY·Wᵀ would be
+// a second one. W's gradient must equal the one built beside dX.
+func TestMatMulBackwardSkipsConstantOperand(t *testing.T) {
+	rng := stats.NewRNG(23)
+	const n, in, out = 64, 1024, 8
+	xt := tensor.Randn(rng, 1, n, in)
+	wt := tensor.Randn(rng, 1, in, out)
+	xBytes := uint64(8 * n * in)
+
+	w := NewLeaf(wt, true)
+	got := backwardAlloc(Sum(MatMul(Constant(xt), w)))
+	if limit := xBytes + xBytes/2; got >= limit {
+		t.Fatalf("Backward allocated %d B with a constant x, want < %d (one %d B transpose of x, no dX)",
+			got, limit, xBytes)
+	}
+
+	w2 := NewLeaf(wt, true)
+	Sum(MatMul(NewLeaf(xt, true), w2)).Backward(nil)
+	if !w.Grad.Equal(w2.Grad, 0) {
+		t.Fatal("dW changed when dX was skipped")
+	}
+}
+
+// TestConv2DBackwardSkipsConstantInput: a conv over a constant input
+// builds dK and dBias but no dcols and no Col2Im fold. With the layer's
+// scratch warm, the dcols product alone would allocate as much as the
+// unfold matrix.
+func TestConv2DBackwardSkipsConstantInput(t *testing.T) {
+	rng := stats.NewRNG(29)
+	const nImg, c, hw, f = 8, 16, 16, 2
+	xt := tensor.Randn(rng, 1, nImg, c, hw, hw)
+	kt := tensor.Randn(rng, 1, f, c, 3, 3)
+	colsBytes := uint64(8 * nImg * hw * hw * c * 9)
+	opts := tensor.Conv2DOpts{Stride: 1, Padding: 1}
+
+	k := NewLeaf(kt, true)
+	b := NewLeaf(tensor.New(f), true)
+	var scratch ConvScratch
+	step := func() *Value { return Sum(Conv2DScratch(Constant(xt), k, b, opts, &scratch)) }
+	step().Backward(nil) // warm the scratch
+	k.ZeroGrad()
+	b.ZeroGrad()
+	if got := backwardAlloc(step()); got >= colsBytes {
+		t.Fatalf("Backward allocated %d B with a constant input, want < %d (the size of dcols)", got, colsBytes)
+	}
+
+	k2 := NewLeaf(kt, true)
+	b2 := NewLeaf(tensor.New(f), true)
+	Sum(Conv2D(NewLeaf(xt, true), k2, b2, opts)).Backward(nil)
+	if !k.Grad.Equal(k2.Grad, 0) || !b.Grad.Equal(b2.Grad, 0) {
+		t.Fatal("dK or dBias changed when dX was skipped")
+	}
 }

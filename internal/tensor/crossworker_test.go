@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"testing"
 
 	"summitscale/internal/parallel"
@@ -40,6 +41,31 @@ func TestGemmPackedDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: element %d differs: %v vs %v", w, i, got[i], ref[i])
 			}
 		}
+	}
+}
+
+// TestGemmSIMDDeterministicAcrossWorkers drives the SIMD rows through
+// the same gemmRowChunk decomposition matMulSIMDParallel uses. m is not a
+// multiple of the chunk or the 4-row tile and n not a multiple of the
+// 8-column strip, so edge rows and columns run at every width.
+func TestGemmSIMDDeterministicAcrossWorkers(t *testing.T) {
+	rng := stats.NewRNG(31)
+	m, k, n := 133, 140, 150
+	a := Randn(rng, 1, m, k)
+	b := Randn(rng, 1, k, n)
+
+	run := func(w int) []float64 {
+		pool := parallel.NewWorkerPool(w)
+		defer pool.Close()
+		dst := make([]float64, m*n)
+		pool.RunRange(m, gemmRowChunk, func(lo, hi int) {
+			matmulRowsSIMD(dst, a.Data(), b.Data(), lo, hi, k, n)
+		})
+		return dst
+	}
+	ref := rowStream(a, b)
+	for _, w := range []int{1, 2, 4, 8} {
+		sameBits(t, fmt.Sprintf("workers=%d", w), run(w), ref)
 	}
 }
 

@@ -1,0 +1,115 @@
+//go:build gc
+
+#include "textflag.h"
+
+// func gemm4x8AVX2(c, a, b *float64, k, n int)
+//
+// C[0:4, 0:8] += A[0:4, 0:k] · B[0:k, 0:8], where A's rows are k apart
+// and B's and C's rows are n apart. Per k, each of the four A elements is
+// tested (bits<<1 == 0 means ±0, which is skipped exactly as matmulRows
+// skips it; NaN is not skipped), broadcast, multiplied into the two
+// 4-lane halves of B's row with VMULPD and added to the row's
+// accumulators with VADDPD. Lanes run over output columns, never over k,
+// so every element gets matmulRows' ascending-k sum of separately rounded
+// products.
+TEXT ·gemm4x8AVX2(SB), NOSPLIT, $0-40
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), CX
+	MOVQ n+32(FP), R8
+	SHLQ $3, R8                // row stride of B and C in bytes
+	LEAQ (SI)(CX*8), R9        // A row 1
+	LEAQ (R9)(CX*8), R10       // A row 2
+	LEAQ (R10)(CX*8), R11      // A row 3
+	LEAQ (DI)(R8*1), R12       // C row 1
+	LEAQ (R12)(R8*1), R13      // C row 2
+
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (R12), Y2
+	VMOVUPD 32(R12), Y3
+	VMOVUPD (R13), Y4
+	VMOVUPD 32(R13), Y5
+	VMOVUPD (R13)(R8*1), Y6
+	VMOVUPD 32(R13)(R8*1), Y7
+
+	XORQ BX, BX
+
+loop:
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+
+	MOVQ (SI)(BX*8), AX
+	ADDQ AX, AX
+	JEQ  row1
+	VBROADCASTSD (SI)(BX*8), Y10
+	VMULPD Y8, Y10, Y11
+	VADDPD Y11, Y0, Y0
+	VMULPD Y9, Y10, Y11
+	VADDPD Y11, Y1, Y1
+
+row1:
+	MOVQ (R9)(BX*8), AX
+	ADDQ AX, AX
+	JEQ  row2
+	VBROADCASTSD (R9)(BX*8), Y10
+	VMULPD Y8, Y10, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD Y9, Y10, Y11
+	VADDPD Y11, Y3, Y3
+
+row2:
+	MOVQ (R10)(BX*8), AX
+	ADDQ AX, AX
+	JEQ  row3
+	VBROADCASTSD (R10)(BX*8), Y10
+	VMULPD Y8, Y10, Y11
+	VADDPD Y11, Y4, Y4
+	VMULPD Y9, Y10, Y11
+	VADDPD Y11, Y5, Y5
+
+row3:
+	MOVQ (R11)(BX*8), AX
+	ADDQ AX, AX
+	JEQ  next
+	VBROADCASTSD (R11)(BX*8), Y10
+	VMULPD Y8, Y10, Y11
+	VADDPD Y11, Y6, Y6
+	VMULPD Y9, Y10, Y11
+	VADDPD Y11, Y7, Y7
+
+next:
+	ADDQ R8, DX
+	INCQ BX
+	CMPQ BX, CX
+	JLT  loop
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (R12)
+	VMOVUPD Y3, 32(R12)
+	VMOVUPD Y4, (R13)
+	VMOVUPD Y5, 32(R13)
+	VMOVUPD Y6, (R13)(R8*1)
+	VMOVUPD Y7, 32(R13)(R8*1)
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	RET

@@ -10,25 +10,28 @@ import (
 	"summitscale/internal/parallel"
 )
 
-// Packed parallel GEMM: the B operand is repacked once per call into
-// contiguous (KC x NR) column micro-panels so the inner kernel streams
-// one cache line after another instead of striding across B's rows, and
-// the output is computed in independent row panels fanned out over the
-// persistent worker pool (parallel.Shared). Each output element
-// accumulates its k-terms in ascending order with the same zero-skip as
-// matmulRows, so the packed kernel is bit-identical to the row-streamed
-// kernel — and to itself at every worker count — which is what lets
-// MatMul dispatch between kernels on size alone without perturbing a
-// single golden byte.
+// Packed parallel GEMM, the largest products' kernel on hosts without
+// the AVX2 micro-kernel (gemm_amd64.go): the B operand is repacked once
+// per call into contiguous (KC x NR) column micro-panels so the inner
+// kernel streams one cache line after another instead of striding
+// across B's rows, and the output is computed in independent row panels
+// fanned out over the persistent worker pool (parallel.Shared). Each
+// output element accumulates its k-terms in ascending order with the
+// same zero-skip as matmulRows, so the packed kernel is bit-identical to
+// the row-streamed kernel — and to itself at every worker count — which
+// is what lets MatMul dispatch between kernels on size alone without
+// perturbing a single golden byte.
 const (
 	// gemmNR is the register tile width: one micro-kernel pass holds NR
 	// output columns of up to two rows in registers across a whole
 	// k-panel, cutting the per-k dst load/store traffic of the
 	// row-streamed kernel by a factor of KC.
 	gemmNR = 4
-	// gemmRowChunk rows of output form one unit of worker dispatch. The
-	// value trades load balance against per-chunk claim overhead; it
-	// does not affect results (rows are independent).
+	// gemmRowChunk rows of output form one unit of worker dispatch for
+	// the packed and the SIMD fan-out. The value trades load balance
+	// against per-chunk claim overhead, and is a multiple of the SIMD
+	// kernel's 4-row tile; it does not affect results (rows are
+	// independent).
 	gemmRowChunk = 16
 )
 
@@ -64,6 +67,7 @@ var gemmKCCandidates = [...]int{128, 256, 512}
 // wall-clock autotune; kc <= 0 clears the pin and re-enables it. Every
 // depth produces bit-identical output (TestGemmBitIdenticalAcrossKC),
 // so this is purely a performance/reproducibility-of-timing control.
+// The SIMD kernel has no k-panels: where MatMul runs it, KC has no effect.
 func SetGemmKC(kc int) {
 	if kc < 0 {
 		kc = 0
@@ -71,7 +75,7 @@ func SetGemmKC(kc int) {
 	gemmKCPin.Store(int64(kc))
 }
 
-// GemmKC reports the k-panel depth the next multiply will use.
+// GemmKC reports the k-panel depth the next packed multiply will use.
 func GemmKC() int { return resolveGemmKC() }
 
 // resolveGemmKC picks the panel depth: pin, then env, then autotune.
@@ -341,117 +345,4 @@ func matMulPackedInto(dst, a, b []float64, m, k, n int) {
 		gemmPackedRows(dst, a, packed, lo, hi, k, n, kc)
 	})
 	putPackBuf(packed)
-}
-
-// MatMulF32 is the mixed-precision fast path of the packed runtime:
-// operands are narrowed to float32 once at the boundary, the packed
-// parallel kernel multiplies and accumulates in float32 (ascending-k
-// order, so the result is bit-identical at any worker count), and the
-// product is widened back to float64 on the way out. The error contract
-// is the same K * 2^-24 bound MatMulTiledF32 pins; like that kernel, no
-// byte-pinned f64 path routes through here — callers opt in.
-func (t *Tensor) MatMulF32(u *Tensor) *Tensor {
-	if t.Rank() != 2 || u.Rank() != 2 {
-		panic("tensor: MatMulF32 of non-matrix operands")
-	}
-	m, k := t.shape[0], t.shape[1]
-	k2, n := u.shape[0], u.shape[1]
-	if k != k2 {
-		panic("tensor: MatMulF32 inner dimension mismatch")
-	}
-	kc := resolveGemmKC()
-	a32 := narrowF32(t.data)
-	b32 := narrowF32(u.data)
-	dst32 := make([]float32, m*n)
-	packed := packBF32(b32, k, n, kc)
-	parallel.Shared().RunRange(m, gemmRowChunk, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			gemmPackedRowF32(dst32, a32, packed, i, k, n, kc)
-		}
-	})
-	r := newIn(t.arena, []int{m, n})
-	for i, v := range dst32 {
-		r.data[i] = float64(v)
-	}
-	return r
-}
-
-// packBF32 is packB in float32.
-func packBF32(b []float32, k, n, kc int) []float32 {
-	nTiles := (n + gemmNR - 1) / gemmNR
-	buf := make([]float32, k*nTiles*gemmNR)
-	pos := 0
-	for k0 := 0; k0 < k; k0 += kc {
-		k1 := k0 + kc
-		if k1 > k {
-			k1 = k
-		}
-		for jt := 0; jt < nTiles; jt++ {
-			j0 := jt * gemmNR
-			for kk := k0; kk < k1; kk++ {
-				row := b[kk*n:]
-				for r := 0; r < gemmNR; r++ {
-					if j := j0 + r; j < n {
-						buf[pos] = row[j]
-					}
-					pos++
-				}
-			}
-		}
-	}
-	return buf
-}
-
-// gemmPackedRowF32 is gemmPackedRow in float32: same panel walk, same
-// zero-skip, narrow multiply-accumulate.
-func gemmPackedRowF32(dst, a, packed []float32, i, k, n, kc int) {
-	nTiles := (n + gemmNR - 1) / gemmNR
-	panelStride := nTiles * gemmNR
-	arow := a[i*k : (i+1)*k]
-	drow := dst[i*n : (i+1)*n]
-	panelBase := 0
-	for k0 := 0; k0 < k; k0 += kc {
-		k1 := k0 + kc
-		if k1 > k {
-			k1 = k
-		}
-		depth := k1 - k0
-		for j0 := 0; j0 < n; j0 += gemmNR {
-			bp := packed[panelBase+(j0/gemmNR)*depth*gemmNR:]
-			nj := n - j0
-			if nj >= gemmNR {
-				c0, c1, c2, c3 := drow[j0], drow[j0+1], drow[j0+2], drow[j0+3]
-				p := 0
-				for kk := k0; kk < k1; kk++ {
-					if av := arow[kk]; av != 0 {
-						c0 += av * bp[p]
-						c1 += av * bp[p+1]
-						c2 += av * bp[p+2]
-						c3 += av * bp[p+3]
-					}
-					p += gemmNR
-				}
-				drow[j0], drow[j0+1], drow[j0+2], drow[j0+3] = c0, c1, c2, c3
-				continue
-			}
-			var t [gemmNR]float32
-			for r := 0; r < nj; r++ {
-				t[r] = drow[j0+r]
-			}
-			p := 0
-			for kk := k0; kk < k1; kk++ {
-				if av := arow[kk]; av != 0 {
-					t[0] += av * bp[p]
-					t[1] += av * bp[p+1]
-					t[2] += av * bp[p+2]
-					t[3] += av * bp[p+3]
-				}
-				p += gemmNR
-			}
-			for r := 0; r < nj; r++ {
-				drow[j0+r] = t[r]
-			}
-		}
-		panelBase += depth * panelStride
-	}
 }

@@ -104,29 +104,31 @@ func TestPackedEveryKC(t *testing.T) {
 
 // TestGemmBitIdenticalAcrossKC is the determinism contract behind
 // SetGemmKC: pinning any autotune candidate (the knob CI and benchmarks
-// use to silence the wall-clock autotune) leaves both the f64 packed
-// path and the f32 fast path bit-identical to the autotuned run. KC is
-// performance-only; if this ever fails, the autotune's run-to-run
-// variance becomes a correctness hazard instead of a timing nuisance.
+// use to silence the wall-clock autotune) leaves the packed path
+// bit-identical to the autotuned run. KC is performance-only; if this
+// ever fails, the autotune's run-to-run variance becomes a correctness
+// hazard instead of a timing nuisance. The packed kernel is called
+// directly: where MatMul takes the SIMD path, KC never reaches it.
 func TestGemmBitIdenticalAcrossKC(t *testing.T) {
 	defer SetGemmKC(0)
 	rng := stats.NewRNG(29)
 	m, k, n := 130, 700, 90 // packed band, k spanning several panels
 	a := Randn(rng, 1, m, k)
 	b := Randn(rng, 1, k, n)
+	packed := func() *Tensor {
+		r := New(m, n)
+		matMulPackedInto(r.Data(), a.Data(), b.Data(), m, k, n)
+		return r
+	}
 	SetGemmKC(0) // autotuned baseline
-	want64 := a.MatMul(b)
-	want32 := a.MatMulF32(b)
+	want := packed()
 	for _, kc := range gemmKCCandidates {
 		SetGemmKC(kc)
 		if got := GemmKC(); got != kc {
 			t.Fatalf("GemmKC() = %d after SetGemmKC(%d)", got, kc)
 		}
-		if !a.MatMul(b).Equal(want64, 0) {
-			t.Fatalf("KC=%d: f64 MatMul not bit-identical to autotuned run", kc)
-		}
-		if !a.MatMulF32(b).Equal(want32, 0) {
-			t.Fatalf("KC=%d: f32 MatMul not bit-identical to autotuned run", kc)
+		if !packed().Equal(want, 0) {
+			t.Fatalf("KC=%d: packed GEMM not bit-identical to autotuned run", kc)
 		}
 	}
 	SetGemmKC(0)
@@ -150,61 +152,9 @@ func TestGemmKCFromEnv(t *testing.T) {
 	}
 }
 
-// TestMatMulDispatchIdentical pins that MatMul's size dispatch never
-// changes bytes: products straddling both thresholds equal the
-// sequential row-stream kernel exactly.
-func TestMatMulDispatchIdentical(t *testing.T) {
-	rng := stats.NewRNG(19)
-	for _, dims := range [][3]int{
-		{8, 8, 8},       // below parallel threshold
-		{80, 80, 80},    // parallel row-stream band
-		{160, 160, 160}, // packed band
-	} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := Randn(rng, 1, m, k)
-		b := Randn(rng, 1, k, n)
-		want := New(m, n)
-		matmulRows(want.Data(), a.Data(), b.Data(), 0, m, k, n)
-		if !a.MatMul(b).Equal(want, 0) {
-			t.Fatalf("MatMul dispatch changed bytes at dims %v", dims)
-		}
-	}
-}
-
-// TestMatMulF32MatchesTiledF32 pins that the packed f32 fast path
-// computes exactly what the tiled f32 kernel computes (same narrow
-// arithmetic in the same per-element order).
-func TestMatMulF32MatchesTiledF32(t *testing.T) {
-	rng := stats.NewRNG(23)
-	for _, dims := range [][3]int{{3, 4, 5}, {65, 63, 67}, {130, 270, 190}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := Randn(rng, 1, m, k)
-		b := Randn(rng, 1, k, n)
-		if !a.MatMulF32(b).Equal(a.MatMulTiledF32(b), 0) {
-			t.Fatalf("packed f32 differs from tiled f32 at dims %v", dims)
-		}
-	}
-}
-
-func TestMatMulF32ArenaInheritance(t *testing.T) {
-	ar := NewArena()
-	a := FullIn(ar, 1, 8, 8)
-	if a.MatMulF32(Full(1, 8, 8)).Arena() != ar {
-		t.Fatal("MatMulF32 result did not inherit the arena")
-	}
-}
-
-func TestMatMulF32DimMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(2, 3).MatMulF32(New(2, 3))
-}
-
 // BenchmarkGemmParallel256 is the packed parallel kernel the MatMul
-// dispatch table selects at this size — the floor rule pair with
+// dispatch selects at this size on hosts without the SIMD kernel — the
+// floor rule pair with
 // BenchmarkGemmRowStream256 (summit-bench -check enforces >=2x at >=4
 // workers; on fewer cores the rule is skipped, since the win is
 // worker-level parallelism on top of packing).
@@ -218,18 +168,5 @@ func BenchmarkGemmParallel256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst.Zero()
 		matMulPackedInto(dst.Data(), a.Data(), bb.Data(), 256, 256, 256)
-	}
-}
-
-// BenchmarkGemmParallelF32_256 is the f32 fast path of the packed
-// runtime, conversion cost included.
-func BenchmarkGemmParallelF32_256(b *testing.B) {
-	rng := stats.NewRNG(1)
-	a := Randn(rng, 1, 256, 256)
-	bb := Randn(rng, 1, 256, 256)
-	b.SetBytes(int64(2 * 256 * 256 * 256 * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MatMulF32(bb)
 	}
 }

@@ -7,22 +7,24 @@ import (
 	"summitscale/internal/stats"
 )
 
-func TestTiledMatchesMatMul(t *testing.T) {
-	rng := stats.NewRNG(1)
-	for _, dims := range [][3]int{
-		{3, 4, 5}, {64, 64, 64}, {65, 63, 67}, {128, 1, 128}, {1, 200, 1}, {130, 70, 190},
-	} {
-		a := Randn(rng, 1, dims[0], dims[1])
-		b := Randn(rng, 1, dims[1], dims[2])
-		want := a.MatMul(b)
-		got := a.MatMulTiled(b)
-		if !got.Equal(want, 1e-9) {
-			t.Fatalf("tiled mismatch at dims %v", dims)
+// matmulNaive is the textbook ijk kernel: the independent reference of the
+// property tests and the baseline of the GEMM ablation benchmark.
+func matmulNaive(dst, a, b []float64, m, k, n int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var acc float64
+			for kk := 0; kk < k; kk++ {
+				acc += a[i*k+kk] * b[kk*n+j]
+			}
+			dst[i*n+j] = acc
 		}
 	}
 }
 
-func TestTiledMatchesNaiveProperty(t *testing.T) {
+// TestMatMulMatchesNaiveProperty cross-checks MatMul's dispatch against
+// the independent naive kernel on random shapes, most of them with edge
+// rows and columns around the SIMD tiles.
+func TestMatMulMatchesNaiveProperty(t *testing.T) {
 	if err := quick.Check(func(seed uint16) bool {
 		rng := stats.NewRNG(uint64(seed))
 		m := rng.Intn(40) + 1
@@ -32,87 +34,14 @@ func TestTiledMatchesNaiveProperty(t *testing.T) {
 		b := Randn(rng, 1, k, n)
 		want := New(m, n)
 		matmulNaive(want.Data(), a.Data(), b.Data(), m, k, n)
-		return a.MatMulTiled(b).Equal(want, 1e-9)
+		return a.MatMul(b).Equal(want, 1e-9)
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestTiledF32AccuracyBound pins the mixed-precision contract: the float32
-// fast path tracks the float64 product within K * 2^-24 scaled by operand
-// magnitude (with slack for rounding the operands themselves).
-func TestTiledF32AccuracyBound(t *testing.T) {
-	rng := stats.NewRNG(7)
-	for _, dims := range [][3]int{
-		{3, 4, 5}, {64, 64, 64}, {65, 63, 67}, {130, 270, 190},
-	} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := Randn(rng, 1, m, k)
-		b := Randn(rng, 1, k, n)
-		want := a.MatMul(b)
-		got := a.MatMulTiledF32(b)
-		// Operand rounding contributes ~2 ulp per product on top of the
-		// K-term accumulation error; 8x slack keeps the test deterministic
-		// without masking a broken kernel (which would be off by ~1e7x).
-		tol := 8 * float64(k+2) * (1.0 / (1 << 24)) * a.MaxAbs() * b.MaxAbs()
-		if !got.Equal(want, tol) {
-			t.Fatalf("f32 path outside error bound %g at dims %v", tol, dims)
-		}
-		if tol > 0.5 {
-			t.Fatalf("tolerance %g too loose to be meaningful at dims %v", tol, dims)
-		}
-	}
-}
-
-// TestTiledF32ExactOnRepresentable: small integers are exact in float32, so
-// the narrow path must reproduce the float64 product bit for bit — catching
-// any stray scaling or transposition the tolerance test could absorb.
-func TestTiledF32ExactOnRepresentable(t *testing.T) {
-	rng := stats.NewRNG(3)
-	a := New(37, 53)
-	b := New(53, 41)
-	for _, x := range []*Tensor{a, b} {
-		for i := range x.Data() {
-			x.Data()[i] = float64(rng.Intn(17) - 8)
-		}
-	}
-	want := a.MatMul(b)
-	got := a.MatMulTiledF32(b)
-	if !got.Equal(want, 0) {
-		t.Fatal("f32 path not exact on f32-representable integer operands")
-	}
-}
-
-// TestTiledF32ArenaInheritance: the widened result follows the receiver's
-// arena like every other tensor-producing op.
-func TestTiledF32ArenaInheritance(t *testing.T) {
-	ar := NewArena()
-	a := FullIn(ar, 1, 8, 8)
-	if a.MatMulTiledF32(Full(1, 8, 8)).Arena() != ar {
-		t.Fatal("MatMulTiledF32 result did not inherit the arena")
-	}
-}
-
-func TestTiledF32DimMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(2, 3).MatMulTiledF32(New(2, 3))
-}
-
-func TestTiledDimMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(2, 3).MatMulTiled(New(2, 3))
-}
-
-// Kernel ablation: naive ijk vs row-streamed ikj vs tiled, at a size where
-// cache behaviour matters.
+// Kernel ablation: naive ijk vs row-streamed ikj vs packed vs SIMD, at a
+// size where cache behaviour matters.
 func benchGemm(b *testing.B, kernel func(dst, a, bb []float64, m, k, n int), sz int) {
 	rng := stats.NewRNG(1)
 	a := Randn(rng, 1, sz, sz)
@@ -134,29 +63,4 @@ func BenchmarkGemmRowStream256(b *testing.B) {
 	benchGemm(b, func(dst, a, bb []float64, m, k, n int) {
 		matmulRows(dst, a, bb, 0, m, k, n)
 	}, 256)
-}
-
-func BenchmarkGemmTiled256(b *testing.B) {
-	rng := stats.NewRNG(1)
-	a := Randn(rng, 1, 256, 256)
-	bb := Randn(rng, 1, 256, 256)
-	b.SetBytes(int64(2 * 256 * 256 * 256 * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MatMulTiled(bb)
-	}
-}
-
-// BenchmarkGemmTiledF32_256 completes the precision ablation: same tiling as
-// BenchmarkGemmTiled256, half-width arithmetic (conversion cost included —
-// that is the real price of the mixed-precision boundary).
-func BenchmarkGemmTiledF32_256(b *testing.B) {
-	rng := stats.NewRNG(1)
-	a := Randn(rng, 1, 256, 256)
-	bb := Randn(rng, 1, 256, 256)
-	b.SetBytes(int64(2 * 256 * 256 * 256 * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MatMulTiledF32(bb)
-	}
 }

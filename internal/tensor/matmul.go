@@ -2,17 +2,21 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 
 	"summitscale/internal/parallel"
 )
 
-// MatMul's size-based dispatch table. The three kernels are bit-identical
-// (same ascending-k accumulation per output element, same zero-skip), so
-// the thresholds are pure performance tuning: sequential row-streaming
-// until the fan-out pays for its dispatch, pool-parallel row-streaming
-// while B still fits comfortably in cache, and the packed panel kernel
-// (gemm_packed.go) once B is large enough that repacking it into
-// contiguous micro-panels beats striding across its rows.
+// MatMul's dispatch. Where the AVX2 micro-kernel is available
+// (gemm_amd64.go), every product runs it: sequentially below
+// matmulParallelThreshold, fanned out in gemmRowChunk-row chunks above.
+// Elsewhere a three-level size table picks among Go kernels: sequential
+// row-streaming until the fan-out pays for its dispatch, pool-parallel
+// row-streaming while B still fits comfortably in cache, and the packed
+// panel kernel (gemm_packed.go) once B is large enough that repacking it
+// into contiguous micro-panels beats striding across its rows. Every
+// kernel is bit-identical (same ascending-k accumulation per output
+// element, same zero-skip), so the dispatch is pure performance tuning.
 const (
 	// matmulParallelThreshold is the m*n*k product above which MatMul
 	// fans out across the persistent worker pool. Below it the
@@ -29,8 +33,8 @@ const (
 )
 
 // MatMul returns the matrix product of the (M, K) tensor t and the (K, N)
-// tensor u. The kernel is cache-blocked over k and parallelized over row
-// bands for large problems.
+// tensor u, computed by the kernel the dispatch above picks and
+// parallelized over row bands for large problems.
 func (t *Tensor) MatMul(u *Tensor) *Tensor {
 	if t.Rank() != 2 || u.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul of rank %d and %d", t.Rank(), u.Rank()))
@@ -46,14 +50,18 @@ func (t *Tensor) MatMul(u *Tensor) *Tensor {
 }
 
 // matMulInto computes the product of t and u into the zero-filled r,
-// dispatching through the size table above. It lets callers that manage
-// their own result storage (convolution's arena-allocated product) share
-// one multiply implementation; every path produces bit-identical output.
+// dispatching as described above. It lets callers that manage their own
+// result storage (convolution's arena-allocated product) share one
+// multiply implementation; every path produces bit-identical output.
 func matMulInto(r, t, u *Tensor) {
 	m, k := t.shape[0], t.shape[1]
 	n := u.shape[1]
 	work := m * n * k
 	switch {
+	case gemmSIMD && work < matmulParallelThreshold:
+		matmulRowsSIMD(r.data, t.data, u.data, 0, m, k, n)
+	case gemmSIMD:
+		matMulSIMDParallel(r.data, t.data, u.data, m, k, n)
 	case work < matmulParallelThreshold:
 		matmulRows(r.data, t.data, u.data, 0, m, k, n)
 	case work < matmulPackedThreshold:
@@ -61,6 +69,35 @@ func matMulInto(r, t, u *Tensor) {
 	default:
 		matMulPackedInto(r.data, t.data, u.data, m, k, n)
 	}
+}
+
+// simdJob carries one fanned-out SIMD product to the pool. Jobs are
+// recycled with their rows method value bound once, so unlike a closure
+// literal the fan-out allocates nothing in steady state.
+type simdJob struct {
+	dst, a, b []float64
+	k, n      int
+	run       func(lo, hi int)
+}
+
+var simdJobs = sync.Pool{New: func() any {
+	j := new(simdJob)
+	j.run = j.rows
+	return j
+}}
+
+func (j *simdJob) rows(lo, hi int) { matmulRowsSIMD(j.dst, j.a, j.b, lo, hi, j.k, j.n) }
+
+// matMulSIMDParallel fans matmulRowsSIMD out over the persistent worker
+// pool in gemmRowChunk-row chunks. The chunk size is a multiple of the
+// kernel's 4-row tile, so only the last chunk has trailing rows; rows are
+// independent either way, so the result is bit-identical at any width.
+func matMulSIMDParallel(dst, a, b []float64, m, k, n int) {
+	j := simdJobs.Get().(*simdJob)
+	j.dst, j.a, j.b, j.k, j.n = dst, a, b, k, n
+	parallel.Shared().RunRange(m, gemmRowChunk, j.run)
+	j.dst, j.a, j.b = nil, nil, nil
+	simdJobs.Put(j)
 }
 
 // matMulRowsParallel fans the row-stream kernel out over the persistent
@@ -76,15 +113,22 @@ func matMulRowsParallel(dst, a, b []float64, m, k, n int) {
 // order, which streams through the b matrix row-wise and keeps the inner
 // loop vectorizable.
 func matmulRows(dst, a, b []float64, lo, hi, k, n int) {
+	matmulBlock(dst, a, b, lo, hi, k, n, 0, n)
+}
+
+// matmulBlock is matmulRows restricted to output columns [j0, j1). Each
+// element's arithmetic is the same as in the full-width loop: ascending
+// k, skipping a zero A element.
+func matmulBlock(dst, a, b []float64, lo, hi, k, n, j0, j1 int) {
 	for i := lo; i < hi; i++ {
-		drow := dst[i*n : (i+1)*n]
+		drow := dst[i*n+j0 : i*n+j1]
 		arow := a[i*k : (i+1)*k]
 		for kk := 0; kk < k; kk++ {
 			av := arow[kk]
 			if av == 0 {
 				continue
 			}
-			brow := b[kk*n : (kk+1)*n]
+			brow := b[kk*n+j0 : kk*n+j1]
 			for j := range drow {
 				drow[j] += av * brow[j]
 			}
