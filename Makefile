@@ -16,7 +16,7 @@ help:
 	@echo "  bench-json hot-path benchmarks (RunAll, DAGSchedule, MDForces,"
 	@echo "             TrainStepAlloc, Gemm, ObsHotPath, ChaosHotPath,"
 	@echo "             ServeHotPath, ServeRun, CampaignHotPath,"
-	@echo "             CheckpointDrain) -> BENCH_hotpath.json"
+	@echo "             CheckpointDrain, SmallCNNLayers) -> BENCH_hotpath.json"
 	@echo "  trace      RS2 campaign trace -> out.json (Chrome trace-event)"
 	@echo "  chaos      every builtin adversarial scenario + invariant suite"
 	@echo "  fuzz-smoke short fuzz pass over the scenario parser, the"
@@ -27,7 +27,7 @@ help:
 	@echo "  bench-floors kernel floor rules only (Gemm 2x, MDForces 1.2x,"
 	@echo "             ServeHotPath batching 2x, CampaignHotPath 1.2x,"
 	@echo "             CheckpointDrain async 1.5x at >=4 cores;"
-	@echo "             GemmSIMD 3x and TrainStep allocs <=45 always),"
+	@echo "             GemmSIMD 3x and TrainStep allocs <=41 always),"
 	@echo "             no baseline"
 	@echo "  repro      full reproduction report (cmd/summit-repro)"
 	@echo "  examples   run every example once"
@@ -67,7 +67,8 @@ bench:
 
 # Hot-path numbers as JSON: the flat-vs-DAG experiment engine (plus the
 # DAGSchedule cold/warm ablation), the sharded MD force kernel, the
-# training-step allocation pair, the GEMM kernel ablation, the obs
+# training-step allocation pair, each SmallCNN layer op's forward and
+# forward+backward at train-cnn's shape, the GEMM kernel ablation, the obs
 # instrumentation overhead, one full chaos scenario pass (compile the
 # perfect-storm spec + drive every subsystem probe), the serving layer
 # (the batched-vs-unbatched inference hot path plus a full simulated
@@ -75,7 +76,7 @@ bench:
 # panel depth is pinned via SUMMITSCALE_GEMM_KC so the wall-clock
 # autotuner can't pick a different blocking per run and shift every
 # GEMM-backed number.
-BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|CampaignHotPath|CheckpointDrain
+BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|SmallCNNLayers|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|CampaignHotPath|CheckpointDrain
 BENCH_ENV = SUMMITSCALE_GEMM_KC=256
 bench-json:
 	$(BENCH_ENV) $(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem ./... \
@@ -98,7 +99,7 @@ bench-check:
 # >= 1.5x the synchronous stall — all only enforced when the run
 # recorded >= 4 cores), the single-thread AVX2 GEMM >= 3x the serial
 # row-stream at any core count (skipped on hosts without AVX2), plus the
-# deterministic TrainStepAlloc/scratch <= 45 allocs/op ceiling. This is
+# deterministic TrainStepAlloc/scratch <= 41 allocs/op ceiling. This is
 # what CI's perf-smoke job runs: it works on any runner, even one whose
 # core count differs from the committed baseline's.
 bench-floors:

@@ -55,7 +55,8 @@ const (
 	kernelFloorMinProcs = 4
 	// maxTrainStepAllocs caps TrainStepAlloc/scratch allocs/op: the
 	// arena + persistent-pool training step must stay allocation-flat.
-	maxTrainStepAllocs = 45
+	// The count is exact, so the ceiling sits at it with no headroom.
+	maxTrainStepAllocs = 41
 )
 
 // ratioRule is one within-run speedup floor: numerator ns/op over

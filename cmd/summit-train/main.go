@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,65 +35,95 @@ import (
 	"summitscale/internal/tensor"
 )
 
-func buildOptimizer(name string, lr float64) optim.Optimizer {
-	switch name {
-	case "sgd":
-		return optim.NewSGD(lr)
-	case "momentum":
-		return optim.NewMomentumSGD(lr, 0.9)
-	case "adam":
-		return optim.NewAdam(lr)
-	case "lars":
-		return optim.NewLARS(lr)
-	case "lamb":
-		return optim.NewLAMB(lr)
-	default:
-		fmt.Fprintf(os.Stderr, "summit-train: unknown optimizer %q\n", name)
-		os.Exit(2)
-		return nil
-	}
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
-	model := flag.String("model", "cnn", "cnn | mlp | bert | wavenet")
-	ranks := flag.Int("ranks", 4, "data-parallel ranks (goroutines)")
-	epochs := flag.Int("epochs", 10, "epochs (cnn/mlp)")
-	steps := flag.Int("steps", 30, "steps (bert)")
-	optName := flag.String("opt", "momentum", "sgd | momentum | adam | lars | lamb")
-	lr := flag.Float64("lr", 0.05, "learning rate")
-	fp16 := flag.Bool("fp16", false, "fp16 gradient compression")
-	accum := flag.Int("accum", 1, "gradient accumulation steps")
-	hier := flag.Int("hier", 0, "hierarchical allreduce island size (0 = flat ring, -1 = platform GPUs/node)")
-	plat := flag.String("platform", "summit", "machine whose node shape sizes -hier -1 islands")
-	ckpt := flag.String("ckpt", "", "checkpoint path: save after training, load first if present")
-	storeDir := flag.String("store", "", "tiered checkpoint store root (nvme/replica/gpfs subdirs): restore the newest restorable version first, commit a new version and drain it to every tier afterwards")
-	verifyCkpt := flag.String("verify-ckpt", "", "verify a checkpoint file's per-parameter CRC sections and exit (non-zero when any section is corrupt)")
-	seed := flag.Uint64("seed", 1, "seed")
-	traceOut := flag.String("trace", "", "write per-rank step/allreduce spans as Chrome trace-event JSON to this file (simulated step clock: 1 s per step)")
-	metrics := flag.Bool("metrics", false, "print the obs metrics summary after training")
-	flag.Parse()
+// optimizerFor returns a constructor for the named optimizer, called once
+// per rank, or nil for an unknown name.
+func optimizerFor(name string, lr float64) func() optim.Optimizer {
+	switch name {
+	case "sgd":
+		return func() optim.Optimizer { return optim.NewSGD(lr) }
+	case "momentum":
+		return func() optim.Optimizer { return optim.NewMomentumSGD(lr, 0.9) }
+	case "adam":
+		return func() optim.Optimizer { return optim.NewAdam(lr) }
+	case "lars":
+		return func() optim.Optimizer { return optim.NewLARS(lr) }
+	case "lamb":
+		return func() optim.Optimizer { return optim.NewLAMB(lr) }
+	}
+	return nil
+}
+
+// trainers maps each -model name to its training loop.
+var trainers = map[string]func(*job){
+	"cnn":     (*job).trainCNN,
+	"mlp":     (*job).trainMLP,
+	"bert":    (*job).trainBERT,
+	"wavenet": (*job).trainWaveNet,
+}
+
+// run is the whole command: it parses args, trains, writes progress to
+// stdout and failures to stderr, and returns the exit code: 0 on success,
+// 1 when a checkpoint or trace write fails, 2 for bad arguments.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("summit-train", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	model := fs.String("model", "cnn", "cnn | mlp | bert | wavenet")
+	ranks := fs.Int("ranks", 4, "data-parallel ranks (goroutines)")
+	epochs := fs.Int("epochs", 10, "epochs (cnn/mlp)")
+	steps := fs.Int("steps", 30, "steps (bert)")
+	optName := fs.String("opt", "momentum", "sgd | momentum | adam | lars | lamb")
+	lr := fs.Float64("lr", 0.05, "learning rate")
+	fp16 := fs.Bool("fp16", false, "fp16 gradient compression")
+	accum := fs.Int("accum", 1, "gradient accumulation steps")
+	hier := fs.Int("hier", 0, "hierarchical allreduce island size (0 = flat ring, -1 = platform GPUs/node)")
+	plat := fs.String("platform", "summit", "machine whose node shape sizes -hier -1 islands")
+	ckpt := fs.String("ckpt", "", "checkpoint path: save after training, load first if present")
+	storeDir := fs.String("store", "", "tiered checkpoint store root (nvme/replica/gpfs subdirs): restore the newest restorable version first, commit a new version and drain it to every tier afterwards")
+	verifyCkpt := fs.String("verify-ckpt", "", "verify a checkpoint file's per-parameter CRC sections and exit (non-zero when any section is corrupt)")
+	seed := fs.Uint64("seed", 1, "seed")
+	traceOut := fs.String("trace", "", "write per-rank step/allreduce spans as Chrome trace-event JSON to this file (simulated step clock: 1 s per step)")
+	metrics := fs.Bool("metrics", false, "print the obs metrics summary after training")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *verifyCkpt != "" {
-		verifyCheckpoint(*verifyCkpt)
-		return
+		return verifyCheckpoint(*verifyCkpt, stdout, stderr)
 	}
 
 	p, err := platform.Lookup(*plat)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "summit-train: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "summit-train: %v\n", err)
+		return 2
 	}
 	if *hier < 0 {
 		if p.Node.GPUs <= 0 {
-			fmt.Fprintf(os.Stderr, "summit-train: -hier -1 needs a platform with GPUs per node, %s has none\n", p.Name)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "summit-train: -hier -1 needs a platform with GPUs per node, %s has none\n", p.Name)
+			return 2
 		}
 		*hier = p.Node.GPUs
 	}
 	if *hier > 0 && *ranks%*hier != 0 {
-		fmt.Fprintf(os.Stderr, "summit-train: %d ranks not divisible by island size %d (%s has %d GPUs/node); pick -ranks as a multiple\n",
+		fmt.Fprintf(stderr, "summit-train: %d ranks not divisible by island size %d (%s has %d GPUs/node); pick -ranks as a multiple\n",
 			*ranks, *hier, p.Name, p.Node.GPUs)
-		os.Exit(2)
+		return 2
+	}
+	train := trainers[*model]
+	if train == nil {
+		fmt.Fprintf(stderr, "summit-train: unknown model %q\n", *model)
+		return 2
+	}
+	newOpt := optimizerFor(*optName, *lr)
+	if newOpt == nil {
+		fmt.Fprintf(stderr, "summit-train: unknown optimizer %q\n", *optName)
+		return 2
 	}
 
 	cfg := ddl.Config{AccumSteps: *accum}
@@ -112,7 +144,12 @@ func main() {
 			return c.AllReduceHierarchical(g, group)
 		}
 	}
-	ckptPath = *ckpt
+	j := &job{
+		stdout: stdout, stderr: stderr,
+		ranks: *ranks, epochs: *epochs, steps: *steps,
+		newOpt: newOpt, cfg: cfg, seed: *seed,
+		ckptPath: *ckpt,
+	}
 	if *storeDir != "" {
 		st, err := checkpoint.NewStore([]checkpoint.TierDir{
 			{Name: "nvme", Dir: filepath.Join(*storeDir, "nvme")},
@@ -120,56 +157,77 @@ func main() {
 			{Name: "gpfs", Dir: filepath.Join(*storeDir, "gpfs")},
 		}, 4)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "summit-train: store: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "summit-train: store: %v\n", err)
+			return 2
 		}
 		defer st.Close()
-		ckptStore = st
+		j.store = st
 	}
 
-	switch *model {
-	case "cnn":
-		trainCNN(*ranks, *epochs, *optName, *lr, cfg, *seed)
-	case "mlp":
-		trainMLP(*ranks, *epochs, *optName, *lr, cfg, *seed)
-	case "bert":
-		trainBERT(*ranks, *steps, *optName, *lr, cfg, *seed)
-	case "wavenet":
-		trainWaveNet(*ranks, *epochs, *optName, *lr, cfg, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "summit-train: unknown model %q\n", *model)
-		os.Exit(2)
+	train(j)
+	if j.failed {
+		return 1
 	}
 
 	if *traceOut != "" {
 		if err := ob.WriteChromeTrace(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "summit-train: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "summit-train: %v\n", err)
+			return 1
 		}
-		fmt.Printf("wrote trace to %s\n", *traceOut)
+		fmt.Fprintf(stdout, "wrote trace to %s\n", *traceOut)
 	}
 	if *metrics {
-		fmt.Print(ob.Trace.Summary())
-		fmt.Print(ob.Metrics.Render())
+		fmt.Fprint(stdout, ob.Trace.Summary())
+		fmt.Fprint(stdout, ob.Metrics.Render())
+	}
+	return 0
+}
+
+// job is one training run: its settings, the writers it reports to, and
+// whether any rank failed.
+type job struct {
+	stdout, stderr       io.Writer
+	ranks, epochs, steps int
+	newOpt               func() optim.Optimizer
+	cfg                  ddl.Config
+	seed                 uint64
+	// ckptPath, when non-empty, makes every rank load the model before
+	// training (if the file exists) and rank 0 save it afterwards. store
+	// is the tiered alternative (-store): restores prefer the shallowest
+	// healthy copy and saves commit a fresh version drained to every tier.
+	ckptPath string
+	store    *checkpoint.Store
+
+	mu     sync.Mutex // serializes the ranks' output lines and failed
+	failed bool
+}
+
+// report prints one progress line to stdout.
+func (j *job) report(format string, args ...any) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	fmt.Fprintf(j.stdout, format+"\n", args...)
+}
+
+// fail marks the run failed and prints its first failure to stderr;
+// later ones, such as the other ranks failing to load the same
+// checkpoint, are dropped.
+func (j *job) fail(format string, args ...any) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.failed {
+		fmt.Fprintf(j.stderr, "summit-train: "+format+"\n", args...)
+		j.failed = true
 	}
 }
 
-// ckptPath, when non-empty, makes rank 0 load the model before training
-// (if the file exists) and save it afterwards. ckptStore is the tiered
-// alternative (-store): restores prefer the shallowest healthy copy and
-// saves commit a fresh version drained to every tier.
-var (
-	ckptPath  string
-	ckptStore *checkpoint.Store
-)
-
 // verifyCheckpoint audits a checkpoint file's per-parameter CRC sections
-// and exits non-zero when any section fails its checksum.
-func verifyCheckpoint(path string) {
+// and returns 1 when any section fails its checksum.
+func verifyCheckpoint(path string, stdout, stderr io.Writer) int {
 	sections, err := checkpoint.Verify(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "summit-train: verify: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "summit-train: verify: %v\n", err)
+		return 1
 	}
 	bad := 0
 	for _, s := range sections {
@@ -178,108 +236,105 @@ func verifyCheckpoint(path string) {
 			status = "CORRUPT"
 			bad++
 		}
-		fmt.Printf("  %-24s %8d elems  %s\n", s.Name, s.Elems, status)
+		fmt.Fprintf(stdout, "  %-24s %8d elems  %s\n", s.Name, s.Elems, status)
 	}
-	fmt.Printf("%s: %d section(s), %d corrupt\n", path, len(sections), bad)
+	fmt.Fprintf(stdout, "%s: %d section(s), %d corrupt\n", path, len(sections), bad)
 	if bad > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // maybeLoad restores the model from the checkpoint when one exists. Every
-// rank loads, so replicas stay identical.
-func maybeLoad(c *mp.Comm, m nn.Module) {
-	if ckptStore != nil {
-		info, err := ckptStore.Restore(m)
+// rank loads, so replicas stay identical; it reports false when the load
+// failed. Every rank reads the same bytes, so all of them fail together
+// and stop before their first collective.
+func (j *job) maybeLoad(c *mp.Comm, m nn.Module) bool {
+	if j.store != nil {
+		info, err := j.store.Restore(m)
 		if err != nil {
 			// A store with no committed versions is a fresh start, not a
 			// failure.
 			if strings.Contains(err.Error(), "no versions") {
-				return
+				return true
 			}
-			fmt.Fprintf(os.Stderr, "summit-train: store restore: %v\n", err)
-			os.Exit(1)
+			j.fail("store restore: %v", err)
+			return false
 		}
 		if c.Rank() == 0 {
-			report("restored checkpoint v%d from %s tier", info.Version, info.TierName)
+			j.report("restored checkpoint v%d from %s tier", info.Version, info.TierName)
 		}
-		return
+		return true
 	}
-	if ckptPath == "" {
-		return
+	if j.ckptPath == "" {
+		return true
 	}
-	if _, err := os.Stat(ckptPath); err != nil {
-		return
+	if _, err := os.Stat(j.ckptPath); err != nil {
+		return true
 	}
-	if err := checkpoint.Load(m, ckptPath); err != nil {
-		fmt.Fprintf(os.Stderr, "summit-train: checkpoint load: %v\n", err)
-		os.Exit(1)
+	if err := checkpoint.Load(m, j.ckptPath); err != nil {
+		j.fail("checkpoint load: %v", err)
+		return false
 	}
 	if c.Rank() == 0 {
-		report("restored checkpoint %s", ckptPath)
+		j.report("restored checkpoint %s", j.ckptPath)
 	}
+	return true
 }
 
 // maybeSave persists the model from rank 0.
-func maybeSave(c *mp.Comm, m nn.Module) {
+func (j *job) maybeSave(c *mp.Comm, m nn.Module) {
 	if c.Rank() != 0 {
 		return
 	}
-	if ckptStore != nil {
-		v := ckptStore.Newest() + 1
+	if j.store != nil {
+		v := j.store.Newest() + 1
 		if v < 1 {
 			v = 1
 		}
-		if err := ckptStore.Save(m, v); err != nil {
-			fmt.Fprintf(os.Stderr, "summit-train: store save: %v\n", err)
-			os.Exit(1)
+		if err := j.store.Save(m, v); err != nil {
+			j.fail("store save: %v", err)
+			return
 		}
-		if err := ckptStore.DrainAll(v); err != nil {
-			fmt.Fprintf(os.Stderr, "summit-train: store drain: %v\n", err)
-			os.Exit(1)
+		if err := j.store.DrainAll(v); err != nil {
+			j.fail("store drain: %v", err)
+			return
 		}
-		report("committed checkpoint v%d and drained it to every tier", v)
+		j.report("committed checkpoint v%d and drained it to every tier", v)
 		return
 	}
-	if ckptPath == "" {
+	if j.ckptPath == "" {
 		return
 	}
-	if err := checkpoint.Save(m, ckptPath); err != nil {
-		fmt.Fprintf(os.Stderr, "summit-train: checkpoint save: %v\n", err)
-		os.Exit(1)
+	if err := checkpoint.Save(m, j.ckptPath); err != nil {
+		j.fail("checkpoint save: %v", err)
+		return
 	}
-	report("saved checkpoint %s", ckptPath)
+	j.report("saved checkpoint %s", j.ckptPath)
 }
 
-// report serializes per-rank progress lines.
-var reportMu sync.Mutex
-
-func report(format string, args ...any) {
-	reportMu.Lock()
-	defer reportMu.Unlock()
-	fmt.Printf(format+"\n", args...)
-}
-
-func trainCNN(ranks, epochs int, optName string, lr float64, cfg ddl.Config, seed uint64) {
-	src := data.NewClimateImages(seed, 64, 1, 8)
-	w := mp.NewWorld(ranks)
+func (j *job) trainCNN() {
+	src := data.NewClimateImages(j.seed, 64, 1, 8)
+	w := mp.NewWorld(j.ranks)
 	w.Run(func(c *mp.Comm) {
-		m := nn.NewSmallCNN(stats.NewRNG(seed+100), nn.SmallCNNConfig{
+		m := nn.NewSmallCNN(stats.NewRNG(j.seed+100), nn.SmallCNNConfig{
 			InChannels: 1, ImageSize: 8, Channels: []int{8}, Classes: 2,
 		})
-		maybeLoad(c, m)
-		r := ddl.NewRank(c, m, buildOptimizer(optName, lr), cfg)
-		for epoch := 0; epoch < epochs; epoch++ {
-			idx := data.ShardedEpoch(seed, epoch, src.Len(), c.Size(), c.Rank())
+		if !j.maybeLoad(c, m) {
+			return
+		}
+		r := ddl.NewRank(c, m, j.newOpt(), j.cfg)
+		for epoch := 0; epoch < j.epochs; epoch++ {
+			idx := data.ShardedEpoch(j.seed, epoch, src.Len(), c.Size(), c.Rank())
 			var loss float64
 			for _, batch := range data.Batches(idx, 4) {
 				x, labels := data.BatchImages(src, batch)
 				loss = r.Step(func(int) *autograd.Value {
-					return autograd.SoftmaxCrossEntropy(m.Forward(autograd.Constant(x)), labels)
+					return autograd.SoftmaxCrossEntropy(m.Forward(autograd.ConstantIn(r.Arena(), x)), labels)
 				})
 			}
 			if c.Rank() == 0 {
-				report("epoch %2d  loss %.4f", epoch, loss)
+				j.report("epoch %2d  loss %.4f", epoch, loss)
 			}
 		}
 		if c.Rank() == 0 {
@@ -302,26 +357,28 @@ func trainCNN(ranks, epochs int, optName string, lr float64, cfg ddl.Config, see
 					}
 				}
 			}
-			report("accuracy %.1f%%  (bytes allreduced: %d)",
+			j.report("accuracy %.1f%%  (bytes allreduced: %d)",
 				100*float64(correct)/float64(src.Len()), w.BytesSent())
 		}
 		if !ddl.ReplicasConsistent(c, m, 1e-9) {
-			report("WARNING: replicas diverged")
+			j.report("WARNING: replicas diverged")
 		}
-		maybeSave(c, m)
+		j.maybeSave(c, m)
 	})
 }
 
-func trainMLP(ranks, epochs int, optName string, lr float64, cfg ddl.Config, seed uint64) {
+func (j *job) trainMLP() {
 	// Waveform parameter regression (Khan et al. in miniature).
-	src := data.NewWaveforms(seed, 128, 64, 0.02)
-	w := mp.NewWorld(ranks)
+	src := data.NewWaveforms(j.seed, 128, 64, 0.02)
+	w := mp.NewWorld(j.ranks)
 	w.Run(func(c *mp.Comm) {
-		m := nn.NewResidualMLP(stats.NewRNG(seed+200), 64, 32, 2, 2)
-		maybeLoad(c, m)
-		r := ddl.NewRank(c, m, buildOptimizer(optName, lr), cfg)
-		for epoch := 0; epoch < epochs; epoch++ {
-			idx := data.ShardedEpoch(seed, epoch, src.Len(), c.Size(), c.Rank())
+		m := nn.NewResidualMLP(stats.NewRNG(j.seed+200), 64, 32, 2, 2)
+		if !j.maybeLoad(c, m) {
+			return
+		}
+		r := ddl.NewRank(c, m, j.newOpt(), j.cfg)
+		for epoch := 0; epoch < j.epochs; epoch++ {
+			idx := data.ShardedEpoch(j.seed, epoch, src.Len(), c.Size(), c.Rank())
 			var loss float64
 			for _, batch := range data.Batches(idx, 8) {
 				x := tensor.New(len(batch), 64)
@@ -333,29 +390,31 @@ func trainMLP(ranks, epochs int, optName string, lr float64, cfg ddl.Config, see
 					y.Set(params[1], bi, 1)
 				}
 				loss = r.Step(func(int) *autograd.Value {
-					return autograd.MSE(m.Forward(autograd.Constant(x)), y)
+					return autograd.MSE(m.Forward(autograd.ConstantIn(r.Arena(), x)), y)
 				})
 			}
 			if c.Rank() == 0 {
-				report("epoch %2d  mse %.5f", epoch, loss)
+				j.report("epoch %2d  mse %.5f", epoch, loss)
 			}
 		}
-		maybeSave(c, m)
+		j.maybeSave(c, m)
 	})
 }
 
 // trainWaveNet regresses chirp parameters with a dilated causal
 // convolution stack (Khan et al.'s architecture family).
-func trainWaveNet(ranks, epochs int, optName string, lr float64, cfg ddl.Config, seed uint64) {
+func (j *job) trainWaveNet() {
 	const seqLen = 32
-	src := data.NewWaveforms(seed, 64, seqLen, 0.02)
-	w := mp.NewWorld(ranks)
+	src := data.NewWaveforms(j.seed, 64, seqLen, 0.02)
+	w := mp.NewWorld(j.ranks)
 	w.Run(func(c *mp.Comm) {
-		m := nn.NewWaveNetStack(stats.NewRNG(seed+400), 6, 3, 2)
-		maybeLoad(c, m)
-		r := ddl.NewRank(c, m, buildOptimizer(optName, lr), cfg)
-		for epoch := 0; epoch < epochs; epoch++ {
-			idx := data.ShardedEpoch(seed, epoch, src.Len(), c.Size(), c.Rank())
+		m := nn.NewWaveNetStack(stats.NewRNG(j.seed+400), 6, 3, 2)
+		if !j.maybeLoad(c, m) {
+			return
+		}
+		r := ddl.NewRank(c, m, j.newOpt(), j.cfg)
+		for epoch := 0; epoch < j.epochs; epoch++ {
+			idx := data.ShardedEpoch(j.seed, epoch, src.Len(), c.Size(), c.Rank())
 			var loss float64
 			for _, batch := range data.Batches(idx, 8) {
 				x := tensor.New(len(batch), 1, seqLen)
@@ -367,37 +426,39 @@ func trainWaveNet(ranks, epochs int, optName string, lr float64, cfg ddl.Config,
 					y.Set(params[1], bi, 1)
 				}
 				loss = r.Step(func(int) *autograd.Value {
-					return autograd.MSE(m.Forward(autograd.Constant(x)), y)
+					return autograd.MSE(m.Forward(autograd.ConstantIn(r.Arena(), x)), y)
 				})
 			}
 			if c.Rank() == 0 && epoch%5 == 0 {
-				report("epoch %2d  mse %.5f  (receptive field %d)", epoch, loss, m.ReceptiveField())
+				j.report("epoch %2d  mse %.5f  (receptive field %d)", epoch, loss, m.ReceptiveField())
 			}
 		}
-		maybeSave(c, m)
+		j.maybeSave(c, m)
 	})
 }
 
-func trainBERT(ranks, steps int, optName string, lr float64, cfg ddl.Config, seed uint64) {
-	src := data.NewSMILESSequences(seed, 256, 16)
-	w := mp.NewWorld(ranks)
+func (j *job) trainBERT() {
+	src := data.NewSMILESSequences(j.seed, 256, 16)
+	w := mp.NewWorld(j.ranks)
 	w.Run(func(c *mp.Comm) {
-		m := nn.NewMiniBERT(stats.NewRNG(seed+300), nn.MiniBERTConfig{
+		m := nn.NewMiniBERT(stats.NewRNG(j.seed+300), nn.MiniBERTConfig{
 			Vocab: src.Vocab(), SeqLen: 16, Dim: 32, Heads: 4, FFDim: 64, Layers: 2,
 		})
-		maybeLoad(c, m)
-		r := ddl.NewRank(c, m, buildOptimizer(optName, lr), cfg)
-		rng := stats.NewRNG(seed + uint64(c.Rank()))
-		for s := 0; s < steps; s++ {
+		if !j.maybeLoad(c, m) {
+			return
+		}
+		r := ddl.NewRank(c, m, j.newOpt(), j.cfg)
+		rng := stats.NewRNG(j.seed + uint64(c.Rank()))
+		for s := 0; s < j.steps; s++ {
 			loss := r.Step(func(int) *autograd.Value {
 				i := rng.Intn(src.Len())
 				input, target, _ := src.MaskedSample(i, 0.15)
 				return autograd.SoftmaxCrossEntropy(m.Forward(input), target)
 			})
 			if c.Rank() == 0 && s%5 == 0 {
-				report("step %3d  masked-LM loss %.4f", s, loss)
+				j.report("step %3d  masked-LM loss %.4f", s, loss)
 			}
 		}
-		maybeSave(c, m)
+		j.maybeSave(c, m)
 	})
 }

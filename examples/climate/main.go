@@ -63,7 +63,7 @@ func main() {
 					// LARC: clip per-layer gradients adaptively before the
 					// optimizer step (applied inside the loss closure via
 					// the optimizer's view after backward).
-					l := autograd.SoftmaxCrossEntropy(m.Forward(autograd.Constant(x)), labels)
+					l := autograd.SoftmaxCrossEntropy(m.Forward(autograd.ConstantIn(r.Arena(), x)), labels)
 					return l
 				})
 				optim.LARCClip(m.Params(), opt.LR(), 0.02)

@@ -220,14 +220,18 @@ func Reshape(a *Value, shape ...int) *Value {
 	return n
 }
 
-// ReLU applies max(0, x) elementwise.
+// ReLU applies max(0, x) elementwise; NaN and -0 map to +0.
 func ReLU(a *Value) *Value {
-	n := newNode(a.Data.Apply(func(x float64) float64 {
+	ad := a.Data.Data()
+	out := tensor.NewIn(a.Data.Arena(), a.Data.Shape()...)
+	od := out.Data()[:len(ad)]
+	// out is zeroed, so only positive inputs are written.
+	for i, x := range ad {
 		if x > 0 {
-			return x
+			od[i] = x
 		}
-		return 0
-	}), a)
+	}
+	n := newNode(out, a)
 	n.backward = func() {
 		g := tensor.NewIn(n.Grad.Arena(), a.Data.Shape()...)
 		ad, gd, nd := a.Data.Data(), g.Data(), n.Grad.Data()
@@ -328,35 +332,17 @@ func Mean(a *Value) *Value {
 	return n
 }
 
-// ConvScratch owns a convolution node's reusable buffers: the forward
-// im2col unfold and the backward re-unfold. One scratch belongs to one
-// layer (or other single-threaded call site); the backward buffer is
-// written and consumed inside a single backward closure, so interleaved
-// forward/backward sequences over the same layer stay correct.
-type ConvScratch struct {
-	fwd, bwd tensor.ConvScratch
-}
-
-// Conv2D convolves NCHW input a with FCHW kernel and optional bias.
+// Conv2D convolves NCHW input a with FCHW kernel and optional bias. The
+// node keeps the forward's unfold of a, step-scoped in a's arena, and its
+// backward builds the kernel gradient from it instead of unfolding again.
+// A layer applied twice in one graph makes two nodes with one unfold each,
+// so each application's dK is taken against the input it saw.
 func Conv2D(a, kernel, bias *Value, opts tensor.Conv2DOpts) *Value {
-	return Conv2DScratch(a, kernel, bias, opts, nil)
-}
-
-// Conv2DScratch is Conv2D with layer-owned buffer reuse: the im2col
-// matrices for forward and backward are allocated once per geometry and
-// reused across calls instead of churning per step. A nil scratch behaves
-// exactly like Conv2D.
-func Conv2DScratch(a, kernel, bias *Value, opts tensor.Conv2DOpts, scratch *ConvScratch) *Value {
 	var bt *tensor.Tensor
 	if bias != nil {
 		bt = bias.Data
 	}
-	var out *tensor.Tensor
-	if scratch != nil {
-		out = tensor.Conv2DScratch(a.Data, kernel.Data, bt, opts, &scratch.fwd)
-	} else {
-		out = tensor.Conv2D(a.Data, kernel.Data, bt, opts)
-	}
+	out, cols := tensor.Conv2D(a.Data, kernel.Data, bt, opts)
 	var n *Value
 	if bias != nil {
 		n = newNode(out, a, kernel, bias)
@@ -366,46 +352,56 @@ func Conv2DScratch(a, kernel, bias *Value, opts tensor.Conv2DOpts, scratch *Conv
 	n.backward = func() {
 		nIn, c, h, w := a.Data.Dim(0), a.Data.Dim(1), a.Data.Dim(2), a.Data.Dim(3)
 		f, kh, kw := kernel.Data.Dim(0), kernel.Data.Dim(2), kernel.Data.Dim(3)
-		oh, ow := out.Dim(2), out.Dim(3)
+		plane := out.Dim(2) * out.Dim(3)
+		rows := nIn * plane // unfold rows, (image, oy, ox) order
+		ar, gd := n.Grad.Arena(), n.Grad.Data()
 
-		// dOut reshaped to (N*OH*OW, F): spatial-major like Im2Col rows.
-		// The fill loop indexes the backing slices directly — the variadic
-		// Set would re-derive the row-major offset per element.
-		dflat := tensor.NewIn(n.Grad.Arena(), nIn*oh*ow, f)
-		gd, dd := n.Grad.Data(), dflat.Data()
-		for img := 0; img < nIn; img++ {
-			for ch := 0; ch < f; ch++ {
-				src := ((img*f + ch) * oh) * ow
-				for oy := 0; oy < oh; oy++ {
-					for ox := 0; ox < ow; ox++ {
-						dd[((img*oh+oy)*ow+ox)*f+ch] = gd[src]
-						src++
-					}
-				}
-			}
-		}
 		// As in MatMul, only gradients that flow somewhere are built: a
 		// first conv layer's constant input needs no dcols or fold.
 		if kernel.requiresGrad {
-			var cols *tensor.Tensor // (N*OH*OW, C*KH*KW)
-			if scratch != nil {
-				scratch.bwd.Cols = tensor.Im2ColInto(scratch.bwd.Cols, a.Data, kh, kw, opts)
-				cols = scratch.bwd.Cols
-			} else {
-				cols = tensor.Im2Col(a.Data, kh, kw, opts)
+			// dKernel = dOutᵀ·cols, shape (F, C*KH*KW). Row ch of the
+			// (F, N*OH*OW) dOutᵀ is channel ch's planes, image by image.
+			dt := tensor.NewIn(ar, f, rows)
+			td := dt.Data()
+			for img := 0; img < nIn; img++ {
+				for ch := 0; ch < f; ch++ {
+					copy(td[ch*rows+img*plane:][:plane], gd[(img*f+ch)*plane:][:plane])
+				}
 			}
-			// dKernel = dflat^T @ cols, shape (F, C*KH*KW).
-			dk := dflat.Transpose2D().MatMul(cols)
-			kernel.accum(dk.Reshape(f, c, kh, kw))
+			kernel.accum(dt.MatMul(cols).Reshape(f, c, kh, kw))
 		}
 		if bias != nil && bias.requiresGrad {
-			bias.accum(dflat.SumAxis0())
+			// Each channel sums in unfold-row order, as SumAxis0 over dOut
+			// laid out (N*OH*OW, F) would.
+			db := tensor.NewIn(ar, f)
+			dbd := db.Data()
+			for ch := 0; ch < f; ch++ {
+				var sum float64
+				for img := 0; img < nIn; img++ {
+					for _, v := range gd[(img*f+ch)*plane:][:plane] {
+						sum += v
+					}
+				}
+				dbd[ch] = sum
+			}
+			bias.accum(db)
 		}
 		if a.requiresGrad {
-			// dInput = Col2Im(dflat @ kernelMat), kernelMat (F, C*KH*KW).
-			kmat := kernel.Data.ReshapeIn(n.Grad.Arena(), f, c*kh*kw)
-			dcols := dflat.MatMul(kmat)
-			a.accum(tensor.Col2Im(dcols, nIn, c, h, w, kh, kw, opts))
+			// dInput = Col2Im(dflat @ kernelMat), with dOut laid out
+			// (N*OH*OW, F) like the unfold rows and kernelMat
+			// (F, C*KH*KW).
+			dflat := tensor.NewIn(ar, rows, f)
+			dd := dflat.Data()
+			for img := 0; img < nIn; img++ {
+				for ch := 0; ch < f; ch++ {
+					dst := dd[img*plane*f+ch:]
+					for i, v := range gd[(img*f+ch)*plane:][:plane] {
+						dst[i*f] = v
+					}
+				}
+			}
+			kmat := kernel.Data.ReshapeIn(ar, f, c*kh*kw)
+			a.accum(tensor.Col2Im(dflat.MatMul(kmat), nIn, c, h, w, kh, kw, opts))
 		}
 	}
 	return n

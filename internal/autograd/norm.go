@@ -72,38 +72,44 @@ func LayerNorm(a, gain, shift *Value, eps float64) *Value {
 // gain and shift.
 func BatchNorm2D(a, gain, shift *Value, eps float64) *Value {
 	nIn, c, h, w := a.Data.Dim(0), a.Data.Dim(1), a.Data.Dim(2), a.Data.Dim(3)
-	cnt := float64(nIn * h * w)
-	out := tensor.NewIn(a.Data.Arena(), nIn, c, h, w)
-	xhat := tensor.NewIn(a.Data.Arena(), nIn, c, h, w)
-	invStd := make([]float64, c)
+	hw := h * w
+	cnt := float64(nIn * hw)
+	ar := a.Data.Arena()
+	out := tensor.NewIn(ar, nIn, c, h, w)
+	xhat := tensor.NewIn(ar, nIn, c, h, w)
+	invStd := tensor.NewIn(ar, c).Data()
 	ad, od, xd := a.Data.Data(), out.Data(), xhat.Data()
 	gd, sd := gain.Data.Data(), shift.Data.Data()
 
-	idx := func(img, ch, y, x int) int { return ((img*c+ch)*h+y)*w + x }
+	// Channel ch of image img is the contiguous plane at (img*c+ch)*hw;
+	// every sum walks a channel's planes in image order.
 	for ch := 0; ch < c; ch++ {
 		var mean float64
 		for img := 0; img < nIn; img++ {
-			for i := 0; i < h*w; i++ {
-				mean += ad[idx(img, ch, 0, 0)+i]
+			for _, x := range ad[(img*c+ch)*hw:][:hw] {
+				mean += x
 			}
 		}
 		mean /= cnt
 		var va float64
 		for img := 0; img < nIn; img++ {
-			for i := 0; i < h*w; i++ {
-				d := ad[idx(img, ch, 0, 0)+i] - mean
+			for _, x := range ad[(img*c+ch)*hw:][:hw] {
+				d := x - mean
 				va += d * d
 			}
 		}
 		va /= cnt
 		is := 1 / math.Sqrt(va+eps)
 		invStd[ch] = is
+		g, sh := gd[ch], sd[ch]
 		for img := 0; img < nIn; img++ {
-			base := idx(img, ch, 0, 0)
-			for i := 0; i < h*w; i++ {
-				xh := (ad[base+i] - mean) * is
-				xd[base+i] = xh
-				od[base+i] = xh*gd[ch] + sd[ch]
+			base := (img*c + ch) * hw
+			src := ad[base:][:hw]
+			xp, op := xd[base:][:hw], od[base:][:hw]
+			for i, x := range src {
+				xh := (x - mean) * is
+				xp[i] = xh
+				op[i] = xh*g + sh
 			}
 		}
 	}
@@ -115,22 +121,27 @@ func BatchNorm2D(a, gain, shift *Value, eps float64) *Value {
 		gs := tensor.NewIn(n.Grad.Arena(), c)
 		gad, ggd, gsd := ga.Data(), gg.Data(), gs.Data()
 		for ch := 0; ch < c; ch++ {
-			var sumDy, sumDyXhat float64
+			g := gd[ch]
+			var sumDy, sumDyXhat, sumGain, sumShift float64
 			for img := 0; img < nIn; img++ {
-				base := idx(img, ch, 0, 0)
-				for i := 0; i < h*w; i++ {
-					dy := nd[base+i] * gd[ch]
+				base := (img*c + ch) * hw
+				dp, xp := nd[base:][:hw], xd[base:][:hw]
+				for i, d := range dp {
+					dy := d * g
 					sumDy += dy
-					sumDyXhat += dy * xd[base+i]
-					ggd[ch] += nd[base+i] * xd[base+i]
-					gsd[ch] += nd[base+i]
+					sumDyXhat += dy * xp[i]
+					sumGain += d * xp[i]
+					sumShift += d
 				}
 			}
+			ggd[ch], gsd[ch] = sumGain, sumShift
+			is, meanDy := invStd[ch], sumDy/cnt
 			for img := 0; img < nIn; img++ {
-				base := idx(img, ch, 0, 0)
-				for i := 0; i < h*w; i++ {
-					dy := nd[base+i] * gd[ch]
-					gad[base+i] = invStd[ch] * (dy - sumDy/cnt - xd[base+i]*sumDyXhat/cnt)
+				base := (img*c + ch) * hw
+				dp, xp, gp := nd[base:][:hw], xd[base:][:hw], gad[base:][:hw]
+				for i, d := range dp {
+					dy := d * g
+					gp[i] = is * (dy - meanDy - xp[i]*sumDyXhat/cnt)
 				}
 			}
 		}

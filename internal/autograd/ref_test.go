@@ -1,0 +1,151 @@
+package autograd
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"summitscale/internal/stats"
+	"summitscale/internal/tensor"
+)
+
+// BatchNorm2D and ReLU keep every sum's element order and every
+// expression's operation order, so they must equal the indexed reference
+// loops below bit for bit.
+
+// sameBits fails t unless got and want hold the same float64 bit
+// patterns, so -0 differs from +0 and every NaN must line up.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d is %v (%#x), want %v (%#x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// batchNorm2DIndexed is the indexed BatchNorm2D: the forward output and
+// xhat, and the input, gain and shift gradients for upstream gradient nd.
+func batchNorm2DIndexed(ad, gd, sd, nd []float64, nIn, c, h, w int, eps float64) (od, xd, gad, ggd, gsd []float64) {
+	cnt := float64(nIn * h * w)
+	od = make([]float64, len(ad))
+	xd = make([]float64, len(ad))
+	invStd := make([]float64, c)
+	idx := func(img, ch, y, x int) int { return ((img*c+ch)*h+y)*w + x }
+	for ch := 0; ch < c; ch++ {
+		var mean float64
+		for img := 0; img < nIn; img++ {
+			for i := 0; i < h*w; i++ {
+				mean += ad[idx(img, ch, 0, 0)+i]
+			}
+		}
+		mean /= cnt
+		var va float64
+		for img := 0; img < nIn; img++ {
+			for i := 0; i < h*w; i++ {
+				d := ad[idx(img, ch, 0, 0)+i] - mean
+				va += d * d
+			}
+		}
+		va /= cnt
+		is := 1 / math.Sqrt(va+eps)
+		invStd[ch] = is
+		for img := 0; img < nIn; img++ {
+			base := idx(img, ch, 0, 0)
+			for i := 0; i < h*w; i++ {
+				xh := (ad[base+i] - mean) * is
+				xd[base+i] = xh
+				od[base+i] = xh*gd[ch] + sd[ch]
+			}
+		}
+	}
+	gad = make([]float64, len(ad))
+	ggd = make([]float64, c)
+	gsd = make([]float64, c)
+	for ch := 0; ch < c; ch++ {
+		var sumDy, sumDyXhat float64
+		for img := 0; img < nIn; img++ {
+			base := idx(img, ch, 0, 0)
+			for i := 0; i < h*w; i++ {
+				dy := nd[base+i] * gd[ch]
+				sumDy += dy
+				sumDyXhat += dy * xd[base+i]
+				ggd[ch] += nd[base+i] * xd[base+i]
+				gsd[ch] += nd[base+i]
+			}
+		}
+		for img := 0; img < nIn; img++ {
+			base := idx(img, ch, 0, 0)
+			for i := 0; i < h*w; i++ {
+				dy := nd[base+i] * gd[ch]
+				gad[base+i] = invStd[ch] * (dy - sumDy/cnt - xd[base+i]*sumDyXhat/cnt)
+			}
+		}
+	}
+	return od, xd, gad, ggd, gsd
+}
+
+// signedZeros overwrites every fifth element of d with +0 and every
+// seventh with -0.
+func signedZeros(d []float64) []float64 {
+	for i := range d {
+		switch {
+		case i%7 == 3:
+			d[i] = math.Copysign(0, -1)
+		case i%5 == 1:
+			d[i] = 0
+		}
+	}
+	return d
+}
+
+func TestBatchNorm2DMatchesIndexed(t *testing.T) {
+	rng := stats.NewRNG(47)
+	// train-cnn's two BatchNorm shapes, then odd planes and one channel.
+	for _, s := range [][4]int{{8, 8, 8, 8}, {8, 16, 4, 4}, {3, 5, 7, 2}, {2, 1, 1, 9}, {1, 3, 3, 3}} {
+		nIn, c, h, w := s[0], s[1], s[2], s[3]
+		name := fmt.Sprintf("%v", s)
+		x := tensor.Randn(rng, 2, nIn, c, h, w)
+		signedZeros(x.Data())
+		gain := tensor.Randn(rng, 1, c)
+		shift := tensor.Randn(rng, 1, c)
+		up := tensor.Randn(rng, 1, nIn, c, h, w)
+		signedZeros(up.Data())
+		od, _, gad, ggd, gsd := batchNorm2DIndexed(x.Data(), gain.Data(), shift.Data(), up.Data(), nIn, c, h, w, 1e-5)
+
+		for _, arena := range []*tensor.Arena{nil, tensor.NewArena()} {
+			a := NewLeaf(tensor.NewIn(arena, x.Shape()...), true)
+			copy(a.Data.Data(), x.Data())
+			g, sh := NewLeaf(gain, true), NewLeaf(shift, true)
+			out := BatchNorm2D(a, g, sh, 1e-5)
+			sameBits(t, name+" forward", out.Data.Data(), od)
+			seed := tensor.NewIn(arena, up.Shape()...)
+			copy(seed.Data(), up.Data())
+			out.Backward(seed)
+			sameBits(t, name+" dx", a.Grad.Data(), gad)
+			sameBits(t, name+" dgain", g.Grad.Data(), ggd)
+			sameBits(t, name+" dshift", sh.Grad.Data(), gsd)
+		}
+	}
+}
+
+func TestReLUMatchesApply(t *testing.T) {
+	rng := stats.NewRNG(53)
+	x := tensor.Randn(rng, 1, 4, 3, 5, 5)
+	xd := signedZeros(x.Data())
+	xd[2], xd[11] = math.NaN(), math.Inf(-1)
+	want := x.Apply(func(v float64) float64 {
+		if v > 0 {
+			return v
+		}
+		return 0
+	}).Data()
+	if math.Float64bits(want[2]) != 0 {
+		t.Fatalf("reference maps NaN to %v, want +0", want[2])
+	}
+	sameBits(t, "ReLU", ReLU(Constant(x)).Data.Data(), want)
+}

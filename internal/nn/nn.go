@@ -96,9 +96,6 @@ type Conv2D struct {
 	Kernel, Bias *autograd.Value
 	Opts         tensor.Conv2DOpts
 	name         string
-	// scratch holds the layer's im2col buffers, reused across forward
-	// calls so a training loop stops re-allocating the unfold matrix.
-	scratch autograd.ConvScratch
 }
 
 // NewConv2D creates a conv layer with He-scaled kernels.
@@ -114,7 +111,7 @@ func NewConv2D(rng *stats.RNG, inCh, outCh, k int, opts tensor.Conv2DOpts, name 
 
 // Forward convolves x.
 func (c *Conv2D) Forward(x *autograd.Value) *autograd.Value {
-	return autograd.Conv2DScratch(x, c.Kernel, c.Bias, c.Opts, &c.scratch)
+	return autograd.Conv2D(x, c.Kernel, c.Bias, c.Opts)
 }
 
 // Params returns the kernel and bias.

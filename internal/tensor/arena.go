@@ -9,7 +9,7 @@ package tensor
 // Contract: every tensor allocated from an arena — and every tensor derived
 // from one, since operations inherit the receiver's arena — is INVALID after
 // the next Reset. Memory that must survive a step (parameters, optimizer
-// state, persistent scratch like ConvScratch) must stay on the heap.
+// state) must stay on the heap.
 //
 // An arena is not safe for concurrent use; it belongs to one goroutine.
 type Arena struct {

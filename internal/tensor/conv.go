@@ -25,57 +25,47 @@ type Conv2DOpts struct {
 	Padding int
 }
 
+// check panics unless the geometry can be lowered: a stride of at least
+// one and no negative padding. Every conv entry point runs it before
+// convOutDim divides by the stride.
+func (o Conv2DOpts) check(op string) {
+	if o.Stride < 1 {
+		panic("tensor: " + op + " stride must be positive")
+	}
+	if o.Padding < 0 {
+		panic("tensor: " + op + " padding must be non-negative")
+	}
+}
+
 // convOutDim returns the output spatial size for input size in, kernel k.
 func convOutDim(in, k, stride, pad int) int {
 	return (in+2*pad-k)/stride + 1
 }
 
-// Im2Col unfolds the (N, C, H, W) input into a matrix of shape
-// (N*OH*OW, C*KH*KW) so that convolution becomes a matrix multiply. Padding
-// is zero-filled.
-func Im2Col(x *Tensor, kh, kw int, opts Conv2DOpts) *Tensor {
-	return Im2ColInto(nil, x, kh, kw, opts)
+// tapRange returns the kernel taps [k0, k1) of a window whose first tap
+// sits at input coordinate start and that land inside [0, size). The range
+// is empty (k0 >= k1) when the window lies wholly in the padding.
+func tapRange(start, k, size int) (k0, k1 int) {
+	return max(0, -start), min(k, size-start)
 }
 
-// Im2ColInto is Im2Col writing into dst's backing storage when its element
-// count matches, so a training loop's unfold buffer is allocated once and
-// reused across forward calls. A nil or wrong-size dst allocates fresh.
-// The returned tensor always has the correct (N*OH*OW, C*KH*KW) shape.
-func Im2ColInto(dst *Tensor, x *Tensor, kh, kw int, opts Conv2DOpts) *Tensor {
+// Im2Col unfolds the (N, C, H, W) input into a matrix of shape
+// (N*OH*OW, C*KH*KW) so that convolution becomes a matrix multiply. The
+// matrix comes from x's arena, or the heap for a heap x; padding taps keep
+// the allocator's zeros.
+func Im2Col(x *Tensor, kh, kw int, opts Conv2DOpts) *Tensor {
 	if x.Rank() != 4 {
 		panic("tensor: Im2Col of non-NCHW tensor")
 	}
+	opts.check("Im2Col")
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	s, p := opts.Stride, opts.Padding
-	if s <= 0 {
-		panic("tensor: Im2Col stride must be positive")
-	}
 	oh := convOutDim(h, kh, s, p)
 	ow := convOutDim(w, kw, s, p)
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("tensor: Im2Col empty output for input %dx%d kernel %dx%d", h, w, kh, kw))
 	}
-	var cols *Tensor
-	if dst != nil && len(dst.data) == n*oh*ow*c*kh*kw {
-		if len(dst.shape) == 2 && dst.shape[0] == n*oh*ow {
-			// The repeated-geometry fast path: the scratch tensor already
-			// has the right shape, so reuse it outright instead of minting
-			// a fresh view per call.
-			cols = dst
-		} else {
-			cols = &Tensor{shape: []int{n * oh * ow, c * kh * kw}, data: dst.data}
-		}
-		if p > 0 {
-			// Only padded positions are skipped by the fill loop below;
-			// without padding every element is overwritten.
-			cols.Zero()
-		}
-	} else {
-		// Deliberately heap-allocated even when x is arena-backed: the
-		// unfold buffer persists in ConvScratch across steps, while arena
-		// memory is recycled at every Reset.
-		cols = New(n*oh*ow, c*kh*kw)
-	}
+	cols := newIn(x.arena, []int{n * oh * ow, c * kh * kw})
 	// Each (image, output-row) pair writes a disjoint band of cols, so the
 	// fill shards freely: bit-identical at any worker count.
 	if n*oh*ow*c*kh*kw >= convParallelMinWork {
@@ -89,22 +79,29 @@ func Im2ColInto(dst *Tensor, x *Tensor, kh, kw int, opts Conv2DOpts) *Tensor {
 }
 
 // im2colRows fills the unfold rows for flattened (image, output-row)
-// indices [lo, hi).
+// indices [lo, hi) of a zeroed cols. The in-range taps of one (channel,
+// kernel row) are one contiguous run of the input row, so each is a
+// single copy; taps in the padding are never visited.
 func im2colRows(cols, x []float64, lo, hi, c, h, w, oh, ow, kh, kw, s, p int) {
+	ck := c * kh * kw
 	for r := lo; r < hi; r++ {
 		img, oy := r/oh, r%oh
+		iy0 := oy*s - p
+		ky0, ky1 := tapRange(iy0, kh, h)
 		for ox := 0; ox < ow; ox++ {
-			row := cols[((img*oh+oy)*ow+ox)*c*kh*kw:]
-			col := 0
+			ix0 := ox*s - p
+			kx0, kx1 := tapRange(ix0, kw, w)
+			if kx0 >= kx1 {
+				continue
+			}
+			row := cols[(r*ow+ox)*ck:][:ck]
 			for ch := 0; ch < c; ch++ {
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*s - p + ky
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*s - p + kx
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							row[col] = x[((img*c+ch)*h+iy)*w+ix]
-						}
-						col++
+				plane := x[(img*c+ch)*h*w:][:h*w]
+				for ky := ky0; ky < ky1; ky++ {
+					src := plane[(iy0+ky)*w+ix0+kx0:][:kx1-kx0]
+					dst := row[(ch*kh+ky)*kw+kx0:][:len(src)]
+					for i, v := range src {
+						dst[i] = v
 					}
 				}
 			}
@@ -116,6 +113,7 @@ func im2colRows(cols, x []float64, lo, hi, c, h, w, oh, ow, kh, kw, s, p int) {
 // accumulating overlapping contributions. It is the adjoint of Im2Col and
 // is used for convolution input gradients.
 func Col2Im(cols *Tensor, n, c, h, w, kh, kw int, opts Conv2DOpts) *Tensor {
+	opts.check("Col2Im")
 	s, p := opts.Stride, opts.Padding
 	oh := convOutDim(h, kh, s, p)
 	ow := convOutDim(w, kw, s, p)
@@ -137,23 +135,29 @@ func Col2Im(cols *Tensor, n, c, h, w, kh, kw int, opts Conv2DOpts) *Tensor {
 	return x
 }
 
-// col2imImages folds the unfold rows of images [lo, hi) back into x,
-// accumulating overlapping contributions.
+// col2imImages folds the unfold rows of images [lo, hi) back into x with
+// im2colRows' runs. An output pixel adds at most one contribution to any
+// input element, so every element still accumulates in (oy, ox) order.
 func col2imImages(x, cols []float64, lo, hi, c, h, w, oh, ow, kh, kw, s, p int) {
+	ck := c * kh * kw
 	for img := lo; img < hi; img++ {
 		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*s - p
+			ky0, ky1 := tapRange(iy0, kh, h)
 			for ox := 0; ox < ow; ox++ {
-				row := cols[((img*oh+oy)*ow+ox)*c*kh*kw:]
-				col := 0
+				ix0 := ox*s - p
+				kx0, kx1 := tapRange(ix0, kw, w)
+				if kx0 >= kx1 {
+					continue
+				}
+				row := cols[((img*oh+oy)*ow+ox)*ck:][:ck]
 				for ch := 0; ch < c; ch++ {
-					for ky := 0; ky < kh; ky++ {
-						iy := oy*s - p + ky
-						for kx := 0; kx < kw; kx++ {
-							ix := ox*s - p + kx
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								x[((img*c+ch)*h+iy)*w+ix] += row[col]
-							}
-							col++
+					plane := x[(img*c+ch)*h*w:][:h*w]
+					for ky := ky0; ky < ky1; ky++ {
+						dst := plane[(iy0+ky)*w+ix0+kx0:][:kx1-kx0]
+						src := row[(ch*kh+ky)*kw+kx0:][:len(dst)]
+						for i, v := range src {
+							dst[i] += v
 						}
 					}
 				}
@@ -162,25 +166,15 @@ func col2imImages(x, cols []float64, lo, hi, c, h, w, oh, ow, kh, kw, s, p int) 
 	}
 }
 
-// ConvScratch holds a convolution's reusable buffers. The zero value is
-// ready to use; the first forward call populates Cols and later calls with
-// the same geometry reuse it.
-type ConvScratch struct {
-	Cols *Tensor // im2col unfold matrix, (N*OH*OW, C*KH*KW)
-}
-
-// Conv2D convolves the (N, C, H, W) input with (F, C, KH, KW) kernels and a
-// length-F bias, returning (N, F, OH, OW).
-func Conv2D(x, kernel, bias *Tensor, opts Conv2DOpts) *Tensor {
-	return Conv2DScratch(x, kernel, bias, opts, nil)
-}
-
-// Conv2DScratch is Conv2D reusing the im2col buffer in scratch across
-// calls (nil scratch allocates per call, exactly like Conv2D).
-func Conv2DScratch(x, kernel, bias *Tensor, opts Conv2DOpts, scratch *ConvScratch) *Tensor {
+// Conv2D convolves the (N, C, H, W) input with (F, C, KH, KW) kernels and
+// an optional length-F bias. It returns the (N, F, OH, OW) output and the
+// (N*OH*OW, C*KH*KW) unfold of x it multiplied, both from x's arena; the
+// backward pass builds the kernel gradient from that unfold.
+func Conv2D(x, kernel, bias *Tensor, opts Conv2DOpts) (out, cols *Tensor) {
 	if x.Rank() != 4 || kernel.Rank() != 4 {
 		panic("tensor: Conv2D wants NCHW input and FCHW kernel")
 	}
+	opts.check("Conv2D")
 	n, c := x.shape[0], x.shape[1]
 	f, kc, kh, kw := kernel.shape[0], kernel.shape[1], kernel.shape[2], kernel.shape[3]
 	if kc != c {
@@ -192,17 +186,10 @@ func Conv2DScratch(x, kernel, bias *Tensor, opts Conv2DOpts, scratch *ConvScratc
 	oh := convOutDim(x.shape[2], kh, opts.Stride, opts.Padding)
 	ow := convOutDim(x.shape[3], kw, opts.Stride, opts.Padding)
 
-	var cols *Tensor
-	if scratch != nil {
-		scratch.Cols = Im2ColInto(scratch.Cols, x, kh, kw, opts)
-		cols = scratch.Cols
-	} else {
-		cols = Im2Col(x, kh, kw, opts) // (N*OH*OW, C*KH*KW)
-	}
-	// The kernel transpose, product and output all go to the input's arena
-	// explicitly: the kernel is a heap parameter and cols may be a
-	// persistent heap scratch, either of which would otherwise break the
-	// arena inheritance chain at every convolution layer.
+	cols = Im2Col(x, kh, kw, opts)
+	// The kernel transpose, product and output go to the input's arena
+	// explicitly: the kernel is a heap parameter, which would otherwise
+	// break the arena inheritance chain at every convolution layer.
 	ck := c * kh * kw
 	kmat := newIn(x.arena, []int{ck, f}) // kernel.Reshape(f, ck) transposed
 	km, kd := kmat.data, kernel.data
@@ -213,22 +200,26 @@ func Conv2DScratch(x, kernel, bias *Tensor, opts Conv2DOpts, scratch *ConvScratc
 	}
 	prod := newIn(x.arena, []int{n * oh * ow, f}) // (N*OH*OW, F)
 	matMulInto(prod, cols, kmat)
-	out := newIn(x.arena, []int{n, f, oh, ow})
+	// Each image's (OH*OW, F) block of the product becomes F planes.
+	out = newIn(x.arena, []int{n, f, oh, ow})
+	plane := oh * ow
 	for img := 0; img < n; img++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				prow := prod.data[((img*oh+oy)*ow+ox)*f:]
-				for ch := 0; ch < f; ch++ {
-					v := prow[ch]
-					if bias != nil {
-						v += bias.data[ch]
-					}
-					out.data[((img*f+ch)*oh+oy)*ow+ox] = v
+		src := prod.data[img*plane*f:][:plane*f]
+		for ch := 0; ch < f; ch++ {
+			dst := out.data[(img*f+ch)*plane:][:plane]
+			if bias == nil {
+				for i := range dst {
+					dst[i] = src[i*f+ch]
 				}
+				continue
+			}
+			b := bias.data[ch]
+			for i := range dst {
+				dst[i] = src[i*f+ch] + b
 			}
 		}
 	}
-	return out
+	return out, cols
 }
 
 // MaxPool2D applies non-overlapping-or-strided max pooling with a k×k

@@ -57,7 +57,7 @@ func TestConv2DMatchesNaive(t *testing.T) {
 		kern := Randn(rng, 1, c.f, c.c, c.k, c.k)
 		bias := Randn(rng, 1, c.f)
 		opts := Conv2DOpts{Stride: c.stride, Padding: c.pad}
-		got := Conv2D(x, kern, bias, opts)
+		got, _ := Conv2D(x, kern, bias, opts)
 		want := naiveConv2D(x, kern, bias, opts)
 		if !got.Equal(want, 1e-10) {
 			t.Errorf("Conv2D mismatch for case %+v", c)
@@ -70,7 +70,7 @@ func TestConv2DNilBias(t *testing.T) {
 	x := Randn(rng, 1, 1, 2, 4, 4)
 	kern := Randn(rng, 1, 2, 2, 3, 3)
 	opts := Conv2DOpts{Stride: 1, Padding: 1}
-	got := Conv2D(x, kern, nil, opts)
+	got, _ := Conv2D(x, kern, nil, opts)
 	want := naiveConv2D(x, kern, nil, opts)
 	if !got.Equal(want, 1e-10) {
 		t.Fatal("nil-bias conv mismatch")
@@ -80,7 +80,7 @@ func TestConv2DNilBias(t *testing.T) {
 func TestConv2DOutputShape(t *testing.T) {
 	x := New(2, 3, 32, 32)
 	kern := New(16, 3, 3, 3)
-	out := Conv2D(x, kern, nil, Conv2DOpts{Stride: 2, Padding: 1})
+	out, _ := Conv2D(x, kern, nil, Conv2DOpts{Stride: 2, Padding: 1})
 	want := []int{2, 16, 16, 16}
 	for i, d := range want {
 		if out.Dim(i) != d {

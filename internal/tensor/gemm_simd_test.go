@@ -18,7 +18,7 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: element %d is %v (%#x), row-stream gives %v (%#x)",
+			t.Fatalf("%s: element %d is %v (%#x), want %v (%#x)",
 				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
