@@ -86,16 +86,14 @@ func BenchmarkWorkflowMaterials(b *testing.B) { benchExperiment(b, "W1") }
 func BenchmarkWorkflowBiology(b *testing.B)   { benchExperiment(b, "W2") }
 func BenchmarkWorkflowDrug(b *testing.B)      { benchExperiment(b, "W3") }
 
-// Hot-path pair: the full experiment suite through the legacy flat
-// registry (every experiment recomputes its own intermediates, one worker,
-// no memoization) versus the dependency-DAG engine at -j 4 with the
-// process-warm default cache. Both render byte-identical reports; the gap
-// is the scheduling-plus-memoization win the refactor exists for — shared
-// sub-results computed once across experiments and reused across runs.
+// Hot-path pair: the full experiment suite on a cold dependency-DAG
+// engine, at -j 1 and at -j 4. Both render byte-identical reports and
+// both compute every shared sub-result once; the gap is the fan-out
+// across experiments alone.
 
 func BenchmarkRunAllSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report, pass := core.RunAllFlat(1)
+		report, pass := core.NewEngine().RunAllParallel(1)
 		if !pass {
 			b.Fatal("experiment suite failed")
 		}
@@ -107,7 +105,7 @@ func BenchmarkRunAllSequential(b *testing.B) {
 
 func BenchmarkRunAllParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		report, pass := core.RunAllParallel(4)
+		report, pass := core.NewEngine().RunAllParallel(4)
 		if !pass {
 			b.Fatal("experiment suite failed")
 		}
@@ -117,38 +115,20 @@ func BenchmarkRunAllParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkDAGSchedule isolates the engine's two levers at -j 4: "flat" is
-// the legacy pool with per-experiment recomputation, "dag-cold" pays the
-// full graph once on a fresh engine (its win over flat is sub-result
-// sharing alone), and "dag-warm" reuses one engine across iterations (the
+// BenchmarkDAGSchedule/dag-warm reuses one engine across iterations (the
 // steady state of a long-lived tool, where memoized experiments only
-// re-render).
+// re-render). Against the cold BenchmarkRunAllParallel it measures what
+// memoization saves.
 func BenchmarkDAGSchedule(b *testing.B) {
-	verify := func(b *testing.B, report string, pass bool) {
-		b.Helper()
-		if !pass || len(report) == 0 {
-			b.Fatal("experiment suite failed")
-		}
-	}
-	b.Run("flat", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			report, pass := core.RunAllFlat(4)
-			verify(b, report, pass)
-		}
-	})
-	b.Run("dag-cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			report, pass := core.NewEngine().RunAllParallel(4)
-			verify(b, report, pass)
-		}
-	})
 	b.Run("dag-warm", func(b *testing.B) {
 		en := core.NewEngine()
 		en.RunAllParallel(4) // populate the cache
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			report, pass := en.RunAllParallel(4)
-			verify(b, report, pass)
+			if !pass || len(report) == 0 {
+				b.Fatal("experiment suite failed")
+			}
 		}
 	})
 }

@@ -65,28 +65,54 @@ func TestCompareMissingBenchmarkFails(t *testing.T) {
 	}
 }
 
+// TestSpeedupRatio covers the two RunAll rules of the floor table. The
+// -j rule (RunAllSequential/RunAllParallel >= 1.5x) is enforced only from
+// kernelFloorMinProcs recorded cores; the memoization rule
+// (RunAllParallel/DAGSchedule dag-warm >= 100x) binds at any core count.
 func TestSpeedupRatio(t *testing.T) {
-	// 2x speedup clears the 1.5x floor; the -8 GOMAXPROCS suffix must not
-	// hide the pair.
-	fresh := doc(result{Name: "BenchmarkRunAllSequential-8", NsPerOp: 2000},
-		result{Name: "BenchmarkRunAllParallel-8", NsPerOp: 1000})
-	if line, ok := checkSpeedupRatio(fresh); !ok {
-		t.Fatalf("2x speedup failed the floor: %s", line)
+	const jRule, memoRule = "RunAllSequential/RunAllParallel", "RunAllParallel/DAGSchedule dag-warm"
+	runAll := func(seq, par, warm float64, procs int) *document {
+		d := doc(result{Name: "BenchmarkRunAllSequential", NsPerOp: seq},
+			result{Name: "BenchmarkRunAllParallel", NsPerOp: par},
+			result{Name: "BenchmarkDAGSchedule/dag-warm", NsPerOp: warm})
+		d.Gomaxprocs = procs
+		return d
 	}
-	// 1.2x is below the floor.
-	fresh = doc(result{Name: "BenchmarkRunAllSequential", NsPerOp: 1200},
-		result{Name: "BenchmarkRunAllParallel", NsPerOp: 1000})
-	if line, ok := checkSpeedupRatio(fresh); ok {
-		t.Fatalf("1.2x speedup passed the floor: %s", line)
+	// Pass: 2x across -j and 3,000x from memoization clear both floors.
+	if lines, failed := checkKernelFloors(runAll(2000, 1000, 0.3, 4)); len(failed) != 0 {
+		t.Fatalf("healthy RunAll pair failed: %v\n%s", failed, strings.Join(lines, "\n"))
 	}
-	// Neither present: not this sweep's concern.
-	if line, ok := checkSpeedupRatio(doc(result{Name: "BenchmarkOther", NsPerOp: 1})); !ok || line != "" {
-		t.Fatalf("absent pair reported: %q", line)
+	// Breach: 1.2x across -j at 4 cores, and a warm engine only 10x
+	// faster than a cold one (recomputing shared work), each fail alone.
+	if _, failed := checkKernelFloors(runAll(1200, 1000, 0.3, 4)); len(failed) != 1 || failed[0] != jRule {
+		t.Fatalf("1.2x -j speedup at 4 cores: failed %v, want [%s]", failed, jRule)
 	}
-	// Half the pair present: the rule cannot be evaluated — fail loudly.
-	fresh = doc(result{Name: "BenchmarkRunAllParallel", NsPerOp: 1000})
-	if _, ok := checkSpeedupRatio(fresh); ok {
-		t.Fatal("incomplete pair passed")
+	if _, failed := checkKernelFloors(runAll(2000, 1000, 100, 4)); len(failed) != 1 || failed[0] != memoRule {
+		t.Fatalf("10x warm speedup: failed %v, want [%s]", failed, memoRule)
+	}
+	// Skip below minProcs: at 1 core a 0.87x -j ratio is reported, not
+	// enforced, while the memoization rule still binds.
+	lines, failed := checkKernelFloors(runAll(870, 1000, 0.3, 1))
+	if len(failed) != 0 {
+		t.Fatalf("-j floor enforced at 1 core: %v", failed)
+	}
+	joined := strings.Join(lines, "\n")
+	if !strings.Contains(joined, jRule+" floor 1.5x skipped (gomaxprocs 1 < 4)") ||
+		!strings.Contains(joined, memoRule+" ratio") {
+		t.Fatalf("1-core report lines wrong:\n%s", joined)
+	}
+	if _, failed := checkKernelFloors(runAll(870, 1000, 100, 1)); len(failed) != 1 || failed[0] != memoRule {
+		t.Fatalf("memoization floor at 1 core: failed %v, want [%s]", failed, memoRule)
+	}
+	// A sweep without the RunAll benchmarks skips both rules silently.
+	if lines, failed := checkKernelFloors(doc(result{Name: "BenchmarkOther", NsPerOp: 1})); len(lines) != 0 || len(failed) != 0 {
+		t.Fatalf("absent RunAll benchmarks reported: %v %v", lines, failed)
+	}
+	// Half a pair cannot be evaluated: fail loudly.
+	fresh := doc(result{Name: "BenchmarkRunAllParallel", NsPerOp: 1000})
+	fresh.Gomaxprocs = 8
+	if _, failed := checkKernelFloors(fresh); len(failed) != 2 {
+		t.Fatalf("incomplete RunAll pairs: failed %v, want both rules", failed)
 	}
 }
 

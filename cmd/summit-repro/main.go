@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -27,31 +29,47 @@ import (
 )
 
 func main() {
-	md := flag.Bool("md", false, "emit a markdown paper-vs-measured table instead of the full report")
-	jobs := flag.Int("j", runtime.NumCPU(), "experiment workers; 1 runs the plain sequential path (output is byte-identical either way)")
-	plat := flag.String("platform", "summit", "machine to reproduce on ("+strings.Join(platform.Names(), ", ")+"); non-baseline machines replay the sysreq, scaling, resilience, and chaos studies")
-	list := flag.Bool("platforms", false, "list registered platforms and exit")
-	expID := flag.String("experiment", "", "run a single experiment by ID (e.g. RS2) instead of the full registry")
-	traceOut := flag.String("trace", "", "write the run's simulated-clock spans as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
-	metrics := flag.Bool("metrics", false, "print the obs metrics summary and trace summary after the report")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes the report to stdout
+// and diagnostics to stderr, and returns the exit status (0 all within
+// tolerance, 1 a metric deviates or the trace cannot be written, 2 bad
+// arguments).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("summit-repro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	md := fs.Bool("md", false, "emit a markdown paper-vs-measured table of the Summit registry instead of the full report")
+	jobs := fs.Int("j", runtime.NumCPU(), "experiment workers; 1 runs the experiment DAG sequentially (output is byte-identical either way)")
+	plat := fs.String("platform", "summit", "machine to reproduce on ("+strings.Join(platform.Names(), ", ")+"); non-baseline machines replay the sysreq, scaling, resilience, chaos, and benchmark-campaign studies")
+	list := fs.Bool("platforms", false, "list registered platforms and exit")
+	expID := fs.String("experiment", "", "run a single experiment by ID (e.g. RS2) instead of the full registry")
+	traceOut := fs.String("trace", "", "write the run's simulated-clock spans as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
+	metrics := fs.Bool("metrics", false, "print the obs metrics summary and trace summary after the report")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, n := range platform.Names() {
 			p := platform.MustLookup(n)
-			fmt.Printf("%-16s %s (%d nodes)\n", n, p.Name, p.Nodes)
+			fmt.Fprintf(stdout, "%-16s %s (%d nodes)\n", n, p.Name, p.Nodes)
 		}
-		return
+		return 0
 	}
 	if *md {
-		fmt.Print(core.RenderMarkdown())
-		return
+		exps := core.Experiments()
+		fmt.Fprint(stdout, core.RenderMarkdown(exps, core.NewEngine().Run(platform.Summit(), exps, *jobs, nil)))
+		return 0
 	}
 
 	p, err := platform.Lookup(*plat)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "summit-repro: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "summit-repro: %v\n", err)
+		return 2
 	}
 
 	// One observer spans the whole run: the obs layer is concurrency-safe
@@ -63,52 +81,43 @@ func main() {
 
 	var report string
 	var pass bool
-	switch {
-	case *expID != "":
+	if *expID != "" {
 		e, ok := core.ByID(*expID)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "summit-repro: unknown experiment %q\n", *expID)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "summit-repro: unknown experiment %q\n", *expID)
+			return 2
 		}
-		r := e.RunWith(ob)
+		r := e.Body(nil, ob)
 		report, pass = core.RenderResult(e, r), r.Pass()
-	case p.IsPaperBaseline():
+	} else {
 		// The full registry (tables, figures, scaling, sysreq, workflows,
-		// resilience) carries the paper's reference values on the baseline.
-		report, pass = core.RunAllObserved(*jobs, ob)
-	default:
-		// Off-baseline: replay the machine-aware studies on p.
-		exps := append(core.SysreqExperimentsOn(p), core.ScalingExperimentsOn(p)...)
-		exps = append(exps, core.ResilienceExperimentsOn(p)...)
-		exps = append(exps, core.ChaosExperimentsOn(p)...)
-		exps = append(exps, core.MLPerfExperimentsOn(p)...)
-		var b strings.Builder
-		pass = true
-		for _, e := range exps {
-			r := e.RunWith(ob)
-			b.WriteString(core.RenderResult(e, r))
-			b.WriteString("\n")
-			if !r.Pass() {
-				pass = false
-			}
+		// resilience) carries the paper's reference values on the
+		// baseline; other machines replay the machine-aware studies.
+		exps := core.Experiments()
+		if !p.IsPaperBaseline() {
+			exps = append(core.SysreqExperimentsOn(p), core.ScalingExperimentsOn(p)...)
+			exps = append(exps, core.ResilienceExperimentsOn(p)...)
+			exps = append(exps, core.ChaosExperimentsOn(p)...)
+			exps = append(exps, core.MLPerfExperimentsOn(p)...)
 		}
-		report = b.String()
+		report, pass = core.Report(exps, core.NewEngine().Run(p, exps, *jobs, ob))
 	}
-	fmt.Print(report)
+	fmt.Fprint(stdout, report)
 	if *traceOut != "" {
 		if err := ob.WriteChromeTrace(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "summit-repro: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "summit-repro: %v\n", err)
+			return 1
 		}
-		fmt.Printf("summit-repro: wrote trace to %s\n", *traceOut)
+		fmt.Fprintf(stdout, "summit-repro: wrote trace to %s\n", *traceOut)
 	}
 	if *metrics {
-		fmt.Print(ob.Trace.Summary())
-		fmt.Print(ob.Metrics.Render())
+		fmt.Fprint(stdout, ob.Trace.Summary())
+		fmt.Fprint(stdout, ob.Metrics.Render())
 	}
 	if !pass {
-		fmt.Fprintln(os.Stderr, "summit-repro: one or more metrics deviate from the paper")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "summit-repro: one or more metrics deviate from the paper")
+		return 1
 	}
-	fmt.Println("summit-repro: all experiments within tolerance")
+	fmt.Fprintln(stdout, "summit-repro: all experiments within tolerance")
+	return 0
 }

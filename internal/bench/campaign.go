@@ -104,7 +104,7 @@ func RunCampaign(p platform.Platform, c Campaign, workers int, ob *obs.Observer)
 
 	// Fan the per-instance evaluation out; results land in fixed slots
 	// so the fan-out width never reaches the report.
-	evals := parallel.MapOrdered(parallel.NewPool(workers), len(c.Instances), func(i int) eval {
+	evals := parallel.MapOrdered(workers, len(c.Instances), func(i int) eval {
 		inst := c.Instances[i]
 		return eval{
 			ttt:   TimeToTrain(p, workloads[i], inst.Nodes),

@@ -167,8 +167,8 @@ func RunCampaign(p platform.Platform, sc *Scenario, seed uint64, c bench.Campaig
 			}
 		}
 		pol := faults.AdaptivePolicy{Prior: prior}
-		adaptive := faults.SimulateAdaptive(shape, pol, trace)
-		naive := faults.Simulate(shape, shape.TotalWork, trace)
+		adaptive := faults.SimulateAdaptive(shape, pol, trace, nil)
+		naive := faults.Simulate(shape, shape.TotalWork, trace, nil)
 
 		rep.Instances[i] = CampaignInstanceChaos{
 			ID:           ir.ID,

@@ -106,12 +106,12 @@ func Run(sc *Scenario, seed uint64, cfg Config) (*Report, error) {
 	}
 	rep.PriorMTBF = sched.Trace.Params.SystemMTBF()
 	static := faults.DalyInterval(rep.Shape.CheckpointCost, rep.PriorMTBF)
-	rep.Static = faults.Simulate(rep.Shape, static, sched.Trace)
+	rep.Static = faults.Simulate(rep.Shape, static, sched.Trace, nil)
 	// The faults simulator publishes gauges under its own faults.* names;
 	// feeding it this run's observer would race RS1/RS2 for the same keys
 	// when experiments run concurrently. The chaos engine owns the
 	// chaos.ckpt.* gauges below instead.
-	rep.Adaptive = faults.SimulateAdaptiveObserved(rep.Shape,
+	rep.Adaptive = faults.SimulateAdaptive(rep.Shape,
 		faults.AdaptivePolicy{Prior: rep.PriorMTBF}, sched.Trace, nil)
 	ob.Set("chaos.ckpt.static_wall_s", float64(rep.Static.Wall))
 	ob.Set("chaos.ckpt.adaptive_wall_s", float64(rep.Adaptive.Wall))

@@ -95,10 +95,8 @@ func chaosSweepExperiment(p platform.Platform) Experiment {
 		PaperClaim: "leadership campaigns die to correlated failure regimes (rack cascades, " +
 			"I/O brownouts, facility outages), not independent crashes; the simulators must " +
 			"stay deterministic and physical under all of them",
-		Needs:  needs,
-		Run:    func() Result { return run(nil, nil) },
-		RunIn:  func(c *Cache) Result { return run(c, nil) },
-		RunObs: func(ob *obs.Observer) Result { return run(nil, ob) },
+		Needs: needs,
+		Body:  run,
 	}
 }
 
@@ -194,10 +192,8 @@ func chaosPolicyExperiment(p platform.Platform) Experiment {
 		PaperClaim: "surviving correlated failures at scale takes policy, not luck: " +
 			"re-estimated checkpoint cadence, elastic grow-back at commit boundaries, " +
 			"and health-gated facility failover each beat the do-nothing baseline",
-		Needs:  needs,
-		Run:    func() Result { return run(nil, nil) },
-		RunIn:  func(c *Cache) Result { return run(c, nil) },
-		RunObs: func(ob *obs.Observer) Result { return run(nil, ob) },
+		Needs: needs,
+		Body:  run,
 	}
 }
 
@@ -262,10 +258,8 @@ func sdcRecoveryExperiment(p platform.Platform) Experiment {
 			"detect corrupt gradients before the optimizer consumes them (non-finite and " +
 			"gradient-norm sentinels, ABFT checksums through the allreduce) and recover from " +
 			"tiered checkpoints to a state indistinguishable from an undisturbed run",
-		Needs:  []string{keySDCReport()},
-		Run:    func() Result { return run(nil, nil) },
-		RunIn:  func(c *Cache) Result { return run(c, nil) },
-		RunObs: func(ob *obs.Observer) Result { return run(nil, ob) },
+		Needs: []string{keySDCReport()},
+		Body:  run,
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"summitscale/internal/obs"
-	"summitscale/internal/parallel"
 )
 
 // Metric is one paper-vs-measured comparison.
@@ -68,42 +67,24 @@ type Experiment struct {
 	ID         string // e.g. "F1", "T3", "S1", "IO1", "C1", "W2"
 	Title      string
 	PaperClaim string
-	Run        func() Result
-	// RunObs, if non-nil, is Run recording spans and metrics into an
-	// observer as it goes. It must return a Result identical to Run's —
-	// observation never changes the report (the goldens depend on it).
-	RunObs func(ob *obs.Observer) Result
 	// Needs lists the sub-result cache keys this experiment consumes
 	// (see dag.go). The DAG scheduler computes each listed sub-result
 	// in its own node before this experiment runs.
 	Needs []string
-	// RunIn, if non-nil, is Run resolving shared sub-results through a
-	// cache. It must return a Result identical to Run's for any cache
-	// state — memoization never changes the report.
-	RunIn func(c *Cache) Result
+	// Body regenerates the result. A non-nil c resolves the shared
+	// sub-results through the cache (nil builds them inline); a non-nil
+	// ob records spans and metrics as the body goes (nil records
+	// nothing). Neither may change the Result: memoization and
+	// observation never change the report, and the goldens depend on it.
+	Body func(c *Cache, ob *obs.Observer) Result
 }
 
-// RunWith executes the experiment, recording into ob when the experiment
-// is instrumented and ob is non-nil; otherwise it is exactly Run.
-func (e Experiment) RunWith(ob *obs.Observer) Result {
-	if e.RunObs != nil && ob != nil {
-		return e.RunObs(ob)
-	}
-	return e.Run()
-}
-
-// runIn executes the experiment resolving shared sub-results through c
-// when the experiment declares them; a nil cache degrades to Run.
-func (e Experiment) runIn(c *Cache) Result {
-	if e.RunIn != nil {
-		return e.RunIn(c)
-	}
-	return e.Run()
-}
+// Run executes the experiment with no memoization and no observer.
+func (e Experiment) Run() Result { return e.Body(nil, nil) }
 
 // Experiments returns the full registry in paper order. The registry is
 // built once and cached — every experiment closure is pure with respect to
-// the registry (each Run constructs its own RNGs and substrates), so the
+// the registry (each Body constructs its own RNGs and substrates), so the
 // bench harness and ByID can call this per lookup without rebuilding ~22
 // experiment closures each time. Callers must not mutate the returned
 // slice.
@@ -162,61 +143,15 @@ func RenderResult(e Experiment, r Result) string {
 	return b.String()
 }
 
-// defaultEngine backs the package-level runners: one process-wide DAG
-// engine whose sub-result cache persists across calls, so repeated
-// full-registry runs (the bench harness, long-lived tools) pay for each
-// deterministic sub-result once.
-var defaultEngine = NewEngine()
-
-// RunAll executes every experiment sequentially and renders the full
-// report. It is RunAllParallel with one worker — which the DAG
-// scheduler runs inline on the caller's goroutine, with no pool
-// overhead.
-func RunAll() (string, bool) {
-	return RunAllParallel(1)
-}
-
-// RunAllParallel executes the registry through the dependency-DAG
-// scheduler across at most workers goroutines (workers <= 1 runs the
-// topological order inline) and renders the report in registry order.
-// Each experiment's section is rendered into its own slot and the slots
-// are concatenated in order, so the output is byte-identical to
-// RunAll() regardless of worker count, scheduling, or cache state.
-func RunAllParallel(workers int) (string, bool) {
-	return defaultEngine.RunAllParallel(workers)
-}
-
-// RunAllObserved is RunAllParallel with every instrumented experiment
-// recording into ob (shared across experiments and workers — the obs
-// layer is concurrency-safe and renders byte-deterministically at any
-// worker count). A nil observer makes it exactly RunAllParallel;
-// observed runs bypass the sub-result cache so spans are re-recorded
-// per run.
-func RunAllObserved(workers int, ob *obs.Observer) (string, bool) {
-	return defaultEngine.RunAllObserved(workers, ob)
-}
-
-// RunAllFlat is the legacy flat-registry path: every experiment run
-// independently by a bounded pool, no sub-result sharing, no
-// memoization. It is kept as the baseline the DAG scheduler is
-// benchmarked against (BenchmarkDAGSchedule, BenchmarkRunAllSequential)
-// and must stay byte-identical to RunAllParallel.
-func RunAllFlat(workers int) (string, bool) {
-	exps := Experiments()
-	sections := make([]string, len(exps))
-	passed := make([]bool, len(exps))
-	parallel.NewPool(workers).ForEach(len(exps), func(i int) {
-		r := exps[i].Run()
-		sections[i] = RenderResult(exps[i], r) + "\n"
-		passed[i] = r.Pass()
-	})
+// Report renders results in order, one RenderResult section plus a blank
+// line per experiment, and reports whether every experiment passed.
+func Report(exps []Experiment, rs []Result) (string, bool) {
 	var b strings.Builder
 	all := true
-	for i, s := range sections {
-		b.WriteString(s)
-		if !passed[i] {
-			all = false
-		}
+	for i, e := range exps {
+		b.WriteString(RenderResult(e, rs[i]))
+		b.WriteString("\n")
+		all = all && rs[i].Pass()
 	}
 	return b.String(), all
 }

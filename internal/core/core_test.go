@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"summitscale/internal/platform"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -16,7 +18,7 @@ func TestRegistryComplete(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range exps {
 		seen[e.ID] = true
-		if e.Title == "" || e.PaperClaim == "" || e.Run == nil {
+		if e.Title == "" || e.PaperClaim == "" || e.Body == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
@@ -96,9 +98,9 @@ func TestRenderResult(t *testing.T) {
 }
 
 func TestRunAll(t *testing.T) {
-	report, pass := RunAll()
+	report, pass := NewEngine().RunAllParallel(1)
 	if !pass {
-		t.Error("RunAll reports failures")
+		t.Error("the full registry run reports failures")
 	}
 	for _, id := range []string{"T1", "F6", "S5", "IO1", "W3"} {
 		if !strings.Contains(report, "== "+id) {
@@ -111,13 +113,13 @@ func TestRunAll(t *testing.T) {
 }
 
 // TestRunAllParallelByteIdentical is the determinism guarantee of the
-// concurrent runner: the parallel report must match the sequential one
-// byte for byte, at several worker counts, so `-j` can default to NumCPU
+// concurrent runner: a cold engine's report at several worker counts must
+// match its -j 1 report byte for byte, so `-j` can default to NumCPU
 // without perturbing any golden or downstream diff.
 func TestRunAllParallelByteIdentical(t *testing.T) {
-	seq, seqPass := RunAll()
+	seq, seqPass := NewEngine().RunAllParallel(1)
 	for _, workers := range []int{2, 4, 8} {
-		par, parPass := RunAllParallel(workers)
+		par, parPass := NewEngine().RunAllParallel(workers)
 		if parPass != seqPass {
 			t.Errorf("workers=%d: pass %v vs sequential %v", workers, parPass, seqPass)
 		}
@@ -159,7 +161,8 @@ func TestScalingStudiesConsistent(t *testing.T) {
 }
 
 func TestRenderMarkdown(t *testing.T) {
-	md := RenderMarkdown()
+	exps := Experiments()
+	md := RenderMarkdown(exps, NewEngine().Run(platform.Summit(), exps, 4, nil))
 	if !strings.Contains(md, "| ID |") || !strings.Contains(md, "| S5 |") {
 		t.Fatal("markdown table incomplete")
 	}

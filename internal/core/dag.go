@@ -13,18 +13,16 @@ import (
 	"summitscale/internal/units"
 )
 
-// The dependency-DAG experiment engine. The registry used to be a flat
-// list run by a bounded pool, which recomputed every shared intermediate
-// inside each experiment: F1–F6 each regenerated the reconstructed
-// portfolio, RS1 re-derived the §IV-B scaling studies, and RS4 re-ran
-// the same chaos scenarios RS3 had already simulated at the same seed.
-// Experiments now declare the sub-results they consume (Experiment.
-// Needs), each sub-result is a node in a parallel.RunDAG graph computed
-// once and memoized in a keyed Cache, and experiment bodies resolve
-// shared work through the cache instead of rebuilding it. Rendered
-// output is byte-identical to the flat path at any -j: every section is
-// written to its own slot and concatenated in registry order, and every
-// cached value is a deterministic pure function of its key.
+// The dependency-DAG experiment engine. Experiments declare the shared
+// sub-results they consume (Experiment.Needs): F1–F6 all read the
+// reconstructed portfolio, RS1 reuses the §IV-B scaling studies, and RS4
+// replays the chaos scenarios RS3 already simulated at the same seed.
+// Each sub-result is a node in a parallel.RunDAG graph, computed once and
+// memoized in a keyed Cache, and experiment bodies resolve shared work
+// through the cache instead of rebuilding it. Results are identical to
+// running each experiment alone at any -j: every result lands in its own
+// slot, and every cached value is a deterministic pure function of its
+// key.
 
 // Cache is the keyed sub-result store shared by a DAG run (and, via
 // Engine, across runs). A nil *Cache is valid and means "no
@@ -86,10 +84,11 @@ func (c *Cache) Len() int {
 }
 
 // Sub-result cache keys. Keys are namespaced "sub/..." (shared
-// intermediates, one DAG node each) and "result/<ID>" (whole-experiment
-// memoization, handled by the engine). Platform-dependent keys embed the
-// platform name so replays on other machines never collide with the
-// Summit baseline.
+// intermediates, one DAG node each) and "result/<platform>/<ID>"
+// (whole-experiment memoization, handled by the engine). Platform-
+// dependent keys embed the platform name so replays on other machines,
+// which reuse the Summit experiment IDs, never collide with the Summit
+// baseline.
 const keyPortfolio = "sub/portfolio/dataset"
 
 func keyScalingStudies(p platform.Platform) string {
@@ -188,19 +187,10 @@ func cachedSDCReport(c *Cache, scenario string) (*chaos.SDCReport, error) {
 	return out.rep, out.err
 }
 
-// cachedExperiment wires a cache-aware body as both the plain Run and
-// the DAG RunIn of an experiment: Run is the body with no memoization.
-func cachedExperiment(e Experiment, body func(c *Cache) Result) Experiment {
-	e.Run = func() Result { return body(nil) }
-	e.RunIn = body
-	return e
-}
-
 // subResultNode is one shared-intermediate node of the experiment DAG.
 type subResultNode struct {
-	key  string
-	deps []string
-	run  func(c *Cache)
+	key string
+	run func(c *Cache)
 }
 
 // subResultNodes enumerates every shared intermediate the registry's
@@ -228,7 +218,7 @@ func subResultNodes(p platform.Platform) []subResultNode {
 	return nodes
 }
 
-// Engine runs the registry through the DAG scheduler with a persistent
+// Engine runs experiments through the DAG scheduler with a persistent
 // sub-result cache: the first run computes every node once (shared
 // intermediates deduplicated across experiments), subsequent runs reuse
 // memoized results — the MLPerf-HPC "multi-instance" framing where
@@ -242,84 +232,57 @@ func NewEngine() *Engine { return &Engine{cache: NewCache()} }
 // Cache exposes the engine's memo store (tests and diagnostics).
 func (en *Engine) Cache() *Cache { return en.cache }
 
-// RunAllParallel executes the full registry through the DAG scheduler
-// with at most workers goroutines and renders the report in registry
-// order, byte-identical at any worker count and any cache temperature.
+// RunAllParallel runs the Summit registry through Run with at most
+// workers goroutines and renders the report in registry order.
 func (en *Engine) RunAllParallel(workers int) (string, bool) {
-	return en.run(Experiments(), workers, nil)
+	exps := Experiments()
+	return Report(exps, en.Run(platform.Summit(), exps, workers, nil))
 }
 
-// RunAllObserved is RunAllParallel with every instrumented experiment
-// recording into ob. Observed runs bypass the cache entirely — spans
-// must be re-recorded per run, and observation must never change the
-// report — and additionally emit one deterministic "dag" span per
-// scheduled node, carrying its declared dependencies.
-func (en *Engine) RunAllObserved(workers int, ob *obs.Observer) (string, bool) {
-	return en.run(Experiments(), workers, ob)
-}
-
-func (en *Engine) run(exps []Experiment, workers int, ob *obs.Observer) (string, bool) {
-	sections := make([]string, len(exps))
-	passed := make([]bool, len(exps))
+// Run executes exps on platform p with at most workers goroutines
+// (workers <= 0 means GOMAXPROCS) and returns their results in exps
+// order, identical at any worker count and any cache temperature.
+//
+// An unobserved run (ob == nil) goes through the engine's cache: each
+// sub-result the experiments declare in Needs is its own node, every
+// experiment waits on the nodes it needs, and whole results are memoized
+// under result/<platform>/<ID>. An observed run bypasses the cache
+// entirely, because spans must be re-recorded per run: each experiment
+// is an independent node that emits one "dag" span carrying its declared
+// needs, then runs its body recording into ob.
+func (en *Engine) Run(p platform.Platform, exps []Experiment, workers int, ob *obs.Observer) []Result {
+	var cache *Cache
 	var nodes []parallel.Node
 	if ob == nil {
-		cache := en.cache
+		cache = en.cache
 		need := map[string]bool{}
 		for _, e := range exps {
 			for _, k := range e.Needs {
 				need[k] = true
 			}
 		}
-		for _, sn := range subResultNodes(platform.Summit()) {
-			if !need[sn.key] {
-				continue
+		for _, sn := range subResultNodes(p) {
+			if need[sn.key] {
+				nodes = append(nodes, parallel.Node{ID: sn.key, Run: func() { sn.run(cache) }})
 			}
-			sn := sn
-			nodes = append(nodes, parallel.Node{
-				ID:   sn.key,
-				Deps: sn.deps,
-				Run:  func() { sn.run(cache) },
-			})
-		}
-		for i := range exps {
-			i, e := i, exps[i]
-			nodes = append(nodes, parallel.Node{
-				ID:   "exp/" + e.ID,
-				Deps: e.Needs,
-				Run: func() {
-					r := cache.get("result/"+e.ID, func() any { return e.runIn(cache) }).(Result)
-					sections[i] = RenderResult(e, r) + "\n"
-					passed[i] = r.Pass()
-				},
-			})
-		}
-	} else {
-		for i := range exps {
-			i, e := i, exps[i]
-			nodes = append(nodes, parallel.Node{
-				ID: "exp/" + e.ID,
-				Run: func() {
-					ob.Span("dag", "schedule", "exp/"+e.ID,
-						units.Seconds(i), 1, obs.Str("needs", strings.Join(e.Needs, ",")))
-					r := e.RunWith(ob)
-					sections[i] = RenderResult(e, r) + "\n"
-					passed[i] = r.Pass()
-				},
-			})
 		}
 	}
-	if err := parallel.NewPool(workers).RunDAG(nodes); err != nil {
+	rs := make([]Result, len(exps))
+	for i, e := range exps {
+		nd := parallel.Node{ID: "exp/" + e.ID, Run: func() {
+			ob.Span("dag", "schedule", "exp/"+e.ID,
+				units.Seconds(i), 1, obs.Str("needs", strings.Join(e.Needs, ",")))
+			rs[i] = cache.get("result/"+p.Name+"/"+e.ID, func() any { return e.Body(cache, ob) }).(Result)
+		}}
+		if ob == nil {
+			nd.Deps = e.Needs
+		}
+		nodes = append(nodes, nd)
+	}
+	if err := parallel.RunDAG(workers, nodes); err != nil {
 		// The registry's graph is static and validated by tests; a
 		// malformed graph here is a programming error.
 		panic(err)
 	}
-	var b strings.Builder
-	all := true
-	for i, s := range sections {
-		b.WriteString(s)
-		if !passed[i] {
-			all = false
-		}
-	}
-	return b.String(), all
+	return rs
 }

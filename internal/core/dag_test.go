@@ -8,41 +8,61 @@ import (
 	"summitscale/internal/platform"
 )
 
-// TestDAGRegistryGraphValid guards the registry's dependency
-// declarations: every Needs key must name a sub-result node the engine
-// knows how to build (a typo would otherwise surface as a RunDAG panic).
+// platformSuite is the machine-aware study set replayed on every
+// registered platform: sysreq, scaling, resilience, chaos, serving and
+// benchmark campaigns.
+func platformSuite(p platform.Platform) []Experiment {
+	exps := append(SysreqExperimentsOn(p), ScalingExperimentsOn(p)...)
+	exps = append(exps, ResilienceExperimentsOn(p)...)
+	exps = append(exps, ChaosExperimentsOn(p)...)
+	exps = append(exps, ServeExperimentsOn(p)...)
+	return append(exps, MLPerfExperimentsOn(p)...)
+}
+
+// TestDAGRegistryGraphValid guards the dependency declarations of the
+// Summit registry and of every platform's suite: every Needs key must
+// name a sub-result node the engine builds for that platform (a typo
+// would otherwise surface as a RunDAG panic in `summit-repro -platform`).
 func TestDAGRegistryGraphValid(t *testing.T) {
-	known := map[string]bool{}
-	for _, sn := range subResultNodes(platform.Summit()) {
-		if known[sn.key] {
-			t.Errorf("duplicate sub-result node %q", sn.key)
+	check := func(p platform.Platform, exps []Experiment) {
+		known := map[string]bool{}
+		for _, sn := range subResultNodes(p) {
+			if known[sn.key] {
+				t.Errorf("%s: duplicate sub-result node %q", p.Name, sn.key)
+			}
+			known[sn.key] = true
 		}
-		known[sn.key] = true
-		for _, d := range sn.deps {
-			if !known[d] {
-				t.Errorf("sub-result %q declares dep %q not defined before it", sn.key, d)
+		for _, e := range exps {
+			for _, k := range e.Needs {
+				if !known[k] {
+					t.Errorf("%s: experiment %s needs unknown sub-result %q", p.Name, e.ID, k)
+				}
 			}
 		}
 	}
-	for _, e := range Experiments() {
-		for _, k := range e.Needs {
-			if !known[k] {
-				t.Errorf("experiment %s needs unknown sub-result %q", e.ID, k)
-			}
-		}
-		if len(e.Needs) > 0 && e.RunIn == nil {
-			t.Errorf("experiment %s declares Needs but has no RunIn", e.ID)
-		}
+	check(platform.Summit(), Experiments())
+	for _, name := range platform.Names() {
+		p := platform.MustLookup(name)
+		check(p, platformSuite(p))
 	}
 }
 
 // TestRunAllDAGMatchesFlat is the engine's byte-identity contract: the
-// DAG scheduler with memoized sub-results must render exactly the
-// legacy flat path's report at -j 1, 4, and 16, cold or warm.
+// DAG scheduler with memoized sub-results must render exactly the report
+// of every experiment run alone, in registry order, on a cold engine at
+// -j 1, 4 and 16 and again on a warm one.
 func TestRunAllDAGMatchesFlat(t *testing.T) {
-	flat, flatPass := RunAllFlat(1)
-	en := NewEngine()
+	var b strings.Builder
+	flatPass := true
+	for _, e := range Experiments() {
+		r := e.Run()
+		b.WriteString(RenderResult(e, r) + "\n")
+		flatPass = flatPass && r.Pass()
+	}
+	flat := b.String()
+	var en *Engine
 	for _, workers := range []int{1, 4, 16} {
+		en = NewEngine()
 		got, pass := en.RunAllParallel(workers)
 		if pass != flatPass {
 			t.Errorf("-j %d: pass %v vs flat %v", workers, pass, flatPass)
@@ -52,7 +72,6 @@ func TestRunAllDAGMatchesFlat(t *testing.T) {
 				workers, len(got), len(flat))
 		}
 	}
-	// Second pass over the warm cache: still byte-identical.
 	if warm, _ := en.RunAllParallel(4); warm != flat {
 		t.Fatal("warm-cache DAG report diverged from flat path")
 	}
@@ -73,7 +92,7 @@ func TestRunAllDAGShuffledRegistryOrder(t *testing.T) {
 	for _, e := range shuffled {
 		want.WriteString(RenderResult(e, e.Run()) + "\n")
 	}
-	got, _ := NewEngine().run(shuffled, 4, nil)
+	got, _ := Report(shuffled, NewEngine().Run(platform.Summit(), shuffled, 4, nil))
 	if got != want.String() {
 		t.Fatal("shuffled registry order changed the DAG engine's per-experiment output")
 	}
@@ -94,8 +113,8 @@ func TestEngineCacheMemoizes(t *testing.T) {
 		keyPortfolio,
 		keyScalingStudies(p),
 		keyChaosReport(p, "rack-cascade"),
-		"result/RS1",
-		"result/W1",
+		"result/" + p.Name + "/RS1",
+		"result/" + p.Name + "/W1",
 	} {
 		if !en.Cache().has(key) {
 			t.Errorf("cache missing %q after a full run", key)
@@ -107,6 +126,22 @@ func TestEngineCacheMemoizes(t *testing.T) {
 	}
 	if got := en.Cache().Len(); got != filled {
 		t.Errorf("warm run grew the cache from %d to %d entries", filled, got)
+	}
+}
+
+// TestEngineKeysResultsByPlatform runs one engine on Summit and then on
+// Frontier. Other machines reuse the Summit experiment IDs, so Frontier
+// must get its own results, not Summit's memoized ones.
+func TestEngineKeysResultsByPlatform(t *testing.T) {
+	frontier := platform.MustLookup("frontier")
+	exps := platformSuite(frontier)
+	want, _ := Report(exps, NewEngine().Run(frontier, exps, 4, nil))
+
+	en := NewEngine()
+	summit := platform.Summit()
+	en.Run(summit, platformSuite(summit), 4, nil)
+	if got, _ := Report(exps, en.Run(frontier, exps, 4, nil)); got != want {
+		t.Fatal("an engine warmed on Summit handed Frontier different results than a fresh engine")
 	}
 }
 
@@ -125,10 +160,11 @@ func TestChaosThroughDAGSmoke(t *testing.T) {
 }
 
 // TestObservedRunEmitsDAGSpans checks the scheduler's own trace track:
-// observed runs record one deterministic span per DAG node.
+// observed runs record one deterministic span per experiment node.
 func TestObservedRunEmitsDAGSpans(t *testing.T) {
 	ob := obs.New()
-	if _, ok := RunAllObserved(2, ob); !ok {
+	exps := Experiments()
+	if _, ok := Report(exps, NewEngine().Run(platform.Summit(), exps, 2, ob)); !ok {
 		t.Fatal("observed run failed")
 	}
 	trace := string(ob.Trace.ChromeTrace())

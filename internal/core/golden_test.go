@@ -120,24 +120,23 @@ func TestMLPerfGoldenSummit(t *testing.T) {
 	}
 }
 
-// TestReportsFiniteOnAllPlatforms runs every sysreq and scaling
-// experiment on every registered machine and rejects NaN/Inf metrics or
-// empty reports.
+// TestReportsFiniteOnAllPlatforms runs every machine-aware experiment on
+// every registered machine and rejects NaN/Inf metrics or empty reports.
+// It also runs each platform's suite through the DAG engine, the path
+// `summit-repro -platform` takes: every section must equal the same
+// experiment run alone.
 func TestReportsFiniteOnAllPlatforms(t *testing.T) {
 	for _, name := range platform.Names() {
 		p, err := platform.Lookup(name)
 		if err != nil {
 			t.Fatalf("Lookup(%q): %v", name, err)
 		}
-		exps := append(SysreqExperimentsOn(p), ScalingExperimentsOn(p)...)
-		exps = append(exps, ResilienceExperimentsOn(p)...)
-		exps = append(exps, ChaosExperimentsOn(p)...)
-		exps = append(exps, ServeExperimentsOn(p)...)
-		exps = append(exps, MLPerfExperimentsOn(p)...)
+		exps := platformSuite(p)
 		if len(exps) != 15 {
 			t.Fatalf("%s: want 15 experiments, got %d", name, len(exps))
 		}
-		for _, e := range exps {
+		viaEngine := NewEngine().Run(p, exps, 4, nil)
+		for i, e := range exps {
 			res := e.Run()
 			if len(res.Metrics) == 0 {
 				t.Errorf("%s/%s: no metrics", name, e.ID)
@@ -150,8 +149,13 @@ func TestReportsFiniteOnAllPlatforms(t *testing.T) {
 			if strings.TrimSpace(res.Detail) == "" {
 				t.Errorf("%s/%s: empty detail", name, e.ID)
 			}
-			if out := RenderResult(e, res); strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+			out := RenderResult(e, res)
+			if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
 				t.Errorf("%s/%s: rendered report contains NaN/Inf:\n%s", name, e.ID, out)
+			}
+			if got := RenderResult(e, viaEngine[i]); got != out {
+				t.Errorf("%s/%s: engine section differs from the experiment run alone:\n--- engine ---\n%s\n--- alone ---\n%s",
+					name, e.ID, got, out)
 			}
 		}
 	}

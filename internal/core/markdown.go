@@ -5,17 +5,16 @@ import (
 	"strings"
 )
 
-// RenderMarkdown produces a paper-vs-measured markdown table for every
-// experiment — the machine-generated companion to EXPERIMENTS.md,
-// emitted by `summit-repro -md`.
-func RenderMarkdown() string {
+// RenderMarkdown produces a paper-vs-measured markdown table, one row per
+// metric of each experiment's result — the machine-generated companion
+// to EXPERIMENTS.md, emitted by `summit-repro -md`.
+func RenderMarkdown(exps []Experiment, rs []Result) string {
 	var b strings.Builder
 	b.WriteString("# Reproduction report (generated by summit-repro -md)\n\n")
 	b.WriteString("| ID | Experiment | Metric | Paper | Measured | Rel. err | Status |\n")
 	b.WriteString("|----|------------|--------|-------|----------|----------|--------|\n")
-	for _, e := range Experiments() {
-		r := e.Run()
-		for _, m := range r.Metrics {
+	for i, e := range exps {
+		for _, m := range rs[i].Metrics {
 			paper := "—"
 			relerr := "—"
 			status := "info"

@@ -106,7 +106,7 @@ func mlperfExperiment(p platform.Platform) Experiment {
 
 		return Result{Metrics: metrics, Detail: detail.String()}
 	}
-	e := Experiment{
+	return Experiment{
 		ID:    "S7",
 		Title: "benchmark campaigns — MLPerf-HPC-style time-to-train, scaling sweeps, and throughput mode",
 		PaperClaim: "leadership machines are measured by time-to-train on real science workloads: " +
@@ -114,8 +114,6 @@ func mlperfExperiment(p platform.Platform) Experiment {
 			"and multi-instance throughput mode where concurrent campaigns fill the machine — " +
 			"and the measurement must survive the machine's real failure regime",
 		Needs: []string{keyCampaignStorm(p)},
+		Body:  run,
 	}
-	e = cachedExperiment(e, func(c *Cache) Result { return run(c, nil) })
-	e.RunObs = func(ob *obs.Observer) Result { return run(nil, ob) }
-	return e
 }

@@ -121,7 +121,7 @@ func checkpointSweepExperiment(p platform.Platform) Experiment {
 				// Representative replay for the trace: the measured-optimum
 				// cadence against the first trace, emitting work/checkpoint/
 				// lost-work/restart spans on the job clock.
-				faults.SimulateObserved(shape, best.Interval, traces[0], ob)
+				faults.Simulate(shape, best.Interval, traces[0], ob)
 			}
 
 			idealEff := 1 / (1 + faults.DalyOverhead(daly, shape.CheckpointCost, jp.SystemMTBF()))
@@ -158,10 +158,8 @@ func checkpointSweepExperiment(p platform.Platform) Experiment {
 		Title: "§IV-B resilience — checkpoint/restart under node failures",
 		PaperClaim: "near-full-machine runs survive node failures every few hours; " +
 			"checkpoint cadence balances write cost against lost work (Young/Daly)",
-		Needs:  []string{keyScalingStudies(p)},
-		Run:    func() Result { return run(nil, nil) },
-		RunIn:  func(c *Cache) Result { return run(c, nil) },
-		RunObs: func(ob *obs.Observer) Result { return run(nil, ob) },
+		Needs: []string{keyScalingStudies(p)},
+		Body:  run,
 	}
 }
 
@@ -204,7 +202,7 @@ func studyByID(c *Cache, p platform.Platform, id string) ScalingStudy {
 // run that loses a rank mid-flight, restores from its checkpoint, and
 // still matches uninterrupted training.
 func campaignResilienceExperiment(p platform.Platform) Experiment {
-	run := func(ob *obs.Observer) Result {
+	run := func(_ *Cache, ob *obs.Observer) Result {
 		var metrics []Metric
 		var detail strings.Builder
 
@@ -294,8 +292,7 @@ func campaignResilienceExperiment(p platform.Platform) Experiment {
 		Title: "§V resilience — fault-injected campaign retries + elastic training",
 		PaperClaim: "campaign orchestrators retry failed stages through node loss; " +
 			"training restores from checkpoints without changing the learned model",
-		Run:    func() Result { return run(nil) },
-		RunObs: run,
+		Body: run,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"summitscale/internal/models"
+	"summitscale/internal/obs"
 	"summitscale/internal/perf"
 	"summitscale/internal/platform"
 	"summitscale/internal/units"
@@ -249,12 +250,15 @@ func ScalingExperimentsOn(p platform.Platform) []Experiment {
 	var out []Experiment
 	for _, s := range ScalingStudiesOn(p) {
 		id := s.ID
-		out = append(out, cachedExperiment(Experiment{
+		out = append(out, Experiment{
 			ID:         id,
 			Title:      "§IV-B scaling — " + s.Name,
 			PaperClaim: s.PaperClaim,
 			Needs:      []string{keyScalingStudies(p)},
-		}, func(c *Cache) Result { return RunScalingStudy(studyByID(c, p, id)) }))
+			Body: func(c *Cache, _ *obs.Observer) Result {
+				return RunScalingStudy(studyByID(c, p, id))
+			},
+		})
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"summitscale/internal/obs"
 	"summitscale/internal/sched"
 	"summitscale/internal/stats"
 )
@@ -18,7 +19,7 @@ func schedulingExperiment() Experiment {
 		ID:         "B1",
 		Title:      "§II-B allocation programs — batch scheduling study",
 		PaperClaim: "INCITE ~60% of hours, ALCC ~20%, DD ~20%; INCITE jobs are capability scale",
-		Run: func() Result {
+		Body: func(*Cache, *obs.Observer) Result {
 			rng := stats.NewRNG(2)
 			jobs := sched.SynthesizeWorkload(rng, sched.OLCFShares(), 600_000, 7*24*3600)
 			s := sched.NewScheduler(4608)

@@ -40,7 +40,7 @@ func ServeExperimentsOn(p platform.Platform) []Experiment {
 // batched under the serving-storm chaos scenario with the shed policy on
 // and off.
 func serveExperiment(p platform.Platform) Experiment {
-	run := func(ob *obs.Observer) Result {
+	run := func(_ *Cache, ob *obs.Observer) Result {
 		models := serve.DefaultModels(serveSeed)
 		spec := serve.DefaultTraffic()
 		reqs, err := spec.Generate(serveSeed, models)
@@ -136,7 +136,6 @@ func serveExperiment(p platform.Platform) Experiment {
 			"dynamic micro-batching amortizes per-dispatch overhead so the same replicas absorb " +
 			"bursty diurnal load that collapses an unbatched server, and shedding bulk work under " +
 			"partial outages keeps interactive tails bounded without dropping interactive traffic",
-		Run:    func() Result { return run(nil) },
-		RunObs: run,
+		Body: run,
 	}
 }

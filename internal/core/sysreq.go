@@ -54,7 +54,7 @@ func rooflineExperiment(p platform.Platform) Experiment {
 		ID:         "R1",
 		Title:      fmt.Sprintf("§VI-B roofline — the three basic operation classes on a %s", fam),
 		PaperClaim: "conv/matmul compute-bound at training sizes; recurrent/elementwise memory-bound; high rates need large matrices",
-		Run: func() Result {
+		Body: func(*Cache, *obs.Observer) Result {
 			r := p.Roofline()
 			var b strings.Builder
 			fmt.Fprintf(&b, "%s tensor roofline: peak %v, HBM %v, ridge %.0f flops/byte\n",
@@ -102,7 +102,7 @@ func ioExperiment(p platform.Platform) Experiment {
 	if !ref {
 		claim = fmt.Sprintf("§VI-B I/O analysis replayed on %s (no paper reference values)", p.Name)
 	}
-	run := func(ob *obs.Observer) Result {
+	run := func(_ *Cache, ob *obs.Observer) Result {
 		mach := p.Machine
 		m := models.ResNet50()
 		req := storage.TrainingReadRequirement(mach.TotalGPUs(), m.SingleGPUThroughput, m.RecordBytes)
@@ -153,8 +153,7 @@ func ioExperiment(p platform.Platform) Experiment {
 		ID:         "IO1",
 		Title:      fmt.Sprintf("§VI-B I/O — training input bandwidth on full %s", p.Name),
 		PaperClaim: claim,
-		Run:        func() Result { return run(nil) },
-		RunObs:     run,
+		Body:       run,
 	}
 }
 
@@ -168,7 +167,7 @@ func commExperiment(p platform.Platform) Experiment {
 	if !ref {
 		claim = fmt.Sprintf("§VI-B communication analysis replayed on %s", p.Name)
 	}
-	run := func(ob *obs.Observer) Result {
+	run := func(_ *Cache, ob *obs.Observer) Result {
 		f := p.Fabric()
 		mach := p.Machine
 		resnet := models.ResNet50()
@@ -220,7 +219,6 @@ func commExperiment(p platform.Platform) Experiment {
 		ID:         "C1",
 		Title:      "§VI-B communication — allreduce cost vs model size",
 		PaperClaim: claim,
-		Run:        func() Result { return run(nil) },
-		RunObs:     run,
+		Body:       run,
 	}
 }

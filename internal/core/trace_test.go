@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"summitscale/internal/obs"
+	"summitscale/internal/platform"
 )
 
 // The observability layer must be a pure read-out: observing an
@@ -22,7 +23,7 @@ func rs2Trace(t *testing.T) ([]byte, string) {
 		t.Fatal("RS2 not registered")
 	}
 	ob := obs.New()
-	r := e.RunWith(ob)
+	r := e.Body(nil, ob)
 	return ob.Trace.ChromeTrace(), RenderResult(e, r)
 }
 
@@ -94,7 +95,8 @@ func TestFullRegistryTraceDeterministicAcrossWorkers(t *testing.T) {
 	type out struct{ report, trace, metrics, summary string }
 	runAt := func(workers int) out {
 		ob := obs.New()
-		report, _ := RunAllObserved(workers, ob)
+		exps := Experiments()
+		report, _ := Report(exps, NewEngine().Run(platform.Summit(), exps, workers, ob))
 		return out{report, string(ob.Trace.ChromeTrace()), ob.Metrics.Render(), ob.Trace.Summary()}
 	}
 	seq := runAt(1)

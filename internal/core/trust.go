@@ -6,6 +6,7 @@ import (
 
 	"summitscale/internal/autograd"
 	"summitscale/internal/nn"
+	"summitscale/internal/obs"
 	"summitscale/internal/stats"
 	"summitscale/internal/tensor"
 	"summitscale/internal/trust"
@@ -20,7 +21,7 @@ func trustExperiment() Experiment {
 		ID:         "V1",
 		Title:      "§VI-A method needs — constraints, generalizability, explainability",
 		PaperClaim: "constraints imposable exactly by final correction; OOD inputs detectable; models can show their work",
-		Run: func() Result {
+		Body: func(*Cache, *obs.Observer) Result {
 			rng := stats.NewRNG(41)
 			var b strings.Builder
 

@@ -26,7 +26,7 @@ func materialsExperiment() Experiment {
 		ID:         "W1",
 		Title:      "§V-A materials — MC + surrogate active-learning loop",
 		PaperClaim: "ML model refined with MC-generated data reproduces the reference order-disorder transition",
-		Run: func() Result {
+		Body: func(*Cache, *obs.Observer) Result {
 			rng := stats.NewRNG(3)
 			ref := mc.ReferenceModel{J: 1, Anharmonicity: 0.1}
 			const latticeL = 6
@@ -122,7 +122,7 @@ func materialsExperiment() Experiment {
 // campaign timeline: FFEA and AAMD stages at different facilities coupled
 // through CVAE/ANCA-AE/GNO training on Summit, iterated twice.
 func biologyExperiment() Experiment {
-	run := func(ob *obs.Observer) Result {
+	run := func(_ *Cache, ob *obs.Observer) Result {
 		w := workflow.New()
 		w.MustAdd(&workflow.Task{Name: "cryoem-input", Facility: "thetagpu", Duration: 20})
 		prev := "cryoem-input"
@@ -171,8 +171,7 @@ func biologyExperiment() Experiment {
 		ID:         "W2",
 		Title:      "§V-B biology — multi-facility replication-transcription campaign",
 		PaperClaim: "AI components impose consistency between FFEA and AAMD across Summit, Perlmutter, ThetaGPU",
-		Run:        func() Result { return run(nil) },
-		RunObs:     run,
+		Body:       run,
 	}
 }
 
@@ -186,7 +185,7 @@ func drugExperiment() Experiment {
 		ID:         "W3",
 		Title:      "§V-C drug design — surrogate-ranked GA lead discovery loop",
 		PaperClaim: "surrogate ranking downselects compounds for expensive evaluation; loop enriches high-affinity leads",
-		Run: func() Result {
+		Body: func(*Cache, *obs.Observer) Result {
 			rng := stats.NewRNG(17)
 			cfg := ga.DefaultConfig()
 

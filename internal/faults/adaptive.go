@@ -59,16 +59,10 @@ func (p AdaptivePolicy) Interval(delta, wall units.Seconds, failures int) units.
 
 // SimulateAdaptive replays the run against the trace's fatal failures with
 // the interval re-solved by the policy at every segment start — the
-// adaptive counterpart of Simulate. The shape must have a positive
+// adaptive counterpart of Simulate, recording the same span and counter
+// stream into ob (which may be nil). The shape must have a positive
 // checkpoint cost (Daly needs one).
-func SimulateAdaptive(shape RunShape, pol AdaptivePolicy, trace *Trace) Outcome {
-	return SimulateAdaptiveObserved(shape, pol, trace, nil)
-}
-
-// SimulateAdaptiveObserved is SimulateAdaptive recording the same span and
-// counter stream as SimulateObserved into ob (which may be nil).
-func SimulateAdaptiveObserved(shape RunShape, pol AdaptivePolicy, trace *Trace,
-	ob *obs.Observer) Outcome {
+func SimulateAdaptive(shape RunShape, pol AdaptivePolicy, trace *Trace, ob *obs.Observer) Outcome {
 	if err := shape.Validate(); err != nil {
 		panic(err.Error())
 	}

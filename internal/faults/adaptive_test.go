@@ -27,8 +27,8 @@ func TestAdaptiveBeatsMisestimatedStatic(t *testing.T) {
 	prior := 24 * units.Hour                            // what the hardware sheet claims
 	tr := burstTrace(30*units.Minute, 20*24*units.Hour) // what the machine does
 
-	static := Simulate(shape, DalyInterval(shape.CheckpointCost, prior), tr)
-	adaptive := SimulateAdaptive(shape, AdaptivePolicy{Prior: prior}, tr)
+	static := Simulate(shape, DalyInterval(shape.CheckpointCost, prior), tr, nil)
+	adaptive := SimulateAdaptive(shape, AdaptivePolicy{Prior: prior}, tr, nil)
 	if adaptive.Wall >= static.Wall {
 		t.Fatalf("adaptive wall %v not better than misestimated static %v", adaptive.Wall, static.Wall)
 	}
@@ -44,8 +44,8 @@ func TestAdaptiveMatchesWellEstimatedStatic(t *testing.T) {
 	shape := RunShape{TotalWork: 12 * units.Hour, CheckpointCost: 60, RestartCost: 300}
 	mtbf := 2 * units.Hour
 	tr := burstTrace(mtbf, 20*24*units.Hour)
-	static := Simulate(shape, DalyInterval(shape.CheckpointCost, mtbf), tr)
-	adaptive := SimulateAdaptive(shape, AdaptivePolicy{Prior: mtbf}, tr)
+	static := Simulate(shape, DalyInterval(shape.CheckpointCost, mtbf), tr, nil)
+	adaptive := SimulateAdaptive(shape, AdaptivePolicy{Prior: mtbf}, tr, nil)
 	if ratio := float64(adaptive.Wall) / float64(static.Wall); ratio > 1.10 {
 		t.Fatalf("adaptive wall %v is %.1f%% above the well-estimated static %v",
 			adaptive.Wall, 100*(ratio-1), static.Wall)
@@ -58,8 +58,8 @@ func TestAdaptiveDeterministic(t *testing.T) {
 	tr := p.Generate(99, 48*units.Hour)
 	shape := RunShape{TotalWork: 12 * units.Hour, CheckpointCost: 45, RestartCost: 200}
 	pol := AdaptivePolicy{Prior: p.SystemMTBF()}
-	a := SimulateAdaptive(shape, pol, tr)
-	b := SimulateAdaptive(shape, pol, tr)
+	a := SimulateAdaptive(shape, pol, tr, nil)
+	b := SimulateAdaptive(shape, pol, tr, nil)
 	if a != b {
 		t.Fatalf("adaptive replay diverged: %+v vs %+v", a, b)
 	}

@@ -128,7 +128,7 @@ func TestNodeFailedIn(t *testing.T) {
 
 func TestSimulateFailureFree(t *testing.T) {
 	shape := RunShape{TotalWork: 1000, CheckpointCost: 10, RestartCost: 100}
-	o := simulate(shape, 100, nil)
+	o := simulate(shape, 100, nil, nil)
 	// 10 work chunks, 9 committed checkpoints (no commit after the last).
 	if o.Checkpoints != 9 || o.Failures != 0 {
 		t.Fatalf("got %d checkpoints, %d failures", o.Checkpoints, o.Failures)
@@ -142,7 +142,7 @@ func TestSimulateSingleFailure(t *testing.T) {
 	shape := RunShape{TotalWork: 1000, CheckpointCost: 10, RestartCost: 100}
 	// Failure at t=150: one committed segment (110 wall), 40 into the
 	// second; lose 40, restart, then 9 more chunks (8 commits).
-	o := simulate(shape, 100, []units.Seconds{150})
+	o := simulate(shape, 100, []units.Seconds{150}, nil)
 	if o.Failures != 1 {
 		t.Fatalf("failures = %d", o.Failures)
 	}
@@ -162,7 +162,7 @@ func TestSimulateWallIdentity(t *testing.T) {
 	p := summitParams()
 	for seed := uint64(0); seed < 10; seed++ {
 		tr := p.Generate(seed, 10*24*units.Hour)
-		o := Simulate(shape, 300, tr)
+		o := Simulate(shape, 300, tr, nil)
 		sum := shape.TotalWork + o.CkptTime + o.LostWork + o.RestartTime
 		if diff := math.Abs(float64(o.Wall - sum)); diff > 1e-6 {
 			t.Fatalf("seed %d: wall %v != work+ckpt+lost+restart %v", seed, o.Wall, sum)
@@ -177,7 +177,7 @@ func TestSimulateFailureDuringRestart(t *testing.T) {
 	shape := RunShape{TotalWork: 100, CheckpointCost: 10, RestartCost: 100}
 	// First failure at t=50 (restart to 150); second at t=120 hits the
 	// restart window and restarts it (to 220); then the run completes.
-	o := simulate(shape, 200, []units.Seconds{50, 120})
+	o := simulate(shape, 200, []units.Seconds{50, 120}, nil)
 	if o.Failures != 2 {
 		t.Fatalf("failures = %d", o.Failures)
 	}

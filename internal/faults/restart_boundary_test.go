@@ -23,7 +23,7 @@ func traceWith(times ...units.Seconds) *Trace {
 // [0,60); a failure at exactly t=60 costs R alone.
 func TestFailureExactlyAtCommitInstant(t *testing.T) {
 	shape := RunShape{TotalWork: 100, CheckpointCost: 10, RestartCost: 20}
-	out := Simulate(shape, 50, traceWith(60))
+	out := Simulate(shape, 50, traceWith(60), nil)
 	if out.LostWork != 0 {
 		t.Fatalf("failure at the commit instant lost %v work, want 0", out.LostWork)
 	}
@@ -41,7 +41,7 @@ func TestFailureExactlyAtCommitInstant(t *testing.T) {
 // failures leave nothing durable.
 func TestFailureAtCheckpointWriteStart(t *testing.T) {
 	shape := RunShape{TotalWork: 100, CheckpointCost: 10, RestartCost: 20}
-	out := Simulate(shape, 50, traceWith(50))
+	out := Simulate(shape, 50, traceWith(50), nil)
 	if out.LostWork != 50 {
 		t.Fatalf("mid-write failure lost %v, want the full 50s segment", out.LostWork)
 	}
@@ -59,7 +59,7 @@ func TestFailureAtCheckpointWriteStart(t *testing.T) {
 // failure costs exactly the work since the last interval boundary.
 func TestZeroCostCheckpoints(t *testing.T) {
 	shape := RunShape{TotalWork: 100, CheckpointCost: 0, RestartCost: 20}
-	out := Simulate(shape, 25, traceWith(60))
+	out := Simulate(shape, 25, traceWith(60), nil)
 	if out.Checkpoints != 0 || out.CkptTime != 0 {
 		t.Fatalf("zero-cost run recorded %d checkpoints / %v write time", out.Checkpoints, out.CkptTime)
 	}
@@ -78,7 +78,7 @@ func TestZeroCostCheckpoints(t *testing.T) {
 func TestFailureDuringRestartWindow(t *testing.T) {
 	shape := RunShape{TotalWork: 100, CheckpointCost: 10, RestartCost: 40}
 	// f1=20 mid-segment starts a restart spanning [20,60); f2=50 kills it.
-	out := Simulate(shape, 50, traceWith(20, 50))
+	out := Simulate(shape, 50, traceWith(20, 50), nil)
 	if out.Failures != 2 {
 		t.Fatalf("failures %d, want 2", out.Failures)
 	}

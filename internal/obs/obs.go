@@ -14,7 +14,7 @@
 //     seeds.
 //   - Emission order does not matter: renderers sort records by content
 //     before formatting, so concurrent emitters (Workflow.Run goroutines,
-//     parallel.Pool workers) produce byte-identical output at any -j.
+//     parallel.ForEach workers) produce byte-identical output at any -j.
 //   - Counters are integers and gauges are last-write-wins; series sum
 //     their observations in sorted order at render time, so float
 //     accumulation order cannot leak scheduling into the output.

@@ -22,21 +22,21 @@ type DAGError struct{ Reason string }
 
 func (e *DAGError) Error() string { return "parallel: invalid DAG: " + e.Reason }
 
-// RunDAG executes the nodes in dependency order using at most the pool's
-// width in concurrent goroutines. The graph is validated up front —
-// duplicate IDs, unknown dependencies, and cycles return a *DAGError
-// with nothing run. Scheduling is deterministic in its observable
-// effects: among ready nodes the lowest declaration index is dispatched
-// first, and with one worker the whole graph runs inline on the caller's
-// goroutine in a fixed topological order (declaration order among ready
-// nodes), so "-j 1" pays no pool overhead at all.
+// RunDAG executes the nodes in dependency order with at most workers
+// concurrent goroutines, the caller among them (workers <= 0 means
+// GOMAXPROCS). The graph is validated up front — duplicate IDs, unknown
+// dependencies, and cycles return a *DAGError with nothing run.
+// Scheduling is deterministic in its observable effects: among ready
+// nodes the lowest declaration index is dispatched first, so with one
+// worker the caller runs the whole graph in a fixed topological order
+// (declaration order among ready nodes) with nothing spawned.
 //
 // Panic semantics extend ForEach's: a panicking node marks its
 // transitive dependents as skipped (their Run is never called), every
 // node not downstream of a failure still runs to completion, and then
 // the panic with the lowest declaration index is re-raised as an
 // ItemPanic wrapping the original value — identically at any -j.
-func (p *Pool) RunDAG(nodes []Node) error {
+func RunDAG(workers int, nodes []Node) error {
 	n := len(nodes)
 	if n == 0 {
 		return nil
@@ -71,10 +71,6 @@ func (p *Pool) RunDAG(nodes []Node) error {
 		return err
 	}
 
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
 	var (
 		mu      sync.Mutex
 		first   *ItemPanic
@@ -106,102 +102,65 @@ func (p *Pool) RunDAG(nodes []Node) error {
 		nodes[i].Run()
 	}
 
-	if workers == 1 {
-		// Inline deterministic topological order: a sorted ready list,
-		// always dispatching the lowest declaration index.
-		ready := make([]int, 0, n)
-		for i := range nodes {
-			if waiting[i] == 0 {
-				ready = append(ready, i)
-			}
+	var (
+		cond    = sync.NewCond(&mu)
+		ready   []int // kept sorted; lowest declaration index first
+		pending = n   // nodes not yet finished (run or skipped)
+	)
+	push := func(i int) {
+		at := sort.SearchInts(ready, i)
+		ready = append(ready, 0)
+		copy(ready[at+1:], ready[at:])
+		ready[at] = i
+	}
+	for i := range nodes {
+		if waiting[i] == 0 {
+			push(i)
 		}
-		sort.Ints(ready)
-		for len(ready) > 0 {
+	}
+	fanOut(workerCount(workers, n), func() {
+		mu.Lock()
+		for {
+			for len(ready) == 0 && pending > 0 {
+				cond.Wait()
+			}
+			if pending == 0 {
+				mu.Unlock()
+				cond.Broadcast()
+				return
+			}
 			i := ready[0]
 			ready = ready[1:]
-			if !skipped[i] {
+			doRun := !skipped[i]
+			mu.Unlock()
+			if doRun {
 				run(i)
 			}
+			mu.Lock()
+			pending--
+			pushed := 0
 			for _, d := range dependents[i] {
 				waiting[d]--
 				if waiting[d] == 0 {
-					// Insert keeping the list sorted.
-					at := sort.SearchInts(ready, d)
-					ready = append(ready, 0)
-					copy(ready[at+1:], ready[at:])
-					ready[at] = d
+					push(d)
+					pushed++
 				}
 			}
-		}
-	} else {
-		var (
-			cond    = sync.NewCond(&mu)
-			ready   []int // kept sorted; lowest declaration index first
-			pending = n   // nodes not yet finished (run or skipped)
-		)
-		push := func(i int) {
-			at := sort.SearchInts(ready, i)
-			ready = append(ready, 0)
-			copy(ready[at+1:], ready[at:])
-			ready[at] = i
-		}
-		mu.Lock()
-		for i := range nodes {
-			if waiting[i] == 0 {
-				push(i)
+			// Wake only as many workers as there is new work for: a
+			// single unblocked node needs one waiter, not the whole herd
+			// re-contending on mu. Termination still broadcasts so every
+			// worker observes pending == 0. Workers always re-check ready
+			// before sleeping, so a Signal that finds no waiter is never
+			// lost.
+			if pending == 0 {
+				cond.Broadcast()
+			} else if pushed == 1 {
+				cond.Signal()
+			} else if pushed > 1 {
+				cond.Broadcast()
 			}
 		}
-		mu.Unlock()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				mu.Lock()
-				for {
-					for len(ready) == 0 && pending > 0 {
-						cond.Wait()
-					}
-					if pending == 0 {
-						mu.Unlock()
-						cond.Broadcast()
-						return
-					}
-					i := ready[0]
-					ready = ready[1:]
-					doRun := !skipped[i]
-					mu.Unlock()
-					if doRun {
-						run(i)
-					}
-					mu.Lock()
-					pending--
-					pushed := 0
-					for _, d := range dependents[i] {
-						waiting[d]--
-						if waiting[d] == 0 {
-							push(d)
-							pushed++
-						}
-					}
-					// Wake only as many workers as there is new work for:
-					// a single unblocked node needs one waiter, not the
-					// whole herd re-contending on mu. Termination still
-					// broadcasts so every worker observes pending == 0.
-					// Workers always re-check ready before sleeping, so a
-					// Signal that finds no waiter is never lost.
-					if pending == 0 {
-						cond.Broadcast()
-					} else if pushed == 1 {
-						cond.Signal()
-					} else if pushed > 1 {
-						cond.Broadcast()
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	if first != nil {
 		panic(*first)
 	}

@@ -32,7 +32,7 @@ func TestRunDAGChainOrder(t *testing.T) {
 			order []string
 		)
 		nodes := chainNodes([]string{"a", "b", "c", "d", "e"}, &order, &mu)
-		if err := NewPool(workers).RunDAG(nodes); err != nil {
+		if err := RunDAG(workers, nodes); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got := strings.Join(order, ""); got != "abcde" {
@@ -64,7 +64,7 @@ func TestRunDAGDependenciesRespected(t *testing.T) {
 			mk("root"),
 			mk("l1", "root"), mk("l2", "root"), mk("l3", "root"), mk("l4", "root"),
 		}
-		if err := NewPool(workers).RunDAG(nodes); err != nil {
+		if err := RunDAG(workers, nodes); err != nil {
 			t.Fatal(err)
 		}
 		requireDone("sink")
@@ -93,7 +93,7 @@ func TestRunDAGValidation(t *testing.T) {
 			old := tc.nodes[i].Run
 			tc.nodes[i].Run = func() { ran = true; old() }
 		}
-		err := NewPool(4).RunDAG(tc.nodes)
+		err := RunDAG(4, tc.nodes)
 		if err == nil {
 			t.Errorf("%s: no error", tc.name)
 			continue
@@ -136,7 +136,7 @@ func TestRunDAGPanicSkipsDownstream(t *testing.T) {
 					t.Errorf("workers=%d: ItemPanic %+v", workers, ip)
 				}
 			}()
-			NewPool(workers).RunDAG(nodes)
+			RunDAG(workers, nodes)
 		}()
 		if survivors.Load() != 2 {
 			t.Errorf("workers=%d: %d independent nodes ran, want 2", workers, survivors.Load())
@@ -172,13 +172,13 @@ func TestRunDAGLowestPanicWins(t *testing.T) {
 					t.Errorf("workers=%d: got %+v, want index 0 value late", workers, ip)
 				}
 			}()
-			NewPool(workers).RunDAG(nodes)
+			RunDAG(workers, nodes)
 		}()
 	}
 }
 
 func TestRunDAGEmpty(t *testing.T) {
-	if err := NewPool(4).RunDAG(nil); err != nil {
+	if err := RunDAG(4, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -201,7 +201,7 @@ func TestRunDAGManyNodesStress(t *testing.T) {
 			nodes = append(nodes, Node{ID: id, Deps: deps, Run: func() { count.Add(1) }})
 		}
 	}
-	if err := NewPool(6).RunDAG(nodes); err != nil {
+	if err := RunDAG(6, nodes); err != nil {
 		t.Fatal(err)
 	}
 	if count.Load() != layers*width {

@@ -1,12 +1,13 @@
-// Package parallel is the shared worker-pool layer beneath the harness's
-// hot loops: the concurrent experiment runner (internal/core), the sharded
-// MD force kernel (internal/md), and any future fan-out. It provides a
-// bounded pool with deterministic, index-addressed fan-out — workers claim
-// work items dynamically, but every result is written to its own index, so
-// the assembled output is independent of scheduling — and panic
-// propagation: a panic on any work item is re-raised on the caller, and
-// when several items panic the one with the lowest index wins, so failures
-// are as deterministic as results.
+// Package parallel is the shared fan-out layer beneath the harness's
+// hot loops: the experiment DAG (internal/core), the benchmark-campaign
+// evaluator (internal/bench), and the persistent kernel pool (GEMM, MD
+// forces, sharded optimizers). Its one-shot fan-outs — ForEach,
+// MapOrdered and RunDAG — are plain functions of a worker count: the
+// caller is one of the workers, items are claimed dynamically, but every
+// result is written to its own index, so the assembled output is
+// independent of scheduling. A panic on any work item is re-raised on
+// the caller, and when several items panic the one with the lowest index
+// wins, so failures are as deterministic as results.
 package parallel
 
 import (
@@ -16,23 +17,34 @@ import (
 	"sync/atomic"
 )
 
-// Pool bounds the number of goroutines a fan-out may use. The zero value
-// is not useful; construct with NewPool.
-type Pool struct {
-	workers int
-}
-
-// NewPool returns a pool of the given width. Non-positive widths (and the
-// conventional 0 = "use the machine") resolve to GOMAXPROCS.
-func NewPool(workers int) *Pool {
+// workerCount resolves a requested fan-out width for n items:
+// non-positive widths (the conventional 0 = "use the machine") mean
+// GOMAXPROCS, and there are never more workers than items.
+func workerCount(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers}
+	if workers > n {
+		workers = n
+	}
+	return workers
 }
 
-// Workers returns the pool width.
-func (p *Pool) Workers() int { return p.workers }
+// fanOut runs work on the caller and on workers-1 extra goroutines and
+// returns once every copy has returned. With one worker nothing is
+// spawned: work runs inline on the caller's goroutine.
+func fanOut(workers int, work func()) {
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
 
 // ItemPanic carries a work item's panic to the caller: which item
 // panicked and the original panic value, preserved so typed sentinels and
@@ -55,26 +67,24 @@ func (ip ItemPanic) Error() string {
 // message format callers already match on.
 func (ip ItemPanic) String() string { return ip.Error() }
 
-// ForEach invokes fn(i) for every i in [0, n), using at most the pool's
-// width in concurrent goroutines. Items are claimed via an atomic cursor,
-// so scheduling is dynamic, but callers that write results to slot i get
-// output identical to a sequential loop. With one worker (or n <= 1) fn
-// runs on the caller's goroutine with no spawning at all — the "-j 1" old
-// path. All items run to completion before ForEach returns, even when some
-// panic; then the panic with the lowest index is re-raised as an ItemPanic
-// wrapping the original value — identically on the single- and
-// multi-worker paths, so panic identity does not depend on -j.
-func (p *Pool) ForEach(n int, fn func(i int)) {
+// ForEach invokes fn(i) for every i in [0, n) with at most workers
+// concurrent goroutines, the caller among them (workers <= 0 means
+// GOMAXPROCS). Items are claimed in index order through an atomic
+// cursor, so scheduling is dynamic, but callers that write results to
+// slot i get output identical to a sequential loop; with one worker the
+// caller runs every item in order with nothing spawned — the "-j 1" old
+// path. All items run to completion before ForEach returns, even when
+// some panic; then the panic with the lowest index is re-raised as an
+// ItemPanic wrapping the original value, so panic identity does not
+// depend on -j.
+func ForEach(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
 	var (
-		mu    sync.Mutex
-		first *ItemPanic
+		mu     sync.Mutex
+		first  *ItemPanic
+		cursor atomic.Int64
 	)
 	run := func(i int) {
 		defer func() {
@@ -88,39 +98,25 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		}()
 		fn(i)
 	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
+	fanOut(workerCount(workers, n), func() {
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= n {
+				return
+			}
 			run(i)
 		}
-	} else {
-		var (
-			cursor atomic.Int64
-			wg     sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					run(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	if first != nil {
 		panic(*first)
 	}
 }
 
-// MapOrdered runs fn over [0, n) on the pool and returns the results in
-// index order, regardless of which worker computed what.
-func MapOrdered[T any](p *Pool, n int, fn func(i int) T) []T {
+// MapOrdered runs fn over [0, n) with at most workers goroutines and
+// returns the results in index order, regardless of which worker
+// computed what.
+func MapOrdered[T any](workers, n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	p.ForEach(n, func(i int) { out[i] = fn(i) })
+	ForEach(workers, n, func(i int) { out[i] = fn(i) })
 	return out
 }

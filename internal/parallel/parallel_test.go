@@ -7,15 +7,22 @@ import (
 	"testing"
 )
 
-func TestNewPoolDefaults(t *testing.T) {
-	if got := NewPool(0).Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("NewPool(0).Workers() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+// TestWorkerCountDefaults pins the width convention shared by ForEach,
+// MapOrdered and RunDAG: non-positive means GOMAXPROCS, and the width
+// never exceeds the item count.
+func TestWorkerCountDefaults(t *testing.T) {
+	const many = 1 << 20
+	if got := workerCount(0, many); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workerCount(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := NewPool(-3).Workers(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("NewPool(-3).Workers() = %d", got)
+	if got := workerCount(-3, many); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workerCount(-3) = %d", got)
 	}
-	if got := NewPool(5).Workers(); got != 5 {
-		t.Fatalf("NewPool(5).Workers() = %d", got)
+	if got := workerCount(5, many); got != 5 {
+		t.Fatalf("workerCount(5) = %d", got)
+	}
+	if got := workerCount(5, 3); got != 3 {
+		t.Fatalf("workerCount(5, 3 items) = %d", got)
 	}
 }
 
@@ -23,7 +30,7 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 13} {
 		const n = 503
 		counts := make([]atomic.Int32, n)
-		NewPool(workers).ForEach(n, func(i int) { counts[i].Add(1) })
+		ForEach(workers, n, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
@@ -33,11 +40,10 @@ func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEachEmptyAndSingle(t *testing.T) {
-	p := NewPool(8)
-	p.ForEach(0, func(int) { t.Fatal("fn called for n=0") })
-	p.ForEach(-2, func(int) { t.Fatal("fn called for n<0") })
+	ForEach(8, 0, func(int) { t.Fatal("fn called for n=0") })
+	ForEach(8, -2, func(int) { t.Fatal("fn called for n<0") })
 	ran := false
-	p.ForEach(1, func(i int) { ran = i == 0 })
+	ForEach(8, 1, func(i int) { ran = i == 0 })
 	if !ran {
 		t.Fatal("single item not run")
 	}
@@ -47,9 +53,9 @@ func TestForEachEmptyAndSingle(t *testing.T) {
 // land in index order no matter how many workers raced over the items.
 func TestMapOrderedDeterministic(t *testing.T) {
 	const n = 200
-	want := MapOrdered(NewPool(1), n, func(i int) int { return i * i })
+	want := MapOrdered(1, n, func(i int) int { return i * i })
 	for _, workers := range []int{2, 3, 8, 32} {
-		got := MapOrdered(NewPool(workers), n, func(i int) int { return i * i })
+		got := MapOrdered(workers, n, func(i int) int { return i * i })
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, got[i], want[i])
@@ -75,7 +81,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 			t.Fatalf("message lost the payload: %v", ip)
 		}
 	}()
-	NewPool(4).ForEach(64, func(i int) {
+	ForEach(4, 64, func(i int) {
 		if i == 17 {
 			panic("boom")
 		}
@@ -96,7 +102,7 @@ func TestForEachPanicLowestIndexWins(t *testing.T) {
 					t.Fatalf("wrong panic won: %v", r)
 				}
 			}()
-			NewPool(8).ForEach(100, func(i int) {
+			ForEach(8, 100, func(i int) {
 				if i >= 3 {
 					panic(i)
 				}
@@ -131,7 +137,7 @@ func TestForEachPanicIdentityAcrossWorkerCounts(t *testing.T) {
 					t.Fatalf("workers=%d: index %d, want 2", workers, ip.Index)
 				}
 			}()
-			NewPool(workers).ForEach(8, func(i int) {
+			ForEach(workers, 8, func(i int) {
 				if i == 2 {
 					panic(want)
 				}
@@ -151,7 +157,7 @@ func TestSingleWorkerRunsAllDespitePanic(t *testing.T) {
 				t.Fatal("panic swallowed")
 			}
 		}()
-		NewPool(1).ForEach(n, func(i int) {
+		ForEach(1, n, func(i int) {
 			ran++
 			if i == 0 {
 				panic("early")
@@ -170,7 +176,7 @@ func TestForEachRunsAllDespitePanic(t *testing.T) {
 	var ran atomic.Int32
 	func() {
 		defer func() { recover() }()
-		NewPool(4).ForEach(n, func(i int) {
+		ForEach(4, n, func(i int) {
 			ran.Add(1)
 			if i == 0 {
 				panic("early")
@@ -186,7 +192,7 @@ func TestSingleWorkerRunsInline(t *testing.T) {
 	// With one worker, items must run on the caller's goroutine in order —
 	// the contract that makes -j 1 the exact old sequential path.
 	var order []int
-	NewPool(1).ForEach(5, func(i int) { order = append(order, i) })
+	ForEach(1, 5, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("one-worker order %v not sequential", order)

@@ -6,13 +6,19 @@ import (
 	"sync/atomic"
 )
 
-// WorkerPool is the persistent counterpart of Pool: a fixed set of
+// WorkerPool is the persistent counterpart of ForEach: a fixed set of
 // long-lived worker goroutines that park between calls, so a hot kernel
 // (GEMM row panels, MD force slabs, sharded optimizer loops) pays no
 // goroutine-spawn cost per invocation. Work is dispatched as chunked
 // ranges claimed through an atomic cursor; callers that write results to
 // disjoint shards and merge them in shard order get output independent
-// of scheduling, exactly as with Pool.
+// of scheduling, exactly as with ForEach.
+//
+// The one-shot fan-outs (ForEach, MapOrdered, RunDAG) deliberately do
+// not run on a WorkerPool: their items are experiment bodies and
+// campaign instances that themselves call kernels on Shared, and a
+// RunRange nested inside a RunRange chunk of the same pool can deadlock
+// (see RunRange).
 //
 // The pool is safe for concurrent RunRange calls from multiple
 // goroutines: each call is an independent job and helpers multiplex
@@ -162,7 +168,11 @@ func Shared() *WorkerPool {
 //
 // All chunks run to completion even when some panic; the panic whose
 // chunk starts lowest is then re-raised on the caller as an ItemPanic
-// (Index = the chunk's lo), matching Pool.ForEach semantics.
+// (Index = the chunk's lo), matching ForEach semantics.
+//
+// fn must not call RunRange (or RunRangeMax) on the same pool: the inner
+// call queues job handles for helpers that are all busy running outer
+// chunks, and can wait for them forever.
 func (p *WorkerPool) RunRange(n, grain int, fn func(lo, hi int)) {
 	p.RunRangeMax(p.workers, n, grain, fn)
 }

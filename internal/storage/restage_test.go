@@ -12,7 +12,7 @@ func TestStagingWithNoFailuresMatchesBase(t *testing.T) {
 	s := NewStager()
 	d := units.Bytes(100 * units.TB)
 	base := s.StagingTime(d, 1024, PartitionDataset)
-	if got := s.StagingTimeWithFailures(d, 1024, PartitionDataset, nil); got != base {
+	if got := s.StagingTimeWithFailures(d, 1024, PartitionDataset, nil, nil); got != base {
 		t.Fatalf("failure-free staging %v != base %v", got, base)
 	}
 }
@@ -23,7 +23,7 @@ func TestFailureDuringStagingDelaysCompletion(t *testing.T) {
 	const nodes = 1024
 	base := s.StagingTime(d, nodes, PartitionDataset)
 	mid := base / 2
-	got := s.StagingTimeWithFailures(d, nodes, PartitionDataset, []units.Seconds{mid})
+	got := s.StagingTimeWithFailures(d, nodes, PartitionDataset, []units.Seconds{mid}, nil)
 	if got <= base {
 		t.Fatalf("mid-stage failure did not delay completion: %v vs %v", got, base)
 	}
@@ -36,7 +36,7 @@ func TestFailureAfterStagingIgnored(t *testing.T) {
 	s := NewStager()
 	d := units.Bytes(100 * units.TB)
 	base := s.StagingTime(d, 1024, PartitionDataset)
-	got := s.StagingTimeWithFailures(d, 1024, PartitionDataset, []units.Seconds{base + 1})
+	got := s.StagingTimeWithFailures(d, 1024, PartitionDataset, []units.Seconds{base + 1}, nil)
 	if got != base {
 		t.Fatalf("post-stage failure changed completion: %v vs %v", got, base)
 	}
@@ -52,7 +52,7 @@ func TestEarlyFailureHiddenUnderRemainingStage(t *testing.T) {
 	if re := s.ReStageTime(d, nodes, PartitionDataset); re >= base {
 		t.Skipf("re-stage %v not hidden by base %v on this shape", re, base)
 	}
-	got := s.StagingTimeWithFailures(d, nodes, PartitionDataset, []units.Seconds{0})
+	got := s.StagingTimeWithFailures(d, nodes, PartitionDataset, []units.Seconds{0}, nil)
 	if got != base {
 		t.Fatalf("hidden re-stage still delayed completion: %v vs %v", got, base)
 	}
@@ -70,37 +70,38 @@ func TestShuffledFailuresOrderIndependent(t *testing.T) {
 	// A mix of failures before, straddling, and after the stretched
 	// completion — the shape where order used to change the answer.
 	asc := []units.Seconds{base / 4, base / 2, base - 1, base + base/2, 2 * base}
-	want := s.StagingTimeWithFailures(d, nodes, PartitionDataset, asc)
+	want := s.StagingTimeWithFailures(d, nodes, PartitionDataset, asc, nil)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		shuffled := append([]units.Seconds(nil), asc...)
 		rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		if got := s.StagingTimeWithFailures(d, nodes, PartitionDataset, shuffled); got != want {
+		if got := s.StagingTimeWithFailures(d, nodes, PartitionDataset, shuffled, nil); got != want {
 			t.Fatalf("order %v gave %v, ascending gave %v", shuffled, got, want)
 		}
 	}
 	// The input slice itself must not be reordered (sort works on a copy).
 	rev := []units.Seconds{base / 2, base / 4}
-	s.StagingTimeWithFailures(d, nodes, PartitionDataset, rev)
+	s.StagingTimeWithFailures(d, nodes, PartitionDataset, rev, nil)
 	if rev[0] != base/2 || rev[1] != base/4 {
 		t.Fatalf("input slice was mutated: %v", rev)
 	}
 }
 
-// TestObservedStagingEmitsSpans: the observed variant reports the
-// stage-in span plus one re-stage span per admitted failure.
+// TestObservedStagingEmitsSpans: with an observer, staging reports the
+// stage-in span plus one re-stage span per admitted failure, and returns
+// the same completion as without one.
 func TestObservedStagingEmitsSpans(t *testing.T) {
 	s := NewStager()
 	d := units.Bytes(100 * units.TB)
 	const nodes = 1024
 	base := s.StagingTime(d, nodes, PartitionDataset)
 	ob := obs.New()
-	got := s.ObservedStagingTimeWithFailures(ob, d, nodes, PartitionDataset,
-		[]units.Seconds{base / 2, 10 * base})
+	got := s.StagingTimeWithFailures(d, nodes, PartitionDataset,
+		[]units.Seconds{base / 2, 10 * base}, ob)
 	if want := s.StagingTimeWithFailures(d, nodes, PartitionDataset,
-		[]units.Seconds{base / 2, 10 * base}); got != want {
+		[]units.Seconds{base / 2, 10 * base}, nil); got != want {
 		t.Fatalf("observed result %v != unobserved %v", got, want)
 	}
 	if ob.Metrics.Counter("storage.restage.count") != 1 {
