@@ -110,6 +110,15 @@ func keySDCReport() string {
 	return "sub/chaos/sdc/sdc-storm"
 }
 
+// keyServeFleet is platform-free: S6's models and request stream depend
+// only on the serving seed.
+const keyServeFleet = "sub/serve/fleet"
+
+// keyServeReplay names one of S6's replays of the fleet on a platform.
+func keyServeReplay(p platform.Platform, kind string) string {
+	return "sub/serve/" + kind + "/" + p.Name
+}
+
 // cachedStudy resolves the canonical reconstructed portfolio dataset
 // (the Figure 1–6 input) through the cache.
 func cachedStudy(c *Cache) *portfolio.Dataset {
@@ -187,19 +196,44 @@ func cachedSDCReport(c *Cache, scenario string) (*chaos.SDCReport, error) {
 	return out.rep, out.err
 }
 
-// subResultNode is one shared-intermediate node of the experiment DAG.
+// cachedServeFleet resolves S6's model fleet and request stream.
+func cachedServeFleet(c *Cache) serveFleet {
+	return c.get(keyServeFleet, func() any { return newServeFleet() }).(serveFleet)
+}
+
+// cachedServeReplay resolves one unobserved S6 replay of the fleet f on
+// a platform.
+func cachedServeReplay(c *Cache, p platform.Platform, kind string, f serveFleet) serveReplay {
+	return c.get(keyServeReplay(p, kind), func() any { return runServeReplay(kind, p, f, nil) }).(serveReplay)
+}
+
+// subResultNode is one shared-intermediate node of the experiment DAG. A
+// node may depend on other sub-result nodes; the engine schedules every
+// node a needed one depends on, transitively.
 type subResultNode struct {
-	key string
-	run func(c *Cache)
+	key  string
+	deps []string
+	run  func(c *Cache)
 }
 
 // subResultNodes enumerates every shared intermediate the registry's
-// experiments may declare in Needs, for the given platform.
+// experiments may declare in Needs, for the given platform. Among ready
+// nodes RunDAG starts the lowest declaration index first, so the order
+// here is the order cold work starts in: S6's fleet and replays, the
+// registry's largest block of work, come first.
 func subResultNodes(p platform.Platform) []subResultNode {
-	nodes := []subResultNode{
-		{key: keyPortfolio, run: func(c *Cache) { cachedStudy(c) }},
-		{key: keyScalingStudies(p), run: func(c *Cache) { cachedScalingStudies(c, p) }},
+	nodes := []subResultNode{{key: keyServeFleet, run: func(c *Cache) { cachedServeFleet(c) }}}
+	for _, kind := range serveReplayKinds {
+		nodes = append(nodes, subResultNode{
+			key:  keyServeReplay(p, kind),
+			deps: []string{keyServeFleet},
+			run:  func(c *Cache) { cachedServeReplay(c, p, kind, cachedServeFleet(c)) },
+		})
 	}
+	nodes = append(nodes,
+		subResultNode{key: keyPortfolio, run: func(c *Cache) { cachedStudy(c) }},
+		subResultNode{key: keyScalingStudies(p), run: func(c *Cache) { cachedScalingStudies(c, p) }},
+	)
 	for _, name := range chaos.Names() {
 		name := name
 		nodes = append(nodes, subResultNode{
@@ -244,26 +278,41 @@ func (en *Engine) RunAllParallel(workers int) (string, bool) {
 // order, identical at any worker count and any cache temperature.
 //
 // An unobserved run (ob == nil) goes through the engine's cache: each
-// sub-result the experiments declare in Needs is its own node, every
-// experiment waits on the nodes it needs, and whole results are memoized
-// under result/<platform>/<ID>. An observed run bypasses the cache
-// entirely, because spans must be re-recorded per run: each experiment
-// is an independent node that emits one "dag" span carrying its declared
+// sub-result the experiments declare in Needs is its own node, as is
+// every sub-result such a node depends on, transitively; every node
+// waits on the nodes it depends on, and whole results are memoized under
+// result/<platform>/<ID>. An observed run bypasses the cache entirely,
+// because spans must be re-recorded per run: each experiment is an
+// independent node that emits one "dag" span carrying its declared
 // needs, then runs its body recording into ob.
 func (en *Engine) Run(p platform.Platform, exps []Experiment, workers int, ob *obs.Observer) []Result {
 	var cache *Cache
 	var nodes []parallel.Node
 	if ob == nil {
 		cache = en.cache
+		subs := subResultNodes(p)
+		deps := make(map[string][]string, len(subs))
+		for _, sn := range subs {
+			deps[sn.key] = sn.deps
+		}
 		need := map[string]bool{}
-		for _, e := range exps {
-			for _, k := range e.Needs {
+		var pull func(k string)
+		pull = func(k string) {
+			if !need[k] {
 				need[k] = true
+				for _, d := range deps[k] {
+					pull(d)
+				}
 			}
 		}
-		for _, sn := range subResultNodes(p) {
+		for _, e := range exps {
+			for _, k := range e.Needs {
+				pull(k)
+			}
+		}
+		for _, sn := range subs {
 			if need[sn.key] {
-				nodes = append(nodes, parallel.Node{ID: sn.key, Run: func() { sn.run(cache) }})
+				nodes = append(nodes, parallel.Node{ID: sn.key, Deps: sn.deps, Run: func() { sn.run(cache) }})
 			}
 		}
 	}

@@ -32,6 +32,13 @@ func TestDAGRegistryGraphValid(t *testing.T) {
 			}
 			known[sn.key] = true
 		}
+		for _, sn := range subResultNodes(p) {
+			for _, d := range sn.deps {
+				if !known[d] {
+					t.Errorf("%s: sub-result %s depends on unknown sub-result %q", p.Name, sn.key, d)
+				}
+			}
+		}
 		for _, e := range exps {
 			for _, k := range e.Needs {
 				if !known[k] {
@@ -113,6 +120,8 @@ func TestEngineCacheMemoizes(t *testing.T) {
 		keyPortfolio,
 		keyScalingStudies(p),
 		keyChaosReport(p, "rack-cascade"),
+		keyServeFleet,
+		keyServeReplay(p, replayStorm),
 		"result/" + p.Name + "/RS1",
 		"result/" + p.Name + "/W1",
 	} {
@@ -126,6 +135,44 @@ func TestEngineCacheMemoizes(t *testing.T) {
 	}
 	if got := en.Cache().Len(); got != filled {
 		t.Errorf("warm run grew the cache from %d to %d entries", filled, got)
+	}
+}
+
+// TestEnginePullsInSubResultDeps runs an experiment that needs only one
+// S6 replay: the engine must schedule the fleet that replay depends on
+// too, before the replay, and memoize both.
+func TestEnginePullsInSubResultDeps(t *testing.T) {
+	p := platform.Summit()
+	replay := keyServeReplay(p, replayUnbatched)
+	en := NewEngine()
+	var sawFleet bool
+	exp := Experiment{ID: "dep-probe", Needs: []string{replay}, Body: func(c *Cache, _ *obs.Observer) Result {
+		sawFleet = c.has(keyServeFleet) && c.has(replay)
+		return Result{}
+	}}
+	en.Run(p, []Experiment{exp}, 2, nil)
+	if !sawFleet {
+		t.Fatal("the experiment ran before the fleet and replay were memoized")
+	}
+	if en.Cache().has(keyServeReplay(p, replayStorm)) {
+		t.Error("the engine ran a replay no experiment needs")
+	}
+}
+
+// TestObservedChaosGaugesIndependentOfOrder is the regression test for
+// RS3 and RS4 sharing one observer: both replay chaos scenarios observed,
+// and gauges are last-writer-wins, so the metrics must not depend on
+// which experiment runs last.
+func TestObservedChaosGaugesIndependentOfOrder(t *testing.T) {
+	rs3, _ := ByID("RS3")
+	rs4, _ := ByID("RS4")
+	metrics := func(exps ...Experiment) string {
+		ob := obs.New()
+		NewEngine().Run(platform.Summit(), exps, 1, ob)
+		return ob.Metrics.Render()
+	}
+	if a, b := metrics(rs3, rs4), metrics(rs4, rs3); a != b {
+		t.Errorf("metrics depend on experiment order:\n--- RS3, RS4 ---\n%s\n--- RS4, RS3 ---\n%s", a, b)
 	}
 }
 

@@ -16,7 +16,7 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"summitscale/internal/machine"
@@ -276,8 +276,16 @@ func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
 	sdc(tornRNG, p.TornWriteMTBE, TornWrite)
 	sdc(staleRNG, p.StaleReplicaMTBE, StaleReplica)
 
-	sort.SliceStable(tr.Events, func(i, j int) bool {
-		return tr.Events[i].Time < tr.Events[j].Time
+	// Ordered by < alone, not cmp.Compare (which sorts NaN first), so the
+	// stable order is that of a plain less-than on onset time.
+	slices.SortStableFunc(tr.Events, func(a, b Event) int {
+		switch {
+		case a.Time < b.Time:
+			return -1
+		case a.Time > b.Time:
+			return 1
+		}
+		return 0
 	})
 	return tr
 }

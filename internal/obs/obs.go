@@ -42,20 +42,22 @@ func New() *Observer {
 	return &Observer{Metrics: NewRegistry(), Trace: NewTracer()}
 }
 
-// Span records a completed span on the simulated clock.
+// Span records a completed span on the simulated clock. With a nil
+// observer it inlines to one compare at the call site, and because the
+// tracer copies args, the variadic slice stays on the caller's stack: a
+// disabled observer allocates nothing.
 func (o *Observer) Span(track, cat, name string, start, dur units.Seconds, args ...Arg) {
-	if o == nil {
-		return
+	if o != nil {
+		o.Trace.Span(track, cat, name, start, dur, args...)
 	}
-	o.Trace.Span(track, cat, name, start, dur, args...)
 }
 
-// Event records an instant event on the simulated clock.
+// Event records an instant event on the simulated clock; like Span, it
+// costs a nil observer one compare and no allocation.
 func (o *Observer) Event(track, cat, name string, at units.Seconds, args ...Arg) {
-	if o == nil {
-		return
+	if o != nil {
+		o.Trace.Event(track, cat, name, at, args...)
 	}
-	o.Trace.Event(track, cat, name, at, args...)
 }
 
 // Inc bumps a counter by one.

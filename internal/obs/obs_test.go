@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -70,6 +71,36 @@ func TestObserverNilSafe(t *testing.T) {
 	tr.Event("t", "c", "n", 0)
 	if tr.Len() != 0 {
 		t.Fatal("nil tracer has no records")
+	}
+}
+
+// TestNilObserverAllocatesNothing pins the disabled observer's cost:
+// every record call on a nil observer, args included, allocates nothing,
+// so simulators can leave instrumentation in their hot loops.
+func TestNilObserverAllocatesNothing(t *testing.T) {
+	var o *Observer
+	allocs := testing.AllocsPerRun(100, func() {
+		o.Span("rank-0", "train", "step", 1, 1, Num("step", 1), Str("phase", "fwd"))
+		o.Event("rank-0", "fault", "failure", 1, Num("node", 3))
+		o.Inc("ddl.steps")
+		o.Set("ddl.loss", 1)
+		o.Observe("ddl.step_s", 1)
+	})
+	if allocs != 0 {
+		t.Fatalf("nil observer allocates %v times per record batch, want 0", allocs)
+	}
+}
+
+// TestTracerCopiesArgs checks that a record keeps its own copy of the
+// args, so a caller reusing its slice cannot rewrite recorded spans.
+func TestTracerCopiesArgs(t *testing.T) {
+	tr := NewTracer()
+	args := []Arg{Num("step", 1)}
+	tr.Span("rank-0", "train", "step", 0, 1, args...)
+	tr.Event("rank-0", "train", "mark", 0, args...)
+	args[0] = Num("step", 2)
+	if got := string(tr.ChromeTrace()); strings.Contains(got, `"step":2`) || strings.Count(got, `"step":1`) != 2 {
+		t.Fatalf("records alias the caller's args:\n%s", got)
 	}
 }
 

@@ -52,22 +52,33 @@ func NewTracer() *Tracer { return &Tracer{} }
 
 // Span records a completed span: it started at start on the simulated
 // clock and lasted dur. Zero-duration spans are kept (they mark phases
-// that the model resolved to zero cost).
+// that the model resolved to zero cost). The record keeps a copy of args,
+// never the caller's slice.
 func (t *Tracer) Span(track, cat, name string, start, dur units.Seconds, args ...Arg) {
 	if t == nil {
 		return
 	}
 	t.add(record{track: track, cat: cat, name: name,
-		start: float64(start), dur: float64(dur), args: args})
+		start: float64(start), dur: float64(dur), args: copyArgs(args)})
 }
 
-// Event records an instant event at simulated time at.
+// Event records an instant event at simulated time at, keeping a copy of
+// args.
 func (t *Tracer) Event(track, cat, name string, at units.Seconds, args ...Arg) {
 	if t == nil {
 		return
 	}
 	t.add(record{track: track, cat: cat, name: name,
-		start: float64(at), instant: true, args: args})
+		start: float64(at), instant: true, args: copyArgs(args)})
+}
+
+// copyArgs detaches a record's args from the caller's variadic slice, so
+// that slice never escapes and a disabled observer allocates nothing.
+func copyArgs(args []Arg) []Arg {
+	if len(args) == 0 {
+		return nil
+	}
+	return append([]Arg(nil), args...)
 }
 
 func (t *Tracer) add(r record) {

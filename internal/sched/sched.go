@@ -8,6 +8,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"summitscale/internal/stats"
@@ -50,12 +51,6 @@ func NewScheduler(totalNodes int) *Scheduler {
 	return &Scheduler{TotalNodes: totalNodes, CapabilityBoost: true}
 }
 
-// freeSlot describes an interval with constant free node count.
-type freeSlot struct {
-	from  float64
-	nodes int
-}
-
 // Schedule assigns Start/End to every job and returns them sorted by
 // start time. The algorithm processes jobs in queue order, placing each
 // at the earliest time enough nodes are free given already-placed jobs;
@@ -73,59 +68,110 @@ func (s *Scheduler) Schedule(jobs []Job) []Job {
 		return queue[i].ID < queue[j].ID
 	})
 
-	var placed []Job
+	var prof profile
+	placed := make([]Job, 0, len(queue))
 	for _, j := range queue {
 		if j.Nodes > s.TotalNodes {
 			panic(fmt.Sprintf("sched: job %d wants %d of %d nodes", j.ID, j.Nodes, s.TotalNodes))
 		}
-		j.Start = s.earliestStart(placed, j)
+		j.Start = prof.earliestStart(j, s.TotalNodes)
 		j.End = j.Start + j.Walltime
+		prof.add(j)
 		placed = append(placed, j)
 	}
 	sort.SliceStable(placed, func(i, j int) bool { return placed[i].Start < placed[j].Start })
 	return placed
 }
 
-// earliestStart finds the first time >= j.Submit at which j.Nodes nodes
-// are continuously free for j.Walltime.
-func (s *Scheduler) earliestStart(placed []Job, j Job) float64 {
-	// Candidate start times: submission, and each placed job's end.
-	candidates := []float64{j.Submit}
-	for _, p := range placed {
-		if p.End > j.Submit {
-			candidates = append(candidates, p.End)
-		}
-	}
-	sort.Float64s(candidates)
-	for _, t := range candidates {
-		if s.fits(placed, t, j) {
-			return t
-		}
-	}
-	// Unreachable: the last candidate (all jobs done) always fits.
-	panic("sched: no feasible start")
+// profile is the node usage of the placed jobs as a step function: one
+// step at every distinct job start or end time, in time order, each
+// holding the usage from its time up to the next step's.
+type profile []step
+
+type step struct {
+	at         float64
+	used       int  // nodes busy on [at, next step's at)
+	start, end bool // some placed job starts (ends) at at
 }
 
-func (s *Scheduler) fits(placed []Job, t float64, j Job) bool {
-	// Check node availability at every event point in [t, t+Walltime).
-	points := []float64{t}
-	for _, p := range placed {
-		if p.Start > t && p.Start < t+j.Walltime {
-			points = append(points, p.Start)
+// earliestStart finds the first time >= j.Submit at which j.Nodes nodes
+// are continuously free for j.Walltime. The candidates are j.Submit and
+// every placed job's end after it, in time order. A candidate t fits when
+// usage plus j.Nodes stays within total at t and at every job start in
+// (t, t+Walltime): usage only rises at starts, so those points bound the
+// window. A conflict at point c also rules out every candidate in (t, c],
+// whose windows hold c too, so the search resumes at the first end after
+// c.
+func (p profile) earliestStart(j Job, total int) float64 {
+	t := j.Submit
+	next := p.after(t)
+	for {
+		c, ok := p.conflict(t, j, total)
+		if !ok {
+			return t
+		}
+		for next < len(p) && (p[next].at <= c || !p[next].end) {
+			next++
+		}
+		if next == len(p) {
+			// Unreachable: once every placed job has ended, usage is zero.
+			panic("sched: no feasible start")
+		}
+		t = p[next].at
+	}
+}
+
+// conflict returns the first point of j's window starting at t where j
+// would push usage over total, checking t and every job start inside the
+// window.
+func (p profile) conflict(t float64, j Job, total int) (float64, bool) {
+	i := p.after(t)
+	used := 0
+	if i > 0 {
+		used = p[i-1].used
+	}
+	if used+j.Nodes > total {
+		return t, true
+	}
+	for end := t + j.Walltime; i < len(p) && p[i].at < end; i++ {
+		if p[i].start && p[i].used+j.Nodes > total {
+			return p[i].at, true
 		}
 	}
-	for _, pt := range points {
-		used := 0
-		for _, p := range placed {
-			if p.Start <= pt && pt < p.End {
-				used += p.Nodes
-			}
-		}
-		if used+j.Nodes > s.TotalNodes {
-			return false
-		}
+	return 0, false
+}
+
+// after returns the index of the first step later than t.
+func (p profile) after(t float64) int {
+	return sort.Search(len(p), func(i int) bool { return p[i].at > t })
+}
+
+// add places j: it marks j's start and end steps and adds j.Nodes to the
+// usage of every step in [j.Start, j.End).
+func (p *profile) add(j Job) {
+	a := p.stepAt(j.Start)
+	(*p)[a].start = true
+	b := p.stepAt(j.End)
+	(*p)[b].end = true
+	for k := a; k < b; k++ {
+		(*p)[k].used += j.Nodes
 	}
-	return true
+}
+
+// stepAt returns the index of the step at time t, inserting one that
+// carries the usage already in force at t when there is none.
+func (p *profile) stepAt(t float64) int {
+	q := *p
+	i := sort.Search(len(q), func(i int) bool { return q[i].at >= t })
+	if i < len(q) && q[i].at == t {
+		return i
+	}
+	st := step{at: t}
+	if i > 0 {
+		st.used = q[i-1].used
+	}
+	*p = slices.Insert(q, i, st)
+	return i
 }
 
 // Stats summarizes a schedule.

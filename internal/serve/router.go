@@ -124,7 +124,16 @@ type modelState struct {
 // for every served batch. Requests are sorted by (Arrival, ID) first, so
 // the outcome is independent of input order; the event loop itself is
 // single-threaded, so it is independent of -j by construction.
+//
+// The event budget is eight events per request plus four per chaos
+// event, above the at most three (arrival, deadline timer, completion)
+// a request can cause; a run that exceeds it returns an error.
 func Run(cfg Config, reqs []Request) (*Report, error) {
+	return run(cfg, reqs, 8*len(reqs)+4*(len(cfg.ReplicaFails)+len(cfg.ReplicaRepairs))+1024)
+}
+
+// run is Run with an explicit event budget.
+func run(cfg Config, reqs []Request, maxEvents int) (*Report, error) {
 	if len(cfg.Models) == 0 {
 		return nil, fmt.Errorf("serve: config needs at least one model")
 	}
@@ -264,48 +273,54 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		drain(s, mi)
 	}
 
-	for _, r := range sorted {
-		r := r
-		sim.At(float64(r.Arrival), func(s *des.Sim) {
-			now := units.Seconds(s.Now())
-			mi, ok := byName[r.Model]
-			if !ok {
-				rep.Rejections = append(rep.Rejections, Rejection{
-					ID: r.ID, Model: r.Model, Tier: r.Tier, Code: RejectUnknownModel, At: now,
-				})
-				o.Inc("serve.reject.unknown_model")
-				return
-			}
-			st := states[mi]
-			st.admit.requests++
-			if o != nil {
-				o.Inc("serve.requests")
-			}
-			if rej := st.admit.offer(r, now); rej != nil {
-				rep.Rejections = append(rep.Rejections, *rej)
-				if o != nil {
-					o.Inc("serve.reject." + rej.Code.String())
-				}
-				return
-			}
-			if o != nil {
-				o.Set("serve.queue."+r.Model, float64(st.admit.depth))
-			}
-			closed, deadline := st.batch.add(r)
-			if closed != nil {
-				dispatch(s, mi, closed)
-				return
-			}
-			if deadline {
-				epoch := st.batch.epoch
-				s.At(float64(now+st.batch.cfg.MaxDelay), func(s *des.Sim) {
-					if b := st.batch.expire(epoch); b != nil {
-						dispatch(s, mi, b)
-					}
-				})
-			}
-		})
+	// Arrivals are data fed beside the event heap, not one closure and
+	// one queued event per request. Fed before any other event is
+	// scheduled, each arrival orders before every other event at its
+	// instant, and each still counts against the event budget.
+	arrivals := make([]float64, len(sorted))
+	for i, r := range sorted {
+		arrivals[i] = float64(r.Arrival)
 	}
+	sim.Feed(arrivals, func(s *des.Sim, i int) {
+		r := sorted[i]
+		now := units.Seconds(s.Now())
+		mi, ok := byName[r.Model]
+		if !ok {
+			rep.Rejections = append(rep.Rejections, Rejection{
+				ID: r.ID, Model: r.Model, Tier: r.Tier, Code: RejectUnknownModel, At: now,
+			})
+			o.Inc("serve.reject.unknown_model")
+			return
+		}
+		st := states[mi]
+		st.admit.requests++
+		if o != nil {
+			o.Inc("serve.requests")
+		}
+		if rej := st.admit.offer(r, now); rej != nil {
+			rep.Rejections = append(rep.Rejections, *rej)
+			if o != nil {
+				o.Inc("serve.reject." + rej.Code.String())
+			}
+			return
+		}
+		if o != nil {
+			o.Set("serve.queue."+r.Model, float64(st.admit.depth))
+		}
+		closed, deadline := st.batch.add(r)
+		if closed != nil {
+			dispatch(s, mi, closed)
+			return
+		}
+		if deadline {
+			epoch := st.batch.epoch
+			s.At(float64(now+st.batch.cfg.MaxDelay), func(s *des.Sim) {
+				if b := st.batch.expire(epoch); b != nil {
+					dispatch(s, mi, b)
+				}
+			})
+		}
+	})
 
 	// Chaos threading: replica losses hit the model with the most live
 	// replicas (ties to the lowest model index), repairs return capacity
@@ -342,7 +357,6 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		})
 	}
 
-	maxEvents := 8*len(sorted) + 4*(len(cfg.ReplicaFails)+len(cfg.ReplicaRepairs)) + 1024
 	end := units.Seconds(sim.Run(maxEvents))
 	if sim.Pending() > 0 {
 		return nil, fmt.Errorf("serve: event budget exhausted with %d events pending", sim.Pending())

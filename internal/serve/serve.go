@@ -130,15 +130,27 @@ func quantile(sorted []float64, q float64) float64 {
 }
 
 // sortRequests orders a workload canonically: by arrival time, ties by
-// ID. Run sorts a copy of its input through this, which is what makes a
-// shuffled request slice produce byte-identical responses and traces.
+// ID. Run reads its input through this, which is what makes a shuffled
+// request slice produce byte-identical responses and traces. Input
+// already in that order, as Generate returns it, comes back as is;
+// anything else comes back as a sorted copy, so the caller's slice is
+// never reordered. IDs are unique, so the order is total and the
+// shortcut cannot change it.
 func sortRequests(reqs []Request) []Request {
-	out := append([]Request(nil), reqs...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Arrival != out[j].Arrival {
-			return out[i].Arrival < out[j].Arrival
+	less := func(a, b *Request) bool {
+		if a.Arrival != b.Arrival {
+			return a.Arrival < b.Arrival
 		}
-		return out[i].ID < out[j].ID
-	})
+		return a.ID < b.ID
+	}
+	sorted := true
+	for i := 1; i < len(reqs) && sorted; i++ {
+		sorted = !less(&reqs[i], &reqs[i-1])
+	}
+	if sorted {
+		return reqs
+	}
+	out := append([]Request(nil), reqs...)
+	sort.Slice(out, func(i, j int) bool { return less(&out[i], &out[j]) })
 	return out
 }

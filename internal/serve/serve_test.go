@@ -448,3 +448,75 @@ func TestReplicasForPlatforms(t *testing.T) {
 		t.Errorf("fewer models got fewer replicas each: %d < %d", a, b)
 	}
 }
+
+// TestRunSameInstantOrder pins the order of an arrival, a batch
+// completion and a replica failure that all fall on one instant: the
+// arrival runs first, then the failure, then the completion. Each case
+// has an outcome that only this order produces.
+func TestRunSameInstantOrder(t *testing.T) {
+	p := platform.MustLookup("summit")
+	models := DefaultModels(7)
+	pricer := PricerFor(p)
+	// A request arriving at 0 on an idle replica completes at exactly d.
+	d := pricer.ServiceTime(models[0], 1)
+	req := func(id uint64, model int, at units.Seconds) Request {
+		return Request{ID: id, Model: models[model].Name(), Tier: Interactive, Arrival: at,
+			Features: make([]float64, models[model].FeatureDim())}
+	}
+	cfg := Config{Platform: p, Models: models, Batch: BatchConfig{MaxBatch: 1},
+		ReplicaFails: []units.Seconds{d}}
+
+	// Arrival before failure: request 2 takes replica 0, free at d, before
+	// the failure retires replica 0 (the lowest-index live one). Were the
+	// failure first, request 2 would land on replica 1.
+	cfg.Replicas = 2
+	rep, err := Run(cfg, []Request{req(1, 0, 0), req(2, 0, d)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Served != 2 || rep.Responses[1].ID != 2 || rep.Responses[1].Replica != 0 {
+		t.Fatalf("arrival vs failure: served %d, responses %+v", rep.Served, rep.Responses)
+	}
+
+	// Failure before completion: with one replica per model, request 2
+	// waits behind request 1 on model 0. The failure at d retires model
+	// 0's replica (ties go to the lowest model index) before request 1's
+	// completion drains the backlog, so request 2 is never served; the
+	// arrival on model 1 at d is served. Were the completion first,
+	// request 2 would start at d and be served.
+	cfg.Replicas = 1
+	rep, err = Run(cfg, []Request{req(1, 0, 0), req(2, 0, 0), req(3, 1, d)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Served != 2 || rep.Unserved != 1 {
+		t.Fatalf("failure vs completion: served %d unserved %d, want 2/1", rep.Served, rep.Unserved)
+	}
+	for _, r := range rep.Responses {
+		if r.ID == 2 {
+			t.Fatalf("request 2 served at %v; the failure should strand it", r.Done)
+		}
+	}
+}
+
+// TestRunEventBudgetExhausted checks that a run stopped by its event
+// budget reports an error, and that arrivals count against the budget:
+// a budget of one event per request is spent on arrivals alone, leaving
+// the completions pending.
+func TestRunEventBudgetExhausted(t *testing.T) {
+	p := platform.MustLookup("summit")
+	models := DefaultModels(7)
+	spec := testTraffic()
+	spec.Horizon = 10
+	reqs, err := spec.Generate(42, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Platform: p, Models: models, Horizon: spec.Horizon}
+	if _, err := run(cfg, reqs, len(reqs)); err == nil || !strings.Contains(err.Error(), "event budget exhausted") {
+		t.Fatalf("budget of %d events for %d requests: err = %v", len(reqs), len(reqs), err)
+	}
+	if _, err := Run(cfg, reqs); err != nil {
+		t.Fatalf("default budget: %v", err)
+	}
+}
