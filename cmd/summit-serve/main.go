@@ -60,7 +60,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rep, err := chaos.RunServe(p, sc, *seed, spec, models, ob)
+		rep, err := chaos.RunServe(p, sc, *seed, models, reqs, spec.Horizon, ob)
 		if err != nil {
 			fatal(err)
 		}

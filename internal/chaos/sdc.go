@@ -3,14 +3,11 @@ package chaos
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 
 	"summitscale/internal/autograd"
-	"summitscale/internal/checkpoint"
 	"summitscale/internal/ddl"
 	"summitscale/internal/faults"
 	"summitscale/internal/nn"
@@ -35,9 +32,6 @@ type SDCConfig struct {
 	// Jobs bounds how many legs run concurrently (<= 1 means serial).
 	// The report is a pure function of (scenario, seed) at any value.
 	Jobs int
-	// Dir is the scratch directory for the legs' checkpoint tiers; empty
-	// means a temp directory removed when the run finishes.
-	Dir string
 	// Obs, if non-nil, receives the per-leg ddl.sdc.* counters and events.
 	Obs *obs.Observer
 }
@@ -162,14 +156,6 @@ func RunSDC(sc *Scenario, seed uint64, cfg SDCConfig) (*SDCReport, error) {
 		}
 	}
 
-	base := cfg.Dir
-	if base == "" {
-		base, err = os.MkdirTemp("", "sdc-ablation")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(base)
-	}
 	legs := []struct {
 		name   string
 		guards ddl.Guards
@@ -193,19 +179,14 @@ func RunSDC(sc *Scenario, seed uint64, cfg SDCConfig) (*SDCReport, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			dir := filepath.Join(base, name)
 			res, err := ddl.RunGuarded(ddl.GuardedConfig{
 				Ranks:           sdcProbeRanks,
 				Steps:           sdcProbeSteps,
 				CheckpointEvery: sdcProbeCkEach,
-				Tiers: []checkpoint.TierDir{
-					{Name: "nvme", Dir: filepath.Join(dir, "nvme")},
-					{Name: "replica", Dir: filepath.Join(dir, "replica")},
-					{Name: "gpfs", Dir: filepath.Join(dir, "gpfs")},
-				},
-				Injections: inj,
-				Guards:     guards,
-				Obs:        cfg.Obs,
+				Tiers:           []string{"nvme", "replica", "gpfs"},
+				Injections:      inj,
+				Guards:          guards,
+				Obs:             cfg.Obs,
 			}, sdcProbeModel,
 				func() optim.Optimizer { return optim.NewSGD(0.2) },
 				sdcProbeLoss())

@@ -57,20 +57,22 @@ repair at 16h count 3
 // serving replica each (the serving allocation rides the same machine as
 // the campaign, so correlated cascades hit it too); repairs return them;
 // link-degrade windows inflate service and transit times by 1/factor.
-// Both policy runs consume the identical request stream, so the report is
-// a pure function of (platform, scenario, seed, spec).
-func RunServe(p platform.Platform, sc *Scenario, seed uint64, spec serve.TrafficSpec, models []serve.Model, o *obs.Observer) (*ServeChaosReport, error) {
+// Both policy runs serve the caller's request stream reqs, generated over
+// the traffic horizon, and leave it unchanged, so concurrent replays may
+// share one stream; the report is a pure function of (platform, scenario,
+// seed, stream).
+func RunServe(p platform.Platform, sc *Scenario, seed uint64, models []serve.Model, reqs []serve.Request, horizon units.Seconds, o *obs.Observer) (*ServeChaosReport, error) {
 	if sc.Horizon <= 0 {
 		return nil, fmt.Errorf("chaos: scenario %q has no horizon", sc.Name)
 	}
-	if spec.Horizon <= 0 {
-		return nil, fmt.Errorf("chaos: serving spec has no horizon")
+	if horizon <= 0 {
+		return nil, fmt.Errorf("chaos: serving traffic has no horizon")
 	}
 	sched, err := sc.Compile(seed)
 	if err != nil {
 		return nil, err
 	}
-	k := float64(spec.Horizon) / float64(sc.Horizon)
+	k := float64(horizon) / float64(sc.Horizon)
 
 	var fails []units.Seconds
 	for _, ev := range sched.Trace.Events {
@@ -89,10 +91,6 @@ func RunServe(p platform.Platform, sc *Scenario, seed uint64, spec serve.Traffic
 		return sched.LinkFactorAt(units.Seconds(float64(t) / k))
 	}
 
-	reqs, err := spec.Generate(seed, models)
-	if err != nil {
-		return nil, err
-	}
 	replicas := serve.ReplicasFor(p, len(models))
 	batch := serve.DefaultBatch()
 	shedAdm := serve.DefaultAdmission(replicas, batch.MaxBatch)
@@ -101,7 +99,7 @@ func RunServe(p platform.Platform, sc *Scenario, seed uint64, spec serve.Traffic
 
 	base := serve.Config{
 		Platform: p, Models: models, Batch: batch, Replicas: replicas,
-		Horizon: spec.Horizon, LinkFactorAt: linkAt,
+		Horizon: horizon, LinkFactorAt: linkAt,
 		ReplicaFails: fails, ReplicaRepairs: repairs,
 	}
 

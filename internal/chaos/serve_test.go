@@ -1,13 +1,27 @@
 package chaos
 
 import (
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"summitscale/internal/obs"
 	"summitscale/internal/platform"
 	"summitscale/internal/serve"
+	"summitscale/internal/units"
 )
+
+// stream generates spec's request stream at seed over models.
+func stream(t *testing.T, spec serve.TrafficSpec, seed uint64, models []serve.Model) []serve.Request {
+	t.Helper()
+	reqs, err := spec.Generate(seed, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
 
 // TestRunServeServingStorm pins the shed-load policy's value under the
 // serving reference scenario: partial capacity loss (cascade) plus a
@@ -18,7 +32,7 @@ func TestRunServeServingStorm(t *testing.T) {
 	p := platform.MustLookup("summit")
 	models := serve.DefaultModels(7)
 	spec := serve.DefaultTraffic()
-	rep, err := RunServe(p, ServingStorm(), 42, spec, models, nil)
+	rep, err := RunServe(p, ServingStorm(), 42, models, stream(t, spec, 42, models), spec.Horizon, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +70,8 @@ func TestRunServeServingStorm(t *testing.T) {
 }
 
 // TestRunServeDeterministic requires the chaos-serving comparison to be a
-// pure function of (platform, scenario, seed, spec), including through the
-// observer path.
+// pure function of (platform, scenario, seed, stream), including through
+// the observer path.
 func TestRunServeDeterministic(t *testing.T) {
 	p := platform.MustLookup("summit")
 	models := serve.DefaultModels(7)
@@ -66,12 +80,13 @@ func TestRunServeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reqs := stream(t, spec, 7, models)
 	o1, o2 := obs.New(), obs.New()
-	a, err := RunServe(p, sc, 7, spec, models, o1)
+	a, err := RunServe(p, sc, 7, models, reqs, spec.Horizon, o1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunServe(p, sc, 7, spec, models, o2)
+	b, err := RunServe(p, sc, 7, models, reqs, spec.Horizon, o2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +107,56 @@ func TestRunServeRejectsBadInputs(t *testing.T) {
 	models := serve.DefaultModels(7)
 	sc := ServingStorm()
 	spec := serve.DefaultTraffic()
-	spec.Horizon = 0
-	if _, err := RunServe(p, sc, 1, spec, models, nil); err == nil {
+	reqs := stream(t, spec, 1, models)
+	if _, err := RunServe(p, sc, 1, models, reqs, 0, nil); err == nil {
 		t.Error("zero traffic horizon accepted")
 	}
 	bad := *sc
 	bad.Horizon = 0
-	if _, err := RunServe(p, &bad, 1, serve.DefaultTraffic(), models, nil); err == nil {
+	if _, err := RunServe(p, &bad, 1, models, reqs, spec.Horizon, nil); err == nil {
 		t.Error("zero scenario horizon accepted")
+	}
+}
+
+// TestRunServeLeavesStreamUnchanged: the storm replay only reads the
+// caller's request stream, so concurrent replays can share one — as S6's
+// replays share the fleet's — and each renders the same report.
+func TestRunServeLeavesStreamUnchanged(t *testing.T) {
+	p := platform.MustLookup("summit")
+	models := serve.DefaultModels(7)
+	spec := serve.DefaultTraffic()
+	spec.Horizon = units.Minute / 4
+	reqs := stream(t, spec, 42, models)
+	want := make([]serve.Request, len(reqs))
+	for i, r := range reqs {
+		r.Features = slices.Clone(r.Features)
+		want[i] = r
+	}
+	renders := make([]string, 3)
+	errs := make([]error, len(renders))
+	var wg sync.WaitGroup
+	for i := range renders {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rep, err := RunServe(p, ServingStorm(), 42, models, reqs, spec.Horizon, nil)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			renders[i] = rep.Render()
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if renders[1] != renders[0] || renders[2] != renders[0] {
+		t.Errorf("concurrent replays of one stream rendered differently:\n%s\n%s\n%s", renders[0], renders[1], renders[2])
+	}
+	if !reflect.DeepEqual(reqs, want) {
+		t.Error("RunServe modified the caller's request stream")
 	}
 }

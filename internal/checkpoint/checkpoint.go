@@ -24,7 +24,6 @@
 package checkpoint
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -65,26 +64,33 @@ func Save(m nn.Module, path string) error {
 // WriteFile is Save plus the written file's whole-file CRC and size, which
 // the tiered store records in its manifest.
 func WriteFile(m nn.Module, path string) (crc uint32, size int64, err error) {
+	return writeCheckpoint(dirBackend{}, m, path)
+}
+
+// writeCheckpoint durably writes m's parameters to path through be and
+// returns the file's whole-file CRC and size.
+func writeCheckpoint(be backend, m nn.Module, path string) (crc uint32, size int64, err error) {
 	params := m.Params()
 	for _, p := range params {
 		if len(p.Name) > 1<<15 {
 			return 0, 0, fmt.Errorf("checkpoint: parameter name %q too long", p.Name)
 		}
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	err = be.write(path, func(w io.Writer) error {
+		var werr error
+		crc, size, werr = encode(w, params)
+		return werr
+	})
 	if err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: create: %w", err)
+		return 0, 0, fmt.Errorf("checkpoint: %w", err)
 	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
+	return crc, size, nil
+}
 
-	bw := bufio.NewWriter(f)
-	h := &hashWriter{w: bw}
+// encode streams params to w in the v2 format and returns the whole-file
+// CRC and the bytes written.
+func encode(w io.Writer, params []nn.Param) (crc uint32, size int64, err error) {
+	h := &hashWriter{w: w}
 	var scratch [8]byte
 	chunk := make([]byte, 1<<15)
 	put16 := func(v uint16) error {
@@ -98,22 +104,22 @@ func WriteFile(m nn.Module, path string) (crc uint32, size int64, err error) {
 		return werr
 	}
 	if _, err = h.Write(magic); err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: write: %w", err)
+		return 0, 0, fmt.Errorf("write: %w", err)
 	}
 	if err = put32(uint32(len(params))); err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: write: %w", err)
+		return 0, 0, fmt.Errorf("write: %w", err)
 	}
 	for _, p := range params {
 		h.section = 0
 		if err = put16(uint16(len(p.Name))); err != nil {
-			return 0, 0, fmt.Errorf("checkpoint: write: %w", err)
+			return 0, 0, fmt.Errorf("write: %w", err)
 		}
 		if _, err = io.WriteString(h, p.Name); err != nil {
-			return 0, 0, fmt.Errorf("checkpoint: write: %w", err)
+			return 0, 0, fmt.Errorf("write: %w", err)
 		}
 		data := p.Value.Data.Data()
 		if err = put32(uint32(len(data))); err != nil {
-			return 0, 0, fmt.Errorf("checkpoint: write: %w", err)
+			return 0, 0, fmt.Errorf("write: %w", err)
 		}
 		// Encode in chunks: the CRC update and the write both run over
 		// long spans instead of 8 bytes at a time.
@@ -126,35 +132,21 @@ func WriteFile(m nn.Module, path string) (crc uint32, size int64, err error) {
 				binary.LittleEndian.PutUint64(chunk[8*j:], math.Float64bits(data[j]))
 			}
 			if _, err = h.Write(chunk[:8*n]); err != nil {
-				return 0, 0, fmt.Errorf("checkpoint: write: %w", err)
+				return 0, 0, fmt.Errorf("write: %w", err)
 			}
 			data = data[n:]
 		}
 		// The section CRC covers nameLen..data; writing it below folds it
 		// into the whole-file CRC but not into its own value.
 		if err = put32(h.section); err != nil {
-			return 0, 0, fmt.Errorf("checkpoint: write: %w", err)
+			return 0, 0, fmt.Errorf("write: %w", err)
 		}
 	}
 	crc = h.whole
 	if err = put32(crc); err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: write: %w", err)
+		return 0, 0, fmt.Errorf("write: %w", err)
 	}
-	if err = bw.Flush(); err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: flush: %w", err)
-	}
-	if err = f.Sync(); err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: sync: %w", err)
-	}
-	size = h.n
-	if err = f.Close(); err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: close: %w", err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, 0, fmt.Errorf("checkpoint: rename: %w", err)
-	}
-	return crc, size, nil
+	return crc, h.n, nil
 }
 
 // Section is one parameter's record in a checkpoint file as seen by the
@@ -184,7 +176,9 @@ func parseSections(buf []byte) ([]Section, error) {
 	off += 4
 
 	seen := map[string]bool{}
-	sections := make([]Section, 0, count)
+	// count is untrusted: size the slice by the sections the bytes can
+	// hold (each takes at least 10), not by what the header claims.
+	sections := make([]Section, 0, min(count, (len(body)-off)/10))
 	for i := 0; i < count; i++ {
 		start := off
 		if off+2 > len(body) {
@@ -266,6 +260,11 @@ func Load(m nn.Module, path string) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: read: %w", err)
 	}
+	return loadBytes(m, buf)
+}
+
+// loadBytes is Load over a checkpoint already in memory.
+func loadBytes(m nn.Module, buf []byte) error {
 	sections, err := parseSections(buf)
 	if err != nil {
 		return err

@@ -29,6 +29,9 @@ func rawSection(name string, data []float64) []byte {
 // FuzzCheckpointLoad throws arbitrary bytes at the v2 parser: Load and
 // Verify must reject damage with an error, never panic or over-allocate,
 // and a byte-identical re-read of an accepted file must succeed again.
+// The same bytes, committed to a memory tier under a manifest entry of
+// their own size, must restore exactly when Load accepts them and fail
+// when it does not.
 func FuzzCheckpointLoad(f *testing.F) {
 	seedPath := filepath.Join(f.TempDir(), "seed.ckpt")
 	if err := Save(nn.NewMLP(stats.NewRNG(1), []int{4, 8, 3}, autograd.Tanh), seedPath); err != nil {
@@ -87,12 +90,42 @@ func FuzzCheckpointLoad(f *testing.F) {
 			return
 		}
 		m := nn.NewMLP(stats.NewRNG(9), []int{4, 8, 3}, autograd.Tanh)
-		if err := Load(m, path); err == nil {
+		loadErr := Load(m, path)
+		if loadErr == nil {
 			// Accepted once must mean accepted again: the format has no
 			// hidden state.
 			if err := Load(m, path); err != nil {
 				t.Fatalf("second load of accepted file failed: %v", err)
 			}
 		}
+		restored := nn.NewMLP(stats.NewRNG(9), []int{4, 8, 3}, autograd.Tanh)
+		_, restoreErr := memStoreHolding(t, data).Restore(restored)
+		switch {
+		case (loadErr == nil) != (restoreErr == nil):
+			t.Fatalf("Load error %v but memory-tier Restore error %v", loadErr, restoreErr)
+		case restoreErr == nil:
+			mp, rp := m.Params(), restored.Params()
+			for i := range mp {
+				if !mp[i].Value.Data.Equal(rp[i].Value.Data, 0) {
+					t.Fatalf("Restore and Load disagree on %s", mp[i].Name)
+				}
+			}
+		}
 	})
+}
+
+// memStoreHolding returns a one-tier memory store whose only version is
+// data, committed under a manifest entry of data's size.
+func memStoreHolding(t *testing.T, data []byte) *Store {
+	t.Helper()
+	s := NewMemStore([]string{"mem"}, 1)
+	if err := s.writeBytes(s.VersionPath(0, 1), data); err != nil {
+		t.Fatal(err)
+	}
+	var crc uint32
+	if len(data) >= 4 {
+		crc = binary.LittleEndian.Uint32(data[len(data)-4:])
+	}
+	s.manifests[0][1] = manifestEntry{Version: 1, File: versionFile(1), Bytes: int64(len(data)), CRC: crc}
+	return s
 }

@@ -1,16 +1,21 @@
 // The tiered store: a versioned checkpoint history across storage tiers
 // (tier 0 is where training writes; deeper tiers are drained to in the
 // background), each tier indexed by a crash-safe text manifest. Restore
-// walks versions newest-first and tiers shallowest-first, verifying
-// manifest size/CRC and every per-parameter section before trusting a
-// file — a corrupt or torn copy in one tier falls through to the next
-// instead of killing the job.
+// walks versions newest-first and tiers shallowest-first, verifying the
+// manifest size, every per-parameter section CRC and the whole-file CRC
+// before trusting a copy — a corrupt or torn copy in one tier falls
+// through to the next instead of killing the job. The tiers live on a
+// backend (backend.go): host directories (NewStore) or memory
+// (NewMemStore).
 package checkpoint
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,7 +29,8 @@ import (
 const manifestMagic = "SUMMANIFEST1"
 
 // TierDir names one tier's directory ("nvme", "replica", "gpfs" in the
-// platform-priced plans, but any names work).
+// platform-priced plans, but any names work). In a memory store, Dir is
+// the tier's key prefix.
 type TierDir struct {
 	Name string
 	Dir  string
@@ -43,6 +49,7 @@ type manifestEntry struct {
 // never see two writers.
 type Store struct {
 	tiers  []TierDir
+	be     backend
 	retain int
 
 	mu        sync.Mutex
@@ -62,15 +69,12 @@ func NewStore(tiers []TierDir, retain int) (*Store, error) {
 	if len(tiers) == 0 {
 		return nil, errors.New("checkpoint: store needs at least one tier")
 	}
-	if retain < 1 {
-		retain = 1
-	}
-	s := &Store{tiers: tiers, retain: retain, manifests: make([]map[int]manifestEntry, len(tiers))}
+	s := newStore(tiers, dirBackend{}, retain)
 	for i, t := range tiers {
 		if err := os.MkdirAll(t.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("checkpoint: tier %s: %w", t.Name, err)
 		}
-		m, err := readManifest(filepath.Join(t.Dir, "MANIFEST"))
+		m, err := s.readManifest(filepath.Join(t.Dir, "MANIFEST"))
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: tier %s: %w", t.Name, err)
 		}
@@ -79,13 +83,42 @@ func NewStore(tiers []TierDir, retain int) (*Store, error) {
 	return s, nil
 }
 
+// NewMemStore builds an empty store whose named tiers live in memory: a
+// simulated tier hierarchy that makes every check a directory store
+// makes, without touching the host disk. Its files end with the store.
+// It panics without a tier name.
+func NewMemStore(names []string, retain int) *Store {
+	if len(names) == 0 {
+		panic("checkpoint: memory store needs at least one tier")
+	}
+	tiers := make([]TierDir, len(names))
+	for i, n := range names {
+		// The index keeps two tiers of one name apart.
+		tiers[i] = TierDir{Name: n, Dir: fmt.Sprintf("%d-%s", i, n)}
+	}
+	return newStore(tiers, newMemBackend(), retain)
+}
+
+// newStore builds a store whose tiers all start empty.
+func newStore(tiers []TierDir, be backend, retain int) *Store {
+	if retain < 1 {
+		retain = 1
+	}
+	s := &Store{tiers: tiers, be: be, retain: retain, manifests: make([]map[int]manifestEntry, len(tiers))}
+	for i := range s.manifests {
+		s.manifests[i] = map[int]manifestEntry{}
+	}
+	return s
+}
+
 // Tiers returns the store's tier layout.
 func (s *Store) Tiers() []TierDir { return s.tiers }
 
 // versionFile is the canonical file name for a version within a tier.
 func versionFile(version int) string { return fmt.Sprintf("v%08d.ckpt", version) }
 
-// VersionPath returns where a version lives (or would live) in a tier.
+// VersionPath returns where a version lives (or would live) in a tier:
+// a file path in a directory store, a key in a memory store.
 func (s *Store) VersionPath(tier, version int) string {
 	return filepath.Join(s.tiers[tier].Dir, versionFile(version))
 }
@@ -93,8 +126,7 @@ func (s *Store) VersionPath(tier, version int) string {
 // Save commits m as version into tier 0 and prunes versions beyond the
 // retention bound. version must increase across calls.
 func (s *Store) Save(m nn.Module, version int) error {
-	path := s.VersionPath(0, version)
-	crc, size, err := WriteFile(m, path)
+	crc, size, err := writeCheckpoint(s.be, m, s.VersionPath(0, version))
 	if err != nil {
 		return err
 	}
@@ -106,8 +138,9 @@ func (s *Store) Save(m nn.Module, version int) error {
 }
 
 // Drain copies version into tier dst from the shallowest tier that holds
-// it, verifying the manifest CRC and every per-parameter section first —
-// the store refuses to propagate a corrupt checkpoint deeper.
+// it, verifying the manifest size, every per-parameter section CRC and
+// the whole-file CRC first — the store refuses to propagate a corrupt
+// checkpoint deeper.
 func (s *Store) Drain(version, dst int) error {
 	if dst <= 0 || dst >= len(s.tiers) {
 		return fmt.Errorf("checkpoint: drain target tier %d out of range", dst)
@@ -136,12 +169,12 @@ func (s *Store) Drain(version, dst int) error {
 		return fmt.Errorf("checkpoint: version %d not present above tier %s", version, s.tiers[dst].Name)
 	}
 
-	buf, err := os.ReadFile(s.VersionPath(src, version))
+	buf, err := s.be.read(s.VersionPath(src, version))
 	if err != nil {
 		return fmt.Errorf("checkpoint: drain read: %w", err)
 	}
 	if int64(len(buf)) != want.Bytes {
-		return fmt.Errorf("checkpoint: refusing to drain v%d %s->%s: %d bytes on disk, manifest says %d",
+		return fmt.Errorf("checkpoint: refusing to drain v%d %s->%s: %d bytes stored, manifest says %d",
 			version, s.tiers[src].Name, s.tiers[dst].Name, len(buf), want.Bytes)
 	}
 	if err := verifyBytes(buf); err != nil {
@@ -149,8 +182,7 @@ func (s *Store) Drain(version, dst int) error {
 			version, s.tiers[src].Name, s.tiers[dst].Name, err)
 	}
 
-	dstPath := s.VersionPath(dst, version)
-	if err := writeDurably(dstPath, buf); err != nil {
+	if err := s.writeBytes(s.VersionPath(dst, version), buf); err != nil {
 		return fmt.Errorf("checkpoint: drain write: %w", err)
 	}
 	s.mu.Lock()
@@ -248,12 +280,12 @@ func (s *Store) Restore(m nn.Module) (RestoreInfo, error) {
 
 	var rejected []string
 	for _, c := range cands {
-		path := s.VersionPath(c.tier, c.version)
-		if fi, err := os.Stat(path); err != nil || fi.Size() != c.entry.Bytes {
+		buf, err := s.be.read(s.VersionPath(c.tier, c.version))
+		if err != nil || int64(len(buf)) != c.entry.Bytes {
 			rejected = append(rejected, fmt.Sprintf("v%d@%s: size/stat mismatch", c.version, s.tiers[c.tier].Name))
 			continue
 		}
-		if err := Load(m, path); err != nil {
+		if err := loadBytes(m, buf); err != nil {
 			rejected = append(rejected, fmt.Sprintf("v%d@%s: %v", c.version, s.tiers[c.tier].Name, err))
 			continue
 		}
@@ -292,31 +324,34 @@ func (s *Store) Versions(tier int) []int {
 	return vs
 }
 
-// CorruptVersion flips payload bits of a committed copy in place — the
-// fault-injection hook for silent-data-corruption experiments. The
-// manifest keeps the original CRC, so Restore will reject this copy.
+// CorruptVersion flips payload bits of a committed copy — the
+// fault-injection hook for silent-data-corruption experiments. The flip
+// lands in a copy that replaces the stored one, so no other tier's bytes
+// change. The manifest keeps the original CRC, so Restore will reject
+// this copy.
 func (s *Store) CorruptVersion(tier, version int, xor byte) error {
 	path := s.VersionPath(tier, version)
-	buf, err := os.ReadFile(path)
+	buf, err := s.be.read(path)
 	if err != nil {
 		return err
 	}
 	if len(buf) == 0 {
 		return fmt.Errorf("checkpoint: cannot corrupt empty %s", path)
 	}
-	buf[len(buf)/2] ^= xor
-	return os.WriteFile(path, buf, 0o644)
+	flipped := append([]byte(nil), buf...)
+	flipped[len(flipped)/2] ^= xor
+	return s.writeBytes(path, flipped)
 }
 
-// TruncateVersion tears a committed copy to frac of its length — a torn
+// TruncateVersion tears a committed copy to int(frac·len) bytes — a torn
 // write caught mid-flight. frac in [0,1).
 func (s *Store) TruncateVersion(tier, version int, frac float64) error {
 	path := s.VersionPath(tier, version)
-	fi, err := os.Stat(path)
+	buf, err := s.be.read(path)
 	if err != nil {
 		return err
 	}
-	return os.Truncate(path, int64(float64(fi.Size())*frac))
+	return s.be.truncate(path, int64(float64(len(buf))*frac))
 }
 
 // Close waits out async drains.
@@ -336,7 +371,8 @@ func (s *Store) pruneLocked(tier int) {
 	}
 	sort.Ints(vs)
 	for _, v := range vs[:len(vs)-s.retain] {
-		os.Remove(s.VersionPath(tier, v))
+		// A copy already gone is pruned all the same.
+		_ = s.be.remove(s.VersionPath(tier, v))
 		delete(man, v)
 	}
 }
@@ -356,24 +392,23 @@ func (s *Store) writeManifestLocked(tier int) error {
 		fmt.Fprintf(&b, "v %d %s %d %d\n", e.Version, e.File, e.Bytes, e.CRC)
 	}
 	path := filepath.Join(s.tiers[tier].Dir, "MANIFEST")
-	if err := writeDurably(path, []byte(b.String())); err != nil {
+	if err := s.writeBytes(path, []byte(b.String())); err != nil {
 		return fmt.Errorf("checkpoint: manifest %s: %w", s.tiers[tier].Name, err)
 	}
 	return nil
 }
 
 // readManifest parses a tier manifest; a missing file is an empty tier.
-func readManifest(path string) (map[int]manifestEntry, error) {
+func (s *Store) readManifest(path string) (map[int]manifestEntry, error) {
 	man := map[int]manifestEntry{}
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
+	buf, err := s.be.read(path)
+	if errors.Is(err, fs.ErrNotExist) {
 		return man, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(bytes.NewReader(buf))
 	if !sc.Scan() || sc.Text() != manifestMagic {
 		return nil, fmt.Errorf("manifest %s: bad header", path)
 	}
@@ -391,30 +426,10 @@ func readManifest(path string) (map[int]manifestEntry, error) {
 	return man, sc.Err()
 }
 
-// writeDurably writes bytes via temp file + fsync + atomic rename.
-func writeDurably(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+// writeBytes durably replaces path with data.
+func (s *Store) writeBytes(path string, data []byte) error {
+	return s.be.write(path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }

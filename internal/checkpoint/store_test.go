@@ -1,6 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,6 +25,41 @@ func testTiers(t *testing.T) []TierDir {
 	}
 }
 
+// testStores names the two backends every store test runs on: host
+// directories and memory. newStore opens an empty three-tier store.
+var testStores = []struct {
+	name     string
+	newStore func(t *testing.T, retain int) *Store
+}{
+	{"dir", func(t *testing.T, retain int) *Store {
+		s, err := NewStore(testTiers(t), retain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}},
+	{"mem", func(t *testing.T, retain int) *Store {
+		return NewMemStore([]string{"nvme", "replica", "gpfs"}, retain)
+	}},
+}
+
+// forEachStore runs body as a subtest on each backend.
+func forEachStore(t *testing.T, retain int, body func(t *testing.T, s *Store)) {
+	for _, ts := range testStores {
+		t.Run(ts.name, func(t *testing.T) { body(t, ts.newStore(t, retain)) })
+	}
+}
+
+// stored returns a private copy of a version's bytes in a tier.
+func stored(t *testing.T, s *Store, tier, version int) []byte {
+	t.Helper()
+	b, err := s.be.read(s.VersionPath(tier, version))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte(nil), b...)
+}
+
 func testModel(seed uint64) *nn.Sequential {
 	return nn.NewMLP(stats.NewRNG(seed), []int{4, 8, 3}, autograd.Tanh)
 }
@@ -37,40 +75,212 @@ func sameParams(t *testing.T, a, b nn.Module) {
 }
 
 func TestStoreSaveDrainRestore(t *testing.T) {
-	s, err := NewStore(testTiers(t), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := testModel(1)
-	if err := s.Save(m, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DrainAll(1); err != nil {
-		t.Fatal(err)
-	}
-	for tier := 0; tier < 3; tier++ {
-		if got := s.Versions(tier); len(got) != 1 || got[0] != 1 {
-			t.Fatalf("tier %d versions = %v, want [1]", tier, got)
+	forEachStore(t, 4, func(t *testing.T, s *Store) {
+		m := testModel(1)
+		if err := s.Save(m, 1); err != nil {
+			t.Fatal(err)
 		}
-	}
-	dst := testModel(99)
-	info, err := s.Restore(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != 1 || info.TierName != "nvme" {
-		t.Fatalf("restored %+v, want v1 from nvme", info)
-	}
-	sameParams(t, m, dst)
+		if err := s.DrainAll(1); err != nil {
+			t.Fatal(err)
+		}
+		for tier := 0; tier < 3; tier++ {
+			if got := s.Versions(tier); len(got) != 1 || got[0] != 1 {
+				t.Fatalf("tier %d versions = %v, want [1]", tier, got)
+			}
+		}
+		dst := testModel(99)
+		info, err := s.Restore(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Version != 1 || info.TierName != "nvme" {
+			t.Fatalf("restored %+v, want v1 from nvme", info)
+		}
+		sameParams(t, m, dst)
+	})
 }
 
 // A corrupt shallow copy must fall through to the deeper, intact tier —
 // the reason the store exists.
 func TestRestoreFallsThroughCorruptTiers(t *testing.T) {
-	s, err := NewStore(testTiers(t), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forEachStore(t, 4, func(t *testing.T, s *Store) {
+		m := testModel(1)
+		if err := s.Save(m, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DrainAll(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CorruptVersion(0, 1, 0x40); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.TruncateVersion(1, 1, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		dst := testModel(99)
+		info, err := s.Restore(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.TierName != "gpfs" {
+			t.Fatalf("restored from %s, want gpfs (the only intact copy)", info.TierName)
+		}
+		sameParams(t, m, dst)
+	})
+}
+
+// Newer-but-damaged versions lose to an older intact one.
+func TestRestorePrefersNewestRestorable(t *testing.T) {
+	forEachStore(t, 4, func(t *testing.T, s *Store) {
+		old, newer := testModel(1), testModel(2)
+		if err := s.Save(old, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DrainAll(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Save(newer, 2); err != nil {
+			t.Fatal(err)
+		}
+		// v2 never drained and its only copy is corrupt: a torn tier-0 write.
+		if err := s.CorruptVersion(0, 2, 0x01); err != nil {
+			t.Fatal(err)
+		}
+		dst := testModel(99)
+		info, err := s.Restore(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Version != 1 {
+			t.Fatalf("restored v%d, want the intact v1", info.Version)
+		}
+		sameParams(t, old, dst)
+	})
+}
+
+// Drain must refuse to propagate a corrupt checkpoint to deeper tiers.
+func TestDrainRefusesCorruptSource(t *testing.T) {
+	forEachStore(t, 4, func(t *testing.T, s *Store) {
+		if err := s.Save(testModel(1), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CorruptVersion(0, 1, 0x20); err != nil {
+			t.Fatal(err)
+		}
+		err := s.Drain(1, 1)
+		if err == nil {
+			t.Fatal("drain propagated a corrupt checkpoint")
+		}
+		if !strings.Contains(err.Error(), "refusing to drain") {
+			t.Fatalf("unexpected error: %v", err)
+		}
+		if got := s.Versions(1); len(got) != 0 {
+			t.Fatalf("replica tier has %v after refused drain", got)
+		}
+	})
+}
+
+func TestAsyncDrainMatchesSync(t *testing.T) {
+	forEachStore(t, 8, func(t *testing.T, s *Store) {
+		for v := 1; v <= 3; v++ {
+			if err := s.Save(testModel(uint64(v)), v); err != nil {
+				t.Fatal(err)
+			}
+			s.DrainAllAsync(v)
+		}
+		if err := s.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		for tier := 0; tier < 3; tier++ {
+			if got := s.Versions(tier); len(got) != 3 {
+				t.Fatalf("tier %d has versions %v, want 3", tier, got)
+			}
+		}
+	})
+}
+
+func TestRetentionPrunes(t *testing.T) {
+	forEachStore(t, 2, func(t *testing.T, s *Store) {
+		for v := 1; v <= 5; v++ {
+			if err := s.Save(testModel(uint64(v)), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := s.Versions(0); len(got) != 2 || got[0] != 4 || got[1] != 5 {
+			t.Fatalf("tier 0 retains %v, want [4 5]", got)
+		}
+		// Pruned copies are actually gone from the tier.
+		if _, err := s.be.read(s.VersionPath(0, 1)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("pruned version still stored (read error %v)", err)
+		}
+	})
+}
+
+// Drain must also refuse a copy shorter than its manifest entry: a torn
+// tier-0 write never reaches the replica.
+func TestDrainRefusesTornSource(t *testing.T) {
+	forEachStore(t, 4, func(t *testing.T, s *Store) {
+		if err := s.Save(testModel(1), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.TruncateVersion(0, 1, 0.9); err != nil {
+			t.Fatal(err)
+		}
+		err := s.Drain(1, 1)
+		if err == nil || !strings.Contains(err.Error(), "refusing to drain") || !strings.Contains(err.Error(), "manifest says") {
+			t.Fatalf("drain of a torn copy: %v, want a size refusal", err)
+		}
+		if got := s.Versions(1); len(got) != 0 {
+			t.Fatalf("replica tier has %v after refused drain", got)
+		}
+	})
+}
+
+// A restore into a model of another shape rejects every copy.
+func TestRestoreRejectsShapeMismatch(t *testing.T) {
+	forEachStore(t, 4, func(t *testing.T, s *Store) {
+		if err := s.Save(testModel(1), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DrainAll(1); err != nil {
+			t.Fatal(err)
+		}
+		other := nn.NewMLP(stats.NewRNG(1), []int{4, 16, 3}, autograd.Tanh)
+		if info, err := s.Restore(other); err == nil {
+			t.Fatalf("restored %+v into a model of another shape", info)
+		}
+	})
+}
+
+// A torn drain keeps exactly int(frac·len) bytes of the copy.
+func TestTornDrainCutsExactly(t *testing.T) {
+	forEachStore(t, 8, func(t *testing.T, s *Store) {
+		for v, frac := range []float64{0, 0.3, 0.5, 0.999} {
+			version := v + 1
+			if err := s.Save(testModel(uint64(version)), version); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.DrainAll(version); err != nil {
+				t.Fatal(err)
+			}
+			whole := stored(t, s, 1, version)
+			if err := s.TruncateVersion(1, version, frac); err != nil {
+				t.Fatal(err)
+			}
+			got := stored(t, s, 1, version)
+			want := int(frac * float64(len(whole)))
+			if len(got) != want || !bytes.Equal(got, whole[:want]) {
+				t.Fatalf("frac %v: kept %d bytes, want the first %d of %d", frac, len(got), want, len(whole))
+			}
+		}
+	})
+}
+
+// Damage injected into one memory tier stays in that tier: a flip
+// rewrites a copy, a truncation cuts one tier's slice, and neither
+// reaches the other tiers' bytes or a slice read before the damage.
+func TestMemTierDamageIsolated(t *testing.T) {
+	s := NewMemStore([]string{"nvme", "replica", "gpfs"}, 4)
 	m := testModel(1)
 	if err := s.Save(m, 1); err != nil {
 		t.Fatal(err)
@@ -78,11 +288,31 @@ func TestRestoreFallsThroughCorruptTiers(t *testing.T) {
 	if err := s.DrainAll(1); err != nil {
 		t.Fatal(err)
 	}
+	clean := stored(t, s, 0, 1)
+	held, err := s.be.read(s.VersionPath(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.CorruptVersion(0, 1, 0x40); err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(held, clean) {
+		t.Fatal("the flip changed a slice read before it")
+	}
+	flipped := stored(t, s, 0, 1)
+	if bytes.Equal(flipped, clean) {
+		t.Fatal("the flip changed nothing")
+	}
+	for tier := 1; tier < 3; tier++ {
+		if !bytes.Equal(stored(t, s, tier, 1), clean) {
+			t.Fatalf("a flip in tier 0 reached tier %d", tier)
+		}
+	}
 	if err := s.TruncateVersion(1, 1, 0.5); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(stored(t, s, 0, 1), flipped) || !bytes.Equal(stored(t, s, 2, 1), clean) {
+		t.Fatal("a truncation of tier 1 reached another tier")
 	}
 	dst := testModel(99)
 	info, err := s.Restore(dst)
@@ -93,101 +323,6 @@ func TestRestoreFallsThroughCorruptTiers(t *testing.T) {
 		t.Fatalf("restored from %s, want gpfs (the only intact copy)", info.TierName)
 	}
 	sameParams(t, m, dst)
-}
-
-// Newer-but-damaged versions lose to an older intact one.
-func TestRestorePrefersNewestRestorable(t *testing.T) {
-	s, err := NewStore(testTiers(t), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, newer := testModel(1), testModel(2)
-	if err := s.Save(old, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DrainAll(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(newer, 2); err != nil {
-		t.Fatal(err)
-	}
-	// v2 never drained and its only copy is corrupt: a torn tier-0 write.
-	if err := s.CorruptVersion(0, 2, 0x01); err != nil {
-		t.Fatal(err)
-	}
-	dst := testModel(99)
-	info, err := s.Restore(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != 1 {
-		t.Fatalf("restored v%d, want the intact v1", info.Version)
-	}
-	sameParams(t, old, dst)
-}
-
-// Drain must refuse to propagate a corrupt checkpoint to deeper tiers.
-func TestDrainRefusesCorruptSource(t *testing.T) {
-	s, err := NewStore(testTiers(t), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(testModel(1), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CorruptVersion(0, 1, 0x20); err != nil {
-		t.Fatal(err)
-	}
-	err = s.Drain(1, 1)
-	if err == nil {
-		t.Fatal("drain propagated a corrupt checkpoint")
-	}
-	if !strings.Contains(err.Error(), "refusing to drain") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if got := s.Versions(1); len(got) != 0 {
-		t.Fatalf("replica tier has %v after refused drain", got)
-	}
-}
-
-func TestAsyncDrainMatchesSync(t *testing.T) {
-	s, err := NewStore(testTiers(t), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 1; v <= 3; v++ {
-		if err := s.Save(testModel(uint64(v)), v); err != nil {
-			t.Fatal(err)
-		}
-		s.DrainAllAsync(v)
-	}
-	if err := s.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for tier := 0; tier < 3; tier++ {
-		if got := s.Versions(tier); len(got) != 3 {
-			t.Fatalf("tier %d has versions %v, want 3", tier, got)
-		}
-	}
-}
-
-func TestRetentionPrunes(t *testing.T) {
-	s, err := NewStore(testTiers(t), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 1; v <= 5; v++ {
-		if err := s.Save(testModel(uint64(v)), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Versions(0); len(got) != 2 || got[0] != 4 || got[1] != 5 {
-		t.Fatalf("tier 0 retains %v, want [4 5]", got)
-	}
-	// Pruned files are actually gone from disk.
-	if _, err := os.Stat(s.VersionPath(0, 1)); !os.IsNotExist(err) {
-		t.Fatal("pruned version still on disk")
-	}
 }
 
 // Reopening a store over the same directories resumes from the durable

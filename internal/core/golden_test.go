@@ -14,6 +14,12 @@ import (
 // single byte: the golden files under testdata/ were captured from the
 // pre-refactor Summit-only constructors.
 
+// withoutTempDir points TMPDIR at a directory that does not exist, so
+// any host temp file the experiments try to make fails their report.
+func withoutTempDir(t *testing.T) {
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "absent"))
+}
+
 func readGolden(t *testing.T, name string) string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", name))
@@ -55,8 +61,11 @@ func TestScalingGoldenSummit(t *testing.T) {
 // baseline: the checkpoint-interval sweep and the fault-injected campaign
 // are seeded, so their reports must be byte-identical across reruns, and
 // the measured sweep optimum must sit within the Young/Daly tolerance
-// (the in-report metric carries Tol 0.15 and Passed checks it).
+// (the in-report metric carries Tol 0.15 and Passed checks it). The
+// simulated checkpoint tiers live in memory, so the reports hold without
+// a host temp directory.
 func TestResilienceGoldenSummit(t *testing.T) {
+	withoutTempDir(t)
 	for _, e := range ResilienceExperimentsOn(platform.Summit()) {
 		first := RenderResult(e, e.Run())
 		if again := RenderResult(e, e.Run()); again != first {
@@ -71,8 +80,10 @@ func TestResilienceGoldenSummit(t *testing.T) {
 
 // TestChaosGoldenSummit pins the adversarial-scenario study: RS3 and RS4
 // are fully seeded, so their reports must be byte-identical across reruns
-// and match the captured Summit goldens.
+// and match the captured Summit goldens — without a host temp directory,
+// like the resilience study.
 func TestChaosGoldenSummit(t *testing.T) {
+	withoutTempDir(t)
 	for _, e := range ChaosExperimentsOn(platform.Summit()) {
 		first := RenderResult(e, e.Run())
 		if again := RenderResult(e, e.Run()); again != first {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"os"
 	"strings"
 
 	"summitscale/internal/autograd"
@@ -252,18 +251,11 @@ func campaignResilienceExperiment(p platform.Platform) Experiment {
 		ep.NodeMTBF = 8 * units.Hour // unit-scale demonstration run
 		etrace := elasticTraceWithFailure(ep, 10*units.Minute, steps)
 		failStep := int(etrace.FailureTimes()[0] / (10 * units.Minute))
-		dir, err := os.MkdirTemp("", "summitscale-elastic-")
-		if err != nil {
-			return Result{Metrics: []Metric{{Name: "elastic tempdir failed", Paper: 0, Measured: 1, Tol: 1e-9}},
-				Detail: err.Error()}
-		}
-		defer os.RemoveAll(dir)
 
 		serial := elasticSerialParams(steps, lr)
 		res, err := ddl.RunElastic(ddl.ElasticConfig{
 			Ranks: 4, Steps: steps, CheckpointEvery: 2,
 			FailAtStep: map[int]int{failStep: 2},
-			Dir:        dir,
 			Obs:        ob, StepTime: 10 * units.Minute,
 		}, elasticModel, func() optim.Optimizer { return optim.NewSGD(lr) }, elasticLossFn())
 		if err != nil {

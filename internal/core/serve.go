@@ -94,7 +94,7 @@ func runServeReplay(kind string, p platform.Platform, f serveFleet, ob *obs.Obse
 		cfg.Batch = serve.BatchConfig{MaxBatch: 1, MaxDelay: 0}
 		cfg.Admission = serve.DefaultAdmission(serve.ReplicasFor(p, len(f.models)), serve.DefaultBatch().MaxBatch)
 	case replayStorm:
-		storm, err := chaos.RunServe(p, chaos.ServingStorm(), serveSeed, f.spec, f.models, nil)
+		storm, err := chaos.RunServe(p, chaos.ServingStorm(), serveSeed, f.models, f.reqs, f.spec.Horizon, nil)
 		if err != nil {
 			return serveReplay{err: err}
 		}

@@ -2,7 +2,6 @@ package ddl
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 
 	"summitscale/internal/autograd"
@@ -17,9 +16,10 @@ import (
 // Elastic checkpoint/restart training: the executable counterpart of the
 // faults package's analytic model. A run is driven in checkpoint windows;
 // an injected rank failure discards the window's uncommitted steps,
-// restores every surviving rank from the last committed checkpoint
-// (internal/checkpoint), and continues on the shrunken world — the
-// shrink-to-(N−k) continuation the §IV-B full-machine runs relied on.
+// restores every surviving rank from the last committed checkpoint (a
+// one-tier in-memory checkpoint.Store), and continues on the shrunken
+// world — the shrink-to-(N−k) continuation the §IV-B full-machine runs
+// relied on.
 // Because each rank's gradient shard is parameterized by the live world
 // size, the post-shrink trajectory still optimizes the same global batch,
 // so elastic runs are testable against uninterrupted training.
@@ -42,8 +42,6 @@ type ElasticConfig struct {
 	// restored world always resumes from a committed state and the run
 	// reproduces the serial reference trajectory. Each entry fires once.
 	RepairAtStep map[int]int
-	// Dir is the directory holding the run's checkpoint file.
-	Dir string
 	// Config is the per-rank ddl configuration (compression, allreduce).
 	Config Config
 	// Obs, if non-nil, receives the run's window spans, checkpoint-commit
@@ -98,13 +96,12 @@ func RunElastic(cfg ElasticConfig,
 	if cfg.CheckpointEvery < 1 {
 		return nil, fmt.Errorf("ddl: checkpoint cadence must be >= 1")
 	}
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("ddl: elastic run needs a checkpoint directory")
-	}
-	path := filepath.Join(cfg.Dir, "elastic.ckpt")
-
 	// Commit the initial state so the first window has a restore point.
-	if err := checkpoint.Save(newModel(), path); err != nil {
+	// Each restore runs every check of the format (size, section and
+	// whole-file CRCs, shape) on the one committed version.
+	store := checkpoint.NewMemStore([]string{"elastic"}, 1)
+	version := 1
+	if err := store.Save(newModel(), version); err != nil {
 		return nil, err
 	}
 	res := &ElasticResult{Checkpoints: 1, FinalRanks: cfg.Ranks}
@@ -184,7 +181,7 @@ func RunElastic(cfg ElasticConfig,
 			world := ranks
 			w.Run(func(c *mp.Comm) {
 				m := newModel()
-				if err := checkpoint.Load(m, path); err != nil {
+				if _, err := store.Restore(m); err != nil {
 					panic(fmt.Sprintf("ddl: elastic restore: %v", err))
 				}
 				r := NewRank(c, m, newOpt(), cfg.Config)
@@ -199,7 +196,7 @@ func RunElastic(cfg ElasticConfig,
 				if c.Rank() == 0 && failAt < 0 {
 					// Commit the window. Replicas are identical after the
 					// final allreduce, so rank 0's state is canonical.
-					if err := checkpoint.Save(m, path); err != nil {
+					if err := store.Save(m, version+1); err != nil {
 						panic(fmt.Sprintf("ddl: elastic commit: %v", err))
 					}
 				}
@@ -233,6 +230,7 @@ func RunElastic(cfg ElasticConfig,
 			cfg.Obs.Add("ddl.elastic.lost_steps", int64(runTo-done))
 			continue
 		}
+		version++ // rank 0 committed it
 		res.Losses = append(res.Losses, losses...)
 		res.StepsCommitted = windowEnd
 		res.Checkpoints++
@@ -243,7 +241,7 @@ func RunElastic(cfg ElasticConfig,
 	}
 
 	final := newModel()
-	if err := checkpoint.Load(final, path); err != nil {
+	if _, err := store.Restore(final); err != nil {
 		return nil, err
 	}
 	res.FinalParams = FlattenParams(final.Params())

@@ -34,7 +34,6 @@ func TestElasticMatchesUninterrupted(t *testing.T) {
 		Steps:           steps,
 		CheckpointEvery: 2,
 		FailAtStep:      map[int]int{3: 2},
-		Dir:             t.TempDir(),
 	}, func() nn.Module { return buildModel() },
 		func() optim.Optimizer { return optim.NewSGD(lr) },
 		elasticLoss())
@@ -75,7 +74,6 @@ func TestElasticGrowBackMatchesSerial(t *testing.T) {
 		CheckpointEvery: 2,
 		FailAtStep:      map[int]int{3: 2},
 		RepairAtStep:    map[int]int{3: 2},
-		Dir:             t.TempDir(),
 	}, func() nn.Module { return buildModel() },
 		func() optim.Optimizer { return optim.NewSGD(lr) },
 		elasticLoss())
@@ -115,7 +113,6 @@ func TestGrowBackBeatsShrinkOnly(t *testing.T) {
 			CheckpointEvery: 2,
 			FailAtStep:      map[int]int{3: 2},
 			RepairAtStep:    repair,
-			Dir:             t.TempDir(),
 		}, func() nn.Module { return buildModel() },
 			func() optim.Optimizer { return optim.NewSGD(0.2) },
 			elasticLoss())
@@ -148,7 +145,6 @@ func TestElasticFailureFree(t *testing.T) {
 		Ranks:           2,
 		Steps:           steps,
 		CheckpointEvery: 3, // uneven final window
-		Dir:             t.TempDir(),
 	}, func() nn.Module { return buildModel() },
 		func() optim.Optimizer { return optim.NewSGD(lr) },
 		elasticLoss())
@@ -179,7 +175,6 @@ func TestElasticRepeatedFailures(t *testing.T) {
 		Steps:           steps,
 		CheckpointEvery: 1, // commit every step: failures lose no work
 		FailAtStep:      map[int]int{1: 2, 3: 1},
-		Dir:             t.TempDir(),
 	}, func() nn.Module { return buildModel() },
 		func() optim.Optimizer { return optim.NewSGD(lr) },
 		elasticLoss())
@@ -205,7 +200,6 @@ func TestElasticNoSurvivorsErrors(t *testing.T) {
 		Steps:           3,
 		CheckpointEvery: 1,
 		FailAtStep:      map[int]int{1: 2},
-		Dir:             t.TempDir(),
 	}, func() nn.Module { return buildModel() },
 		func() optim.Optimizer { return optim.NewSGD(0.1) },
 		elasticLoss())
@@ -218,13 +212,12 @@ func TestElasticValidatesConfig(t *testing.T) {
 	mk := func() nn.Module { return buildModel() }
 	op := func() optim.Optimizer { return optim.NewSGD(0.1) }
 	for _, cfg := range []ElasticConfig{
-		{Ranks: 0, Steps: 1, CheckpointEvery: 1, Dir: "x"},
-		{Ranks: 1, Steps: 0, CheckpointEvery: 1, Dir: "x"},
-		{Ranks: 1, Steps: 1, CheckpointEvery: 0, Dir: "x"},
-		{Ranks: 1, Steps: 1, CheckpointEvery: 1},
-		{Ranks: 1, Steps: 1, CheckpointEvery: 1, Dir: "x", FailAtStep: map[int]int{5: 1}},
-		{Ranks: 1, Steps: 1, CheckpointEvery: 1, Dir: "x", RepairAtStep: map[int]int{5: 1}},
-		{Ranks: 1, Steps: 1, CheckpointEvery: 1, Dir: "x", RepairAtStep: map[int]int{0: 0}},
+		{Ranks: 0, Steps: 1, CheckpointEvery: 1},
+		{Ranks: 1, Steps: 0, CheckpointEvery: 1},
+		{Ranks: 1, Steps: 1, CheckpointEvery: 0},
+		{Ranks: 1, Steps: 1, CheckpointEvery: 1, FailAtStep: map[int]int{5: 1}},
+		{Ranks: 1, Steps: 1, CheckpointEvery: 1, RepairAtStep: map[int]int{5: 1}},
+		{Ranks: 1, Steps: 1, CheckpointEvery: 1, RepairAtStep: map[int]int{0: 0}},
 	} {
 		if _, err := RunElastic(cfg, mk, op, elasticLoss()); err == nil {
 			t.Fatalf("config %+v accepted", cfg)

@@ -17,15 +17,15 @@ import (
 // Silent-data-corruption injection and guarded training: the executable
 // counterpart of the faults package's SDC event classes. RunGuarded
 // drives a data-parallel run in checkpoint windows over a multi-tier
-// checkpoint.Store, injects bit flips into gradients (in compute or on
-// the wire) and damage into committed checkpoints (flips at rest, torn
-// drains, stale replicas), detects the gradient corruptions with
-// configurable guards — NaN sentinel, gradient-norm limit, and the ABFT
-// element-sum checksum carried through the mp ring allreduce — and
-// recovers by rolling back to the newest restorable checkpoint and
-// recomputing. Because injections fire exactly once and the optimizer is
-// rebuilt from committed state each window, the recomputed trajectory is
-// bit-identical to an undisturbed run.
+// in-memory checkpoint.Store, injects bit flips into gradients (in
+// compute or on the wire) and damage into committed checkpoints (flips
+// at rest, torn drains, stale replicas), detects the gradient
+// corruptions with configurable guards — NaN sentinel, gradient-norm
+// limit, and the ABFT element-sum checksum carried through the mp ring
+// allreduce — and recovers by rolling back to the newest restorable
+// checkpoint and recomputing. Because injections fire exactly once and
+// the optimizer is rebuilt from committed state each window, the
+// recomputed trajectory is bit-identical to an undisturbed run.
 
 // SDCKind classifies an injected silent corruption.
 type SDCKind int
@@ -100,9 +100,10 @@ type GuardedConfig struct {
 	Ranks           int
 	Steps           int
 	CheckpointEvery int
-	// Tiers is the multi-tier checkpoint layout (checkpoint.NewStore);
-	// Retain <= 0 keeps 4 versions per tier.
-	Tiers  []checkpoint.TierDir
+	// Tiers names the checkpoint tiers, shallowest first, of the run's
+	// memory store (checkpoint.NewMemStore); Retain <= 0 keeps 4
+	// versions per tier.
+	Tiers  []string
 	Retain int
 	// Injections fire once each, in whatever window covers their step.
 	Injections []SDCInjection
@@ -258,10 +259,7 @@ func RunGuarded(cfg GuardedConfig,
 		maxRollbacks = 4 + 2*len(cfg.Injections)
 	}
 
-	store, err := checkpoint.NewStore(cfg.Tiers, retain)
-	if err != nil {
-		return nil, err
-	}
+	store := checkpoint.NewMemStore(cfg.Tiers, retain)
 	defer store.Close()
 
 	// Version 1 is the initial state, drained everywhere so the deepest

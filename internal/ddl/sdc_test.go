@@ -2,25 +2,16 @@ package ddl
 
 import (
 	"math"
-	"path/filepath"
 	"slices"
 	"testing"
 
 	"summitscale/internal/autograd"
-	"summitscale/internal/checkpoint"
 	"summitscale/internal/nn"
 	"summitscale/internal/optim"
 )
 
-func guardedTiers(t *testing.T) []checkpoint.TierDir {
-	t.Helper()
-	dir := t.TempDir()
-	return []checkpoint.TierDir{
-		{Name: "nvme", Dir: filepath.Join(dir, "nvme")},
-		{Name: "replica", Dir: filepath.Join(dir, "replica")},
-		{Name: "gpfs", Dir: filepath.Join(dir, "gpfs")},
-	}
-}
+// guardedTiers is the three-tier layout of the guarded runs.
+var guardedTiers = []string{"nvme", "replica", "gpfs"}
 
 func guardedLoss() func(rank, world, step int, m nn.Module) *autograd.Value {
 	x, labels := globalBatch()
@@ -44,7 +35,7 @@ func runGuarded(t *testing.T, injections []SDCInjection, guards Guards) *Guarded
 		Ranks:           4,
 		Steps:           6,
 		CheckpointEvery: 2,
-		Tiers:           guardedTiers(t),
+		Tiers:           guardedTiers,
 		Injections:      injections,
 		Guards:          guards,
 	}, func() nn.Module { return buildModel() },
@@ -211,7 +202,7 @@ func TestGuardedTornDrainSurvives(t *testing.T) {
 func TestGuardedValidatesConfig(t *testing.T) {
 	mk := func() nn.Module { return buildModel() }
 	op := func() optim.Optimizer { return optim.NewSGD(0.1) }
-	tiers := guardedTiers(t)
+	tiers := guardedTiers
 	one := tiers[:1]
 	for _, cfg := range []GuardedConfig{
 		{Ranks: 0, Steps: 1, CheckpointEvery: 1, Tiers: tiers},
