@@ -15,8 +15,9 @@ help:
 	@echo "  bench      every benchmark with -benchmem"
 	@echo "  bench-json hot-path benchmarks (RunAll, DAGSchedule, MDForces,"
 	@echo "             TrainStepAlloc, Gemm, ObsHotPath, ChaosHotPath,"
-	@echo "             ServeHotPath, ServeRun, CampaignHotPath,"
-	@echo "             CheckpointDrain, SmallCNNLayers) -> BENCH_hotpath.json"
+	@echo "             ServeHotPath, ServeRun, ForestPredict, LatticeSweep,"
+	@echo "             CampaignHotPath, CheckpointDrain, SmallCNNLayers)"
+	@echo "             -> BENCH_hotpath.json"
 	@echo "  trace      RS2 campaign trace -> out.json (Chrome trace-event)"
 	@echo "  chaos      every builtin adversarial scenario + invariant suite"
 	@echo "  fuzz-smoke short fuzz pass over the scenario parser, the"
@@ -72,11 +73,13 @@ bench:
 # instrumentation overhead, one full chaos scenario pass (compile the
 # perfect-storm spec + drive every subsystem probe), the serving layer
 # (the batched-vs-unbatched inference hot path plus a full simulated
-# serving run), and the benchmark-campaign evaluation pair. The GEMM
+# serving run), the two §V surrogate/simulation kernels under S6 and W1
+# (one random-forest prediction, one alloy Monte-Carlo sweep), and the
+# benchmark-campaign evaluation pair. The GEMM
 # panel depth is pinned via SUMMITSCALE_GEMM_KC so the wall-clock
 # autotuner can't pick a different blocking per run and shift every
 # GEMM-backed number.
-BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|SmallCNNLayers|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|CampaignHotPath|CheckpointDrain
+BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|SmallCNNLayers|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|ForestPredict|LatticeSweep|CampaignHotPath|CheckpointDrain
 BENCH_ENV = SUMMITSCALE_GEMM_KC=256
 bench-json:
 	$(BENCH_ENV) $(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem ./... \

@@ -17,9 +17,10 @@ func readFile(t *testing.T, path string) string {
 	return string(b)
 }
 
-// TestRun drives the command in process: the off-baseline replay at two
-// widths and -md against their stdout goldens, the RS2 trace against the
-// core package's pinned artifact, and the argument errors.
+// TestRun drives the command in process: the default Summit report and
+// the off-baseline replay at two widths and -md against their stdout
+// goldens, the RS2 trace against the core package's pinned artifact, and
+// the argument errors.
 func TestRun(t *testing.T) {
 	rs2Trace := filepath.Join(t.TempDir(), "rs2.json")
 	for _, tc := range []struct {
@@ -44,8 +45,10 @@ func TestRun(t *testing.T) {
 		{name: "RS2 trace", args: []string{"-experiment", "RS2", "-trace", rs2Trace},
 			suffix: "summit-repro: wrote trace to " + rs2Trace + "\nsummit-repro: all experiments within tolerance\n",
 			trace:  "../../internal/core/testdata/trace-RS2.golden.json"},
+		{name: "default -j 1", args: []string{"-j", "1"},
+			stdout: readFile(t, "testdata/summit.golden")},
 		{name: "default -j 4", args: []string{"-j", "4"},
-			suffix: "\nsummit-repro: all experiments within tolerance\n"},
+			stdout: readFile(t, "testdata/summit.golden")},
 		{name: "unknown experiment", args: []string{"-experiment", "Z9"}, code: 2,
 			stderr: `unknown experiment "Z9"`},
 		{name: "unknown platform", args: []string{"-platform", "bogus"}, code: 2,

@@ -5,7 +5,7 @@
 // from the platform registry and service times priced by the device
 // roofline. The report, responses, and trace are a pure function of
 // (platform, seed, flags): any -j and any scenario replay byte-identically,
-// which is exactly what the CI serve-smoke gate checks.
+// which is exactly what this command's tests check.
 //
 // Usage:
 //
@@ -17,8 +17,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -29,18 +31,42 @@ import (
 )
 
 func main() {
-	plat := flag.String("platform", "summit", "serving machine ("+strings.Join(platform.Names(), ", ")+")")
-	seed := flag.Uint64("seed", 42, "RNG seed for model weights, traffic, and chaos schedules")
-	workers := flag.Int("j", 0, "inference-kernel worker cap (0 = all cores); cannot change any output byte")
-	scenario := flag.String("scenario", "", "replay a chaos scenario against the fleet: \"serving-storm\", a builtin name, or a scenario file")
-	unbatched := flag.Bool("unbatched", false, "also run the same stream with micro-batching disabled at identical capacity")
-	traceOut := flag.String("trace", "", "write the batched run's simulated-clock spans as Chrome trace-event JSON to this file")
-	metrics := flag.Bool("metrics", false, "print the obs metrics summary after the report")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes the reports to stdout
+// and diagnostics to stderr, and returns the exit status (0 success, 2 bad
+// arguments or a failed run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("summit-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	plat := fs.String("platform", "summit", "serving machine ("+strings.Join(platform.Names(), ", ")+")")
+	seed := fs.Uint64("seed", 42, "RNG seed for model weights, traffic, and chaos schedules")
+	workers := fs.Int("j", 0, "inference-kernel worker cap (0 = all cores); cannot change any output byte")
+	scenario := fs.String("scenario", "", "replay a chaos scenario against the fleet: \"serving-storm\", a builtin name, or a scenario file")
+	unbatched := fs.Bool("unbatched", false, "also run the same stream with micro-batching disabled at identical capacity")
+	traceOut := fs.String("trace", "", "write the batched run's simulated-clock spans as Chrome trace-event JSON to this file")
+	metrics := fs.Bool("metrics", false, "print the obs metrics summary after the report")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintf(stderr, "summit-serve: %v\n", err)
+		return 2
+	}
 
 	p, err := platform.Lookup(*plat)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
+	}
+	var sc *chaos.Scenario
+	if *scenario != "" {
+		if sc, err = loadScenario(*scenario); err != nil {
+			return fatal(err)
+		}
 	}
 	var ob *obs.Observer
 	if *traceOut != "" || *metrics {
@@ -51,20 +77,16 @@ func main() {
 	spec := serve.DefaultTraffic()
 	reqs, err := spec.Generate(*seed, models)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	fmt.Printf("workload: %s\n", serve.Census(reqs))
+	fmt.Fprintf(stdout, "workload: %s\n", serve.Census(reqs))
 
-	if *scenario != "" {
-		sc, err := loadScenario(*scenario)
-		if err != nil {
-			fatal(err)
-		}
+	if sc != nil {
 		rep, err := chaos.RunServe(p, sc, *seed, models, reqs, spec.Horizon, ob)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Print(rep.Render())
+		fmt.Fprint(stdout, rep.Render())
 	} else {
 		cfg := serve.Config{
 			Platform: p, Models: models, Horizon: spec.Horizon,
@@ -72,9 +94,9 @@ func main() {
 		}
 		rep, err := serve.Run(cfg, reqs)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Print(rep.Render())
+		fmt.Fprint(stdout, rep.Render())
 		if *unbatched {
 			ucfg := serve.Config{
 				Platform: p, Models: models, Horizon: spec.Horizon, Workers: *workers,
@@ -83,24 +105,25 @@ func main() {
 			}
 			urep, err := serve.Run(ucfg, reqs)
 			if err != nil {
-				fatal(err)
+				return fatal(err)
 			}
-			fmt.Println("--- unbatched, same capacity ---")
-			fmt.Print(urep.Render())
+			fmt.Fprintln(stdout, "--- unbatched, same capacity ---")
+			fmt.Fprint(stdout, urep.Render())
 		}
 	}
 
 	if *traceOut != "" {
 		if err := ob.WriteChromeTrace(*traceOut); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		// stderr, so stdout stays byte-comparable across trace paths
-		fmt.Fprintf(os.Stderr, "summit-serve: wrote trace to %s\n", *traceOut)
+		fmt.Fprintf(stderr, "summit-serve: wrote trace to %s\n", *traceOut)
 	}
 	if *metrics {
-		fmt.Print(ob.Trace.Summary())
-		fmt.Print(ob.Metrics.Render())
+		fmt.Fprint(stdout, ob.Trace.Summary())
+		fmt.Fprint(stdout, ob.Metrics.Render())
 	}
+	return 0
 }
 
 // loadScenario resolves -scenario: the serving reference scenario, a
@@ -117,9 +140,4 @@ func loadScenario(s string) (*chaos.Scenario, error) {
 		return chaos.Parse(string(text))
 	}
 	return chaos.Builtin(s)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "summit-serve: %v\n", err)
-	os.Exit(2)
 }

@@ -15,7 +15,9 @@ import (
 // EnergyModel scores a configuration's energy from its pair statistics.
 type EnergyModel interface {
 	// PairEnergy returns the energy contribution of a like (AA/BB) or
-	// unlike (AB) nearest-neighbour bond.
+	// unlike (AB) nearest-neighbour bond. It must be a pure function of
+	// its argument: a lattice reads both bond energies once per sweep or
+	// energy sum, not once per bond.
 	PairEnergy(like bool) float64
 }
 
@@ -53,24 +55,35 @@ func (m LearnedModel) PairEnergy(like bool) float64 {
 	return m.UnlikeE
 }
 
-// Lattice is an L×L×L binary alloy at 50/50 composition.
+// Lattice is an L×L×L binary alloy at 50/50 composition. Build one with
+// NewLattice.
 type Lattice struct {
 	L     int
 	Spins []int8 // +1 = species A, -1 = species B
 	Model EnergyModel
+	// nb[i] lists site i's six periodic neighbours in the order +x, -x,
+	// +y, -y, +z, -z. At L <= 2 a site meets the same neighbour more
+	// than once, and every entry counts as a bond.
+	nb [][6]int32
 }
 
 // NewLattice builds an L^3 lattice in the fully ordered (checkerboard)
 // state, the ground state of an ordering alloy.
 func NewLattice(l int, model EnergyModel) *Lattice {
-	lat := &Lattice{L: l, Spins: make([]int8, l*l*l), Model: model}
+	lat := &Lattice{L: l, Spins: make([]int8, l*l*l), Model: model, nb: make([][6]int32, l*l*l)}
 	for x := 0; x < l; x++ {
 		for y := 0; y < l; y++ {
 			for z := 0; z < l; z++ {
+				i := lat.idx(x, y, z)
 				if (x+y+z)%2 == 0 {
-					lat.Spins[lat.idx(x, y, z)] = 1
+					lat.Spins[i] = 1
 				} else {
-					lat.Spins[lat.idx(x, y, z)] = -1
+					lat.Spins[i] = -1
+				}
+				lat.nb[i] = [6]int32{
+					int32(lat.idx(x+1, y, z)), int32(lat.idx(x-1, y, z)),
+					int32(lat.idx(x, y+1, z)), int32(lat.idx(x, y-1, z)),
+					int32(lat.idx(x, y, z+1)), int32(lat.idx(x, y, z-1)),
 				}
 			}
 		}
@@ -78,6 +91,7 @@ func NewLattice(l int, model EnergyModel) *Lattice {
 	return lat
 }
 
+// idx maps periodic coordinates to a site index.
 func (l *Lattice) idx(x, y, z int) int {
 	m := l.L
 	x = (x%m + m) % m
@@ -89,33 +103,27 @@ func (l *Lattice) idx(x, y, z int) int {
 // N returns the site count.
 func (l *Lattice) N() int { return len(l.Spins) }
 
-func (l *Lattice) neighbors(i int) [6]int {
-	m := l.L
-	z := i % m
-	y := (i / m) % m
-	x := i / (m * m)
-	return [6]int{
-		l.idx(x+1, y, z), l.idx(x-1, y, z),
-		l.idx(x, y+1, z), l.idx(x, y-1, z),
-		l.idx(x, y, z+1), l.idx(x, y, z-1),
-	}
-}
-
-// siteEnergy returns the bond energy of site i with its neighbours.
-func (l *Lattice) siteEnergy(i int) float64 {
+// siteEnergy returns the bond energy of site i with its neighbours, given
+// the like and unlike bond energies.
+func (l *Lattice) siteEnergy(i int, like, unlike float64) float64 {
 	var e float64
 	si := l.Spins[i]
-	for _, j := range l.neighbors(i) {
-		e += l.Model.PairEnergy(si == l.Spins[j])
+	for _, j := range l.nb[i] {
+		if si == l.Spins[j] {
+			e += like
+		} else {
+			e += unlike
+		}
 	}
 	return e
 }
 
 // TotalEnergy returns the configuration energy (each bond counted once).
 func (l *Lattice) TotalEnergy() float64 {
+	like, unlike := l.Model.PairEnergy(true), l.Model.PairEnergy(false)
 	var e float64
 	for i := range l.Spins {
-		e += l.siteEnergy(i)
+		e += l.siteEnergy(i, like, unlike)
 	}
 	return e / 2
 }
@@ -123,10 +131,9 @@ func (l *Lattice) TotalEnergy() float64 {
 // BondCounts returns the number of like and unlike nearest-neighbour
 // bonds — the descriptor the learned surrogate trains on.
 func (l *Lattice) BondCounts() (like, unlike int) {
-	for i := range l.Spins {
-		si := l.Spins[i]
-		for _, j := range l.neighbors(i) {
-			if j > i {
+	for i, si := range l.Spins {
+		for _, j := range l.nb[i] {
+			if int(j) > i {
 				if si == l.Spins[j] {
 					like++
 				} else {
@@ -143,6 +150,7 @@ func (l *Lattice) BondCounts() (like, unlike int) {
 func (l *Lattice) OrderParameter() float64 {
 	var s float64
 	m := l.L
+	i := 0
 	for x := 0; x < m; x++ {
 		for y := 0; y < m; y++ {
 			for z := 0; z < m; z++ {
@@ -150,7 +158,8 @@ func (l *Lattice) OrderParameter() float64 {
 				if (x+y+z)%2 == 1 {
 					sign = -1
 				}
-				s += sign * float64(l.Spins[l.idx(x, y, z)])
+				s += sign * float64(l.Spins[i])
+				i++
 			}
 		}
 	}
@@ -161,18 +170,18 @@ func (l *Lattice) OrderParameter() float64 {
 // two neighbouring unlike spins, preserving composition) at temperature T
 // and returns the acceptance fraction.
 func (l *Lattice) Sweep(rng *stats.RNG, temperature float64) float64 {
+	like, unlike := l.Model.PairEnergy(true), l.Model.PairEnergy(false)
 	accepted := 0
 	n := l.N()
 	for t := 0; t < n; t++ {
 		i := rng.Intn(n)
-		nb := l.neighbors(i)
-		j := nb[rng.Intn(6)]
+		j := int(l.nb[i][rng.Intn(6)])
 		if l.Spins[i] == l.Spins[j] {
 			continue
 		}
-		before := l.siteEnergy(i) + l.siteEnergy(j)
+		before := l.siteEnergy(i, like, unlike) + l.siteEnergy(j, like, unlike)
 		l.Spins[i], l.Spins[j] = l.Spins[j], l.Spins[i]
-		after := l.siteEnergy(i) + l.siteEnergy(j)
+		after := l.siteEnergy(i, like, unlike) + l.siteEnergy(j, like, unlike)
 		dE := after - before
 		if dE <= 0 || rng.Float64() < math.Exp(-dE/temperature) {
 			accepted++

@@ -125,9 +125,12 @@ func TestAcceptanceRates(t *testing.T) {
 	}
 }
 
-func BenchmarkSweep(b *testing.B) {
-	l := NewLattice(8, refModel())
+// BenchmarkLatticeSweep measures one Metropolis sweep of the L = 6
+// lattice W1 anneals, at T = 2, one of the temperatures W1 scans.
+func BenchmarkLatticeSweep(b *testing.B) {
+	l := NewLattice(6, refModel())
 	rng := stats.NewRNG(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.Sweep(rng, 2.0)

@@ -8,21 +8,48 @@ import (
 	"summitscale/internal/stats"
 )
 
+// forestOf returns the default fleet's forest model.
+func forestOf(b *testing.B) *ForestModel {
+	for _, c := range DefaultModels(7) {
+		if f, ok := c.(*ForestModel); ok {
+			return f
+		}
+	}
+	b.Fatal("forest model missing from default fleet")
+	return nil
+}
+
+// BenchmarkForestPredict measures the forest kernel alone: one row per
+// op through the default fleet's 48-tree, depth-6 random forest, with no
+// pool dispatch.
+func BenchmarkForestPredict(b *testing.B) {
+	f := forestOf(b).model
+	rng := stats.NewRNG(1)
+	x := make([][]float64, 256)
+	for i := range x {
+		x[i] = make([]float64, defaultFeatureDim)
+		for j := range x[i] {
+			x[i][j] = rng.NormFloat64()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		forestSink = f.Predict(x[i%len(x)])
+	}
+}
+
+// forestSink keeps BenchmarkForestPredict's calls from being optimized
+// away.
+var forestSink float64
+
 // BenchmarkServeHotPath measures the inference hot path the serving floor
 // pins: one 256-row batch through the forest model per op ("batched")
 // versus 256 single-row calls ("unbatched"). At >= 4 cores the batched
 // path must be at least 2x faster per row — it amortizes dispatch and
 // parallelizes across rows, while single-row calls can do neither.
 func BenchmarkServeHotPath(b *testing.B) {
-	var m Model
-	for _, c := range DefaultModels(7) {
-		if c.Name() == "forest" {
-			m = c
-		}
-	}
-	if m == nil {
-		b.Fatal("forest model missing from default fleet")
-	}
+	m := forestOf(b)
 	rng := stats.NewRNG(1)
 	const rows = 256
 	x := make([][]float64, rows)

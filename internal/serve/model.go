@@ -88,7 +88,7 @@ type ForestModel struct {
 func NewForestModel(name string, m *surrogate.RandomForest, dim int) *ForestModel {
 	return &ForestModel{
 		name: name, model: m, dim: dim,
-		trees:  float64(len(m.Trees)),
+		trees:  float64(m.NumTrees()),
 		depthF: float64(m.MaxDepth),
 	}
 }
@@ -120,11 +120,54 @@ func (m *ForestModel) PredictBatch(pool *parallel.WorkerPool, workers int, rows 
 	})
 }
 
-// denseLayer is one extracted fully connected layer: w is out×in.
+// denseLayer is one extracted fully connected layer: w is out×in,
+// row-major, so output o's weights are w[o*in : (o+1)*in].
 type denseLayer struct {
-	w    [][]float64
+	w    []float64
 	b    []float64
 	relu bool
+}
+
+// forward writes the layer's outputs for the activations cur into nxt
+// (len(nxt) == len(l.b)). Four outputs accumulate side by side, so four
+// independent add chains overlap; each output still starts from its bias
+// and adds w[o][i]*cur[i] in input order, the same operations in the same
+// order as a one-output-at-a-time loop.
+func (l *denseLayer) forward(cur, nxt []float64) {
+	out := len(l.b)
+	in := len(l.w) / out
+	o := 0
+	for ; o+4 <= out; o += 4 {
+		w0 := l.w[o*in:][:len(cur)]
+		w1 := l.w[(o+1)*in:][:len(cur)]
+		w2 := l.w[(o+2)*in:][:len(cur)]
+		w3 := l.w[(o+3)*in:][:len(cur)]
+		s0, s1, s2, s3 := l.b[o], l.b[o+1], l.b[o+2], l.b[o+3]
+		for i, v := range cur {
+			s0 += w0[i] * v
+			s1 += w1[i] * v
+			s2 += w2[i] * v
+			s3 += w3[i] * v
+		}
+		nxt[o], nxt[o+1], nxt[o+2], nxt[o+3] = l.act(s0), l.act(s1), l.act(s2), l.act(s3)
+	}
+	for ; o < out; o++ {
+		w := l.w[o*in:][:len(cur)]
+		s := l.b[o]
+		for i, v := range cur {
+			s += w[i] * v
+		}
+		nxt[o] = l.act(s)
+	}
+}
+
+// act applies the layer's activation. ReLU compares rather than calling
+// max, which would turn a -0 pre-activation into +0.
+func (l *denseLayer) act(s float64) float64 {
+	if l.relu && s < 0 {
+		s = 0
+	}
+	return s
 }
 
 // MLPModel serves a feed-forward network with weights extracted from an
@@ -151,12 +194,10 @@ func NewMLPModel(name string, seed uint64, widths []int) *MLPModel {
 	for li := 0; li*2+1 < len(params); li++ {
 		wv, bv := params[li*2].Value.Data, params[li*2+1].Value.Data
 		in, out := arch[li], arch[li+1]
-		layer := denseLayer{b: make([]float64, out), relu: li < len(arch)-2}
-		layer.w = make([][]float64, out)
+		layer := denseLayer{w: make([]float64, out*in), b: make([]float64, out), relu: li < len(arch)-2}
 		for o := 0; o < out; o++ {
-			layer.w[o] = make([]float64, in)
 			for i := 0; i < in; i++ {
-				layer.w[o][i] = wv.At(i, o)
+				layer.w[o*in+i] = wv.At(i, o)
 			}
 			layer.b[o] = bv.At(o)
 		}
@@ -196,19 +237,10 @@ func (m *MLPModel) forwardRow(row, bufA, bufB []float64) float64 {
 	cur := bufA[:len(row)]
 	copy(cur, row)
 	spare := bufB
-	for _, l := range m.layers {
+	for i := range m.layers {
+		l := &m.layers[i]
 		nxt := spare[:len(l.b)]
-		for o := range l.w {
-			s := l.b[o]
-			w := l.w[o]
-			for i, v := range cur {
-				s += w[i] * v
-			}
-			if l.relu && s < 0 {
-				s = 0
-			}
-			nxt[o] = s
-		}
+		l.forward(cur, nxt)
 		cur, spare = nxt, cur[:cap(cur)]
 	}
 	return cur[0]

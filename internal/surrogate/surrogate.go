@@ -155,21 +155,42 @@ func SelectByBIC(x [][]float64, y []float64, lambda float64) (*Ridge, int, error
 	return best, bestK, nil
 }
 
-// treeNode is one node of a regression tree.
-type treeNode struct {
-	feature int
-	thresh  float64
-	value   float64
-	lo, hi  *treeNode
+// forestNode is one node of a flattened regression tree, 32 bytes. A walk
+// moves to kids[0] when x[feature] <= thresh and to kids[1] otherwise
+// (NaN included). A leaf keeps its value with thresh = +Inf, feature 0
+// and both kids pointing at itself, so a walk needs no leaf test: it
+// stays put once it reaches one.
+type forestNode struct {
+	thresh, value float64
+	feature       int32
+	kids          [2]int32
+}
+
+// next is one step of a walk from n: kids[0] on x[feature] <= thresh,
+// kids[1] otherwise.
+func (n *forestNode) next(x []float64) int32 {
+	var k int
+	if !(x[n.feature] <= n.thresh) {
+		k = 1
+	}
+	return n.kids[k]
 }
 
 // RandomForest is a bagged ensemble of depth-limited regression trees —
-// Glaser et al.'s scoring-function family.
+// Glaser et al.'s scoring-function family. Every tree lives in one flat
+// node array in pre-order; roots[t] indexes tree t's root.
 type RandomForest struct {
-	Trees    []*treeNode
 	MaxDepth int
 	MinLeaf  int
+	nodes    []forestNode
+	roots    []int32
+	// depth is the longest root-to-leaf path of any tree: a walk of that
+	// many steps ends on a leaf from every root.
+	depth int
 }
+
+// NumTrees returns the ensemble size.
+func (f *RandomForest) NumTrees() int { return len(f.roots) }
 
 // FitForest trains nTrees trees on bootstrap resamples with random feature
 // subsetting at each split.
@@ -185,20 +206,24 @@ func FitForest(rng *stats.RNG, x [][]float64, y []float64, nTrees, maxDepth, min
 		for i := range idx {
 			idx[i] = rng.Intn(len(x))
 		}
-		f.Trees = append(f.Trees, buildTree(rng, x, y, idx, maxDepth, minLeaf, mtry))
+		f.roots = append(f.roots, f.buildTree(rng, x, y, idx, maxDepth, minLeaf, mtry))
 	}
 	return f
 }
 
-func buildTree(rng *stats.RNG, x [][]float64, y []float64, idx []int, depth, minLeaf, mtry int) *treeNode {
+// buildTree appends the subtree over the samples idx to f.nodes in
+// pre-order (node, lo subtree, hi subtree) and returns its root's index.
+func (f *RandomForest) buildTree(rng *stats.RNG, x [][]float64, y []float64, idx []int, depth, minLeaf, mtry int) int32 {
 	mean := 0.0
 	for _, i := range idx {
 		mean += y[i]
 	}
 	mean /= float64(len(idx))
-	node := &treeNode{feature: -1, value: mean}
+	me := int32(len(f.nodes))
+	f.nodes = append(f.nodes, forestNode{thresh: math.Inf(1), value: mean, kids: [2]int32{me, me}})
+	f.depth = max(f.depth, f.MaxDepth-depth)
 	if depth <= 0 || len(idx) < 2*minLeaf {
-		return node
+		return me
 	}
 	bestSSE := math.Inf(1)
 	bestFeat, bestThresh := -1, 0.0
@@ -219,7 +244,7 @@ func buildTree(rng *stats.RNG, x [][]float64, y []float64, idx []int, depth, min
 		}
 	}
 	if bestFeat < 0 {
-		return node
+		return me
 	}
 	var loIdx, hiIdx []int
 	for _, i := range idx {
@@ -229,11 +254,10 @@ func buildTree(rng *stats.RNG, x [][]float64, y []float64, idx []int, depth, min
 			hiIdx = append(hiIdx, i)
 		}
 	}
-	node.feature = bestFeat
-	node.thresh = bestThresh
-	node.lo = buildTree(rng, x, y, loIdx, depth-1, minLeaf, mtry)
-	node.hi = buildTree(rng, x, y, hiIdx, depth-1, minLeaf, mtry)
-	return node
+	lo := f.buildTree(rng, x, y, loIdx, depth-1, minLeaf, mtry)
+	hi := f.buildTree(rng, x, y, hiIdx, depth-1, minLeaf, mtry)
+	f.nodes[me] = forestNode{thresh: bestThresh, value: mean, feature: int32(bestFeat), kids: [2]int32{lo, hi}}
+	return me
 }
 
 func splitSSE(x [][]float64, y []float64, idx []int, feat int, thresh float64, minLeaf int) (float64, bool) {
@@ -265,24 +289,35 @@ func splitSSE(x [][]float64, y []float64, idx []int, feat int, thresh float64, m
 	return sse, true
 }
 
-func (n *treeNode) predict(x []float64) float64 {
-	for n.feature >= 0 {
-		if x[n.feature] <= n.thresh {
-			n = n.lo
-		} else {
-			n = n.hi
-		}
-	}
-	return n.value
-}
-
-// Predict averages the ensemble.
+// Predict averages the ensemble. Four trees walk side by side, so their
+// dependent node loads overlap, and every walk takes the forest's full
+// depth because leaves loop to themselves; the leaves are still summed
+// in tree order, so the result does not depend on the interleave.
 func (f *RandomForest) Predict(x []float64) float64 {
+	nodes, roots := f.nodes, f.roots
 	var s float64
-	for _, t := range f.Trees {
-		s += t.predict(x)
+	t := 0
+	for ; t+4 <= len(roots); t += 4 {
+		a, b, c, d := roots[t], roots[t+1], roots[t+2], roots[t+3]
+		for range f.depth {
+			a = nodes[a].next(x)
+			b = nodes[b].next(x)
+			c = nodes[c].next(x)
+			d = nodes[d].next(x)
+		}
+		s += nodes[a].value
+		s += nodes[b].value
+		s += nodes[c].value
+		s += nodes[d].value
 	}
-	return s / float64(len(f.Trees))
+	for ; t < len(roots); t++ {
+		a := roots[t]
+		for range f.depth {
+			a = nodes[a].next(x)
+		}
+		s += nodes[a].value
+	}
+	return s / float64(len(roots))
 }
 
 // MSE returns the forest's mean squared error on a dataset.
