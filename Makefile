@@ -14,7 +14,7 @@ help:
 	@echo "             (the CI gate)"
 	@echo "  bench      every benchmark with -benchmem"
 	@echo "  bench-json hot-path benchmarks (RunAll, DAGSchedule, MDForces,"
-	@echo "             TrainStepAlloc, Gemm, ObsHotPath, ChaosHotPath,"
+	@echo "             TrainStepAlloc, TrainStepPhases, Gemm, ObsHotPath, ChaosHotPath,"
 	@echo "             ServeHotPath, ServeRun, ForestPredict, LatticeSweep,"
 	@echo "             CampaignHotPath, CheckpointDrain, SmallCNNLayers)"
 	@echo "             -> BENCH_hotpath.json"
@@ -68,8 +68,10 @@ bench:
 
 # Hot-path numbers as JSON: the flat-vs-DAG experiment engine (plus the
 # DAGSchedule cold/warm ablation), the sharded MD force kernel, the
-# training-step allocation pair, each SmallCNN layer op's forward and
-# forward+backward at train-cnn's shape, the GEMM kernel ablation, the obs
+# training-step allocation ceiling, train-wide's step split into its
+# phases (forward, backward, gradient exchange, optimizer), each SmallCNN
+# layer op's forward and forward+backward at train-cnn's shape, the GEMM
+# kernel ablation, the obs
 # instrumentation overhead, one full chaos scenario pass (compile the
 # perfect-storm spec + drive every subsystem probe), the serving layer
 # (the batched-vs-unbatched inference hot path plus a full simulated
@@ -79,7 +81,7 @@ bench:
 # panel depth is pinned via SUMMITSCALE_GEMM_KC so the wall-clock
 # autotuner can't pick a different blocking per run and shift every
 # GEMM-backed number.
-BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|SmallCNNLayers|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|ForestPredict|LatticeSweep|CampaignHotPath|CheckpointDrain
+BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|TrainStepPhases|SmallCNNLayers|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|ForestPredict|LatticeSweep|CampaignHotPath|CheckpointDrain
 BENCH_ENV = SUMMITSCALE_GEMM_KC=256
 bench-json:
 	$(BENCH_ENV) $(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem ./... \

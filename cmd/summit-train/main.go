@@ -337,6 +337,11 @@ func (j *job) trainCNN() {
 				j.report("epoch %2d  loss %.4f", epoch, loss)
 			}
 		}
+		// The replica check gathers every rank's parameters on rank 0
+		// before rank 0 reads the byte counter, so the count includes
+		// that gather on every run, not only when the other ranks get
+		// there first.
+		consistent := ddl.ReplicasConsistent(c, m, 1e-9)
 		if c.Rank() == 0 {
 			// Training accuracy over the whole set.
 			correct := 0
@@ -360,7 +365,7 @@ func (j *job) trainCNN() {
 			j.report("accuracy %.1f%%  (bytes allreduced: %d)",
 				100*float64(correct)/float64(src.Len()), w.BytesSent())
 		}
-		if !ddl.ReplicasConsistent(c, m, 1e-9) {
+		if !consistent {
 			j.report("WARNING: replicas diverged")
 		}
 		j.maybeSave(c, m)

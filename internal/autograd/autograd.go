@@ -87,6 +87,22 @@ func (v *Value) accum(g *tensor.Tensor) {
 	v.Grad.AddInPlace(g)
 }
 
+// take is accum for a gradient the caller built for v alone: on first use
+// v adopts g instead of cloning it, and after that g is added in place
+// exactly as accum adds it. g must not be read or written by anything
+// else afterwards, so backward closures that hand on n.Grad itself (or a
+// view of it) use accum.
+func (v *Value) take(g *tensor.Tensor) {
+	if !v.requiresGrad {
+		return
+	}
+	if v.Grad == nil {
+		v.Grad = g
+		return
+	}
+	v.Grad.AddInPlace(g)
+}
+
 // accumScaled adds s*g into v.Grad without materializing the scaled tensor
 // — the fused form the backward hot paths use instead of accum(g.Scale(s)).
 func (v *Value) accumScaled(g *tensor.Tensor, s float64) {
@@ -163,8 +179,8 @@ func Sub(a, b *Value) *Value {
 func Mul(a, b *Value) *Value {
 	n := newNode(a.Data.Mul(b.Data), a, b)
 	n.backward = func() {
-		a.accum(n.Grad.Mul(b.Data))
-		b.accum(n.Grad.Mul(a.Data))
+		a.take(n.Grad.Mul(b.Data))
+		b.take(n.Grad.Mul(a.Data))
 	}
 	return n
 }
@@ -182,14 +198,15 @@ func MatMul(a, b *Value) *Value {
 	n.backward = func() {
 		// Each operand's gradient is built only if it flows somewhere: a
 		// model's first layer multiplies a constant batch, whose dX
-		// accum would discard. Transposes of the (possibly
-		// heap-resident) operands go to the gradient's arena so parameter
-		// matrices don't force per-step heap temporaries.
+		// would be discarded. The transpose of the (possibly
+		// heap-resident) b and the product aᵀ·dY go to the gradient's
+		// arena so parameter matrices don't force per-step heap
+		// temporaries; aᵀ is never materialized.
 		if a.requiresGrad {
-			a.accum(n.Grad.MatMul(b.Data.Transpose2DIn(n.Grad.Arena())))
+			a.take(n.Grad.MatMul(b.Data.Transpose2DIn(n.Grad.Arena())))
 		}
 		if b.requiresGrad {
-			b.accum(a.Data.Transpose2DIn(n.Grad.Arena()).MatMul(n.Grad))
+			b.take(a.Data.MatMulTAIn(n.Grad.Arena(), n.Grad))
 		}
 	}
 	return n
@@ -198,7 +215,7 @@ func MatMul(a, b *Value) *Value {
 // Transpose2D returns the transpose of a rank-2 value.
 func Transpose2D(a *Value) *Value {
 	n := newNode(a.Data.Transpose2D(), a)
-	n.backward = func() { a.accum(n.Grad.Transpose2D()) }
+	n.backward = func() { a.take(n.Grad.Transpose2D()) }
 	return n
 }
 
@@ -207,7 +224,7 @@ func AddRow(a, row *Value) *Value {
 	n := newNode(a.Data.AddRow(row.Data), a, row)
 	n.backward = func() {
 		a.accum(n.Grad)
-		row.accum(n.Grad.SumAxis0())
+		row.take(n.Grad.SumAxis0())
 	}
 	return n
 }
@@ -240,7 +257,7 @@ func ReLU(a *Value) *Value {
 				gd[i] = nd[i]
 			}
 		}
-		a.accum(g)
+		a.take(g)
 	}
 	return n
 }
@@ -255,7 +272,7 @@ func Tanh(a *Value) *Value {
 		for i := range od {
 			gd[i] = nd[i] * (1 - od[i]*od[i])
 		}
-		a.accum(g)
+		a.take(g)
 	}
 	return n
 }
@@ -270,7 +287,7 @@ func Sigmoid(a *Value) *Value {
 		for i := range od {
 			gd[i] = nd[i] * od[i] * (1 - od[i])
 		}
-		a.accum(g)
+		a.take(g)
 	}
 	return n
 }
@@ -293,7 +310,7 @@ func GELU(a *Value) *Value {
 			dt := (1 - t*t) * c * (1 + 3*0.044715*x*x)
 			gd[i] = nd[i] * (0.5*(1+t) + 0.5*x*dt)
 		}
-		a.accum(g)
+		a.take(g)
 	}
 	return n
 }
@@ -302,7 +319,7 @@ func GELU(a *Value) *Value {
 func Exp(a *Value) *Value {
 	out := a.Data.Apply(math.Exp)
 	n := newNode(out, a)
-	n.backward = func() { a.accum(n.Grad.Mul(out)) }
+	n.backward = func() { a.take(n.Grad.Mul(out)) }
 	return n
 }
 
@@ -317,7 +334,7 @@ func Square(a *Value) *Value {
 func Sum(a *Value) *Value {
 	n := newNode(tensor.FromSlice([]float64{a.Data.Sum()}, 1), a)
 	n.backward = func() {
-		a.accum(tensor.FullIn(n.Grad.Arena(), n.Grad.At(0), a.Data.Shape()...))
+		a.take(tensor.FullIn(n.Grad.Arena(), n.Grad.At(0), a.Data.Shape()...))
 	}
 	return n
 }
@@ -327,7 +344,7 @@ func Mean(a *Value) *Value {
 	size := float64(a.Data.Size())
 	n := newNode(tensor.FromSlice([]float64{a.Data.Sum() / size}, 1), a)
 	n.backward = func() {
-		a.accum(tensor.FullIn(n.Grad.Arena(), n.Grad.At(0)/size, a.Data.Shape()...))
+		a.take(tensor.FullIn(n.Grad.Arena(), n.Grad.At(0)/size, a.Data.Shape()...))
 	}
 	return n
 }
@@ -368,7 +385,7 @@ func Conv2D(a, kernel, bias *Value, opts tensor.Conv2DOpts) *Value {
 					copy(td[ch*rows+img*plane:][:plane], gd[(img*f+ch)*plane:][:plane])
 				}
 			}
-			kernel.accum(dt.MatMul(cols).Reshape(f, c, kh, kw))
+			kernel.take(dt.MatMul(cols).Reshape(f, c, kh, kw))
 		}
 		if bias != nil && bias.requiresGrad {
 			// Each channel sums in unfold-row order, as SumAxis0 over dOut
@@ -384,7 +401,7 @@ func Conv2D(a, kernel, bias *Value, opts tensor.Conv2DOpts) *Value {
 				}
 				dbd[ch] = sum
 			}
-			bias.accum(db)
+			bias.take(db)
 		}
 		if a.requiresGrad {
 			// dInput = Col2Im(dflat @ kernelMat), with dOut laid out
@@ -401,7 +418,7 @@ func Conv2D(a, kernel, bias *Value, opts tensor.Conv2DOpts) *Value {
 				}
 			}
 			kmat := kernel.Data.ReshapeIn(ar, f, c*kh*kw)
-			a.accum(tensor.Col2Im(dflat.MatMul(kmat), nIn, c, h, w, kh, kw, opts))
+			a.take(tensor.Col2Im(dflat.MatMul(kmat), nIn, c, h, w, kh, kw, opts))
 		}
 	}
 	return n
@@ -417,7 +434,7 @@ func MaxPool2D(a *Value, k, stride int) *Value {
 		for i, src := range arg {
 			gd[src] += nd[i]
 		}
-		a.accum(g)
+		a.take(g)
 	}
 	return n
 }
@@ -440,7 +457,7 @@ func AvgPoolGlobal(a *Value) *Value {
 				}
 			}
 		}
-		a.accum(g)
+		a.take(g)
 	}
 	return n
 }
@@ -475,7 +492,7 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 		for i, lab := range labels {
 			gdata[i*nCols+lab] -= 1
 		}
-		logits.accum(g.ScaleInPlace(scale))
+		logits.take(g.ScaleInPlace(scale))
 	}
 	return n
 }
@@ -510,7 +527,7 @@ func Softmax(a *Value) *Value {
 				gd[i*c+j] = row[j] * (grow[j] - dot)
 			}
 		}
-		a.accum(g)
+		a.take(g)
 	}
 	return n
 }

@@ -90,10 +90,10 @@ func Conv1D(a, kernel, bias *Value, dilation int) *Value {
 				}
 			}
 		}
-		a.accum(ga)
-		kernel.accum(gk)
+		a.take(ga)
+		kernel.take(gk)
 		if bias != nil {
-			bias.accum(gb)
+			bias.take(gb)
 		}
 	}
 	return node

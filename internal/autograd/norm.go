@@ -60,9 +60,9 @@ func LayerNorm(a, gain, shift *Value, eps float64) *Value {
 				gsd[j] += nd[i*c+j]
 			}
 		}
-		a.accum(ga)
-		gain.accum(gg)
-		shift.accum(gs)
+		a.take(ga)
+		gain.take(gg)
+		shift.take(gs)
 	}
 	return n
 }
@@ -145,9 +145,9 @@ func BatchNorm2D(a, gain, shift *Value, eps float64) *Value {
 				}
 			}
 		}
-		a.accum(ga)
-		gain.accum(gg)
-		shift.accum(gs)
+		a.take(ga)
+		gain.take(gg)
+		shift.take(gs)
 	}
 	return n
 }
@@ -171,7 +171,7 @@ func Dropout(a *Value, p float64, train bool, rng *stats.RNG) *Value {
 		}
 	}
 	n := newNode(a.Data.Mul(mask), a)
-	n.backward = func() { a.accum(n.Grad.Mul(mask)) }
+	n.backward = func() { a.take(n.Grad.Mul(mask)) }
 	return n
 }
 
@@ -196,7 +196,7 @@ func EmbeddingLookup(table *Value, ids []int) *Value {
 				gd[id*dim+j] += nd[i*dim+j]
 			}
 		}
-		table.accum(g)
+		table.take(g)
 	}
 	return n
 }

@@ -149,3 +149,71 @@ func TestReLUMatchesApply(t *testing.T) {
 	}
 	sameBits(t, "ReLU", ReLU(Constant(x)).Data.Data(), want)
 }
+
+// TestTakeAccumulatesLikeClone: an input feeding two consumers through an
+// op whose backward hands its freshly built gradient over with take must
+// end with the sum of the two consumers' gradients, each computed in a
+// graph of its own, exactly as cloning the first gradient gave. Each
+// consumer weights the op's output differently, so the two gradients
+// differ.
+func TestTakeAccumulatesLikeClone(t *testing.T) {
+	rng := stats.NewRNG(83)
+	opts := tensor.Conv2DOpts{Stride: 1, Padding: 1}
+	w := NewLeaf(tensor.Randn(rng, 1, 5, 3), true)
+	gain, shift := tensor.Randn(rng, 1, 5), tensor.Randn(rng, 1, 5)
+	kern, bias := tensor.Randn(rng, 1, 2, 3, 3, 3), tensor.Randn(rng, 1, 2)
+	k1 := tensor.Randn(rng, 1, 2, 3, 2)
+	mat := tensor.Randn(rng, 1, 4, 5)
+	for _, tc := range []struct {
+		name  string
+		shape []int
+		op    func(x *Value) *Value
+	}{
+		{"Mul", []int{4, 5}, func(x *Value) *Value { return Mul(x, Constant(mat)) }},
+		{"MatMul.a", []int{4, 5}, func(x *Value) *Value { return MatMul(x, Constant(w.Data)) }},
+		{"MatMul.b", []int{5, 3}, func(x *Value) *Value { return MatMul(Constant(mat), x) }},
+		{"Transpose2D", []int{4, 5}, Transpose2D},
+		{"AddRow.row", []int{5}, func(x *Value) *Value { return AddRow(Constant(mat), x) }},
+		{"ReLU", []int{4, 5}, ReLU},
+		{"Tanh", []int{4, 5}, Tanh},
+		{"Sigmoid", []int{4, 5}, Sigmoid},
+		{"GELU", []int{4, 5}, GELU},
+		{"Exp", []int{4, 5}, Exp},
+		{"Sum", []int{4, 5}, Sum},
+		{"Mean", []int{4, 5}, Mean},
+		{"Softmax", []int{4, 5}, Softmax},
+		{"SoftmaxCrossEntropy", []int{4, 5}, func(x *Value) *Value { return SoftmaxCrossEntropy(x, []int{0, 4, 2, 1}) }},
+		{"LayerNorm", []int{4, 5}, func(x *Value) *Value { return LayerNorm(x, Constant(gain), Constant(shift), 1e-5) }},
+		{"LayerNorm.gain", []int{5}, func(x *Value) *Value { return LayerNorm(Constant(mat), x, Constant(shift), 1e-5) }},
+		{"Conv2D.input", []int{2, 3, 5, 5}, func(x *Value) *Value { return Conv2D(x, Constant(kern), Constant(bias), opts) }},
+		{"Conv2D.kernel", []int{2, 3, 3, 3}, func(x *Value) *Value {
+			return Conv2D(Constant(tensor.Randn(stats.NewRNG(3), 1, 2, 3, 5, 5)), x, Constant(bias), opts)
+		}},
+		{"Conv2D.bias", []int{2}, func(x *Value) *Value {
+			return Conv2D(Constant(tensor.Randn(stats.NewRNG(3), 1, 2, 3, 5, 5)), Constant(kern), x, opts)
+		}},
+		{"BatchNorm2D", []int{2, 3, 4, 4}, func(x *Value) *Value {
+			return BatchNorm2D(x, Constant(tensor.Full(1.5, 3)), Constant(tensor.Full(0.5, 3)), 1e-5)
+		}},
+		{"MaxPool2D", []int{2, 3, 4, 4}, func(x *Value) *Value { return MaxPool2D(x, 2, 2) }},
+		{"AvgPoolGlobal", []int{2, 3, 4, 4}, AvgPoolGlobal},
+		{"Dropout", []int{4, 5}, func(x *Value) *Value { return Dropout(x, 0.5, true, stats.NewRNG(5)) }},
+		{"EmbeddingLookup", []int{6, 5}, func(x *Value) *Value { return EmbeddingLookup(x, []int{1, 4, 1, 0}) }},
+		{"Conv1D", []int{2, 3, 6}, func(x *Value) *Value { return Conv1D(x, Constant(k1), nil, 2) }},
+	} {
+		xt := tensor.Randn(stats.NewRNG(89), 1, tc.shape...)
+		weights := func(seed uint64, out *Value) *Value {
+			return Sum(Mul(out, Constant(tensor.Randn(stats.NewRNG(seed), 1, out.Data.Shape()...))))
+		}
+		alone := func(seed uint64) *tensor.Tensor {
+			x := NewLeaf(xt.Clone(), true)
+			weights(seed, tc.op(x)).Backward(nil)
+			return x.Grad
+		}
+		want := alone(1).Add(alone(2))
+
+		x := NewLeaf(xt.Clone(), true)
+		Add(weights(1, tc.op(x)), weights(2, tc.op(x))).Backward(nil)
+		sameBits(t, tc.name, x.Grad.Data(), want.Data())
+	}
+}

@@ -51,12 +51,19 @@ func trustExperiment() Experiment {
 			}
 			train := mk(42, 64)
 			ae := nn.NewAutoencoder(stats.NewRNG(43), 6, []int{16}, 2)
-			x := autograd.Constant(train)
+			params := ae.Params()
+			// Each step's graph lives in one arena, rewound at the top of
+			// the next step before the gradients that point into it are
+			// dropped.
+			ar := tensor.NewArena()
 			for step := 0; step < 400; step++ {
-				nn.ZeroGrads(ae)
-				loss := autograd.MSE(ae.Forward(x), train)
+				ar.Reset()
+				for _, p := range params {
+					p.Value.ZeroGrad()
+				}
+				loss := autograd.MSE(ae.Forward(autograd.ConstantIn(ar, train)), train)
 				loss.Backward(nil)
-				for _, p := range ae.Params() {
+				for _, p := range params {
 					wd, gd := p.Value.Data.Data(), p.Value.Grad.Data()
 					for i := range wd {
 						wd[i] -= 0.05 * gd[i]

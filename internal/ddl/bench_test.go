@@ -11,85 +11,112 @@ import (
 	"summitscale/internal/tensor"
 )
 
-// allocatingSGD replicates the seed's momentum-SGD Step verbatim: weight
-// decay materialized two intermediate tensors per parameter per step. It is
-// numerically identical to the fused optim.SGD and exists only as the
-// benchmark's pre-optimization baseline.
-type allocatingSGD struct {
-	rate, momentum, weightDecay float64
-	velocity                    map[*tensor.Tensor]*tensor.Tensor
-}
-
-func (o *allocatingSGD) Step(params []nn.Param) {
-	if o.velocity == nil {
-		o.velocity = map[*tensor.Tensor]*tensor.Tensor{}
-	}
-	for _, p := range params {
-		if p.Value.Grad == nil {
-			continue
-		}
-		g := p.Value.Grad
-		w := p.Value.Data
-		if o.weightDecay != 0 {
-			g = g.Add(w.Scale(o.weightDecay))
-		}
-		v, ok := o.velocity[w]
-		if !ok {
-			v = tensor.New(w.Shape()...)
-			o.velocity[w] = v
-		}
-		v.ScaleInPlace(o.momentum).AddInPlace(g)
-		g = v
-		wd, gd := w.Data(), g.Data()
-		for i := range wd {
-			wd[i] -= o.rate * gd[i]
-		}
-	}
-}
-
-func (o *allocatingSGD) SetLR(lr float64) { o.rate = lr }
-func (o *allocatingSGD) LR() float64      { return o.rate }
-
 // BenchmarkTrainStepAlloc measures one full Rank.Step (forward, backward,
 // flatten, allreduce, unflatten, optimizer) of a conv classifier on a
-// single-rank world, with allocation accounting. The flatten-alloc variant
-// restores the pre-optimization per-step FlattenGrads allocation and the
-// seed's tensor-materializing optimizer, so the pair tracks the allocation
-// win over time.
+// single-rank world, with allocation accounting; summit-bench holds the
+// step to its allocation ceiling.
 func BenchmarkTrainStepAlloc(b *testing.B) {
-	run := func(noScratch bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			w := mp.NewWorld(1)
-			w.Run(func(c *mp.Comm) {
-				rng := stats.NewRNG(11)
-				model := nn.NewSmallCNN(rng, nn.SmallCNNConfig{
-					InChannels: 1, ImageSize: 8, Channels: []int{8, 16}, Classes: 4})
-				var opt optim.Optimizer = &optim.SGD{Rate: 0.01, Momentum: 0.9, WeightDecay: 1e-4}
-				if noScratch {
-					opt = &allocatingSGD{rate: 0.01, momentum: 0.9, weightDecay: 1e-4}
-				}
-				rank := NewRank(c, model, opt, Config{})
-				rank.noScratch = noScratch
-				x := tensor.Randn(rng, 1, 8, 1, 8, 8)
-				labels := []int{0, 1, 2, 3, 0, 1, 2, 3}
-				// ConstantIn routes the step's graph through the rank's
-				// arena; in the noScratch baseline Arena() is nil and this
-				// is plain heap allocation, exactly like Constant.
-				lossFn := func(int) *autograd.Value {
-					return autograd.SoftmaxCrossEntropy(model.Forward(
-						autograd.ConstantIn(rank.Arena(), x)), labels)
-				}
-				rank.Step(lossFn) // warm the scratch buffers
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rank.Step(lossFn)
-				}
-			})
+	b.Run("scratch", func(b *testing.B) {
+		w := mp.NewWorld(1)
+		w.Run(func(c *mp.Comm) {
+			rng := stats.NewRNG(11)
+			model := nn.NewSmallCNN(rng, nn.SmallCNNConfig{
+				InChannels: 1, ImageSize: 8, Channels: []int{8, 16}, Classes: 4})
+			rank := NewRank(c, model, &optim.SGD{Rate: 0.01, Momentum: 0.9, WeightDecay: 1e-4}, Config{})
+			x := tensor.Randn(rng, 1, 8, 1, 8, 8)
+			labels := []int{0, 1, 2, 3, 0, 1, 2, 3}
+			// ConstantIn routes the step's graph through the rank's arena.
+			lossFn := func(int) *autograd.Value {
+				return autograd.SoftmaxCrossEntropy(model.Forward(
+					autograd.ConstantIn(rank.Arena(), x)), labels)
+			}
+			rank.Step(lossFn) // warm the scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rank.Step(lossFn)
+			}
+		})
+	})
+}
+
+// BenchmarkTrainStepPhases splits one step of perfbench's train-wide
+// shape — one rank, a ResidualMLP 64 → 256 (2 blocks) → 2 trained with
+// LAMB on MSE, batch 64, the graph in the rank arena — into the phases
+// Rank.Step runs: the forward pass and loss, the backward pass, the
+// gradient exchange (flatten, allreduce, unflatten) and the optimizer;
+// step is the whole Rank.Step for comparison. Each phase is timed alone,
+// with the phases before it rerun untimed.
+func BenchmarkTrainStepPhases(b *testing.B) {
+	const batch, in, width, out, depth = 64, 64, 256, 2, 2
+	w := mp.NewWorld(1)
+	w.Run(func(c *mp.Comm) {
+		rng := stats.NewRNG(21)
+		model := nn.NewResidualMLP(rng, in, width, out, depth)
+		opt := optim.NewLAMB(0.01)
+		rank := NewRank(c, model, opt, Config{})
+		params := model.Params()
+		x := tensor.Randn(rng, 1, batch, in)
+		y := tensor.Randn(rng, 1, batch, out)
+		ar := rank.Arena()
+		forward := func() *autograd.Value {
+			ar.Reset()
+			for _, p := range params {
+				p.Value.ZeroGrad()
+			}
+			return autograd.MSE(model.Forward(autograd.ConstantIn(ar, x)), y)
 		}
-	}
-	b.Run("flatten-alloc", run(true))
-	b.Run("scratch", run(false))
+		var flat []float64
+		exchange := func() {
+			flat = FlattenGradsInto(flat, params)
+			UnflattenGrads(params, c.AllReduceRing(flat))
+		}
+		lossFn := func(int) *autograd.Value {
+			return autograd.MSE(model.Forward(autograd.ConstantIn(ar, x)), y)
+		}
+		rank.Step(lossFn) // warm the arena, the flat buffers and LAMB's state
+		forward().Backward(nil)
+		exchange()
+
+		b.Run("forward", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				forward()
+			}
+		})
+		b.Run("backward", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				loss := forward()
+				b.StartTimer()
+				loss.Backward(nil)
+			}
+		})
+		b.Run("flatten-allreduce", func(b *testing.B) {
+			forward().Backward(nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				exchange()
+			}
+		})
+		b.Run("optimizer", func(b *testing.B) {
+			forward().Backward(nil)
+			exchange()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opt.Step(params)
+			}
+		})
+		b.Run("step", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rank.Step(lossFn)
+			}
+		})
+	})
 }
 
 // BenchmarkStepOverlap compares synchronous lagged allreduce against the
@@ -177,25 +204,52 @@ func TestFlattenGradsIntoReusesBuffer(t *testing.T) {
 	}
 }
 
+// seedSGDStep is the seed's momentum-SGD step: weight decay materialized
+// two intermediate tensors per parameter.
+func seedSGDStep(params []nn.Param, velocity map[*tensor.Tensor]*tensor.Tensor, rate, momentum, decay float64) {
+	for _, p := range params {
+		if p.Value.Grad == nil {
+			continue
+		}
+		g := p.Value.Grad
+		w := p.Value.Data
+		if decay != 0 {
+			g = g.Add(w.Scale(decay))
+		}
+		v, ok := velocity[w]
+		if !ok {
+			v = tensor.New(w.Shape()...)
+			velocity[w] = v
+		}
+		v.ScaleInPlace(momentum).AddInPlace(g)
+		wd, gd := w.Data(), v.Data()
+		for i := range wd {
+			wd[i] -= rate * gd[i]
+		}
+	}
+}
+
 // TestFusedSGDMatchesSeedPath pins the fused decay+momentum loop in
 // optim.SGD to the seed's tensor-materializing arithmetic bit for bit,
 // including the floating-point grouping of the decay term.
 func TestFusedSGDMatchesSeedPath(t *testing.T) {
-	train := func(opt optim.Optimizer) []float64 {
+	train := func(step func([]nn.Param)) []float64 {
 		rng := stats.NewRNG(3)
 		model := nn.NewMLP(rng, []int{5, 9, 3}, autograd.Tanh)
 		x := tensor.Randn(stats.NewRNG(42), 1, 4, 5)
 		labels := []int{0, 1, 2, 0}
-		for step := 0; step < 6; step++ {
+		for i := 0; i < 6; i++ {
 			nn.ZeroGrads(model)
 			loss := autograd.SoftmaxCrossEntropy(model.Forward(autograd.Constant(x)), labels)
 			loss.Backward(nil)
-			opt.Step(model.Params())
+			step(model.Params())
 		}
 		return FlattenParams(model.Params())
 	}
-	fused := train(&optim.SGD{Rate: 0.05, Momentum: 0.9, WeightDecay: 1e-3})
-	seed := train(&allocatingSGD{rate: 0.05, momentum: 0.9, weightDecay: 1e-3})
+	opt := &optim.SGD{Rate: 0.05, Momentum: 0.9, WeightDecay: 1e-3}
+	fused := train(opt.Step)
+	velocity := map[*tensor.Tensor]*tensor.Tensor{}
+	seed := train(func(ps []nn.Param) { seedSGDStep(ps, velocity, 0.05, 0.9, 1e-3) })
 	if len(fused) == 0 || len(fused) != len(seed) {
 		t.Fatalf("bad flatten lengths %d vs %d", len(fused), len(seed))
 	}
@@ -206,24 +260,42 @@ func TestFusedSGDMatchesSeedPath(t *testing.T) {
 	}
 }
 
-// TestStepScratchMatchesAllocatingPath: the persistent-scratch step must
-// produce bit-identical training to the old allocating path.
+// TestStepScratchMatchesAllocatingPath: Rank.Step — arena graph,
+// persistent flat buffers, in-place ring — trains bit-identically to the
+// allocating step it replaced, written out here: a heap graph, a fresh
+// flattened gradient, the ring on a fresh copy, then unflatten and the
+// optimizer.
 func TestStepScratchMatchesAllocatingPath(t *testing.T) {
-	train := func(noScratch bool) []float64 {
+	const ranks, accum = 2, 2
+	train := func(viaRank bool) []float64 {
 		var flat []float64
-		w := mp.NewWorld(2)
+		w := mp.NewWorld(ranks)
 		w.Run(func(c *mp.Comm) {
 			rng := stats.NewRNG(7)
 			model := nn.NewMLP(rng, []int{6, 12, 3}, autograd.Tanh)
-			rank := NewRank(c, model, optim.NewMomentumSGD(0.05, 0.9), Config{AccumSteps: 2})
-			rank.noScratch = noScratch
+			opt := optim.NewMomentumSGD(0.05, 0.9)
+			rank := NewRank(c, model, opt, Config{AccumSteps: accum})
 			data := tensor.Randn(stats.NewRNG(uint64(100+c.Rank())), 1, 4, 6)
 			labels := []int{0, 1, 2, 0}
 			for step := 0; step < 5; step++ {
-				rank.Step(func(int) *autograd.Value {
-					return autograd.SoftmaxCrossEntropy(model.Forward(
-						autograd.ConstantIn(rank.Arena(), data)), labels)
-				})
+				if viaRank {
+					rank.Step(func(int) *autograd.Value {
+						return autograd.SoftmaxCrossEntropy(model.Forward(
+							autograd.ConstantIn(rank.Arena(), data)), labels)
+					})
+					continue
+				}
+				params := model.Params()
+				nn.ZeroGrads(model)
+				for m := 0; m < accum; m++ {
+					autograd.SoftmaxCrossEntropy(model.Forward(autograd.Constant(data)), labels).Backward(nil)
+				}
+				g := FlattenGrads(params)
+				for i := range g {
+					g[i] *= 1 / float64(ranks*accum)
+				}
+				UnflattenGrads(params, c.AllReduceRing(append([]float64(nil), g...)))
+				opt.Step(params)
 			}
 			if c.Rank() == 0 {
 				flat = FlattenParams(model.Params())
@@ -231,7 +303,7 @@ func TestStepScratchMatchesAllocatingPath(t *testing.T) {
 		})
 		return flat
 	}
-	withScratch, without := train(false), train(true)
+	withScratch, without := train(true), train(false)
 	if len(withScratch) == 0 || len(withScratch) != len(without) {
 		t.Fatalf("bad flatten lengths %d vs %d", len(withScratch), len(without))
 	}

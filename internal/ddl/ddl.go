@@ -8,6 +8,12 @@
 // Ranks are goroutines; gradients really move through channels byte for
 // byte, so replica-consistency and large-batch-equivalence properties are
 // testable rather than assumed.
+//
+// A Rank flattens its gradients into one of two persistent buffers, and
+// the ring reduces that buffer in place. Under the gradient lag a step
+// flattens into the buffer the previous step did not use, so the pending
+// reduced gradient it is about to apply is never overwritten; without
+// the lag one buffer serves every step.
 package ddl
 
 import (
@@ -152,8 +158,13 @@ type Rank struct {
 
 	lagged  []float64         // pending gradient when GradLag is on
 	pending *mp.PendingReduce // in-flight collective when Overlap is on
-	accum   []float64
-	flat    []float64 // persistent flat-gradient scratch reused every step
+	// flat holds the two persistent flat-gradient buffers. The ring
+	// allreduce reduces in place, so the reduced gradient may alias the
+	// buffer it was flattened into; under GradLag a step flattens into the
+	// buffer the previous step did not use, which never holds the pending
+	// reduced gradient that this step applies. Without the lag only
+	// flat[0] is used.
+	flat [2][]float64
 	// arena is the rank's step-scoped tensor allocator (see Arena); it is
 	// rewound at the top of every Step, so after one warm-up step the
 	// forward/backward graph performs no tensor heap allocation.
@@ -163,10 +174,7 @@ type Rank struct {
 	// per step when taken twice per Step. Parameter sets are stable for
 	// the life of a Rank.
 	params []nn.Param
-	// noScratch restores the per-step FlattenGrads allocation; kept as the
-	// pre-optimization baseline for BenchmarkTrainStepAlloc.
-	noScratch bool
-	step      int
+	step   int
 }
 
 // Arena returns the rank's step-scoped scratch arena, creating it on first
@@ -174,13 +182,8 @@ type Rank struct {
 // input batch so that the whole forward/backward graph — activations,
 // backward temporaries, and first-use parameter gradients — is bump-
 // allocated and recycled at the next Step. The arena is valid for exactly
-// one step: Step resets it before building the next graph. In the
-// noScratch baseline configuration it returns nil, which ConstantIn and
-// the tensor layer treat as plain heap allocation.
+// one step: Step resets it before building the next graph.
 func (r *Rank) Arena() *tensor.Arena {
-	if r.noScratch {
-		return nil
-	}
 	if r.arena == nil {
 		r.arena = tensor.NewArena()
 	}
@@ -247,22 +250,21 @@ func (r *Rank) Step(lossFn func(micro int) *autograd.Value) float64 {
 		lossSum += loss.Data.At(0)
 	}
 	// Overlap mode: the previous step's collective has been running behind
-	// the backward pass above. Retire it now, before FlattenGradsInto
-	// reuses the flat buffer the helper goroutine is still reading — this
-	// also keeps the Comm to one outstanding collective at a time, which
-	// the tag space and receive buffering require.
+	// the backward pass above, reducing the other flat buffer. Retire it
+	// now: its result is this step's update, and the Comm must carry one
+	// outstanding collective at a time, which the tag space and receive
+	// buffering require.
 	var lagApply []float64
 	if r.pending != nil {
 		lagApply = r.pending.Wait()
 		r.pending = nil
 	}
-	var flat []float64
-	if r.noScratch {
-		flat = FlattenGrads(params)
-	} else {
-		r.flat = FlattenGradsInto(r.flat, params)
-		flat = r.flat
+	buf := 0
+	if r.Config.GradLag {
+		buf = r.step % 2
 	}
+	r.flat[buf] = FlattenGradsInto(r.flat[buf], params)
+	flat := r.flat[buf]
 	// Average over world size and micro-batches.
 	scale := 1 / float64(r.Comm.Size()*r.Config.AccumSteps)
 	if len(flat) >= gradShardMin {
@@ -285,6 +287,8 @@ func (r *Rank) Step(lossFn func(micro int) *autograd.Value) float64 {
 	if allreduce == nil {
 		allreduce = func(c *mp.Comm, g []float64) []float64 { return c.AllReduceRing(g) }
 	}
+	// The collective may reduce flat in place and return it, or return a
+	// fresh vector; nothing below depends on which.
 	var reduced []float64
 	if r.Config.Overlap {
 		// Launch asynchronously; the collective executes while the next

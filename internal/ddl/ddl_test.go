@@ -252,12 +252,12 @@ func TestFP16CompressionBoundsError(t *testing.T) {
 		for i := range flat {
 			flat[i] /= float64(p)
 		}
-		exact := c.AllReduceRing(flat)
+		// The ring reduces in place, so every summand is built from flat
+		// before flat itself is reduced.
 		comp := make([]float64, len(flat))
 		for i := range flat {
 			comp[i] = float64(toFP16(float32(flat[i])))
 		}
-		reduced := c.AllReduceRing(comp)
 		// Each rank's summand carries up to ~2^-11 relative quantization
 		// error; the error of the sum is bounded by the sum of summand
 		// magnitudes (cancellation can blow up the *relative* error of the
@@ -266,6 +266,8 @@ func TestFP16CompressionBoundsError(t *testing.T) {
 		for i := range flat {
 			abs[i] = math.Abs(flat[i])
 		}
+		exact := c.AllReduceRing(flat)
+		reduced := c.AllReduceRing(comp)
 		magSum := c.AllReduceRing(abs)
 		for i := range exact {
 			tol := magSum[i]*math.Pow(2, -10) + 1e-7

@@ -1,0 +1,179 @@
+package ddl
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"testing"
+
+	"summitscale/internal/autograd"
+	"summitscale/internal/mp"
+	"summitscale/internal/nn"
+	"summitscale/internal/optim"
+	"summitscale/internal/stats"
+	"summitscale/internal/tensor"
+)
+
+// trajectory trains a ResidualMLP (6 → 16, 2 blocks, → 3) with LAMB on p
+// ranks for steps steps under cfg, each rank on its own seeded batches
+// routed through the rank arena, and returns the sha256 of rank 0's final
+// parameters and every step's loss.
+func trajectory(p, steps int, cfg Config) string {
+	w := mp.NewWorld(p)
+	var sum string
+	w.Run(func(c *mp.Comm) {
+		m := nn.NewResidualMLP(stats.NewRNG(3), 6, 16, 3, 2)
+		r := NewRank(c, m, optim.NewLAMB(0.01), cfg)
+		rng := stats.NewRNG(uint64(50 + c.Rank()))
+		h := sha256.New()
+		for s := 0; s < steps; s++ {
+			x := tensor.Randn(rng, 1, 8, 6)
+			y := tensor.Randn(rng, 1, 8, 3)
+			loss := r.Step(func(int) *autograd.Value {
+				return autograd.MSE(m.Forward(autograd.ConstantIn(r.Arena(), x)), y)
+			})
+			binary.Write(h, binary.LittleEndian, loss)
+		}
+		r.Flush()
+		if c.Rank() == 0 {
+			binary.Write(h, binary.LittleEndian, FlattenParams(m.Params()))
+			sum = fmt.Sprintf("%x", h.Sum(nil))
+		}
+	})
+	return sum
+}
+
+// TestTrajectoriesMatchParent pins the losses and final parameters of
+// lagged, overlapped and plain training to the values the copying ring
+// and the single flat buffer gave before the ring reduced in place.
+func TestTrajectoriesMatchParent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    int
+		cfg  Config
+		want string
+	}{
+		{"plain-1", 1, Config{}, "23ea168761a8932c9642fdc62e357b12ca2baf0a4eed55ef8979eadfc9842b86"},
+		{"plain-3", 3, Config{AccumSteps: 2}, "19417c32ebb34b607476bddb4e36569ae3586cf75cf2d500410a1e740a504a59"},
+		{"gradlag-1", 1, Config{GradLag: true}, "95850bf18a10092a64f89e9e3f1f9cd70086129d0a9cec86e0bee59d202c84dc"},
+		{"gradlag-3", 3, Config{GradLag: true}, "b28b8f4d85c924d9eb2b0b90a7c5b0cfc76df6c5ddd4b682b756fb0dc6ec93a1"},
+		{"overlap-1", 1, Config{GradLag: true, Overlap: true}, "95850bf18a10092a64f89e9e3f1f9cd70086129d0a9cec86e0bee59d202c84dc"},
+		{"overlap-4-hier", 4, Config{GradLag: true, Overlap: true, Allreduce: HierarchicalAllreduce(2)}, "692b16d0f835098bebb1258ffb7f1472d47e39ce47ed69fb4382aa271a2d5e6f"},
+		{"overlap-3-fp16", 3, Config{GradLag: true, Overlap: true, Compression: FP16}, "3a21a7a9bbd31d5ed53a06ea346dd6482fa399290272ed2ef0a97e1260493aaf"},
+	} {
+		if got := trajectory(tc.p, 7, tc.cfg); got != tc.want {
+			t.Errorf("%s: trajectory %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// recordingOpt is an optimizer that changes nothing and keeps a copy of
+// the gradients each Step was handed.
+type recordingOpt struct{ applied [][]float64 }
+
+func (o *recordingOpt) Step(params []nn.Param) {
+	o.applied = append(o.applied, FlattenGrads(params))
+}
+func (o *recordingOpt) SetLR(float64) {}
+func (o *recordingOpt) LR() float64   { return 0 }
+
+// TestLaggedGradientSurvivesNextFlatten: with GradLag (and Overlap) on one
+// rank, where the ring hands the flat buffer itself back as the reduced
+// gradient, step k+1 applies step k's gradient, not its own: its flatten
+// goes to the other buffer and leaves the pending gradient intact.
+func TestLaggedGradientSurvivesNextFlatten(t *testing.T) {
+	const steps = 4
+	batches := make([]*tensor.Tensor, steps)
+	rng := stats.NewRNG(61)
+	for i := range batches {
+		batches[i] = tensor.Randn(rng, 1, 8, 4)
+	}
+	labels := []int{0, 1, 2, 0, 1, 2, 0, 1}
+	// The model never changes (the optimizer only records), so each
+	// batch's gradient can be computed up front on a heap graph.
+	want := make([][]float64, steps)
+	for i, x := range batches {
+		m := buildModel()
+		autograd.SoftmaxCrossEntropy(m.Forward(autograd.Constant(x)), labels).Backward(nil)
+		want[i] = FlattenGrads(m.Params())
+	}
+	for _, cfg := range []Config{{GradLag: true}, {GradLag: true, Overlap: true}} {
+		mp.NewWorld(1).Run(func(c *mp.Comm) {
+			m := buildModel()
+			opt := &recordingOpt{}
+			r := NewRank(c, m, opt, cfg)
+			for _, x := range batches {
+				r.Step(func(int) *autograd.Value {
+					return autograd.SoftmaxCrossEntropy(m.Forward(autograd.ConstantIn(r.Arena(), x)), labels)
+				})
+			}
+			r.Flush()
+			if len(opt.applied) != steps-1 {
+				t.Fatalf("overlap=%v: %d updates, want %d", cfg.Overlap, len(opt.applied), steps-1)
+			}
+			for k, got := range opt.applied {
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[k][i]) {
+						t.Fatalf("overlap=%v: update %d element %d is %v, want step %d's gradient %v",
+							cfg.Overlap, k+1, i, got[i], k, want[k][i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDirtyArenaStepMatchesFresh: a step whose arena still holds a
+// different batch's step gives the same loss and gradients, bit for bit,
+// as the same step on a fresh rank; this holds for a ResidualMLP and a
+// SmallCNN.
+func TestDirtyArenaStepMatchesFresh(t *testing.T) {
+	type model struct {
+		name  string
+		build func() nn.Layer
+		batch func(rng *stats.RNG) *tensor.Tensor
+		loss  func(out *autograd.Value) *autograd.Value
+	}
+	y := tensor.Randn(stats.NewRNG(67), 1, 8, 3)
+	labels := []int{0, 1, 2, 3, 3, 2, 1, 0}
+	for _, md := range []model{
+		{"residual-mlp",
+			func() nn.Layer { return nn.NewResidualMLP(stats.NewRNG(3), 6, 32, 3, 2) },
+			func(rng *stats.RNG) *tensor.Tensor { return tensor.Randn(rng, 1, 8, 6) },
+			func(out *autograd.Value) *autograd.Value { return autograd.MSE(out, y) }},
+		{"small-cnn",
+			func() nn.Layer {
+				return nn.NewSmallCNN(stats.NewRNG(3), nn.SmallCNNConfig{InChannels: 1, ImageSize: 8, Channels: []int{4, 8}, Classes: 4})
+			},
+			func(rng *stats.RNG) *tensor.Tensor { return tensor.Randn(rng, 1, 8, 1, 8, 8) },
+			func(out *autograd.Value) *autograd.Value { return autograd.SoftmaxCrossEntropy(out, labels) }},
+	} {
+		rng := stats.NewRNG(71)
+		first, second := md.batch(rng), md.batch(rng)
+		run := func(batches ...*tensor.Tensor) (loss float64, grads []float64) {
+			mp.NewWorld(1).Run(func(c *mp.Comm) {
+				m := md.build()
+				opt := &recordingOpt{}
+				r := NewRank(c, m, opt, Config{})
+				for _, x := range batches {
+					loss = r.Step(func(int) *autograd.Value {
+						return md.loss(m.Forward(autograd.ConstantIn(r.Arena(), x)))
+					})
+				}
+				grads = opt.applied[len(opt.applied)-1]
+			})
+			return loss, grads
+		}
+		wantLoss, want := run(second)
+		gotLoss, got := run(first, second)
+		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+			t.Errorf("%s: loss %v after a dirty arena, %v fresh", md.name, gotLoss, wantLoss)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: gradient %d is %v after a dirty arena, %v fresh", md.name, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -45,7 +45,7 @@ func (c *Comm) AllReduceHierarchical(data []float64, groupSize int) []float64 {
 		panic(fmt.Sprintf("mp: world %d not divisible by group size %d", p, groupSize))
 	}
 	if groupSize == 1 {
-		return c.AllReduceRing(data)
+		return c.AllReduceRing(append([]float64(nil), data...))
 	}
 	leader := c.rank / groupSize * groupSize
 	acc := append([]float64(nil), data...)

@@ -7,6 +7,10 @@
 // Every transfer is counted, so higher layers (internal/ddl, the ablation
 // benchmarks) can compare the byte volumes of collective algorithms against
 // the analytic α–β models in internal/netsim.
+//
+// The ring allreduce reduces in place, into the caller's vector: it copies
+// only the chunks it sends, and at world size 1 it does nothing. The other
+// collectives return fresh vectors and leave their input alone.
 package mp
 
 import (
@@ -138,8 +142,9 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	if dst == c.rank {
 		panic("mp: Send to self")
 	}
-	payload := append([]float64(nil), data...)
-	c.world.link(c.rank, dst) <- message{tag: tag, data: payload}
+	// Count the message before it leaves: a receiver that has it in hand
+	// then also sees it in the counters, so a rank that reads them after
+	// its last receive sees every message sent to it.
 	nbytes := int64(8 * len(data))
 	c.world.bytesSent.Add(nbytes)
 	c.world.msgsSent.Add(1)
@@ -149,6 +154,8 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 			break
 		}
 	}
+	payload := append([]float64(nil), data...)
+	c.world.link(c.rank, dst) <- message{tag: tag, data: payload}
 }
 
 // Recv blocks until a message with the given tag arrives from src and
@@ -298,18 +305,18 @@ func (c *Comm) AllReduceTree(data []float64) []float64 {
 // moving 1/P of the vector. This is the algorithm Summit's training stacks
 // (NCCL/Horovod) use for large gradients, and the one whose 2(P-1)/P · N/β
 // cost the paper's §VI-B communication analysis assumes.
+//
+// The ring reduces in place: the sum is written into data, and data is
+// returned. At world size 1 it returns data untouched, copying nothing.
+// Callers that still need their own contribution afterwards pass a copy.
 func (c *Comm) AllReduceRing(data []float64) []float64 {
 	p := c.world.size
-	acc := append([]float64(nil), data...)
 	if p == 1 {
-		return acc
+		return data
 	}
-	n := len(acc)
-	// Chunk boundaries: chunk i is [bounds[i], bounds[i+1]).
-	bounds := make([]int, p+1)
-	for i := 0; i <= p; i++ {
-		bounds[i] = i * n / p
-	}
+	n := len(data)
+	// Chunk i is data[i*n/p : (i+1)*n/p].
+	chunk := func(i int) []float64 { return data[i*n/p : (i+1)*n/p] }
 	next := (c.rank + 1) % p
 	prev := (c.rank - 1 + p) % p
 
@@ -318,22 +325,21 @@ func (c *Comm) AllReduceRing(data []float64) []float64 {
 	for s := 0; s < p-1; s++ {
 		sendChunk := (c.rank - s + p) % p
 		recvChunk := (c.rank - s - 1 + p*2) % p
-		c.Send(next, tagRingRS+s, acc[bounds[sendChunk]:bounds[sendChunk+1]])
+		c.Send(next, tagRingRS+s, chunk(sendChunk))
 		in := c.Recv(prev, tagRingRS+s)
-		lo := bounds[recvChunk]
-		for i := range in {
-			acc[lo+i] += in[i]
+		acc := chunk(recvChunk)[:len(in)]
+		for i, v := range in {
+			acc[i] += v
 		}
 	}
 	// Allgather: circulate the fully reduced chunks.
 	for s := 0; s < p-1; s++ {
 		sendChunk := (c.rank + 1 - s + p*2) % p
 		recvChunk := (c.rank - s + p*2) % p
-		c.Send(next, tagRingAG+s, acc[bounds[sendChunk]:bounds[sendChunk+1]])
-		in := c.Recv(prev, tagRingAG+s)
-		copy(acc[bounds[recvChunk]:bounds[recvChunk+1]], in)
+		c.Send(next, tagRingAG+s, chunk(sendChunk))
+		copy(chunk(recvChunk), c.Recv(prev, tagRingAG+s))
 	}
-	return acc
+	return data
 }
 
 // AllReduceRecursiveDoubling sums data across all ranks by pairwise
@@ -362,7 +368,7 @@ func (c *Comm) ReduceScatter(data []float64) []float64 {
 	if len(data)%p != 0 {
 		panic("mp: ReduceScatter length not divisible by world size")
 	}
-	full := c.AllReduceRing(data)
+	full := c.AllReduceRing(append([]float64(nil), data...))
 	chunk := len(data) / p
 	out := make([]float64, chunk)
 	copy(out, full[c.rank*chunk:(c.rank+1)*chunk])

@@ -2,6 +2,7 @@ package mp
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -158,7 +159,9 @@ func TestReduceAllRoots(t *testing.T) {
 
 func allreduceAlgos(c *Comm) map[string]func([]float64) []float64 {
 	return map[string]func([]float64) []float64{
-		"ring": c.AllReduceRing,
+		// The ring reduces in place; reduce a copy so every algorithm
+		// sees the same inputs.
+		"ring": func(d []float64) []float64 { return c.AllReduceRing(slices.Clone(d)) },
 		"tree": c.AllReduceTree,
 	}
 }
@@ -241,8 +244,8 @@ func TestConsecutiveCollectivesDoNotInterfere(t *testing.T) {
 	want1, want2 := seqSum(vs1), seqSum(vs2)
 	w := NewWorld(p)
 	w.Run(func(c *Comm) {
-		got1 := c.AllReduceRing(vs1[c.Rank()])
-		got2 := c.AllReduceRing(vs2[c.Rank()])
+		got1 := c.AllReduceRing(slices.Clone(vs1[c.Rank()]))
+		got2 := c.AllReduceRing(slices.Clone(vs2[c.Rank()]))
 		got3 := c.AllReduceTree(vs1[c.Rank()])
 		if !almostEqual(got1, want1, 1e-9) || !almostEqual(got2, want2, 1e-9) || !almostEqual(got3, want1, 1e-9) {
 			t.Errorf("rank %d: back-to-back collectives interfered", c.Rank())

@@ -57,13 +57,14 @@ func TestSGDShardedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestAdamLambShardedDeterministicAcrossWorkers: Adam's element shards
+// and LAMB's per-parameter tasks give the same bits at every pool width.
 func TestAdamLambShardedDeterministicAcrossWorkers(t *testing.T) {
 	const n = 70_001
 	bc1, bc2 := 1-math.Pow(0.9, 3), 1-math.Pow(0.999, 3)
 	run := func(w int) []float64 {
 		wd, gd, md := randSlices(43, n)
 		vd := make([]float64, n)
-		ud := make([]float64, n)
 		for i := range vd {
 			vd[i] = md[i] * md[i]
 		}
@@ -73,13 +74,15 @@ func TestAdamLambShardedDeterministicAcrossWorkers(t *testing.T) {
 		pool.RunRange(n, optimShardGrain, func(lo, hi int) {
 			adamRange(a, wd, gd, md, vd, bc1, bc2, lo, hi)
 		})
+		ps := lambParams(44, []int{n, 4096, 40_000, 7})
 		l := &LAMB{Rate: 0.001, Beta1: 0.9, Beta2: 0.999, Eps: 1e-6, WeightDecay: 0.01}
-		pool.RunRange(n, optimShardGrain, func(lo, hi int) {
-			lambMoments(l, wd, gd, md, vd, ud, bc1, bc2, lo, hi)
-		})
-		pool.RunRange(n, optimShardGrain, func(lo, hi int) {
-			lambApply(wd, ud, l.Rate, 1.25, lo, hi)
-		})
+		for step := 0; step < 3; step++ {
+			setGrads(ps, uint64(step))
+			l.stepOn(pool, ps)
+		}
+		for _, p := range ps {
+			wd = append(wd, p.Value.Data.Data()...)
+		}
 		return wd
 	}
 	ref := run(1)

@@ -17,12 +17,14 @@ import (
 // parameters. Every sharded loop is strictly elementwise — each index is
 // read and written by exactly one shard, and the norm reductions (whose
 // float association would change under sharding) stay serial — so the
-// update is bit-identical at any worker count.
+// update is bit-identical at any worker count. LAMB, whose trust ratio
+// needs two norms per parameter, fans out over parameters instead, each
+// task running its parameter's whole serial update.
 const (
 	// optimShardMin is the element count above which an update loop fans
-	// out. Below it (every layer of the bench models) the loop runs
-	// inline with no pool dispatch and no closure allocation, keeping the
-	// training-step alloc floor intact.
+	// out (for LAMB, the element count of all parameters together).
+	// Below it the loop runs inline with no pool dispatch and no closure
+	// allocation, keeping the training-step alloc floor intact.
 	optimShardMin = 1 << 15
 	// optimShardGrain is the element chunk size for sharded updates.
 	optimShardGrain = 1 << 13
@@ -278,6 +280,18 @@ type LAMB struct {
 	WeightDecay  float64
 	step         int
 	state        map[*tensor.Tensor]*adamState
+	// tasks holds this step's parameters and bc1, bc2 its bias
+	// corrections; run is the runTasks method value, bound once, so a
+	// step hands the pool no fresh closure.
+	tasks    []lambTask
+	bc1, bc2 float64
+	run      func(lo, hi int)
+}
+
+// lambTask is one parameter's slice of a LAMB step.
+type lambTask struct {
+	w, g []float64
+	st   *adamState
 }
 
 // NewLAMB creates LAMB with customary defaults.
@@ -285,14 +299,25 @@ func NewLAMB(lr float64) *LAMB {
 	return &LAMB{Rate: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-6, WeightDecay: 0.01}
 }
 
-// Step implements Optimizer.
-func (o *LAMB) Step(params []nn.Param) {
+// Step implements Optimizer. Each parameter's update is one task: a pass
+// in element order advances the moments, writes the raw update and sums
+// w² and u² for the trust ratio, then a second pass applies the scaled
+// update. Tasks touch disjoint state, and each runs exactly the serial
+// per-parameter arithmetic (the norms included), so fanning the tasks
+// out over the pool is bit-identical at any worker count. Below
+// optimShardMin elements in all, the tasks run inline.
+func (o *LAMB) Step(params []nn.Param) { o.stepOn(parallel.Shared(), params) }
+
+// stepOn is Step fanning out over pool.
+func (o *LAMB) stepOn(pool *parallel.WorkerPool, params []nn.Param) {
 	if o.state == nil {
 		o.state = map[*tensor.Tensor]*adamState{}
+		o.run = o.runTasks
 	}
 	o.step++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.step))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.step))
+	o.bc1 = 1 - math.Pow(o.Beta1, float64(o.step))
+	o.bc2 = 1 - math.Pow(o.Beta2, float64(o.step))
+	total := 0
 	for _, p := range params {
 		if p.Value.Grad == nil {
 			continue
@@ -304,49 +329,49 @@ func (o *LAMB) Step(params []nn.Param) {
 				u: tensor.New(w.Shape()...)}
 			o.state[w] = st
 		}
-		wd, gd := w.Data(), p.Value.Grad.Data()
-		md, vd := st.m.Data(), st.v.Data()
-		update := st.u
-		ud := update.Data()
-		if len(wd) >= optimShardMin {
-			parallel.Shared().RunRange(len(wd), optimShardGrain, func(lo, hi int) {
-				lambMoments(o, wd, gd, md, vd, ud, bc1, bc2, lo, hi)
-			})
-		} else {
-			lambMoments(o, wd, gd, md, vd, ud, bc1, bc2, 0, len(wd))
-		}
-		// The trust-ratio norms are reductions whose float association
-		// must not depend on the worker count: they stay serial.
-		wNorm, uNorm := w.Norm(), update.Norm()
-		ratio := 1.0
-		if wNorm > 0 && uNorm > 0 {
-			ratio = wNorm / uNorm
-		}
-		if len(wd) >= optimShardMin {
-			parallel.Shared().RunRange(len(wd), optimShardGrain, func(lo, hi int) {
-				lambApply(wd, ud, o.Rate, ratio, lo, hi)
-			})
-		} else {
-			lambApply(wd, ud, o.Rate, ratio, 0, len(wd))
-		}
+		o.tasks = append(o.tasks, lambTask{w: w.Data(), g: p.Value.Grad.Data(), st: st})
+		total += w.Size()
+	}
+	if total >= optimShardMin {
+		pool.RunRange(len(o.tasks), 1, o.run)
+	} else {
+		o.runTasks(0, len(o.tasks))
+	}
+	// Drop the gradient references: they point into the step's arena.
+	clear(o.tasks)
+	o.tasks = o.tasks[:0]
+}
+
+// runTasks updates the parameters of tasks [lo, hi).
+func (o *LAMB) runTasks(lo, hi int) {
+	for _, t := range o.tasks[lo:hi] {
+		o.update(t)
 	}
 }
 
-// lambMoments advances the Adam moments and writes the raw LAMB update
-// for elements [lo, hi).
-func lambMoments(o *LAMB, wd, gd, md, vd, ud []float64, bc1, bc2 float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// update is one parameter's LAMB step. The sums run in element order,
+// as Tensor.Norm's do, so the trust ratio is the serial one bit for bit.
+func (o *LAMB) update(t lambTask) {
+	wd, gd := t.w, t.g
+	md, vd, ud := t.st.m.Data(), t.st.v.Data(), t.st.u.Data()
+	b1, b2, bc1, bc2, eps, decay := o.Beta1, o.Beta2, o.bc1, o.bc2, o.Eps, o.WeightDecay
+	var wSq, uSq float64
+	for i, w := range wd {
 		g := gd[i]
-		md[i] = o.Beta1*md[i] + (1-o.Beta1)*g
-		vd[i] = o.Beta2*vd[i] + (1-o.Beta2)*g*g
-		ud[i] = md[i]/bc1/(math.Sqrt(vd[i]/bc2)+o.Eps) + o.WeightDecay*wd[i]
+		m := b1*md[i] + (1-b1)*g
+		v := b2*vd[i] + (1-b2)*g*g
+		u := m/bc1/(math.Sqrt(v/bc2)+eps) + decay*w
+		md[i], vd[i], ud[i] = m, v, u
+		wSq += w * w
+		uSq += u * u
 	}
-}
-
-// lambApply applies the trust-scaled update to elements [lo, hi).
-func lambApply(wd, ud []float64, rate, ratio float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		wd[i] -= rate * ratio * ud[i]
+	wNorm, uNorm := math.Sqrt(wSq), math.Sqrt(uSq)
+	ratio := 1.0
+	if wNorm > 0 && uNorm > 0 {
+		ratio = wNorm / uNorm
+	}
+	for i := range wd {
+		wd[i] -= o.Rate * ratio * ud[i]
 	}
 }
 

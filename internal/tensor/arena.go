@@ -58,7 +58,7 @@ func NewIn(a *Arena, shape ...int) *Tensor { return newIn(a, shape) }
 
 // FullIn is Full allocating from the arena (nil means heap).
 func FullIn(a *Arena, v float64, shape ...int) *Tensor {
-	t := newIn(a, shape)
+	t := newRawIn(a, shape)
 	for i := range t.data {
 		t.data[i] = v
 	}
@@ -69,6 +69,21 @@ func FullIn(a *Arena, v float64, shape ...int) *Tensor {
 func (t *Tensor) Arena() *Arena { return t.arena }
 
 func newIn(a *Arena, shape []int) *Tensor {
+	t := newRawIn(a, shape)
+	if a != nil {
+		clear(t.data)
+	}
+	return t
+}
+
+// newRawIn is newIn without the zero-fill of arena memory: the data holds
+// whatever an earlier step left there. Only operations that write every
+// element of their result before anything reads it may use it (Clone,
+// the elementwise ops, AddRow, the transposes); anything that
+// accumulates into its output (GEMM, SumAxis0, pooling backward) or
+// writes only some elements (ReLU) must take newIn. Heap memory comes
+// from make and is zeroed either way.
+func newRawIn(a *Arena, shape []int) *Tensor {
 	n := checkShape(shape)
 	if a == nil {
 		return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
@@ -94,7 +109,8 @@ func viewIn(a *Arena, shape []int, data []float64) *Tensor {
 	return t
 }
 
-// alloc returns a zeroed float64 slice of length n from the slabs.
+// alloc returns a float64 slice of length n from the slabs. It is not
+// cleared: after a Reset it holds the previous step's values.
 func (a *Arena) alloc(n int) []float64 {
 	for {
 		if a.fSlab < len(a.floats) {
@@ -102,7 +118,6 @@ func (a *Arena) alloc(n int) []float64 {
 			if a.fOf+n <= len(slab) {
 				s := slab[a.fOf : a.fOf+n : a.fOf+n]
 				a.fOf += n
-				clear(s)
 				return s
 			}
 			a.fSlab++

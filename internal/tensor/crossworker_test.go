@@ -59,7 +59,7 @@ func TestGemmSIMDDeterministicAcrossWorkers(t *testing.T) {
 		defer pool.Close()
 		dst := make([]float64, m*n)
 		pool.RunRange(m, gemmRowChunk, func(lo, hi int) {
-			matmulRowsSIMD(dst, a.Data(), b.Data(), lo, hi, k, n)
+			matmulRowsSIMD(dst, a.Data(), b.Data(), lo, hi, k, n, k, 1)
 		})
 		return dst
 	}

@@ -2,26 +2,31 @@
 
 #include "textflag.h"
 
-// func gemm4x8AVX2(c, a, b *float64, k, n int)
+// func gemm4x8AVX2(c, a, b *float64, k, n, ars, aks int)
 //
-// C[0:4, 0:8] += A[0:4, 0:k] · B[0:k, 0:8], where A's rows are k apart
-// and B's and C's rows are n apart. Per k, each of the four A elements is
-// tested (bits<<1 == 0 means ±0, which is skipped exactly as matmulRows
-// skips it; NaN is not skipped), broadcast, multiplied into the two
-// 4-lane halves of B's row with VMULPD and added to the row's
-// accumulators with VADDPD. Lanes run over output columns, never over k,
-// so every element gets matmulRows' ascending-k sum of separately rounded
-// products.
-TEXT ·gemm4x8AVX2(SB), NOSPLIT, $0-40
+// C[0:4, 0:8] += A[0:4, 0:k] · B[0:k, 0:8], where A's element (i, kk)
+// is at a[i*ars + kk*aks] (row-major A has strides (k, 1), A stored
+// transposed has (1, m)) and B's and C's rows are n apart. Per k, each of
+// the four A elements is tested (bits<<1 == 0 means ±0, which is skipped
+// exactly as matmulBlock skips it; NaN is not skipped), broadcast,
+// multiplied into the two 4-lane halves of B's row with VMULPD and added
+// to the row's accumulators with VADDPD. Lanes run over output columns,
+// never over k, so every element gets matmulBlock's ascending-k sum of
+// separately rounded products.
+TEXT ·gemm4x8AVX2(SB), NOSPLIT, $0-56
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
 	MOVQ k+24(FP), CX
 	MOVQ n+32(FP), R8
+	MOVQ ars+40(FP), AX
+	MOVQ aks+48(FP), R14
 	SHLQ $3, R8                // row stride of B and C in bytes
-	LEAQ (SI)(CX*8), R9        // A row 1
-	LEAQ (R9)(CX*8), R10       // A row 2
-	LEAQ (R10)(CX*8), R11      // A row 3
+	SHLQ $3, AX                // row stride of A in bytes
+	SHLQ $3, R14               // k stride of A in bytes
+	LEAQ (SI)(AX*1), R9        // A row 1
+	LEAQ (R9)(AX*1), R10       // A row 2
+	LEAQ (R10)(AX*1), R11      // A row 3
 	LEAQ (DI)(R8*1), R12       // C row 1
 	LEAQ (R12)(R8*1), R13      // C row 2
 
@@ -34,46 +39,46 @@ TEXT ·gemm4x8AVX2(SB), NOSPLIT, $0-40
 	VMOVUPD (R13)(R8*1), Y6
 	VMOVUPD 32(R13)(R8*1), Y7
 
-	XORQ BX, BX
+	XORQ BX, BX                // byte offset of column kk in A's rows
 
 loop:
 	VMOVUPD (DX), Y8
 	VMOVUPD 32(DX), Y9
 
-	MOVQ (SI)(BX*8), AX
+	MOVQ (SI)(BX*1), AX
 	ADDQ AX, AX
 	JEQ  row1
-	VBROADCASTSD (SI)(BX*8), Y10
+	VBROADCASTSD (SI)(BX*1), Y10
 	VMULPD Y8, Y10, Y11
 	VADDPD Y11, Y0, Y0
 	VMULPD Y9, Y10, Y11
 	VADDPD Y11, Y1, Y1
 
 row1:
-	MOVQ (R9)(BX*8), AX
+	MOVQ (R9)(BX*1), AX
 	ADDQ AX, AX
 	JEQ  row2
-	VBROADCASTSD (R9)(BX*8), Y10
+	VBROADCASTSD (R9)(BX*1), Y10
 	VMULPD Y8, Y10, Y11
 	VADDPD Y11, Y2, Y2
 	VMULPD Y9, Y10, Y11
 	VADDPD Y11, Y3, Y3
 
 row2:
-	MOVQ (R10)(BX*8), AX
+	MOVQ (R10)(BX*1), AX
 	ADDQ AX, AX
 	JEQ  row3
-	VBROADCASTSD (R10)(BX*8), Y10
+	VBROADCASTSD (R10)(BX*1), Y10
 	VMULPD Y8, Y10, Y11
 	VADDPD Y11, Y4, Y4
 	VMULPD Y9, Y10, Y11
 	VADDPD Y11, Y5, Y5
 
 row3:
-	MOVQ (R11)(BX*8), AX
+	MOVQ (R11)(BX*1), AX
 	ADDQ AX, AX
 	JEQ  next
-	VBROADCASTSD (R11)(BX*8), Y10
+	VBROADCASTSD (R11)(BX*1), Y10
 	VMULPD Y8, Y10, Y11
 	VADDPD Y11, Y6, Y6
 	VMULPD Y9, Y10, Y11
@@ -81,9 +86,9 @@ row3:
 
 next:
 	ADDQ R8, DX
-	INCQ BX
-	CMPQ BX, CX
-	JLT  loop
+	ADDQ R14, BX
+	DECQ CX
+	JNZ  loop
 
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)

@@ -6,7 +6,8 @@ package tensor
 // matMulInto keeps its three-level dispatch over the Go kernels.
 const gemmSIMD = false
 
-// matmulRowsSIMD is matmulRows on these hosts; matMulInto never calls it.
-func matmulRowsSIMD(dst, a, b []float64, lo, hi, k, n int) {
-	matmulRows(dst, a, b, lo, hi, k, n)
+// matmulRowsSIMD is matmulBlock over all columns on these hosts;
+// matMulInto never calls it.
+func matmulRowsSIMD(dst, a, b []float64, lo, hi, k, n, ars, aks int) {
+	matmulBlock(dst, a, b, lo, hi, k, n, 0, n, ars, aks)
 }

@@ -17,7 +17,7 @@ import (
 // across B's rows, and the output is computed in independent row panels
 // fanned out over the persistent worker pool (parallel.Shared). Each
 // output element accumulates its k-terms in ascending order with the
-// same zero-skip as matmulRows, so the packed kernel is bit-identical to
+// same zero-skip as matmulBlock, so the packed kernel is bit-identical to
 // the row-streamed kernel — and to itself at every worker count — which
 // is what lets MatMul dispatch between kernels on size alone without
 // perturbing a single golden byte.
@@ -194,7 +194,7 @@ func packB(b []float64, k, n, kc int) []float64 {
 // gemmPackedRows computes output rows [lo, hi) of the (m, n) product
 // from a and the packed B buffer. Row pairs share each packed panel
 // load; the accumulation order for every output element is ascending k
-// with the matmulRows zero-skip, so the result is bit-identical to the
+// with the matmulBlock zero-skip, so the result is bit-identical to the
 // row-streamed kernel.
 func gemmPackedRows(dst, a, packed []float64, lo, hi, k, n, kc int) {
 	nTiles := (n + gemmNR - 1) / gemmNR

@@ -156,7 +156,7 @@ func TestGemmSIMDRowsKernel(t *testing.T) {
 				want[i], got[i] = negZero, negZero
 			}
 			matmulRows(want, a.Data(), b.Data(), lo, m, k, n)
-			matmulRowsSIMD(got, a.Data(), b.Data(), lo, m, k, n)
+			matmulRowsSIMD(got, a.Data(), b.Data(), lo, m, k, n, k, 1)
 			sameBits(t, fmt.Sprintf("dims %v from row %d", dims, lo), got, want)
 		}
 	}
@@ -181,7 +181,7 @@ func TestGemmSIMDRejectsShortSlices(t *testing.T) {
 					t.Errorf("short %s did not panic", name)
 				}
 			}()
-			matmulRowsSIMD(make([]float64, lens[0]), make([]float64, lens[1]), make([]float64, lens[2]), 0, m, k, n)
+			matmulRowsSIMD(make([]float64, lens[0]), make([]float64, lens[1]), make([]float64, lens[2]), 0, m, k, n, k, 1)
 		}()
 	}
 }
@@ -227,6 +227,6 @@ func BenchmarkGemmSIMD256(b *testing.B) {
 		b.Skip("no AVX2 micro-kernel on this host")
 	}
 	benchGemm(b, func(dst, a, bb []float64, m, k, n int) {
-		matmulRowsSIMD(dst, a, bb, 0, m, k, n)
+		matmulRowsSIMD(dst, a, bb, 0, m, k, n, k, 1)
 	}, 256)
 }

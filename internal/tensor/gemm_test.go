@@ -7,6 +7,13 @@ import (
 	"summitscale/internal/stats"
 )
 
+// matmulRows computes rows [lo, hi) of the (m, n) product of row-major A
+// and B with the row-stream kernel: the reference the other kernels'
+// tests compare against and the baseline of the kernel floors.
+func matmulRows(dst, a, b []float64, lo, hi, k, n int) {
+	matmulBlock(dst, a, b, lo, hi, k, n, 0, n, k, 1)
+}
+
 // matmulNaive is the textbook ijk kernel: the independent reference of the
 // property tests and the baseline of the GEMM ablation benchmark.
 func matmulNaive(dst, a, b []float64, m, k, n int) {

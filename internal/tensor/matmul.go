@@ -49,25 +49,58 @@ func (t *Tensor) MatMul(u *Tensor) *Tensor {
 	return r
 }
 
+// MatMulTA returns tᵀ·u for the (K, M) tensor t and the (K, N) tensor u,
+// an (M, N) product, without materializing tᵀ: the kernels read t in
+// place with strides (1, M). It is bit-identical to
+// t.Transpose2D().MatMul(u) — the same ascending-k sum and the same
+// zero-skip on the same element of t — and is how a backward pass forms
+// a weight gradient Xᵀ·dY.
+func (t *Tensor) MatMulTA(u *Tensor) *Tensor { return t.MatMulTAIn(t.arena, u) }
+
+// MatMulTAIn is MatMulTA allocating the result from arena a (nil means
+// heap), so a backward pass can put a weight gradient in the step's arena
+// whichever operand lives there.
+func (t *Tensor) MatMulTAIn(a *Arena, u *Tensor) *Tensor {
+	if t.Rank() != 2 || u.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: MatMulTA of rank %d and %d", t.Rank(), u.Rank()))
+	}
+	k, m := t.shape[0], t.shape[1]
+	k2, n := u.shape[0], u.shape[1]
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: MatMulTA inner dims %d vs %d", k, k2))
+	}
+	r := newIn(a, []int{m, n})
+	gemm(r.data, t.data, u.data, m, k, n, 1, m)
+	return r
+}
+
 // matMulInto computes the product of t and u into the zero-filled r,
 // dispatching as described above. It lets callers that manage their own
 // result storage (convolution's arena-allocated product) share one
 // multiply implementation; every path produces bit-identical output.
 func matMulInto(r, t, u *Tensor) {
 	m, k := t.shape[0], t.shape[1]
-	n := u.shape[1]
+	gemm(r.data, t.data, u.data, m, k, u.shape[1], k, 1)
+}
+
+// gemm adds the (m, k)·(k, n) product into dst, reading A's element
+// (i, kk) at a[i*ars+kk*aks]: row-major A has strides (k, 1), A stored
+// transposed has (1, m). The packed kernel repacks only B and streams A's
+// rows, so a transposed A takes the row-stream kernels instead; every
+// kernel is bit-identical either way.
+func gemm(dst, a, b []float64, m, k, n, ars, aks int) {
 	work := m * n * k
 	switch {
 	case gemmSIMD && work < matmulParallelThreshold:
-		matmulRowsSIMD(r.data, t.data, u.data, 0, m, k, n)
+		matmulRowsSIMD(dst, a, b, 0, m, k, n, ars, aks)
 	case gemmSIMD:
-		matMulSIMDParallel(r.data, t.data, u.data, m, k, n)
+		matMulSIMDParallel(dst, a, b, m, k, n, ars, aks)
 	case work < matmulParallelThreshold:
-		matmulRows(r.data, t.data, u.data, 0, m, k, n)
-	case work < matmulPackedThreshold:
-		matMulRowsParallel(r.data, t.data, u.data, m, k, n)
+		matmulBlock(dst, a, b, 0, m, k, n, 0, n, ars, aks)
+	case work < matmulPackedThreshold || aks != 1:
+		matMulRowsParallel(dst, a, b, m, k, n, ars, aks)
 	default:
-		matMulPackedInto(r.data, t.data, u.data, m, k, n)
+		matMulPackedInto(dst, a, b, m, k, n)
 	}
 }
 
@@ -77,6 +110,7 @@ func matMulInto(r, t, u *Tensor) {
 type simdJob struct {
 	dst, a, b []float64
 	k, n      int
+	ars, aks  int
 	run       func(lo, hi int)
 }
 
@@ -86,15 +120,17 @@ var simdJobs = sync.Pool{New: func() any {
 	return j
 }}
 
-func (j *simdJob) rows(lo, hi int) { matmulRowsSIMD(j.dst, j.a, j.b, lo, hi, j.k, j.n) }
+func (j *simdJob) rows(lo, hi int) {
+	matmulRowsSIMD(j.dst, j.a, j.b, lo, hi, j.k, j.n, j.ars, j.aks)
+}
 
 // matMulSIMDParallel fans matmulRowsSIMD out over the persistent worker
 // pool in gemmRowChunk-row chunks. The chunk size is a multiple of the
 // kernel's 4-row tile, so only the last chunk has trailing rows; rows are
 // independent either way, so the result is bit-identical at any width.
-func matMulSIMDParallel(dst, a, b []float64, m, k, n int) {
+func matMulSIMDParallel(dst, a, b []float64, m, k, n, ars, aks int) {
 	j := simdJobs.Get().(*simdJob)
-	j.dst, j.a, j.b, j.k, j.n = dst, a, b, k, n
+	j.dst, j.a, j.b, j.k, j.n, j.ars, j.aks = dst, a, b, k, n, ars, aks
 	parallel.Shared().RunRange(m, gemmRowChunk, j.run)
 	j.dst, j.a, j.b = nil, nil, nil
 	simdJobs.Put(j)
@@ -103,53 +139,72 @@ func matMulSIMDParallel(dst, a, b []float64, m, k, n int) {
 // matMulRowsParallel fans the row-stream kernel out over the persistent
 // worker pool in independent row chunks — no per-call goroutine spawn,
 // bit-identical to the sequential kernel at any pool width.
-func matMulRowsParallel(dst, a, b []float64, m, k, n int) {
+func matMulRowsParallel(dst, a, b []float64, m, k, n, ars, aks int) {
 	parallel.Shared().RunRange(m, matmulRowGrain, func(lo, hi int) {
-		matmulRows(dst, a, b, lo, hi, k, n)
+		matmulBlock(dst, a, b, lo, hi, k, n, 0, n, ars, aks)
 	})
 }
 
-// matmulRows computes rows [lo, hi) of the (m, n) product using an ikj loop
-// order, which streams through the b matrix row-wise and keeps the inner
-// loop vectorizable.
-func matmulRows(dst, a, b []float64, lo, hi, k, n int) {
-	matmulBlock(dst, a, b, lo, hi, k, n, 0, n)
-}
-
-// matmulBlock is matmulRows restricted to output columns [j0, j1). Each
-// element's arithmetic is the same as in the full-width loop: ascending
-// k, skipping a zero A element.
-func matmulBlock(dst, a, b []float64, lo, hi, k, n, j0, j1 int) {
+// matmulBlock computes rows [lo, hi) of the (m, n) product restricted to
+// output columns [j0, j1), with A's element (i, kk) at a[i*ars+kk*aks].
+// It is the row-stream kernel: an ikj loop order, which streams through b
+// row-wise and keeps the inner loop vectorizable. Each element's
+// arithmetic is the same at any column range: ascending k, skipping a
+// zero A element.
+func matmulBlock(dst, a, b []float64, lo, hi, k, n, j0, j1, ars, aks int) {
 	for i := lo; i < hi; i++ {
 		drow := dst[i*n+j0 : i*n+j1]
-		arow := a[i*k : (i+1)*k]
 		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
+			av := a[i*ars+kk*aks]
 			if av == 0 {
 				continue
 			}
-			brow := b[kk*n+j0 : kk*n+j1]
-			for j := range drow {
-				drow[j] += av * brow[j]
-			}
+			addScaledRow(drow, b[kk*n+j0:kk*n+j1], av)
 		}
 	}
 }
+
+// addScaledRow adds av·s[j] into d[j] for every j. It stays out of line:
+// inlined into matmulBlock's k loop, the strides kept live there pushed
+// this loop's index onto the stack, which doubled the kernel's time.
+//
+//go:noinline
+func addScaledRow(d, s []float64, av float64) {
+	s = s[:len(d)]
+	for j := range d {
+		d[j] += av * s[j]
+	}
+}
+
+// transposeBlock is the side of the square tiles Transpose2DIn copies.
+// Walking a whole source row writes down a destination column at a
+// stride of m elements, which touches a new cache line per element; a
+// 16×16 tile keeps its 16 destination lines resident while they fill.
+// Larger tiles collide in the cache sets at power-of-two row strides.
+const transposeBlock = 16
 
 // Transpose2D returns the transpose of a rank-2 tensor.
 func (t *Tensor) Transpose2D() *Tensor { return t.Transpose2DIn(t.arena) }
 
 // Transpose2DIn is Transpose2D allocating the result from arena a, so a
 // backward pass can transpose a heap parameter into step-scoped storage.
+// Every element of the result is written, so it skips the arena's
+// zero-fill.
 func (t *Tensor) Transpose2DIn(a *Arena) *Tensor {
 	if t.Rank() != 2 {
 		panic("tensor: Transpose2D of non-matrix")
 	}
 	m, n := t.shape[0], t.shape[1]
-	r := newIn(a, []int{n, m})
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			r.data[j*m+i] = t.data[i*n+j]
+	r := newRawIn(a, []int{n, m})
+	for i0 := 0; i0 < m; i0 += transposeBlock {
+		i1 := min(i0+transposeBlock, m)
+		for j0 := 0; j0 < n; j0 += transposeBlock {
+			j1 := min(j0+transposeBlock, n)
+			for i := i0; i < i1; i++ {
+				for j, v := range t.data[i*n+j0 : i*n+j1] {
+					r.data[(j0+j)*m+i] = v
+				}
+			}
 		}
 	}
 	return r
