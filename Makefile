@@ -25,7 +25,7 @@ help:
 	@echo "             and the checkpoint loader"
 	@echo "  bench-check rerun hot-path benchmarks and fail on >30% regression"
 	@echo "             vs the committed BENCH_hotpath.json"
-	@echo "  bench-floors kernel floor rules only (Gemm 2x, MDForces 1.2x,"
+	@echo "  bench-floors kernel floor rules only (MDForces 1.2x,"
 	@echo "             ServeHotPath batching 2x, CampaignHotPath 1.2x,"
 	@echo "             CheckpointDrain async 1.5x at >=4 cores;"
 	@echo "             GemmSIMD 3x and TrainStep allocs <=41 always),"
@@ -71,20 +71,16 @@ bench:
 # training-step allocation ceiling, train-wide's step split into its
 # phases (forward, backward, gradient exchange, optimizer), each SmallCNN
 # layer op's forward and forward+backward at train-cnn's shape, the GEMM
-# kernel ablation, the obs
-# instrumentation overhead, one full chaos scenario pass (compile the
-# perfect-storm spec + drive every subsystem probe), the serving layer
-# (the batched-vs-unbatched inference hot path plus a full simulated
-# serving run), the two §V surrogate/simulation kernels under S6 and W1
-# (one random-forest prediction, one alloy Monte-Carlo sweep), and the
-# benchmark-campaign evaluation pair. The GEMM
-# panel depth is pinned via SUMMITSCALE_GEMM_KC so the wall-clock
-# autotuner can't pick a different blocking per run and shift every
-# GEMM-backed number.
+# kernel ablation (naive, row-stream, AVX2), the obs instrumentation
+# overhead, one full chaos scenario pass (compile the perfect-storm spec
+# + drive every subsystem probe), the serving layer (the
+# batched-vs-unbatched inference hot path plus a full simulated serving
+# run), the two §V surrogate/simulation kernels under S6 and W1 (one
+# random-forest prediction, one alloy Monte-Carlo sweep), and the
+# benchmark-campaign evaluation pair.
 BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|TrainStepPhases|SmallCNNLayers|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|ForestPredict|LatticeSweep|CampaignHotPath|CheckpointDrain
-BENCH_ENV = SUMMITSCALE_GEMM_KC=256
 bench-json:
-	$(BENCH_ENV) $(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem ./... \
+	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem ./... \
 		| $(GO) run ./cmd/summit-bench > BENCH_hotpath.json
 	@echo "wrote BENCH_hotpath.json"
 
@@ -95,21 +91,21 @@ bench-json:
 # must beat -j 1 (RunAllSequential) >=1.5x from 4 recorded cores.
 # Timings on shared runners are noisy, so CI runs this job non-blocking.
 bench-check:
-	$(BENCH_ENV) $(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem ./... \
+	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem ./... \
 		| $(GO) run ./cmd/summit-bench -check BENCH_hotpath.json
 
 # Kernel floor rules without a baseline: ratios within one fresh run
-# (packed parallel GEMM >= 2x the serial row-stream, MD forces parallel
-# >= 1.2x serial, serving micro-batch >= 2x single-row dispatch,
-# campaign evaluation parallel >= 1.2x serial, async checkpoint drain
-# >= 1.5x the synchronous stall — all only enforced when the run
-# recorded >= 4 cores), the single-thread AVX2 GEMM >= 3x the serial
-# row-stream at any core count (skipped on hosts without AVX2), plus the
-# deterministic TrainStepAlloc/scratch <= 41 allocs/op ceiling. This is
-# what CI's perf-smoke job runs: it works on any runner, even one whose
-# core count differs from the committed baseline's.
+# (MD forces parallel >= 1.2x serial, serving micro-batch >= 2x
+# single-row dispatch, campaign evaluation parallel >= 1.2x serial,
+# async checkpoint drain >= 1.5x the synchronous stall — all only
+# enforced when the run recorded >= 4 cores), the single-thread AVX2
+# GEMM >= 3x the serial row-stream at any core count (skipped on hosts
+# without AVX2), plus the deterministic TrainStepAlloc/scratch <= 41
+# allocs/op ceiling. This is what CI's perf-smoke job runs: it works on
+# any runner, even one whose core count differs from the committed
+# baseline's.
 bench-floors:
-	$(BENCH_ENV) $(GO) test -run '^$$' -bench 'Gemm|MDForces|TrainStepAlloc|ServeHotPath|CampaignHotPath|CheckpointDrain' -benchmem \
+	$(GO) test -run '^$$' -bench 'Gemm|MDForces|TrainStepAlloc|ServeHotPath|CampaignHotPath|CheckpointDrain' -benchmem \
 		./internal/tensor/ ./internal/md/ ./internal/ddl/ ./internal/serve/ ./internal/bench/ ./internal/checkpoint/ \
 		| $(GO) run ./cmd/summit-bench -floors
 

@@ -24,9 +24,6 @@ const checkTolerance = 0.30
 // one thread, and the deterministic allocation floor, apply at any core
 // count.
 const (
-	// minGemmSpeedup floors GemmRowStream256 / GemmParallel256: the
-	// packed parallel GEMM must beat the serial row-stream kernel 2x.
-	minGemmSpeedup = 2.0
 	// minGemmSIMDSpeedup floors GemmRowStream256 / GemmSIMD256: the AVX2
 	// micro-kernel must beat the row-stream kernel 3x on one thread.
 	minGemmSIMDSpeedup = 3.0
@@ -87,9 +84,6 @@ type ratioRule struct {
 
 // ratioRules is the floor table -check and -floors enforce.
 var ratioRules = []ratioRule{
-	{label: "GemmRowStream256/GemmParallel256",
-		num: "BenchmarkGemmRowStream256", den: "BenchmarkGemmParallel256",
-		floor: minGemmSpeedup, minProcs: kernelFloorMinProcs},
 	{label: "GemmRowStream256/GemmSIMD256",
 		num: "BenchmarkGemmRowStream256", den: "BenchmarkGemmSIMD256",
 		floor: minGemmSIMDSpeedup, minProcs: 1, denOptional: true},

@@ -160,23 +160,23 @@ func TestParseGomaxprocsDefaultsToOne(t *testing.T) {
 
 func TestKernelFloorsGatedOnProcs(t *testing.T) {
 	// At 1 recorded core the speedup floors are reported but not enforced.
-	fresh := doc(result{Name: "BenchmarkGemmRowStream256", NsPerOp: 1000},
-		result{Name: "BenchmarkGemmParallel256", NsPerOp: 950})
+	fresh := doc(result{Name: "BenchmarkCampaignHotPath/serial", NsPerOp: 1000},
+		result{Name: "BenchmarkCampaignHotPath/parallel", NsPerOp: 950})
 	fresh.Gomaxprocs = 1
 	if _, failed := checkKernelFloors(fresh); len(failed) != 0 {
 		t.Fatalf("speedup floor enforced at 1 core: %v", failed)
 	}
-	// At 8 cores a 1.05x packed "speedup" is a failure against the 2x floor.
+	// At 8 cores a 1.05x campaign "speedup" is a failure against the 1.2x floor.
 	fresh.Gomaxprocs = 8
 	if _, failed := checkKernelFloors(fresh); len(failed) != 1 {
-		t.Fatalf("below-floor Gemm ratio not flagged at 8 cores: %v", failed)
+		t.Fatalf("below-floor campaign ratio not flagged at 8 cores: %v", failed)
 	}
-	// 2.5x clears it.
-	fresh = doc(result{Name: "BenchmarkGemmRowStream256", NsPerOp: 2500},
-		result{Name: "BenchmarkGemmParallel256", NsPerOp: 1000})
+	// 1.5x clears it.
+	fresh = doc(result{Name: "BenchmarkCampaignHotPath/serial", NsPerOp: 1500},
+		result{Name: "BenchmarkCampaignHotPath/parallel", NsPerOp: 1000})
 	fresh.Gomaxprocs = 8
 	if _, failed := checkKernelFloors(fresh); len(failed) != 0 {
-		t.Fatalf("2.5x Gemm ratio failed the 2x floor: %v", failed)
+		t.Fatalf("1.5x campaign ratio failed the 1.2x floor: %v", failed)
 	}
 }
 
@@ -198,7 +198,7 @@ func TestKernelFloorMDAndAllocs(t *testing.T) {
 }
 
 func TestKernelFloorIncompletePairFails(t *testing.T) {
-	fresh := doc(result{Name: "BenchmarkGemmParallel256", NsPerOp: 1000})
+	fresh := doc(result{Name: "BenchmarkCheckpointDrain/async", NsPerOp: 1000})
 	fresh.Gomaxprocs = 8
 	if _, failed := checkKernelFloors(fresh); len(failed) != 1 {
 		t.Fatalf("half a floor pair passed: %v", failed)
@@ -233,12 +233,12 @@ func TestServeBatchingFloor(t *testing.T) {
 
 // TestKernelFloorsReportAllViolations pins the gate's contract that every
 // violated floor is listed before the nonzero exit — a run that breaches
-// the Gemm, MD, serve, and alloc rules at once must surface all four, not
-// stop at the first.
+// the campaign, MD, serve, and alloc rules at once must surface all four,
+// not stop at the first.
 func TestKernelFloorsReportAllViolations(t *testing.T) {
 	fresh := doc(
-		result{Name: "BenchmarkGemmRowStream256", NsPerOp: 1000},
-		result{Name: "BenchmarkGemmParallel256", NsPerOp: 990},
+		result{Name: "BenchmarkCampaignHotPath/serial", NsPerOp: 1000},
+		result{Name: "BenchmarkCampaignHotPath/parallel", NsPerOp: 990},
 		result{Name: "BenchmarkMDForces/serial", NsPerOp: 1000},
 		result{Name: "BenchmarkMDForces/parallel", NsPerOp: 990},
 		result{Name: "BenchmarkServeHotPath/unbatched", NsPerOp: 1000},
@@ -251,7 +251,7 @@ func TestKernelFloorsReportAllViolations(t *testing.T) {
 		t.Fatalf("want all 4 violations reported, got %d: %v", len(failed), failed)
 	}
 	joined := strings.Join(lines, "\n")
-	for _, frag := range []string{"GemmRowStream256", "MDForces", "ServeHotPath", "TrainStepAlloc"} {
+	for _, frag := range []string{"CampaignHotPath", "MDForces", "ServeHotPath", "TrainStepAlloc"} {
 		if !strings.Contains(joined, frag) {
 			t.Fatalf("violation report missing %s:\n%s", frag, joined)
 		}
@@ -262,13 +262,10 @@ func TestKernelFloorsReportAllViolations(t *testing.T) {
 }
 
 // TestGemmSIMDFloor: both sides of the SIMD floor run on one thread, so
-// it binds at any recorded core count, the 1-core run included. The
-// packed benchmark rides along, as in any Gemm sweep; at 1 or 2 cores its
-// own floor is reported, not enforced.
+// it binds at any recorded core count, the 1-core run included.
 func TestGemmSIMDFloor(t *testing.T) {
 	gemm := func(rowStream, simd float64) *document {
-		d := doc(result{Name: "BenchmarkGemmRowStream256", NsPerOp: rowStream},
-			result{Name: "BenchmarkGemmParallel256", NsPerOp: rowStream})
+		d := doc(result{Name: "BenchmarkGemmRowStream256", NsPerOp: rowStream})
 		if simd > 0 {
 			d.Benchmarks = append(d.Benchmarks, result{Name: "BenchmarkGemmSIMD256", NsPerOp: simd})
 		}

@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,40 +24,55 @@ import (
 )
 
 func main() {
-	io := flag.Bool("io", false, "I/O analysis only")
-	comm := flag.Bool("comm", false, "communication analysis only")
-	roofline := flag.Bool("roofline", false, "device roofline analysis only")
-	plat := flag.String("platform", "summit", "machine to analyse ("+strings.Join(platform.Names(), ", ")+")")
-	list := flag.Bool("platforms", false, "list registered platforms and exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes the report to stdout
+// and diagnostics to stderr, and returns the exit code (2 for a bad
+// flag or an unknown platform).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("summit-sysreq", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	ioOnly := fs.Bool("io", false, "I/O analysis only")
+	comm := fs.Bool("comm", false, "communication analysis only")
+	roofline := fs.Bool("roofline", false, "device roofline analysis only")
+	plat := fs.String("platform", "summit", "machine to analyse ("+strings.Join(platform.Names(), ", ")+")")
+	list := fs.Bool("platforms", false, "list registered platforms and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, n := range platform.Names() {
 			p := platform.MustLookup(n)
-			fmt.Printf("%-16s %s (%d nodes)\n", n, p.Name, p.Nodes)
+			fmt.Fprintf(stdout, "%-16s %s (%d nodes)\n", n, p.Name, p.Nodes)
 		}
-		return
+		return 0
 	}
 	p, err := platform.Lookup(*plat)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "summit-sysreq: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "summit-sysreq: %v\n", err)
+		return 2
 	}
 
 	exps := core.SysreqExperimentsOn(p) // IO1, C1, R1
-	all := !*io && !*comm && !*roofline
-	if *io || all {
+	all := !*ioOnly && !*comm && !*roofline
+	if *ioOnly || all {
 		e := exps[0]
-		fmt.Print(core.RenderResult(e, e.Run()))
-		fmt.Println()
+		fmt.Fprint(stdout, core.RenderResult(e, e.Run()))
+		fmt.Fprintln(stdout)
 	}
 	if *comm || all {
 		e := exps[1]
-		fmt.Print(core.RenderResult(e, e.Run()))
-		fmt.Println()
+		fmt.Fprint(stdout, core.RenderResult(e, e.Run()))
+		fmt.Fprintln(stdout)
 	}
 	if *roofline || all {
 		e := exps[2]
-		fmt.Print(core.RenderResult(e, e.Run()))
+		fmt.Fprint(stdout, core.RenderResult(e, e.Run()))
 	}
+	return 0
 }

@@ -337,10 +337,10 @@ func (j *job) trainCNN() {
 				j.report("epoch %2d  loss %.4f", epoch, loss)
 			}
 		}
-		// The replica check gathers every rank's parameters on rank 0
-		// before rank 0 reads the byte counter, so the count includes
-		// that gather on every run, not only when the other ranks get
-		// there first.
+		// The replica check gathers every other rank's parameters on
+		// rank 0. Each rank sends its share after its last allreduce, so
+		// once the gather returns the byte counter holds all the ring's
+		// traffic plus exactly the gather, which is subtracted below.
 		consistent := ddl.ReplicasConsistent(c, m, 1e-9)
 		if c.Rank() == 0 {
 			// Training accuracy over the whole set.
@@ -362,8 +362,9 @@ func (j *job) trainCNN() {
 					}
 				}
 			}
+			gathered := int64(c.Size()-1) * 8 * int64(nn.ParamCount(m))
 			j.report("accuracy %.1f%%  (bytes allreduced: %d)",
-				100*float64(correct)/float64(src.Len()), w.BytesSent())
+				100*float64(correct)/float64(src.Len()), w.BytesSent()-gathered)
 		}
 		if !consistent {
 			j.report("WARNING: replicas diverged")

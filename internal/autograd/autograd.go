@@ -57,9 +57,6 @@ func ConstantIn(a *tensor.Arena, t *tensor.Tensor) *Value {
 	return NewLeaf(c, false)
 }
 
-// RequiresGrad reports whether gradients flow to this value.
-func (v *Value) RequiresGrad() bool { return v.requiresGrad }
-
 // ZeroGrad clears the accumulated gradient.
 func (v *Value) ZeroGrad() { v.Grad = nil }
 

@@ -202,19 +202,6 @@ func (s *Store) DrainAll(version int) error {
 	return nil
 }
 
-// DrainAsync drains in the background; errors surface from Wait.
-func (s *Store) DrainAsync(version, dst int) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		if err := s.Drain(version, dst); err != nil {
-			s.errMu.Lock()
-			s.errs = append(s.errs, err)
-			s.errMu.Unlock()
-		}
-	}()
-}
-
 // DrainAllAsync drains version through every deeper tier in the
 // background, in order.
 func (s *Store) DrainAllAsync(version int) {

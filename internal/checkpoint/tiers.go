@@ -8,7 +8,6 @@ package checkpoint
 
 import (
 	"fmt"
-	"strings"
 
 	"summitscale/internal/faults"
 	"summitscale/internal/platform"
@@ -112,16 +111,4 @@ func PlanTiers(p platform.Platform, jobNodes int, state units.Bytes) []TierPlan 
 		plans[i] = TierPlan{Tier: t, Delta: delta, Interval: faults.DalyInterval(delta, t.MTBF)}
 	}
 	return plans
-}
-
-// RenderPlans formats a cadence table for reports and the CLI.
-func RenderPlans(plans []TierPlan) string {
-	var b strings.Builder
-	b.WriteString("  tier     write BW      delta        MTBF     Daly interval\n")
-	for _, pl := range plans {
-		fmt.Fprintf(&b, "  %-8s %7.1f GB/s %8.1fs %11.0fh %12.0fs\n",
-			pl.Tier.Name, float64(pl.Tier.WriteBW)/1e9, float64(pl.Delta),
-			float64(pl.Tier.MTBF)/3600, float64(pl.Interval))
-	}
-	return b.String()
 }

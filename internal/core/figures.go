@@ -8,9 +8,6 @@ import (
 // StudySeed is the seed of the canonical reconstructed portfolio.
 const StudySeed = 1
 
-// Study returns the canonical dataset.
-func Study() *portfolio.Dataset { return portfolio.Generate(StudySeed) }
-
 func tableExperiments() []Experiment {
 	return []Experiment{
 		{

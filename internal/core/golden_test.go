@@ -29,22 +29,6 @@ func readGolden(t *testing.T, name string) string {
 	return string(b)
 }
 
-// TestSysreqGoldenSummit reproduces `summit-sysreq -platform summit`
-// byte-for-byte: IO1 and C1 each followed by a blank line, then R1.
-func TestSysreqGoldenSummit(t *testing.T) {
-	exps := SysreqExperimentsOn(platform.Summit())
-	var b strings.Builder
-	for i, e := range exps {
-		b.WriteString(RenderResult(e, e.Run()))
-		if i < 2 {
-			b.WriteString("\n")
-		}
-	}
-	if got, want := b.String(), readGolden(t, "summit-sysreq.golden"); got != want {
-		t.Errorf("summit sysreq report diverged from pre-refactor golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-}
-
 // TestScalingGoldenSummit pins the §IV-B scaling reports on the baseline.
 func TestScalingGoldenSummit(t *testing.T) {
 	exps := ScalingExperimentsOn(platform.Summit())

@@ -1,9 +1,8 @@
 // Package ddl implements distributed deep-learning training over the
 // internal/mp message-passing substrate: synchronous data parallelism with
 // ring-allreduce gradient averaging, gradient accumulation (Blanchard et
-// al.), half-precision gradient compression (mixed-precision allreduce),
-// the one-step gradient lag of Kurth et al., and a two-stage pipeline for
-// model parallelism (Yang et al.).
+// al.), half-precision gradient compression (mixed-precision allreduce)
+// and the one-step gradient lag of Kurth et al.
 //
 // Ranks are goroutines; gradients really move through channels byte for
 // byte, so replica-consistency and large-batch-equivalence properties are

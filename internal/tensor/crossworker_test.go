@@ -15,32 +15,27 @@ import (
 // the exact guarantee MatMul/Im2Col/Col2Im rely on to stay
 // golden-stable on any machine.
 
-func TestGemmPackedDeterministicAcrossWorkers(t *testing.T) {
+// TestGemmRowsDeterministicAcrossWorkers drives the Go row-stream kernel
+// through the matmulRowGrain decomposition matMulRowsParallel uses. m is
+// not a multiple of the grain, so the last chunk is short at every width.
+func TestGemmRowsDeterministicAcrossWorkers(t *testing.T) {
 	rng := stats.NewRNG(29)
 	m, k, n := 130, 140, 150
 	a := Randn(rng, 1, m, k)
 	b := Randn(rng, 1, k, n)
-	kc := resolveGemmKC()
 
 	run := func(w int) []float64 {
 		pool := parallel.NewWorkerPool(w)
 		defer pool.Close()
 		dst := make([]float64, m*n)
-		packed := packB(b.Data(), k, n, kc)
-		pool.RunRange(m, gemmRowChunk, func(lo, hi int) {
-			gemmPackedRows(dst, a.Data(), packed, lo, hi, k, n, kc)
+		pool.RunRange(m, matmulRowGrain, func(lo, hi int) {
+			matmulBlock(dst, a.Data(), b.Data(), lo, hi, k, n, 0, n, k, 1)
 		})
-		putPackBuf(packed)
 		return dst
 	}
-	ref := run(1)
-	for _, w := range []int{2, 4, 8} {
-		got := run(w)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: element %d differs: %v vs %v", w, i, got[i], ref[i])
-			}
-		}
+	ref := rowStream(a, b)
+	for _, w := range []int{1, 2, 4, 8} {
+		sameBits(t, fmt.Sprintf("workers=%d", w), run(w), ref)
 	}
 }
 

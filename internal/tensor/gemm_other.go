@@ -2,12 +2,12 @@
 
 package tensor
 
-// gemmSIMD is false where no assembly micro-kernel is built, so
-// matMulInto keeps its three-level dispatch over the Go kernels.
+// gemmSIMD is false where no assembly micro-kernel is built, so gemm
+// runs the Go row-stream kernel, sequentially or fanned out by size.
 const gemmSIMD = false
 
 // matmulRowsSIMD is matmulBlock over all columns on these hosts;
-// matMulInto never calls it.
+// gemm never calls it.
 func matmulRowsSIMD(dst, a, b []float64, lo, hi, k, n, ars, aks int) {
 	matmulBlock(dst, a, b, lo, hi, k, n, 0, n, ars, aks)
 }

@@ -42,16 +42,14 @@ var gemmTrafficShapes = [][3]int{
 	{8, 512, 9},    // train-cnn conv1 dK: one SIMD strip and one scalar column
 }
 
-// TestMatMulDispatchIdentical pins that MatMul's dispatch never changes
-// bytes: products on both sides of each threshold, every m mod 4 and
-// n mod 8 (n < 8 included) at k = 1, 2 and 257, and the traffic shapes
-// all equal the sequential row-stream kernel exactly.
-func TestMatMulDispatchIdentical(t *testing.T) {
-	rng := stats.NewRNG(19)
+// dispatchShapes are products on both sides of the parallel threshold and
+// every m mod 4 and n mod 8 (n < 8 included) at k = 1, 2 and 257, followed
+// by the traffic shapes.
+func dispatchShapes() [][3]int {
 	shapes := [][3]int{
 		{8, 8, 8},       // below parallel threshold
-		{80, 80, 80},    // parallel row-stream band
-		{160, 160, 160}, // packed band
+		{80, 80, 80},    // just above it
+		{160, 160, 160}, // well above it
 	}
 	for _, k := range []int{1, 2, 257} {
 		for m := 1; m <= 9; m++ {
@@ -60,7 +58,15 @@ func TestMatMulDispatchIdentical(t *testing.T) {
 			}
 		}
 	}
-	for _, dims := range append(shapes, gemmTrafficShapes...) {
+	return append(shapes, gemmTrafficShapes...)
+}
+
+// TestMatMulDispatchIdentical pins that MatMul's dispatch never changes
+// bytes: every dispatch shape equals the sequential row-stream kernel
+// exactly.
+func TestMatMulDispatchIdentical(t *testing.T) {
+	rng := stats.NewRNG(19)
+	for _, dims := range dispatchShapes() {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := Randn(rng, 1, m, k)
 		b := Randn(rng, 1, k, n)

@@ -47,8 +47,8 @@ func TestMatMulMatchesNaiveProperty(t *testing.T) {
 	}
 }
 
-// Kernel ablation: naive ijk vs row-streamed ikj vs packed vs SIMD, at a
-// size where cache behaviour matters.
+// Kernel ablation: naive ijk vs row-streamed ikj vs SIMD, at a size where
+// cache behaviour matters.
 func benchGemm(b *testing.B, kernel func(dst, a, bb []float64, m, k, n int), sz int) {
 	rng := stats.NewRNG(1)
 	a := Randn(rng, 1, sz, sz)

@@ -10,27 +10,38 @@ import (
 // MatMul's dispatch. Where the AVX2 micro-kernel is available
 // (gemm_amd64.go), every product runs it: sequentially below
 // matmulParallelThreshold, fanned out in gemmRowChunk-row chunks above.
-// Elsewhere a three-level size table picks among Go kernels: sequential
-// row-streaming until the fan-out pays for its dispatch, pool-parallel
-// row-streaming while B still fits comfortably in cache, and the packed
-// panel kernel (gemm_packed.go) once B is large enough that repacking it
-// into contiguous micro-panels beats striding across its rows. Every
-// kernel is bit-identical (same ascending-k accumulation per output
-// element, same zero-skip), so the dispatch is pure performance tuning.
+// Elsewhere the Go row-stream kernel (matmulBlock) takes the same two
+// levels: sequentially below the threshold, fanned out in
+// matmulRowGrain-row chunks above. Every kernel is bit-identical (same
+// ascending-k accumulation per output element, same zero-skip), so the
+// dispatch is pure performance tuning.
 const (
 	// matmulParallelThreshold is the m*n*k product above which MatMul
 	// fans out across the persistent worker pool. Below it the
 	// sequential kernel is faster.
 	matmulParallelThreshold = 64 * 64 * 64
-	// matmulPackedThreshold is the m*n*k product above which MatMul
-	// packs B. Between the two thresholds the unpacked row-stream kernel
-	// wins: the packing pass is pure overhead while B is cache-resident.
-	matmulPackedThreshold = 128 * 128 * 128
 	// matmulRowGrain is the row-chunk size for the pool-parallel
 	// row-stream path; results do not depend on it (rows are
 	// independent).
 	matmulRowGrain = 8
+	// gemmRowChunk rows of output form one unit of worker dispatch for
+	// the SIMD fan-out. The value trades load balance against per-chunk
+	// claim overhead, and is a multiple of the SIMD kernel's 4-row tile;
+	// it does not affect results (rows are independent).
+	gemmRowChunk = 16
 )
+
+// GemmKCEnv, SetGemmKC and GemmKC are a no-op shim: no GEMM kernel has a
+// k-panel depth, so SetGemmKC does nothing, GemmKC returns 0 and nothing
+// reads the environment variable. They exist only because the benchmark
+// harness (perfbench) still pins them, and go with its next change.
+const GemmKCEnv = "SUMMITSCALE_GEMM_KC"
+
+// SetGemmKC does nothing; see GemmKCEnv.
+func SetGemmKC(int) {}
+
+// GemmKC returns 0; see GemmKCEnv.
+func GemmKC() int { return 0 }
 
 // MatMul returns the matrix product of the (M, K) tensor t and the (K, N)
 // tensor u, computed by the kernel the dispatch above picks and
@@ -85,9 +96,7 @@ func matMulInto(r, t, u *Tensor) {
 
 // gemm adds the (m, k)·(k, n) product into dst, reading A's element
 // (i, kk) at a[i*ars+kk*aks]: row-major A has strides (k, 1), A stored
-// transposed has (1, m). The packed kernel repacks only B and streams A's
-// rows, so a transposed A takes the row-stream kernels instead; every
-// kernel is bit-identical either way.
+// transposed has (1, m). Every kernel reads A in place either way.
 func gemm(dst, a, b []float64, m, k, n, ars, aks int) {
 	work := m * n * k
 	switch {
@@ -97,10 +106,8 @@ func gemm(dst, a, b []float64, m, k, n, ars, aks int) {
 		matMulSIMDParallel(dst, a, b, m, k, n, ars, aks)
 	case work < matmulParallelThreshold:
 		matmulBlock(dst, a, b, 0, m, k, n, 0, n, ars, aks)
-	case work < matmulPackedThreshold || aks != 1:
-		matMulRowsParallel(dst, a, b, m, k, n, ars, aks)
 	default:
-		matMulPackedInto(dst, a, b, m, k, n)
+		matMulRowsParallel(dst, a, b, m, k, n, ars, aks)
 	}
 }
 

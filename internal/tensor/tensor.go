@@ -274,14 +274,6 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 	return r
 }
 
-// ApplyInPlace overwrites t with f applied elementwise and returns t.
-func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
-	for i := range t.data {
-		t.data[i] = f(t.data[i])
-	}
-	return t
-}
-
 // AddRow adds the length-C row vector to every row of the (N, C) matrix t.
 // It is the broadcast used for bias addition.
 func (t *Tensor) AddRow(row *Tensor) *Tensor {
