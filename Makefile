@@ -14,7 +14,7 @@ help:
 	@echo "             (the CI gate)"
 	@echo "  bench      every benchmark with -benchmem"
 	@echo "  bench-json hot-path benchmarks (RunAll, DAGSchedule, MDForces,"
-	@echo "             TrainStepAlloc, TrainStepPhases, Gemm, ObsHotPath, ChaosHotPath,"
+	@echo "             TrainStepAlloc, TrainStepPhases, LAMBStep, Gemm, ObsHotPath, ChaosHotPath,"
 	@echo "             ServeHotPath, ServeRun, ForestPredict, LatticeSweep,"
 	@echo "             CampaignHotPath, CheckpointDrain, SmallCNNLayers)"
 	@echo "             -> BENCH_hotpath.json"
@@ -56,11 +56,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Every amd64 runner takes the assembly GEMM kernel, so only a build for
-# another architecture compiles and vets the pure-Go fallback
-# (internal/tensor/gemm_other.go).
+# Every amd64 runner takes the assembly GEMM and LAMB kernels, so only a
+# build for another architecture compiles and vets the pure-Go fallbacks
+# (internal/tensor/gemm_other.go, internal/optim/lamb_other.go).
 cross:
-	GOARCH=arm64 $(GO) vet ./internal/tensor/
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/optim/
 	GOARCH=arm64 $(GO) build ./...
 
 bench:
@@ -69,16 +69,18 @@ bench:
 # Hot-path numbers as JSON: the flat-vs-DAG experiment engine (plus the
 # DAGSchedule cold/warm ablation), the sharded MD force kernel, the
 # training-step allocation ceiling, train-wide's step split into its
-# phases (forward, backward, gradient exchange, optimizer), each SmallCNN
-# layer op's forward and forward+backward at train-cnn's shape, the GEMM
-# kernel ablation (naive, row-stream, AVX2), the obs instrumentation
+# phases (forward, backward, gradient exchange, optimizer) and its LAMB
+# step alone, each SmallCNN layer op's forward and forward+backward at
+# train-cnn's shape, the GEMM kernel ablation (naive, row-stream, AVX2)
+# and train-wide's dX product (transpose then multiply, or MatMulTB's
+# strips), the obs instrumentation
 # overhead, one full chaos scenario pass (compile the perfect-storm spec
 # + drive every subsystem probe), the serving layer (the
 # batched-vs-unbatched inference hot path plus a full simulated serving
 # run), the two §V surrogate/simulation kernels under S6 and W1 (one
 # random-forest prediction, one alloy Monte-Carlo sweep), and the
 # benchmark-campaign evaluation pair.
-BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|TrainStepPhases|SmallCNNLayers|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|ForestPredict|LatticeSweep|CampaignHotPath|CheckpointDrain
+BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|TrainStepPhases|LAMBStep|SmallCNNLayers|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|ForestPredict|LatticeSweep|CampaignHotPath|CheckpointDrain
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem ./... \
 		| $(GO) run ./cmd/summit-bench > BENCH_hotpath.json

@@ -195,12 +195,11 @@ func MatMul(a, b *Value) *Value {
 	n.backward = func() {
 		// Each operand's gradient is built only if it flows somewhere: a
 		// model's first layer multiplies a constant batch, whose dX
-		// would be discarded. The transpose of the (possibly
-		// heap-resident) b and the product aᵀ·dY go to the gradient's
-		// arena so parameter matrices don't force per-step heap
-		// temporaries; aᵀ is never materialized.
+		// would be discarded. Both products go to the gradient's arena
+		// so parameter matrices don't force per-step heap temporaries;
+		// neither bᵀ nor aᵀ is materialized.
 		if a.requiresGrad {
-			a.take(n.Grad.MatMul(b.Data.Transpose2DIn(n.Grad.Arena())))
+			a.take(n.Grad.MatMulTB(b.Data))
 		}
 		if b.requiresGrad {
 			b.take(a.Data.MatMulTAIn(n.Grad.Arena(), n.Grad))

@@ -12,9 +12,9 @@ import (
 )
 
 // BenchmarkTrainStepAlloc measures one full Rank.Step (forward, backward,
-// flatten, allreduce, unflatten, optimizer) of a conv classifier on a
-// single-rank world, with allocation accounting; summit-bench holds the
-// step to its allocation ceiling.
+// optimizer; at one rank the gradients stay in place) of a conv
+// classifier on a single-rank world, with allocation accounting;
+// summit-bench holds the step to its allocation ceiling.
 func BenchmarkTrainStepAlloc(b *testing.B) {
 	b.Run("scratch", func(b *testing.B) {
 		w := mp.NewWorld(1)
@@ -42,11 +42,14 @@ func BenchmarkTrainStepAlloc(b *testing.B) {
 
 // BenchmarkTrainStepPhases splits one step of perfbench's train-wide
 // shape — one rank, a ResidualMLP 64 → 256 (2 blocks) → 2 trained with
-// LAMB on MSE, batch 64, the graph in the rank arena — into the phases
-// Rank.Step runs: the forward pass and loss, the backward pass, the
-// gradient exchange (flatten, allreduce, unflatten) and the optimizer;
-// step is the whole Rank.Step for comparison. Each phase is timed alone,
-// with the phases before it rerun untimed.
+// LAMB on MSE, batch 64, the graph in the rank arena — into phases: the
+// forward pass and loss, the backward pass, the gradient exchange
+// (flatten, allreduce, unflatten) and the optimizer; step is the whole
+// Rank.Step for comparison. Each phase is timed alone, with the phases
+// before it rerun untimed. At one rank Step hands the optimizer the
+// gradients in place and runs no exchange, so flatten-allreduce times
+// the pass a rank of a larger world (or one with a custom collective)
+// still runs, not a part of step.
 func BenchmarkTrainStepPhases(b *testing.B) {
 	const batch, in, width, out, depth = 64, 64, 256, 2, 2
 	w := mp.NewWorld(1)

@@ -8,11 +8,14 @@
 // byte, so replica-consistency and large-batch-equivalence properties are
 // testable rather than assumed.
 //
-// A Rank flattens its gradients into one of two persistent buffers, and
-// the ring reduces that buffer in place. Under the gradient lag a step
-// flattens into the buffer the previous step did not use, so the pending
-// reduced gradient it is about to apply is never overwritten; without
-// the lag one buffer serves every step.
+// A Rank that is alone in its world and averages one micro-batch, with
+// no compression, lag or custom collective, hands the optimizer its
+// parameters' own gradients: the reduced gradient is the gradient
+// itself. Otherwise it flattens its gradients into one of two persistent
+// buffers, and the ring reduces that buffer in place. Under the gradient
+// lag a step flattens into the buffer the previous step did not use, so
+// the pending reduced gradient it is about to apply is never
+// overwritten; without the lag one buffer serves every step.
 package ddl
 
 import (
@@ -171,8 +174,10 @@ type Rank struct {
 	// params caches Model.Params(): layer modules rebuild the slice (and
 	// its name strings) on every call, which costs dozens of allocations
 	// per step when taken twice per Step. Parameter sets are stable for
-	// the life of a Rank.
+	// the life of a Rank. size is their element count, the length of a
+	// flat gradient.
 	params []nn.Param
+	size   int
 	step   int
 }
 
@@ -231,6 +236,9 @@ func (r *Rank) Flush() {
 func (r *Rank) Step(lossFn func(micro int) *autograd.Value) float64 {
 	if r.params == nil {
 		r.params = r.Model.Params()
+		for _, p := range r.params {
+			r.size += p.Value.Data.Size()
+		}
 	}
 	params := r.params
 	var lossSum float64
@@ -247,6 +255,20 @@ func (r *Rank) Step(lossFn func(micro int) *autograd.Value) float64 {
 		loss := lossFn(m)
 		loss.Backward(nil)
 		lossSum += loss.Data.At(0)
+	}
+	if r.inPlace() {
+		// The optimizer reads the gradients where backward left them. A
+		// parameter outside the loss graph gets the zero gradient
+		// UnflattenGrads would give it: LAMB and SGD still decay it.
+		for _, p := range params {
+			if p.Value.Grad == nil {
+				p.Value.Grad = tensor.New(p.Value.Data.Shape()...)
+			}
+		}
+		r.observe()
+		r.Opt.Step(params)
+		r.step++
+		return lossSum / float64(r.Config.AccumSteps)
 	}
 	// Overlap mode: the previous step's collective has been running behind
 	// the backward pass above, reducing the other flat buffer. Retire it
@@ -265,12 +287,14 @@ func (r *Rank) Step(lossFn func(micro int) *autograd.Value) float64 {
 	r.flat[buf] = FlattenGradsInto(r.flat[buf], params)
 	flat := r.flat[buf]
 	// Average over world size and micro-batches.
-	scale := 1 / float64(r.Comm.Size()*r.Config.AccumSteps)
-	if len(flat) >= gradShardMin {
+	switch scale := 1 / float64(r.Comm.Size()*r.Config.AccumSteps); {
+	case scale == 1:
+		// One rank and one micro-batch: ×1 leaves every bit as it is.
+	case len(flat) >= gradShardMin:
 		parallel.Shared().RunRange(len(flat), gradShardGrain, func(lo, hi int) {
 			scaleRange(flat, scale, lo, hi)
 		})
-	} else {
+	default:
 		scaleRange(flat, scale, 0, len(flat))
 	}
 	if r.Config.Compression == FP16 {
@@ -296,20 +320,7 @@ func (r *Rank) Step(lossFn func(micro int) *autograd.Value) float64 {
 	} else {
 		reduced = allreduce(r.Comm, flat)
 	}
-	gradBytes := int64(len(flat) * 8)
-	r.Config.Obs.Inc("ddl.steps")
-	r.Config.Obs.Add("ddl.allreduce.bytes", gradBytes)
-	if r.Config.StepTime > 0 {
-		track := fmt.Sprintf("rank-%d", r.Comm.Rank())
-		at := units.Seconds(r.step) * r.Config.StepTime
-		r.Config.Obs.Span(track, "train", "step", at, r.Config.StepTime,
-			obs.Num("step", float64(r.step)))
-		// The substrate moves real bytes, not simulated time, so the
-		// allreduce is marked as a zero-cost phase at the step boundary
-		// carrying its byte volume.
-		r.Config.Obs.Span(track, "comm", "allreduce", at+r.Config.StepTime, 0,
-			obs.Num("bytes", float64(gradBytes)))
-	}
+	r.observe()
 
 	apply := reduced
 	if r.Config.GradLag {
@@ -328,6 +339,36 @@ func (r *Rank) Step(lossFn func(micro int) *autograd.Value) float64 {
 	r.Opt.Step(params)
 	r.step++
 	return lossSum / float64(r.Config.AccumSteps)
+}
+
+// inPlace reports whether a step's reduced gradient is its gradient
+// itself: one rank averaging one micro-batch (a scale of 1), no
+// compression, no lag and the default ring, which is a no-op at one
+// rank. Step then skips the flatten, the ring and the unflatten.
+func (r *Rank) inPlace() bool {
+	c := r.Config
+	return r.Comm.Size() == 1 && c.AccumSteps == 1 && c.Compression == NoCompression &&
+		!c.GradLag && c.Allreduce == nil
+}
+
+// observe records a step's counters and, with a StepTime, its spans.
+// The allreduce byte count is the flat gradient's size, whether or not
+// the step built one.
+func (r *Rank) observe() {
+	gradBytes := int64(r.size * 8)
+	r.Config.Obs.Inc("ddl.steps")
+	r.Config.Obs.Add("ddl.allreduce.bytes", gradBytes)
+	if r.Config.StepTime > 0 {
+		track := fmt.Sprintf("rank-%d", r.Comm.Rank())
+		at := units.Seconds(r.step) * r.Config.StepTime
+		r.Config.Obs.Span(track, "train", "step", at, r.Config.StepTime,
+			obs.Num("step", float64(r.step)))
+		// The substrate moves real bytes, not simulated time, so the
+		// allreduce is marked as a zero-cost phase at the step boundary
+		// carrying its byte volume.
+		r.Config.Obs.Span(track, "comm", "allreduce", at+r.Config.StepTime, 0,
+			obs.Num("bytes", float64(gradBytes)))
+	}
 }
 
 // ReplicasConsistent gathers every rank's flattened parameters on rank 0

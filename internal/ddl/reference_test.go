@@ -5,31 +5,45 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"summitscale/internal/autograd"
 	"summitscale/internal/mp"
 	"summitscale/internal/nn"
+	"summitscale/internal/obs"
 	"summitscale/internal/optim"
 	"summitscale/internal/stats"
 	"summitscale/internal/tensor"
 )
 
-// trajectory trains a ResidualMLP (6 → 16, 2 blocks, → 3) with LAMB on p
-// ranks for steps steps under cfg, each rank on its own seeded batches
-// routed through the rank arena, and returns the sha256 of rank 0's final
+// trajShape is a ResidualMLP's input, width, output and block count and
+// the batch each rank trains on.
+type trajShape struct{ in, width, out, depth, batch int }
+
+var (
+	// smallShape is below every fan-out threshold.
+	smallShape = trajShape{6, 16, 3, 2, 8}
+	// wideShape is perfbench's train-wide: its 64×256×256 products fan
+	// out, and its 256×256 layers put LAMB above its pool threshold.
+	wideShape = trajShape{64, 256, 2, 2, 64}
+)
+
+// trajectory trains a ResidualMLP of shape sh with LAMB on p ranks for
+// steps steps under cfg, each rank on its own seeded batches routed
+// through the rank arena, and returns the sha256 of rank 0's final
 // parameters and every step's loss.
-func trajectory(p, steps int, cfg Config) string {
+func trajectory(sh trajShape, p, steps int, cfg Config) string {
 	w := mp.NewWorld(p)
 	var sum string
 	w.Run(func(c *mp.Comm) {
-		m := nn.NewResidualMLP(stats.NewRNG(3), 6, 16, 3, 2)
+		m := nn.NewResidualMLP(stats.NewRNG(3), sh.in, sh.width, sh.out, sh.depth)
 		r := NewRank(c, m, optim.NewLAMB(0.01), cfg)
 		rng := stats.NewRNG(uint64(50 + c.Rank()))
 		h := sha256.New()
 		for s := 0; s < steps; s++ {
-			x := tensor.Randn(rng, 1, 8, 6)
-			y := tensor.Randn(rng, 1, 8, 3)
+			x := tensor.Randn(rng, 1, sh.batch, sh.in)
+			y := tensor.Randn(rng, 1, sh.batch, sh.out)
 			loss := r.Step(func(int) *autograd.Value {
 				return autograd.MSE(m.Forward(autograd.ConstantIn(r.Arena(), x)), y)
 			})
@@ -46,24 +60,95 @@ func trajectory(p, steps int, cfg Config) string {
 
 // TestTrajectoriesMatchParent pins the losses and final parameters of
 // lagged, overlapped and plain training to the values the copying ring
-// and the single flat buffer gave before the ring reduced in place.
+// and the single flat buffer gave before the ring reduced in place. The
+// wide rows train at train-wide's shape, so they run the GEMM fan-out,
+// the dX strips and LAMB's pool fan-out; their sums were recorded from
+// the step that still flattened at one rank and transposed W for dX.
 func TestTrajectoriesMatchParent(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		p    int
-		cfg  Config
-		want string
+		name  string
+		shape trajShape
+		p     int
+		cfg   Config
+		want  string
 	}{
-		{"plain-1", 1, Config{}, "23ea168761a8932c9642fdc62e357b12ca2baf0a4eed55ef8979eadfc9842b86"},
-		{"plain-3", 3, Config{AccumSteps: 2}, "19417c32ebb34b607476bddb4e36569ae3586cf75cf2d500410a1e740a504a59"},
-		{"gradlag-1", 1, Config{GradLag: true}, "95850bf18a10092a64f89e9e3f1f9cd70086129d0a9cec86e0bee59d202c84dc"},
-		{"gradlag-3", 3, Config{GradLag: true}, "b28b8f4d85c924d9eb2b0b90a7c5b0cfc76df6c5ddd4b682b756fb0dc6ec93a1"},
-		{"overlap-1", 1, Config{GradLag: true, Overlap: true}, "95850bf18a10092a64f89e9e3f1f9cd70086129d0a9cec86e0bee59d202c84dc"},
-		{"overlap-4-hier", 4, Config{GradLag: true, Overlap: true, Allreduce: HierarchicalAllreduce(2)}, "692b16d0f835098bebb1258ffb7f1472d47e39ce47ed69fb4382aa271a2d5e6f"},
-		{"overlap-3-fp16", 3, Config{GradLag: true, Overlap: true, Compression: FP16}, "3a21a7a9bbd31d5ed53a06ea346dd6482fa399290272ed2ef0a97e1260493aaf"},
+		{"plain-1", smallShape, 1, Config{}, "23ea168761a8932c9642fdc62e357b12ca2baf0a4eed55ef8979eadfc9842b86"},
+		{"plain-3", smallShape, 3, Config{AccumSteps: 2}, "19417c32ebb34b607476bddb4e36569ae3586cf75cf2d500410a1e740a504a59"},
+		{"gradlag-1", smallShape, 1, Config{GradLag: true}, "95850bf18a10092a64f89e9e3f1f9cd70086129d0a9cec86e0bee59d202c84dc"},
+		{"gradlag-3", smallShape, 3, Config{GradLag: true}, "b28b8f4d85c924d9eb2b0b90a7c5b0cfc76df6c5ddd4b682b756fb0dc6ec93a1"},
+		{"overlap-1", smallShape, 1, Config{GradLag: true, Overlap: true}, "95850bf18a10092a64f89e9e3f1f9cd70086129d0a9cec86e0bee59d202c84dc"},
+		{"overlap-4-hier", smallShape, 4, Config{GradLag: true, Overlap: true, Allreduce: HierarchicalAllreduce(2)}, "692b16d0f835098bebb1258ffb7f1472d47e39ce47ed69fb4382aa271a2d5e6f"},
+		{"overlap-3-fp16", smallShape, 3, Config{GradLag: true, Overlap: true, Compression: FP16}, "3a21a7a9bbd31d5ed53a06ea346dd6482fa399290272ed2ef0a97e1260493aaf"},
+		{"wide-plain-1", wideShape, 1, Config{}, "cc6f30b4f279489e2913272edd0e0e7b09c11bd1214a2515252729eea08ffe73"},
+		{"wide-plain-2", wideShape, 2, Config{}, "6d92b90716166f14ed4c0dfeb57c8d9ec96ec684453a0cb0af33a7910b9b46a1"},
+		{"wide-gradlag-1", wideShape, 1, Config{GradLag: true}, "b7c1de63d84f326274c6dcd0691ebc318a356e5d3bb23e8a1592f8701ddafae9"},
 	} {
-		if got := trajectory(tc.p, 7, tc.cfg); got != tc.want {
+		if got := trajectory(tc.shape, tc.p, 7, tc.cfg); got != tc.want {
 			t.Errorf("%s: trajectory %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// spareLayer is a Layer with one parameter its Forward never reads, so
+// the parameter never gets a gradient from backward.
+type spareLayer struct {
+	nn.Layer
+	spare nn.Param
+}
+
+func (l spareLayer) Params() []nn.Param { return append(l.Layer.Params(), l.spare) }
+
+// TestOneRankInPlaceMatchesFlatten: a one-rank step that hands the
+// optimizer the parameters' own gradients trains bit-identically to the
+// flatten path, which an identity Config.Allreduce forces, under LAMB and
+// under momentum SGD with weight decay. The model has a parameter outside
+// the loss graph: both paths must give it a zero gradient, which the
+// optimizer still decays. Both paths record the same counters and spans.
+func TestOneRankInPlaceMatchesFlatten(t *testing.T) {
+	identity := func(_ *mp.Comm, g []float64) []float64 { return g }
+	for name, newOpt := range map[string]func() optim.Optimizer{
+		"lamb":         func() optim.Optimizer { return optim.NewLAMB(0.01) },
+		"momentum-sgd": func() optim.Optimizer { return &optim.SGD{Rate: 0.05, Momentum: 0.9, WeightDecay: 1e-3} },
+	} {
+		run := func(allreduce func(*mp.Comm, []float64) []float64) (losses, params []float64, metrics, trace string) {
+			mp.NewWorld(1).Run(func(c *mp.Comm) {
+				m := spareLayer{
+					Layer: nn.NewResidualMLP(stats.NewRNG(3), 6, 16, 3, 2),
+					spare: nn.Param{Name: "spare", Value: autograd.NewLeaf(tensor.Randn(stats.NewRNG(5), 1, 4, 5), true)},
+				}
+				o := obs.New()
+				r := NewRank(c, m, newOpt(), Config{Allreduce: allreduce, Obs: o, StepTime: 0.5})
+				rng := stats.NewRNG(50)
+				for s := 0; s < 5; s++ {
+					x := tensor.Randn(rng, 1, 8, 6)
+					y := tensor.Randn(rng, 1, 8, 3)
+					losses = append(losses, r.Step(func(int) *autograd.Value {
+						return autograd.MSE(m.Forward(autograd.ConstantIn(r.Arena(), x)), y)
+					}))
+				}
+				params = FlattenParams(m.Params())
+				metrics, trace = o.Metrics.Render(), string(o.Trace.ChromeTrace())
+			})
+			return
+		}
+		lossIn, paramsIn, metricsIn, traceIn := run(nil)
+		lossFlat, paramsFlat, metricsFlat, traceFlat := run(identity)
+		for what, pair := range map[string][2][]float64{"loss": {lossIn, lossFlat}, "parameter": {paramsIn, paramsFlat}} {
+			for i := range pair[1] {
+				if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+					t.Fatalf("%s: %s %d is %v in place, %v through the flat buffer", name, what, i, pair[0][i], pair[1][i])
+				}
+			}
+		}
+		spare := tensor.Randn(stats.NewRNG(5), 1, 4, 5).Data()
+		if got := paramsIn[len(paramsIn)-len(spare):]; got[0] == spare[0] {
+			t.Errorf("%s: the parameter outside the loss graph kept its value %v: it was not decayed", name, got[0])
+		}
+		if metricsIn != metricsFlat || traceIn != traceFlat {
+			t.Errorf("%s: counters or spans differ:\nin place:\n%s\nflat:\n%s", name, metricsIn, metricsFlat)
+		}
+		if !strings.Contains(metricsIn, "ddl.allreduce.bytes") {
+			t.Errorf("%s: no ddl.allreduce.bytes counter in\n%s", name, metricsIn)
 		}
 	}
 }

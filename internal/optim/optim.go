@@ -280,12 +280,22 @@ type LAMB struct {
 	WeightDecay  float64
 	step         int
 	state        map[*tensor.Tensor]*adamState
-	// tasks holds this step's parameters and bc1, bc2 its bias
-	// corrections; run is the runTasks method value, bound once, so a
-	// step hands the pool no fresh closure.
-	tasks    []lambTask
-	bc1, bc2 float64
-	run      func(lo, hi int)
+	// tasks holds this step's parameters and coef its constants; run is
+	// the runTasks method value, bound once, so a step hands the pool no
+	// fresh closure.
+	tasks []lambTask
+	coef  lambCoef
+	run   func(lo, hi int)
+}
+
+// lambCoef holds one LAMB step's per-element constants, in the order the
+// AVX2 kernel (lamb_amd64.s) reads them.
+type lambCoef struct {
+	b1, c1   float64 // β1 and 1-β1
+	b2, c2   float64 // β2 and 1-β2
+	bc1, bc2 float64 // the bias corrections 1-β1^t and 1-β2^t
+	eps      float64
+	decay    float64
 }
 
 // lambTask is one parameter's slice of a LAMB step.
@@ -315,8 +325,13 @@ func (o *LAMB) stepOn(pool *parallel.WorkerPool, params []nn.Param) {
 		o.run = o.runTasks
 	}
 	o.step++
-	o.bc1 = 1 - math.Pow(o.Beta1, float64(o.step))
-	o.bc2 = 1 - math.Pow(o.Beta2, float64(o.step))
+	o.coef = lambCoef{
+		b1: o.Beta1, c1: 1 - o.Beta1,
+		b2: o.Beta2, c2: 1 - o.Beta2,
+		bc1: 1 - math.Pow(o.Beta1, float64(o.step)),
+		bc2: 1 - math.Pow(o.Beta2, float64(o.step)),
+		eps: o.Eps, decay: o.WeightDecay,
+	}
 	total := 0
 	for _, p := range params {
 		if p.Value.Grad == nil {
@@ -351,27 +366,50 @@ func (o *LAMB) runTasks(lo, hi int) {
 
 // update is one parameter's LAMB step. The sums run in element order,
 // as Tensor.Norm's do, so the trust ratio is the serial one bit for bit.
+// Where lambSIMD holds, the AVX2 kernels take each pass's first
+// len(w)&^3 elements with the Go loop's operation order, and the Go loop
+// finishes the tail from their sums.
 func (o *LAMB) update(t lambTask) {
 	wd, gd := t.w, t.g
 	md, vd, ud := t.st.m.Data(), t.st.v.Data(), t.st.u.Data()
-	b1, b2, bc1, bc2, eps, decay := o.Beta1, o.Beta2, o.bc1, o.bc2, o.Eps, o.WeightDecay
+	n := len(wd)
+	if n == 0 {
+		return
+	}
+	// The kernels read n elements of every slice: check them here.
+	_, _, _, _ = gd[n-1], md[n-1], vd[n-1], ud[n-1]
+	n4 := 0
+	if lambSIMD {
+		n4 = n &^ 3
+	}
 	var wSq, uSq float64
-	for i, w := range wd {
-		g := gd[i]
-		m := b1*md[i] + (1-b1)*g
-		v := b2*vd[i] + (1-b2)*g*g
-		u := m/bc1/(math.Sqrt(v/bc2)+eps) + decay*w
+	if n4 > 0 {
+		wSq, uSq = lambMomentsAVX2(&wd[0], &gd[0], &md[0], &vd[0], &ud[0], n4, &o.coef)
+	}
+	k := o.coef
+	b1, c1, b2, c2, bc1, bc2, eps, decay := k.b1, k.c1, k.b2, k.c2, k.bc1, k.bc2, k.eps, k.decay
+	// The explicit conversions round each product on its own, so no
+	// target fuses it into a multiply-add.
+	for i := n4; i < n; i++ {
+		w, g := wd[i], gd[i]
+		m := float64(b1*md[i]) + float64(c1*g)
+		v := float64(b2*vd[i]) + float64(c2*g*g)
+		u := m/bc1/(math.Sqrt(v/bc2)+eps) + float64(decay*w)
 		md[i], vd[i], ud[i] = m, v, u
-		wSq += w * w
-		uSq += u * u
+		wSq += float64(w * w)
+		uSq += float64(u * u)
 	}
 	wNorm, uNorm := math.Sqrt(wSq), math.Sqrt(uSq)
 	ratio := 1.0
 	if wNorm > 0 && uNorm > 0 {
 		ratio = wNorm / uNorm
 	}
-	for i := range wd {
-		wd[i] -= o.Rate * ratio * ud[i]
+	s := o.Rate * ratio
+	if n4 > 0 {
+		lambApplyAVX2(&wd[0], &ud[0], n4, s)
+	}
+	for i := n4; i < n; i++ {
+		wd[i] -= float64(s * ud[i])
 	}
 }
 

@@ -157,3 +157,19 @@ func TestLAMBStepAllocatesNothing(t *testing.T) {
 		t.Fatalf("LAMB.Step allocates %v times per step", got)
 	}
 }
+
+// BenchmarkLAMBStep is one LAMB step over train-wide's parameters (a
+// ResidualMLP 64 → 256 (2 blocks of two layers) → 2), fanned out over the
+// shared pool as in training.
+func BenchmarkLAMBStep(b *testing.B) {
+	ps := lambParams(17, []int{64 * 256, 256, 256 * 256, 256, 256 * 256, 256,
+		256 * 256, 256, 256 * 256, 256, 256 * 2, 2})
+	setGrads(ps, 3)
+	opt := NewLAMB(0.01)
+	opt.Step(ps)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Step(ps)
+	}
+}

@@ -16,7 +16,7 @@ import (
 // golden-stable on any machine.
 
 // TestGemmRowsDeterministicAcrossWorkers drives the Go row-stream kernel
-// through the matmulRowGrain decomposition matMulRowsParallel uses. m is
+// through the matmulRowGrain decomposition matMulParallel uses for it. m is
 // not a multiple of the grain, so the last chunk is short at every width.
 func TestGemmRowsDeterministicAcrossWorkers(t *testing.T) {
 	rng := stats.NewRNG(29)
@@ -40,7 +40,7 @@ func TestGemmRowsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestGemmSIMDDeterministicAcrossWorkers drives the SIMD rows through
-// the same gemmRowChunk decomposition matMulSIMDParallel uses. m is not a
+// the same gemmRowChunk decomposition matMulParallel uses. m is not a
 // multiple of the chunk or the 4-row tile and n not a multiple of the
 // 8-column strip, so edge rows and columns run at every width.
 func TestGemmSIMDDeterministicAcrossWorkers(t *testing.T) {

@@ -3,12 +3,14 @@
 package tensor
 
 // gemmSIMD reports whether matMulInto runs the AVX2 micro-kernel. It is
-// fixed at start-up from CPUID: the CPU must have AVX2 and the OS must
-// save the YMM registers across context switches (OSXSAVE set and XCR0
-// enabling both SSE and AVX state).
-var gemmSIMD = hasAVX2()
+// fixed at start-up from HasAVX2.
+var gemmSIMD = HasAVX2()
 
-func hasAVX2() bool {
+// HasAVX2 reports whether this host can run AVX2 code: the CPU must have
+// AVX2 and the OS must save the YMM registers across context switches
+// (OSXSAVE set and XCR0 enabling both SSE and AVX state). It is the one
+// CPUID probe of the module; optim's LAMB kernel asks it too.
+func HasAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false
@@ -31,14 +33,14 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax uint32)
 
 // gemm4x8AVX2 adds the product of the 4×k block of A at a and the k×8
-// block of B at b (rows n apart) into the 4×8 block of C at c (rows n
-// apart). A's element (i, kk) is read at a[i*ars+kk*aks], so the kernel
-// takes A row-major (ars = k, aks = 1) or stored transposed (ars = 1,
-// aks = m) without a copy. k must be positive. Implemented in
+// block of B at b (rows ldb apart) into the 4×8 block of C at c (rows
+// ldc apart). A's element (i, kk) is read at a[i*ars+kk*aks], so the
+// kernel takes A row-major (ars = k, aks = 1) or stored transposed
+// (ars = 1, aks = m) without a copy. k must be positive. Implemented in
 // gemm_amd64.s.
 //
 //go:noescape
-func gemm4x8AVX2(c, a, b *float64, k, n, ars, aks int)
+func gemm4x8AVX2(c, a, b *float64, k, ldb, ldc, ars, aks int)
 
 // matmulRowsSIMD computes rows [lo, hi) of the (m, n) product like
 // matmulBlock over all columns, bit for bit, with A's element (i, kk) at
@@ -61,7 +63,7 @@ func matmulRowsSIMD(dst, a, b []float64, lo, hi, k, n, ars, aks int) {
 		for j := 0; j < n8; j += 8 {
 			_ = b[(k-1)*n+j+7]
 			_ = dst[(i+3)*n+j+7]
-			gemm4x8AVX2(&dst[i*n+j], &a[i*ars], &b[j], k, n, ars, aks)
+			gemm4x8AVX2(&dst[i*n+j], &a[i*ars], &b[j], k, n, n, ars, aks)
 		}
 		if n8 < n {
 			matmulBlock(dst, a, b, i, i+4, k, n, n8, n, ars, aks)
@@ -69,5 +71,69 @@ func matmulRowsSIMD(dst, a, b []float64, lo, hi, k, n, ars, aks int) {
 	}
 	if i < hi {
 		matmulBlock(dst, a, b, i, hi, k, n, 0, n, ars, aks)
+	}
+}
+
+// matmulTBStrips computes 8-column strips [lo, hi) of the (m, n) product
+// A·Uᵀ of row-major A (m, k) and U (n, k) into dst, like matmulBlock on
+// Uᵀ bit for bit. Strip s covers output columns 8s to 8s+7: it copies
+// rows 8s..8s+7 of U, each a sequential read, into the k×8 panel (so
+// panel row kk is Uᵀ's row kk over those columns), then runs the AVX2
+// micro-kernel over every 4-row tile with B's rows 8 apart and C's n
+// apart. The trailing m mod 4 rows, and every row of a last strip
+// narrower than 8, run the Go row-stream loop over the same panel. panel
+// must hold at least 8k elements; k must be positive. Callers must have
+// checked gemmSIMD.
+func matmulTBStrips(dst, a, u, panel []float64, lo, hi, m, k, n int) {
+	for s := lo; s < hi; s++ {
+		j0 := 8 * s
+		w := min(8, n-j0)
+		p := panel[:k*w]
+		i := 0
+		if w == 8 {
+			pack8(p, u[j0*k:(j0+8)*k])
+			for ; i+4 <= m; i += 4 {
+				// As in matmulRowsSIMD: index the tile's last A and C
+				// elements so a bad shape panics here, not in assembly.
+				_ = a[(i+3)*k+k-1]
+				_ = dst[(i+3)*n+j0+7]
+				gemm4x8AVX2(&dst[i*n+j0], &a[i*k], &p[0], k, 8, n, k, 1)
+			}
+		} else {
+			for c := 0; c < w; c++ {
+				for kk, v := range u[(j0+c)*k : (j0+c+1)*k] {
+					p[kk*w+c] = v
+				}
+			}
+		}
+		for ; i < m; i++ {
+			drow := dst[i*n+j0 : i*n+j0+w]
+			for kk, av := range a[i*k : (i+1)*k] {
+				if av != 0 {
+					addScaledRow(drow, p[kk*w:(kk+1)*w], av)
+				}
+			}
+		}
+	}
+}
+
+// pack8 copies the eight k-long rows of u into the k×8 panel p. It reads
+// the rows in step, so each panel row is written whole: twice as fast as
+// copying one row at a time down a panel column. Reslicing every row to
+// len(r0) lets the compiler drop the loop's bounds checks on them.
+func pack8(p, u []float64) {
+	k := len(u) / 8
+	r0 := u[:k]
+	r1 := u[k : 2*k][:len(r0)]
+	r2 := u[2*k : 3*k][:len(r0)]
+	r3 := u[3*k : 4*k][:len(r0)]
+	r4 := u[4*k : 5*k][:len(r0)]
+	r5 := u[5*k : 6*k][:len(r0)]
+	r6 := u[6*k : 7*k][:len(r0)]
+	r7 := u[7*k : 8*k][:len(r0)]
+	for kk, v := range r0 {
+		q := p[8*kk : 8*kk+8 : 8*kk+8]
+		q[0], q[1], q[2], q[3] = v, r1[kk], r2[kk], r3[kk]
+		q[4], q[5], q[6], q[7] = r4[kk], r5[kk], r6[kk], r7[kk]
 	}
 }

@@ -2,26 +2,28 @@
 
 #include "textflag.h"
 
-// func gemm4x8AVX2(c, a, b *float64, k, n, ars, aks int)
+// func gemm4x8AVX2(c, a, b *float64, k, ldb, ldc, ars, aks int)
 //
 // C[0:4, 0:8] += A[0:4, 0:k] · B[0:k, 0:8], where A's element (i, kk)
 // is at a[i*ars + kk*aks] (row-major A has strides (k, 1), A stored
-// transposed has (1, m)) and B's and C's rows are n apart. Per k, each of
-// the four A elements is tested (bits<<1 == 0 means ±0, which is skipped
-// exactly as matmulBlock skips it; NaN is not skipped), broadcast,
-// multiplied into the two 4-lane halves of B's row with VMULPD and added
-// to the row's accumulators with VADDPD. Lanes run over output columns,
-// never over k, so every element gets matmulBlock's ascending-k sum of
-// separately rounded products.
-TEXT ·gemm4x8AVX2(SB), NOSPLIT, $0-56
+// transposed has (1, m)), B's rows are ldb apart and C's ldc apart. Per
+// k, each of the four A elements is tested (bits<<1 == 0 means ±0, which
+// is skipped exactly as matmulBlock skips it; NaN is not skipped),
+// broadcast, multiplied into the two 4-lane halves of B's row with VMULPD
+// and added to the row's accumulators with VADDPD. Lanes run over output
+// columns, never over k, so every element gets matmulBlock's ascending-k
+// sum of separately rounded products. C's stride is used only to load
+// and store the accumulators, so R8 holds it around the k loop and B's
+// stride inside it.
+TEXT ·gemm4x8AVX2(SB), NOSPLIT, $0-64
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
 	MOVQ k+24(FP), CX
-	MOVQ n+32(FP), R8
-	MOVQ ars+40(FP), AX
-	MOVQ aks+48(FP), R14
-	SHLQ $3, R8                // row stride of B and C in bytes
+	MOVQ ldc+40(FP), R8
+	MOVQ ars+48(FP), AX
+	MOVQ aks+56(FP), R14
+	SHLQ $3, R8                // row stride of C in bytes
 	SHLQ $3, AX                // row stride of A in bytes
 	SHLQ $3, R14               // k stride of A in bytes
 	LEAQ (SI)(AX*1), R9        // A row 1
@@ -39,6 +41,8 @@ TEXT ·gemm4x8AVX2(SB), NOSPLIT, $0-56
 	VMOVUPD (R13)(R8*1), Y6
 	VMOVUPD 32(R13)(R8*1), Y7
 
+	MOVQ ldb+32(FP), R8
+	SHLQ $3, R8                // row stride of B in bytes
 	XORQ BX, BX                // byte offset of column kk in A's rows
 
 loop:
@@ -90,6 +94,8 @@ next:
 	DECQ CX
 	JNZ  loop
 
+	MOVQ ldc+40(FP), R8
+	SHLQ $3, R8                // row stride of C in bytes
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, (R12)

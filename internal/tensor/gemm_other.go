@@ -11,3 +11,9 @@ const gemmSIMD = false
 func matmulRowsSIMD(dst, a, b []float64, lo, hi, k, n, ars, aks int) {
 	matmulBlock(dst, a, b, lo, hi, k, n, 0, n, ars, aks)
 }
+
+// matmulTBStrips is never called on these hosts: MatMulTB transposes U
+// and multiplies instead.
+func matmulTBStrips(dst, a, u, panel []float64, lo, hi, m, k, n int) {
+	panic("tensor: no AVX2 micro-kernel on this host")
+}

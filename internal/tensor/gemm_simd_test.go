@@ -196,12 +196,10 @@ func TestGemmSIMDRejectsShortSlices(t *testing.T) {
 var raceEnabled bool
 
 // TestMatMulFanOutAllocs pins that a product above the fan-out threshold
-// allocates nothing once its arena is warm: the SIMD fan-out hands the
-// pool a recycled job, not a fresh closure.
+// allocates nothing once its arena is warm, with the AVX2 kernel and
+// with the Go fallback: either fan-out hands the pool a recycled job,
+// not a fresh closure.
 func TestMatMulFanOutAllocs(t *testing.T) {
-	if !gemmSIMD {
-		t.Skip("no AVX2 micro-kernel on this host")
-	}
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random, so recycled jobs are reallocated")
 	}
@@ -219,9 +217,42 @@ func TestMatMulFanOutAllocs(t *testing.T) {
 		copy(x.Data(), a.Data())
 		_ = x.MatMul(b)
 	}
-	iter()
-	if got := testing.AllocsPerRun(20, iter); got != 0 {
-		t.Fatalf("fanned-out MatMul into a warm arena allocates %v times per call", got)
+	check := func(kernel string) {
+		iter()
+		if got := testing.AllocsPerRun(20, iter); got != 0 {
+			t.Errorf("%s: fanned-out MatMul into a warm arena allocates %v times per call", kernel, got)
+		}
+	}
+	if gemmSIMD {
+		check("AVX2")
+	}
+	goFallback(func() { check("Go fallback") })
+}
+
+// BenchmarkGemmTB is train-wide's input-gradient product dY·Wᵀ at
+// 64×256×256 into a warm arena: transpose materializes Wᵀ serially and
+// multiplies, as the backward pass did before MatMulTB; strips is
+// MatMulTB.
+func BenchmarkGemmTB(b *testing.B) {
+	const m, k, n = 64, 256, 256
+	rng := stats.NewRNG(97)
+	dy := Randn(rng, 1, m, k)
+	w := Randn(rng, 1, n, k)
+	ar := NewArena()
+	for _, bc := range []struct {
+		name string
+		f    func()
+	}{
+		{"transpose", func() { matMulInto(NewIn(ar, m, n), dy, w.Transpose2DIn(ar)) }},
+		{"strips", func() { _ = dy.MatMulTBIn(ar, w) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ar.Reset()
+				bc.f()
+			}
+		})
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 // levels: sequentially below the threshold, fanned out in
 // matmulRowGrain-row chunks above. Every kernel is bit-identical (same
 // ascending-k accumulation per output element, same zero-skip), so the
-// dispatch is pure performance tuning.
+// dispatch is pure performance tuning. With the AVX2 kernel, MatMulTB
+// (the product with a transposed right operand) fans out over 8-column
+// strips instead (see gemmTB).
 const (
 	// matmulParallelThreshold is the m*n*k product above which MatMul
 	// fans out across the persistent worker pool. Below it the
@@ -85,6 +87,36 @@ func (t *Tensor) MatMulTAIn(a *Arena, u *Tensor) *Tensor {
 	return r
 }
 
+// MatMulTB returns t·uᵀ for the (M, K) tensor t and the (N, K) tensor
+// u, an (M, N) product, without a serial transpose of u. It is
+// bit-identical to t.MatMul(u.Transpose2D()) — the same ascending-k sum
+// and the same zero-skip on the same element of t — and is how a
+// backward pass forms an input gradient dY·Wᵀ. With the AVX2 kernel each
+// 8-column strip of the result packs its own eight rows of u (gemmTB);
+// elsewhere u is transposed and multiplied.
+func (t *Tensor) MatMulTB(u *Tensor) *Tensor { return t.MatMulTBIn(t.arena, u) }
+
+// MatMulTBIn is MatMulTB allocating the result (and, without the AVX2
+// kernel, uᵀ) from arena a, so a backward pass can put an input gradient
+// in the step's arena whichever operand lives there.
+func (t *Tensor) MatMulTBIn(a *Arena, u *Tensor) *Tensor {
+	if t.Rank() != 2 || u.Rank() != 2 {
+		panic(fmt.Sprintf("tensor: MatMulTB of rank %d and %d", t.Rank(), u.Rank()))
+	}
+	m, k := t.shape[0], t.shape[1]
+	n, k2 := u.shape[0], u.shape[1]
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: MatMulTB inner dims %d vs %d", k, k2))
+	}
+	r := newIn(a, []int{m, n})
+	if gemmSIMD {
+		gemmTB(r.data, t.data, u.data, m, k, n)
+	} else {
+		matMulInto(r, t, u.Transpose2DIn(a))
+	}
+	return r
+}
+
 // matMulInto computes the product of t and u into the zero-filled r,
 // dispatching as described above. It lets callers that manage their own
 // result storage (convolution's arena-allocated product) share one
@@ -98,58 +130,104 @@ func matMulInto(r, t, u *Tensor) {
 // (i, kk) at a[i*ars+kk*aks]: row-major A has strides (k, 1), A stored
 // transposed has (1, m). Every kernel reads A in place either way.
 func gemm(dst, a, b []float64, m, k, n, ars, aks int) {
-	work := m * n * k
 	switch {
-	case gemmSIMD && work < matmulParallelThreshold:
-		matmulRowsSIMD(dst, a, b, 0, m, k, n, ars, aks)
+	case m*n*k >= matmulParallelThreshold:
+		matMulParallel(dst, a, b, m, k, n, ars, aks)
 	case gemmSIMD:
-		matMulSIMDParallel(dst, a, b, m, k, n, ars, aks)
-	case work < matmulParallelThreshold:
-		matmulBlock(dst, a, b, 0, m, k, n, 0, n, ars, aks)
+		matmulRowsSIMD(dst, a, b, 0, m, k, n, ars, aks)
 	default:
-		matMulRowsParallel(dst, a, b, m, k, n, ars, aks)
+		matmulBlock(dst, a, b, 0, m, k, n, 0, n, ars, aks)
 	}
 }
 
-// simdJob carries one fanned-out SIMD product to the pool. Jobs are
-// recycled with their rows method value bound once, so unlike a closure
-// literal the fan-out allocates nothing in steady state.
-type simdJob struct {
+// gemmJob carries one fanned-out product to the pool. Jobs are recycled
+// with their rows method value bound once, so unlike a closure literal
+// the fan-out allocates nothing in steady state.
+type gemmJob struct {
 	dst, a, b []float64
 	k, n      int
 	ars, aks  int
 	run       func(lo, hi int)
 }
 
-var simdJobs = sync.Pool{New: func() any {
-	j := new(simdJob)
+var gemmJobs = sync.Pool{New: func() any {
+	j := new(gemmJob)
 	j.run = j.rows
 	return j
 }}
 
-func (j *simdJob) rows(lo, hi int) {
-	matmulRowsSIMD(j.dst, j.a, j.b, lo, hi, j.k, j.n, j.ars, j.aks)
+// rows computes rows [lo, hi) with the kernel gemm would run serially.
+func (j *gemmJob) rows(lo, hi int) {
+	if gemmSIMD {
+		matmulRowsSIMD(j.dst, j.a, j.b, lo, hi, j.k, j.n, j.ars, j.aks)
+	} else {
+		matmulBlock(j.dst, j.a, j.b, lo, hi, j.k, j.n, 0, j.n, j.ars, j.aks)
+	}
 }
 
-// matMulSIMDParallel fans matmulRowsSIMD out over the persistent worker
-// pool in gemmRowChunk-row chunks. The chunk size is a multiple of the
-// kernel's 4-row tile, so only the last chunk has trailing rows; rows are
-// independent either way, so the result is bit-identical at any width.
-func matMulSIMDParallel(dst, a, b []float64, m, k, n, ars, aks int) {
-	j := simdJobs.Get().(*simdJob)
+// matMulParallel fans the product out over the persistent worker pool in
+// row chunks: gemmRowChunk rows for the SIMD kernel (a multiple of its
+// 4-row tile, so only the last chunk has trailing rows), matmulRowGrain
+// for the row-stream kernel. Rows are independent, so the result is
+// bit-identical at any width.
+func matMulParallel(dst, a, b []float64, m, k, n, ars, aks int) {
+	grain := matmulRowGrain
+	if gemmSIMD {
+		grain = gemmRowChunk
+	}
+	j := gemmJobs.Get().(*gemmJob)
 	j.dst, j.a, j.b, j.k, j.n, j.ars, j.aks = dst, a, b, k, n, ars, aks
-	parallel.Shared().RunRange(m, gemmRowChunk, j.run)
+	parallel.Shared().RunRange(m, grain, j.run)
 	j.dst, j.a, j.b = nil, nil, nil
-	simdJobs.Put(j)
+	gemmJobs.Put(j)
 }
 
-// matMulRowsParallel fans the row-stream kernel out over the persistent
-// worker pool in independent row chunks — no per-call goroutine spawn,
-// bit-identical to the sequential kernel at any pool width.
-func matMulRowsParallel(dst, a, b []float64, m, k, n, ars, aks int) {
-	parallel.Shared().RunRange(m, matmulRowGrain, func(lo, hi int) {
-		matmulBlock(dst, a, b, lo, hi, k, n, 0, n, ars, aks)
-	})
+// tbJob carries one MatMulTB product's strips, recycled like gemmJob.
+type tbJob struct {
+	dst, a, u []float64
+	m, k, n   int
+	run       func(lo, hi int)
+}
+
+var tbJobs = sync.Pool{New: func() any {
+	j := new(tbJob)
+	j.run = j.strips
+	return j
+}}
+
+// tbPanels recycles the strips' k×8 panels.
+var tbPanels = sync.Pool{New: func() any { return new([]float64) }}
+
+// strips computes strips [lo, hi) through a panel of its own.
+func (j *tbJob) strips(lo, hi int) {
+	p := tbPanels.Get().(*[]float64)
+	if len(*p) < 8*j.k {
+		*p = make([]float64, 8*j.k)
+	}
+	matmulTBStrips(j.dst, j.a, j.u, *p, lo, hi, j.m, j.k, j.n)
+	tbPanels.Put(p)
+}
+
+// gemmTB adds the product of row-major A (m, k) and the transpose of
+// row-major U (n, k) into dst with the AVX2 kernel, one 8-column strip at
+// a time (matmulTBStrips): in order below matmulParallelThreshold, one
+// strip per pool claim above it, so each strip packs its panel on the
+// worker that multiplies it. Strips write disjoint columns, so the result
+// is bit-identical at any width. Callers must have checked gemmSIMD.
+func gemmTB(dst, a, u []float64, m, k, n int) {
+	if k == 0 {
+		return
+	}
+	j := tbJobs.Get().(*tbJob)
+	j.dst, j.a, j.u, j.m, j.k, j.n = dst, a, u, m, k, n
+	strips := (n + 7) / 8
+	if m*n*k < matmulParallelThreshold {
+		j.strips(0, strips)
+	} else {
+		parallel.Shared().RunRange(strips, 1, j.run)
+	}
+	j.dst, j.a, j.u = nil, nil, nil
+	tbJobs.Put(j)
 }
 
 // matmulBlock computes rows [lo, hi) of the (m, n) product restricted to
@@ -171,15 +249,18 @@ func matmulBlock(dst, a, b []float64, lo, hi, k, n, j0, j1, ars, aks int) {
 	}
 }
 
-// addScaledRow adds av·s[j] into d[j] for every j. It stays out of line:
-// inlined into matmulBlock's k loop, the strides kept live there pushed
-// this loop's index onto the stack, which doubled the kernel's time.
+// addScaledRow adds av·s[j] into d[j] for every j. The explicit
+// conversion rounds the product on its own, so no target fuses it into a
+// multiply-add and every architecture keeps the AVX2 kernel's bits. It
+// stays out of line: inlined into matmulBlock's k loop, the strides kept
+// live there pushed this loop's index onto the stack, which doubled the
+// kernel's time.
 //
 //go:noinline
 func addScaledRow(d, s []float64, av float64) {
 	s = s[:len(d)]
 	for j := range d {
-		d[j] += av * s[j]
+		d[j] += float64(av * s[j])
 	}
 }
 
@@ -193,10 +274,8 @@ const transposeBlock = 16
 // Transpose2D returns the transpose of a rank-2 tensor.
 func (t *Tensor) Transpose2D() *Tensor { return t.Transpose2DIn(t.arena) }
 
-// Transpose2DIn is Transpose2D allocating the result from arena a, so a
-// backward pass can transpose a heap parameter into step-scoped storage.
-// Every element of the result is written, so it skips the arena's
-// zero-fill.
+// Transpose2DIn is Transpose2D allocating the result from arena a. Every
+// element of the result is written, so it skips the arena's zero-fill.
 func (t *Tensor) Transpose2DIn(a *Arena) *Tensor {
 	if t.Rank() != 2 {
 		panic("tensor: Transpose2D of non-matrix")

@@ -28,6 +28,13 @@ func specialOperands(seed uint64, m, k, n int) (a, b *Tensor) {
 	rng := stats.NewRNG(seed)
 	a = Randn(rng, 1, k, m)
 	b = Randn(rng, 1, k, n)
+	addSpecials(rng, a, b)
+	return a, b
+}
+
+// addSpecials sets about a quarter of a's elements to +0 or -0 and its
+// middle one to NaN, and b's first and last elements to +Inf and -Inf.
+func addSpecials(rng *stats.RNG, a, b *Tensor) {
 	for i := range a.data {
 		switch rng.Intn(8) {
 		case 0:
@@ -39,7 +46,6 @@ func specialOperands(seed uint64, m, k, n int) (a, b *Tensor) {
 	a.data[len(a.data)/2] = math.NaN()
 	b.data[0] = math.Inf(1)
 	b.data[len(b.data)-1] = math.Inf(-1)
-	return a, b
 }
 
 // TestMatMulTAMatchesTransposeMatMul: tᵀ·u read in place is bit-identical
@@ -98,6 +104,82 @@ func TestMatMulTAFanOutAllocs(t *testing.T) {
 	iter()
 	if got := testing.AllocsPerRun(20, iter); got != 0 {
 		t.Fatalf("fanned-out MatMulTA into a warm arena allocates %v times per call", got)
+	}
+}
+
+// TestMatMulTBMatchesTransposeMatMul: t·uᵀ from packed strips is
+// bit-identical to materializing uᵀ and multiplying, on every dispatch
+// shape (both sides of the fan-out threshold, every m mod 4 and n mod 8,
+// the traffic shapes), first with normal operands, then with ±0 and NaN
+// in t and ±Inf in u.
+func TestMatMulTBMatchesTransposeMatMul(t *testing.T) {
+	rng := stats.NewRNG(79)
+	for _, d := range dispatchShapes() {
+		m, k, n := d[0], d[1], d[2]
+		a := Randn(rng, 1, m, k)
+		u := Randn(rng, 1, n, k)
+		for _, special := range []bool{false, true} {
+			if special {
+				addSpecials(rng, a, u)
+			}
+			got := a.MatMulTB(u)
+			if got.shape[0] != m || got.shape[1] != n {
+				t.Fatalf("%v: shape %v", d, got.shape)
+			}
+			sameBits(t, fmt.Sprintf("m,k,n=%v special=%v", d, special), got.data, a.MatMul(u.Transpose2D()).data)
+		}
+	}
+}
+
+// TestMatMulTBDeterministicAcrossWorkers drives the strips through the
+// one-strip claims gemmTB's fan-out makes, each claim packing its own
+// panel, at pool widths 1, 2, 4 and 8, on a shape above the fan-out
+// threshold whose m is not a multiple of the 4-row tile and whose n is
+// not a multiple of the 8-column strip.
+func TestMatMulTBDeterministicAcrossWorkers(t *testing.T) {
+	if !gemmSIMD {
+		t.Skip("no AVX2 micro-kernel on this host")
+	}
+	const m, k, n = 133, 140, 150
+	if m*k*n < matmulParallelThreshold {
+		t.Fatal("shape no longer fans out")
+	}
+	rng := stats.NewRNG(83)
+	a := Randn(rng, 1, m, k)
+	u := Randn(rng, 1, n, k)
+	addSpecials(rng, a, u)
+	want := a.MatMul(u.Transpose2D()).data
+	for _, w := range []int{1, 2, 4, 8} {
+		pool := parallel.NewWorkerPool(w)
+		dst := make([]float64, m*n)
+		pool.RunRange((n+7)/8, 1, func(lo, hi int) {
+			matmulTBStrips(dst, a.data, u.data, make([]float64, 8*k), lo, hi, m, k, n)
+		})
+		pool.Close()
+		sameBits(t, fmt.Sprintf("workers=%d", w), dst, want)
+	}
+}
+
+// TestMatMulTBFanOutAllocs: a fanned-out MatMulTB into a warm arena
+// allocates nothing. Its jobs and panels are recycled; without the AVX2
+// kernel it transposes into the arena and multiplies through the
+// recycled row job.
+func TestMatMulTBFanOutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random, so recycled jobs are reallocated")
+	}
+	const m, k, n = 64, 256, 256
+	ar := NewArena()
+	rng := stats.NewRNG(89)
+	a := Randn(rng, 1, m, k)
+	u := Randn(rng, 1, n, k)
+	iter := func() {
+		ar.Reset()
+		_ = a.MatMulTBIn(ar, u)
+	}
+	iter()
+	if got := testing.AllocsPerRun(20, iter); got != 0 {
+		t.Fatalf("fanned-out MatMulTB into a warm arena allocates %v times per call", got)
 	}
 }
 
