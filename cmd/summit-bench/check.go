@@ -62,7 +62,7 @@ const (
 	// maxTrainStepAllocs caps TrainStepAlloc/scratch allocs/op: the
 	// arena + persistent-pool training step must stay allocation-flat.
 	// The count is exact, so the ceiling sits at it with no headroom.
-	maxTrainStepAllocs = 41
+	maxTrainStepAllocs = 39
 )
 
 // ratioRule is one within-run speedup floor: numerator ns/op over

@@ -186,7 +186,7 @@ func TestKernelFloorMDAndAllocs(t *testing.T) {
 		result{Name: "BenchmarkTrainStepAlloc/scratch", NsPerOp: 1, AllocsPerOp: 46})
 	fresh.Gomaxprocs = 8
 	_, failed := checkKernelFloors(fresh)
-	// 1.11x misses the 1.2x MD floor AND 46 allocs breaches the 41 ceiling.
+	// 1.11x misses the 1.2x MD floor AND 46 allocs breaches the 39 ceiling.
 	if len(failed) != 2 {
 		t.Fatalf("want MD-floor + alloc-ceiling failures, got %v", failed)
 	}

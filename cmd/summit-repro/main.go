@@ -10,6 +10,8 @@
 //	summit-repro -platform frontier    # replay the machine-aware studies
 //	summit-repro -platforms            # list registered machines
 //	summit-repro -experiment RS2       # run one experiment by ID
+//	summit-repro -platform frontier -experiment S4
+//	                                   # one experiment of a machine's replay
 //	summit-repro -experiment RS2 -trace out.json -metrics
 //	                                   # + Chrome trace & metrics summary
 package main
@@ -28,6 +30,20 @@ import (
 	"summitscale/internal/platform"
 )
 
+// experimentsOn returns the experiments a run on p covers. The full
+// registry (tables, figures, scaling, sysreq, workflows, resilience)
+// carries the paper's reference values on the baseline; other machines
+// replay the machine-aware studies.
+func experimentsOn(p platform.Platform) []core.Experiment {
+	if p.IsPaperBaseline() {
+		return core.Experiments()
+	}
+	exps := append(core.SysreqExperimentsOn(p), core.ScalingExperimentsOn(p)...)
+	exps = append(exps, core.ResilienceExperimentsOn(p)...)
+	exps = append(exps, core.ChaosExperimentsOn(p)...)
+	return append(exps, core.MLPerfExperimentsOn(p)...)
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -43,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jobs := fs.Int("j", runtime.NumCPU(), "experiment workers; 1 runs the experiment DAG sequentially (output is byte-identical either way)")
 	plat := fs.String("platform", "summit", "machine to reproduce on ("+strings.Join(platform.Names(), ", ")+"); non-baseline machines replay the sysreq, scaling, resilience, chaos, and benchmark-campaign studies")
 	list := fs.Bool("platforms", false, "list registered platforms and exit")
-	expID := fs.String("experiment", "", "run a single experiment by ID (e.g. RS2) instead of the full registry")
+	expID := fs.String("experiment", "", "run a single experiment by ID (e.g. RS2), one of those the platform runs, instead of them all")
 	traceOut := fs.String("trace", "", "write the run's simulated-clock spans as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
 	metrics := fs.Bool("metrics", false, "print the obs metrics summary and trace summary after the report")
 	if err := fs.Parse(args); err != nil {
@@ -81,25 +97,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var report string
 	var pass bool
+	exps := experimentsOn(p)
 	if *expID != "" {
-		e, ok := core.ByID(*expID)
-		if !ok {
+		var e core.Experiment
+		for _, x := range exps {
+			if x.ID == *expID {
+				e = x
+			}
+		}
+		switch {
+		case e.Body != nil:
+		case p.IsPaperBaseline():
 			fmt.Fprintf(stderr, "summit-repro: unknown experiment %q\n", *expID)
+			return 2
+		default:
+			fmt.Fprintf(stderr, "summit-repro: platform %s does not replay experiment %q\n", *plat, *expID)
 			return 2
 		}
 		r := e.Body(nil, ob)
 		report, pass = core.RenderResult(e, r), r.Pass()
 	} else {
-		// The full registry (tables, figures, scaling, sysreq, workflows,
-		// resilience) carries the paper's reference values on the
-		// baseline; other machines replay the machine-aware studies.
-		exps := core.Experiments()
-		if !p.IsPaperBaseline() {
-			exps = append(core.SysreqExperimentsOn(p), core.ScalingExperimentsOn(p)...)
-			exps = append(exps, core.ResilienceExperimentsOn(p)...)
-			exps = append(exps, core.ChaosExperimentsOn(p)...)
-			exps = append(exps, core.MLPerfExperimentsOn(p)...)
-		}
 		report, pass = core.Report(exps, core.NewEngine().Run(p, exps, *jobs, ob))
 	}
 	fmt.Fprint(stdout, report)

@@ -19,7 +19,8 @@ func readFile(t *testing.T, path string) string {
 
 // TestRun drives the command in process: the default Summit report and
 // the off-baseline replay at two widths and -md against their stdout
-// goldens, the RS2 trace against the core package's pinned artifact, and
+// goldens, the RS2 trace against the core package's pinned artifact, one
+// experiment on each machine (Summit's T1, Frontier's replay of S4), and
 // the argument errors.
 func TestRun(t *testing.T) {
 	rs2Trace := filepath.Join(t.TempDir(), "rs2.json")
@@ -49,8 +50,14 @@ func TestRun(t *testing.T) {
 			stdout: readFile(t, "testdata/summit.golden")},
 		{name: "default -j 4", args: []string{"-j", "4"},
 			stdout: readFile(t, "testdata/summit.golden")},
+		{name: "T1", args: []string{"-experiment", "T1"},
+			stdout: readFile(t, "testdata/summit-T1.golden")},
+		{name: "frontier S4", args: []string{"-platform", "frontier", "-experiment", "S4"},
+			stdout: readFile(t, "testdata/frontier-S4.golden")},
 		{name: "unknown experiment", args: []string{"-experiment", "Z9"}, code: 2,
 			stderr: `unknown experiment "Z9"`},
+		{name: "experiment not replayed", args: []string{"-platform", "frontier", "-experiment", "T1"}, code: 2,
+			stderr: `platform frontier does not replay experiment "T1"`},
 		{name: "unknown platform", args: []string{"-platform", "bogus"}, code: 2,
 			stderr: `unknown machine "bogus"`},
 	} {

@@ -52,7 +52,7 @@ func ConstantIn(a *tensor.Arena, t *tensor.Tensor) *Value {
 	if a == nil {
 		return Constant(t)
 	}
-	c := tensor.NewIn(a, t.Shape()...)
+	c := tensor.NewRawIn(a, t.Shape()...)
 	copy(c.Data(), t.Data())
 	return NewLeaf(c, false)
 }
@@ -236,26 +236,36 @@ func Reshape(a *Value, shape ...int) *Value {
 // ReLU applies max(0, x) elementwise; NaN and -0 map to +0.
 func ReLU(a *Value) *Value {
 	ad := a.Data.Data()
-	out := tensor.NewIn(a.Data.Arena(), a.Data.Shape()...)
+	out := tensor.NewRawIn(a.Data.Arena(), a.Data.Shape()...)
 	od := out.Data()[:len(ad)]
-	// out is zeroed, so only positive inputs are written.
 	for i, x := range ad {
-		if x > 0 {
-			od[i] = x
-		}
+		od[i] = math.Float64frombits(passPositive(x, math.Float64bits(x)))
 	}
 	n := newNode(out, a)
 	n.backward = func() {
-		g := tensor.NewIn(n.Grad.Arena(), a.Data.Shape()...)
-		ad, gd, nd := a.Data.Data(), g.Data(), n.Grad.Data()
-		for i := range ad {
-			if ad[i] > 0 {
-				gd[i] = nd[i]
-			}
+		g := tensor.NewRawIn(n.Grad.Arena(), a.Data.Shape()...)
+		ad := a.Data.Data()
+		gd, nd := g.Data()[:len(ad)], n.Grad.Data()[:len(ad)]
+		for i, x := range ad {
+			gd[i] = math.Float64frombits(passPositive(x, math.Float64bits(nd[i])))
 		}
 		a.take(g)
 	}
 	return n
+}
+
+// passPositive returns b when x > 0 and 0, the bits of +0, otherwise
+// (x NaN or ±0 included). x > 0 exactly when x's bits lie in [1, the
+// bits of +Inf]: one unsigned compare. Both ReLU passes select through
+// it without a branch, since the select is on integers, which the
+// compiler turns into a conditional move; a float select would keep a
+// branch on the activation's sign, a coin flip for the predictor.
+func passPositive(x float64, b uint64) uint64 {
+	r := b
+	if math.Float64bits(x)-1 >= 0x7ff0000000000000 {
+		r = 0
+	}
+	return r
 }
 
 // Tanh applies tanh elementwise.
@@ -263,7 +273,7 @@ func Tanh(a *Value) *Value {
 	out := a.Data.Apply(math.Tanh)
 	n := newNode(out, a)
 	n.backward = func() {
-		g := tensor.NewIn(n.Grad.Arena(), a.Data.Shape()...)
+		g := tensor.NewRawIn(n.Grad.Arena(), a.Data.Shape()...)
 		od, gd, nd := out.Data(), g.Data(), n.Grad.Data()
 		for i := range od {
 			gd[i] = nd[i] * (1 - od[i]*od[i])
@@ -278,7 +288,7 @@ func Sigmoid(a *Value) *Value {
 	out := a.Data.Apply(func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
 	n := newNode(out, a)
 	n.backward = func() {
-		g := tensor.NewIn(n.Grad.Arena(), a.Data.Shape()...)
+		g := tensor.NewRawIn(n.Grad.Arena(), a.Data.Shape()...)
 		od, gd, nd := out.Data(), g.Data(), n.Grad.Data()
 		for i := range od {
 			gd[i] = nd[i] * od[i] * (1 - od[i])
@@ -298,7 +308,7 @@ func GELU(a *Value) *Value {
 	out := a.Data.Apply(f)
 	n := newNode(out, a)
 	n.backward = func() {
-		g := tensor.NewIn(n.Grad.Arena(), a.Data.Shape()...)
+		g := tensor.NewRawIn(n.Grad.Arena(), a.Data.Shape()...)
 		ad, gd, nd := a.Data.Data(), g.Data(), n.Grad.Data()
 		for i := range ad {
 			x := ad[i]
@@ -374,7 +384,7 @@ func Conv2D(a, kernel, bias *Value, opts tensor.Conv2DOpts) *Value {
 		if kernel.requiresGrad {
 			// dKernel = dOutᵀ·cols, shape (F, C*KH*KW). Row ch of the
 			// (F, N*OH*OW) dOutᵀ is channel ch's planes, image by image.
-			dt := tensor.NewIn(ar, f, rows)
+			dt := tensor.NewRawIn(ar, f, rows)
 			td := dt.Data()
 			for img := 0; img < nIn; img++ {
 				for ch := 0; ch < f; ch++ {
@@ -385,17 +395,13 @@ func Conv2D(a, kernel, bias *Value, opts tensor.Conv2DOpts) *Value {
 		}
 		if bias != nil && bias.requiresGrad {
 			// Each channel sums in unfold-row order, as SumAxis0 over dOut
-			// laid out (N*OH*OW, F) would.
-			db := tensor.NewIn(ar, f)
+			// laid out (N*OH*OW, F) would: its planes in image order, four
+			// channels side by side as in BatchNorm2D.
+			db := tensor.NewRawIn(ar, f)
 			dbd := db.Data()
-			for ch := 0; ch < f; ch++ {
-				var sum float64
-				for img := 0; img < nIn; img++ {
-					for _, v := range gd[(img*f+ch)*plane:][:plane] {
-						sum += v
-					}
-				}
-				dbd[ch] = sum
+			for ch := 0; ch < f; ch += 4 {
+				sums := planeSums4(gd, nIn, f, plane, quad(ch, f))
+				copy(dbd[ch:], sums[:min(4, f-ch)])
 			}
 			bias.take(db)
 		}
@@ -403,7 +409,7 @@ func Conv2D(a, kernel, bias *Value, opts tensor.Conv2DOpts) *Value {
 			// dInput = Col2Im(dflat @ kernelMat), with dOut laid out
 			// (N*OH*OW, F) like the unfold rows and kernelMat
 			// (F, C*KH*KW).
-			dflat := tensor.NewIn(ar, rows, f)
+			dflat := tensor.NewRawIn(ar, rows, f)
 			dd := dflat.Data()
 			for img := 0; img < nIn; img++ {
 				for ch := 0; ch < f; ch++ {
@@ -442,7 +448,7 @@ func AvgPoolGlobal(a *Value) *Value {
 	n.backward = func() {
 		nIn, c, h, w := a.Data.Dim(0), a.Data.Dim(1), a.Data.Dim(2), a.Data.Dim(3)
 		inv := 1 / float64(h*w)
-		g := tensor.NewIn(n.Grad.Arena(), a.Data.Shape()...)
+		g := tensor.NewRawIn(n.Grad.Arena(), a.Data.Shape()...)
 		gd, nd := g.Data(), n.Grad.Data()
 		for img := 0; img < nIn; img++ {
 			for ch := 0; ch < c; ch++ {
@@ -478,7 +484,7 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 		loss -= math.Log(p)
 	}
 	loss /= float64(nRows)
-	lt := tensor.NewIn(logits.Data.Arena(), 1)
+	lt := tensor.NewRawIn(logits.Data.Arena(), 1)
 	lt.Data()[0] = loss
 	n := newNode(lt, logits)
 	n.backward = func() {
@@ -510,7 +516,7 @@ func Softmax(a *Value) *Value {
 	n := newNode(out, a)
 	n.backward = func() {
 		m, c := out.Dim(0), out.Dim(1)
-		g := tensor.NewIn(n.Grad.Arena(), m, c)
+		g := tensor.NewRawIn(n.Grad.Arena(), m, c)
 		od, gd, nd := out.Data(), g.Data(), n.Grad.Data()
 		for i := 0; i < m; i++ {
 			row := od[i*c : (i+1)*c]

@@ -12,8 +12,8 @@ import (
 // normalization used in transformer blocks.
 func LayerNorm(a, gain, shift *Value, eps float64) *Value {
 	m, c := a.Data.Dim(0), a.Data.Dim(1)
-	out := tensor.NewIn(a.Data.Arena(), m, c)
-	xhat := tensor.NewIn(a.Data.Arena(), m, c)
+	out := tensor.NewRawIn(a.Data.Arena(), m, c)
+	xhat := tensor.NewRawIn(a.Data.Arena(), m, c)
 	invStd := make([]float64, m)
 	ad, od, xd := a.Data.Data(), out.Data(), xhat.Data()
 	gd, sd := gain.Data.Data(), shift.Data.Data()
@@ -41,7 +41,7 @@ func LayerNorm(a, gain, shift *Value, eps float64) *Value {
 	n := newNode(out, a, gain, shift)
 	n.backward = func() {
 		nd := n.Grad.Data()
-		ga := tensor.NewIn(n.Grad.Arena(), m, c)
+		ga := tensor.NewRawIn(n.Grad.Arena(), m, c)
 		gg := tensor.NewIn(n.Grad.Arena(), c)
 		gs := tensor.NewIn(n.Grad.Arena(), c)
 		gad, ggd, gsd := ga.Data(), gg.Data(), gs.Data()
@@ -75,73 +75,59 @@ func BatchNorm2D(a, gain, shift *Value, eps float64) *Value {
 	hw := h * w
 	cnt := float64(nIn * hw)
 	ar := a.Data.Arena()
-	out := tensor.NewIn(ar, nIn, c, h, w)
-	xhat := tensor.NewIn(ar, nIn, c, h, w)
-	invStd := tensor.NewIn(ar, c).Data()
+	out := tensor.NewRawIn(ar, nIn, c, h, w)
+	xhat := tensor.NewRawIn(ar, nIn, c, h, w)
+	invStd := tensor.NewRawIn(ar, c).Data()
 	ad, od, xd := a.Data.Data(), out.Data(), xhat.Data()
 	gd, sd := gain.Data.Data(), shift.Data.Data()
 
 	// Channel ch of image img is the contiguous plane at (img*c+ch)*hw;
-	// every sum walks a channel's planes in image order.
-	for ch := 0; ch < c; ch++ {
-		var mean float64
-		for img := 0; img < nIn; img++ {
-			for _, x := range ad[(img*c+ch)*hw:][:hw] {
-				mean += x
-			}
+	// every sum walks a channel's planes in image order, four channels
+	// side by side (see planeSums4).
+	for ch := 0; ch < c; ch += 4 {
+		q := quad(ch, c)
+		mean := planeSums4(ad, nIn, c, hw, q)
+		for l := range mean {
+			mean[l] /= cnt
 		}
-		mean /= cnt
-		var va float64
-		for img := 0; img < nIn; img++ {
-			for _, x := range ad[(img*c+ch)*hw:][:hw] {
-				d := x - mean
-				va += d * d
-			}
-		}
-		va /= cnt
-		is := 1 / math.Sqrt(va+eps)
-		invStd[ch] = is
-		g, sh := gd[ch], sd[ch]
-		for img := 0; img < nIn; img++ {
-			base := (img*c + ch) * hw
-			src := ad[base:][:hw]
-			xp, op := xd[base:][:hw], od[base:][:hw]
-			for i, x := range src {
-				xh := (x - mean) * is
-				xp[i] = xh
-				op[i] = xh*g + sh
+		va := planeSqDevs4(ad, nIn, c, hw, q, mean)
+		for l := 0; l < 4 && ch+l < c; l++ {
+			is := 1 / math.Sqrt(va[l]/cnt+eps)
+			invStd[ch+l] = is
+			g, sh, m := gd[ch+l], sd[ch+l], mean[l]
+			for img := 0; img < nIn; img++ {
+				base := (img*c + ch + l) * hw
+				src := ad[base:][:hw]
+				xp, op := xd[base:][:hw], od[base:][:hw]
+				for i, x := range src {
+					xh := (x - m) * is
+					xp[i] = xh
+					op[i] = float64(xh*g) + sh
+				}
 			}
 		}
 	}
 	n := newNode(out, a, gain, shift)
 	n.backward = func() {
 		nd := n.Grad.Data()
-		ga := tensor.NewIn(n.Grad.Arena(), nIn, c, h, w)
-		gg := tensor.NewIn(n.Grad.Arena(), c)
-		gs := tensor.NewIn(n.Grad.Arena(), c)
+		ga := tensor.NewRawIn(n.Grad.Arena(), nIn, c, h, w)
+		gg := tensor.NewRawIn(n.Grad.Arena(), c)
+		gs := tensor.NewRawIn(n.Grad.Arena(), c)
 		gad, ggd, gsd := ga.Data(), gg.Data(), gs.Data()
-		for ch := 0; ch < c; ch++ {
-			g := gd[ch]
-			var sumDy, sumDyXhat, sumGain, sumShift float64
-			for img := 0; img < nIn; img++ {
-				base := (img*c + ch) * hw
-				dp, xp := nd[base:][:hw], xd[base:][:hw]
-				for i, d := range dp {
-					dy := d * g
-					sumDy += dy
-					sumDyXhat += dy * xp[i]
-					sumGain += d * xp[i]
-					sumShift += d
-				}
-			}
-			ggd[ch], gsd[ch] = sumGain, sumShift
-			is, meanDy := invStd[ch], sumDy/cnt
-			for img := 0; img < nIn; img++ {
-				base := (img*c + ch) * hw
-				dp, xp, gp := nd[base:][:hw], xd[base:][:hw], gad[base:][:hw]
-				for i, d := range dp {
-					dy := d * g
-					gp[i] = is * (dy - meanDy - xp[i]*sumDyXhat/cnt)
+		for ch := 0; ch < c; ch += 2 {
+			c1 := min(ch+1, c-1)
+			s := gradSums2(nd, xd, nIn, c, hw, ch, c1, gd[ch], gd[c1])
+			for l := 0; l < 2 && ch+l < c; l++ {
+				g, sums := gd[ch+l], s[l]
+				ggd[ch+l], gsd[ch+l] = sums.gain, sums.shift
+				is, meanDy := invStd[ch+l], sums.dy/cnt
+				for img := 0; img < nIn; img++ {
+					base := (img*c + ch + l) * hw
+					dp, xp, gp := nd[base:][:hw], xd[base:][:hw], gad[base:][:hw]
+					for i, d := range dp {
+						dy := float64(d * g)
+						gp[i] = is * (dy - meanDy - xp[i]*sums.dyXhat/cnt)
+					}
 				}
 			}
 		}
@@ -150,6 +136,90 @@ func BatchNorm2D(a, gain, shift *Value, eps float64) *Value {
 		shift.take(gs)
 	}
 	return n
+}
+
+// A sum over a channel's planes is a chain of dependent adds, which runs
+// at the adder's latency rather than its throughput. The helpers below
+// run the chains of several channels side by side. Each channel still
+// adds its own elements in image then element order, so every sum keeps
+// the bits of summing one channel at a time. A last group with fewer
+// channels repeats its last one in the spare lanes, whose results are
+// dropped.
+
+// quad returns channels ch to ch+3, clamped to the last of c channels.
+func quad(ch, c int) [4]int {
+	return [4]int{ch, min(ch+1, c-1), min(ch+2, c-1), min(ch+3, c-1)}
+}
+
+// planeSums4 returns the sums of the planes of channels q over nIn images
+// of c channels of hw elements each.
+func planeSums4(x []float64, nIn, c, hw int, q [4]int) [4]float64 {
+	var s0, s1, s2, s3 float64
+	for img := 0; img < nIn; img++ {
+		p0 := x[(img*c+q[0])*hw:][:hw]
+		p1 := x[(img*c+q[1])*hw:][:len(p0)]
+		p2 := x[(img*c+q[2])*hw:][:len(p0)]
+		p3 := x[(img*c+q[3])*hw:][:len(p0)]
+		for i, v := range p0 {
+			s0 += v
+			s1 += p1[i]
+			s2 += p2[i]
+			s3 += p3[i]
+		}
+	}
+	return [4]float64{s0, s1, s2, s3}
+}
+
+// planeSqDevs4 is planeSums4 over the squared deviations of each channel
+// from its mean.
+func planeSqDevs4(x []float64, nIn, c, hw int, q [4]int, mean [4]float64) [4]float64 {
+	var s0, s1, s2, s3 float64
+	m0, m1, m2, m3 := mean[0], mean[1], mean[2], mean[3]
+	for img := 0; img < nIn; img++ {
+		p0 := x[(img*c+q[0])*hw:][:hw]
+		p1 := x[(img*c+q[1])*hw:][:len(p0)]
+		p2 := x[(img*c+q[2])*hw:][:len(p0)]
+		p3 := x[(img*c+q[3])*hw:][:len(p0)]
+		for i, v := range p0 {
+			d0, d1, d2, d3 := v-m0, p1[i]-m1, p2[i]-m2, p3[i]-m3
+			s0 += float64(d0 * d0)
+			s1 += float64(d1 * d1)
+			s2 += float64(d2 * d2)
+			s3 += float64(d3 * d3)
+		}
+	}
+	return [4]float64{s0, s1, s2, s3}
+}
+
+// bnSums are one channel's sums for BatchNorm2D's backward, over upstream
+// gradient d, the normalized input x̂ and dy = d·gain: Σdy, Σdy·x̂, Σd·x̂
+// (the gain's gradient) and Σd (the shift's).
+type bnSums struct{ dy, dyXhat, gain, shift float64 }
+
+// gradSums2 returns the bnSums of channels c0 and c1, with gains g0 and
+// g1, side by side: eight chains, where one channel has four.
+func gradSums2(nd, xd []float64, nIn, c, hw, c0, c1 int, g0, g1 float64) [2]bnSums {
+	var s0, s1 bnSums
+	for img := 0; img < nIn; img++ {
+		d0 := nd[(img*c+c0)*hw:][:hw]
+		x0 := xd[(img*c+c0)*hw:][:len(d0)]
+		d1 := nd[(img*c+c1)*hw:][:len(d0)]
+		x1 := xd[(img*c+c1)*hw:][:len(d0)]
+		for i, d := range d0 {
+			dy := float64(d * g0)
+			s0.dy += dy
+			s0.dyXhat += float64(dy * x0[i])
+			s0.gain += float64(d * x0[i])
+			s0.shift += d
+			e := d1[i]
+			ey := float64(e * g1)
+			s1.dy += ey
+			s1.dyXhat += float64(ey * x1[i])
+			s1.gain += float64(e * x1[i])
+			s1.shift += e
+		}
+	}
+	return [2]bnSums{s0, s1}
 }
 
 // Dropout zeroes each element with probability p during training and scales

@@ -11,7 +11,9 @@ import (
 
 // BatchNorm2D and ReLU keep every sum's element order and every
 // expression's operation order, so they must equal the indexed reference
-// loops below bit for bit.
+// loops below bit for bit. The references round every product on its
+// own, as BatchNorm2D does, so the two agree on targets that would fuse
+// a multiply-add.
 
 // sameBits fails t unless got and want hold the same float64 bit
 // patterns, so -0 differs from +0 and every NaN must line up.
@@ -48,7 +50,7 @@ func batchNorm2DIndexed(ad, gd, sd, nd []float64, nIn, c, h, w int, eps float64)
 		for img := 0; img < nIn; img++ {
 			for i := 0; i < h*w; i++ {
 				d := ad[idx(img, ch, 0, 0)+i] - mean
-				va += d * d
+				va += float64(d * d)
 			}
 		}
 		va /= cnt
@@ -59,7 +61,7 @@ func batchNorm2DIndexed(ad, gd, sd, nd []float64, nIn, c, h, w int, eps float64)
 			for i := 0; i < h*w; i++ {
 				xh := (ad[base+i] - mean) * is
 				xd[base+i] = xh
-				od[base+i] = xh*gd[ch] + sd[ch]
+				od[base+i] = float64(xh*gd[ch]) + sd[ch]
 			}
 		}
 	}
@@ -71,17 +73,17 @@ func batchNorm2DIndexed(ad, gd, sd, nd []float64, nIn, c, h, w int, eps float64)
 		for img := 0; img < nIn; img++ {
 			base := idx(img, ch, 0, 0)
 			for i := 0; i < h*w; i++ {
-				dy := nd[base+i] * gd[ch]
+				dy := float64(nd[base+i] * gd[ch])
 				sumDy += dy
-				sumDyXhat += dy * xd[base+i]
-				ggd[ch] += nd[base+i] * xd[base+i]
+				sumDyXhat += float64(dy * xd[base+i])
+				ggd[ch] += float64(nd[base+i] * xd[base+i])
 				gsd[ch] += nd[base+i]
 			}
 		}
 		for img := 0; img < nIn; img++ {
 			base := idx(img, ch, 0, 0)
 			for i := 0; i < h*w; i++ {
-				dy := nd[base+i] * gd[ch]
+				dy := float64(nd[base+i] * gd[ch])
 				gad[base+i] = invStd[ch] * (dy - sumDy/cnt - xd[base+i]*sumDyXhat/cnt)
 			}
 		}
@@ -105,8 +107,14 @@ func signedZeros(d []float64) []float64 {
 
 func TestBatchNorm2DMatchesIndexed(t *testing.T) {
 	rng := stats.NewRNG(47)
-	// train-cnn's two BatchNorm shapes, then odd planes and one channel.
-	for _, s := range [][4]int{{8, 8, 8, 8}, {8, 16, 4, 4}, {3, 5, 7, 2}, {2, 1, 1, 9}, {1, 3, 3, 3}} {
+	// train-cnn's two BatchNorm shapes, odd planes, and one to nine
+	// channels: every remainder of the four-channel and two-channel
+	// interleaves.
+	shapes := [][4]int{{8, 8, 8, 8}, {8, 16, 4, 4}, {3, 5, 7, 2}, {2, 1, 1, 9}, {1, 3, 3, 3}}
+	for c := 1; c <= 9; c++ {
+		shapes = append(shapes, [4]int{3, c, 3, 5})
+	}
+	for _, s := range shapes {
 		nIn, c, h, w := s[0], s[1], s[2], s[3]
 		name := fmt.Sprintf("%v", s)
 		x := tensor.Randn(rng, 2, nIn, c, h, w)
@@ -148,6 +156,83 @@ func TestReLUMatchesApply(t *testing.T) {
 		t.Fatalf("reference maps NaN to %v, want +0", want[2])
 	}
 	sameBits(t, "ReLU", ReLU(Constant(x)).Data.Data(), want)
+}
+
+// reluBranching is ReLU's forward and backward as branching loops over
+// zeroed outputs: only a positive input writes.
+func reluBranching(ad, nd []float64) (od, gd []float64) {
+	od = make([]float64, len(ad))
+	gd = make([]float64, len(ad))
+	for i, x := range ad {
+		if x > 0 {
+			od[i] = x
+		}
+	}
+	for i := range ad {
+		if ad[i] > 0 {
+			gd[i] = nd[i]
+		}
+	}
+	return od, gd
+}
+
+// specialFloats are the inputs where a select on the float's bits could
+// go wrong: both zeros, both infinities, the extreme subnormals and
+// normals, and NaNs of both signs with different payloads.
+func specialFloats() []float64 {
+	nan := func(b uint64) float64 { return math.Float64frombits(b) }
+	return []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		nan(0x000fffffffffffff), nan(0x800fffffffffffff), // largest subnormals
+		math.MaxFloat64, -math.MaxFloat64, 0x1p-1022, -0x1p-1022,
+		math.NaN(), nan(0x7ff0000000000001), nan(0x7fffffffffffffff),
+		nan(0xfff8000000000000), nan(0xfff0000000000001), nan(0xffffffffffffffff),
+		1, -1,
+	}
+}
+
+// nanArena returns an arena whose first n floats were last filled with
+// NaN, so an output that relied on memory it did not write would show
+// it.
+func nanArena(n int) *tensor.Arena {
+	a := tensor.NewArena()
+	junk := a.New(n).Data()
+	for i := range junk {
+		junk[i] = math.NaN()
+	}
+	a.Reset()
+	return a
+}
+
+// TestReLUMatchesBranching: the branch-free ReLU equals the branching
+// loops on every special value, forward and backward, with upstream
+// gradients that are themselves special, on the heap and in an arena
+// filled with NaN.
+func TestReLUMatchesBranching(t *testing.T) {
+	sp := specialFloats()
+	x := tensor.Randn(stats.NewRNG(53), 1, 4, 3, 10, 10)
+	xd := signedZeros(x.Data())
+	up := tensor.Randn(stats.NewRNG(59), 1, x.Shape()...)
+	ud := up.Data()
+	// Every special input meets every special gradient.
+	for i := range sp {
+		for j := range sp {
+			k := i*len(sp) + j
+			xd[k], ud[k] = sp[i], sp[j]
+		}
+	}
+	wantOut, wantGrad := reluBranching(xd, ud)
+	for _, arena := range []*tensor.Arena{nil, nanArena(4 * len(xd))} {
+		a := NewLeaf(tensor.NewIn(arena, x.Shape()...), true)
+		copy(a.Data.Data(), xd)
+		out := ReLU(a)
+		sameBits(t, fmt.Sprintf("forward arena=%v", arena != nil), out.Data.Data(), wantOut)
+		seed := tensor.NewIn(arena, up.Shape()...)
+		copy(seed.Data(), ud)
+		out.Backward(seed)
+		sameBits(t, fmt.Sprintf("backward arena=%v", arena != nil), a.Grad.Data(), wantGrad)
+	}
 }
 
 // TestTakeAccumulatesLikeClone: an input feeding two consumers through an

@@ -58,7 +58,7 @@ func NewIn(a *Arena, shape ...int) *Tensor { return newIn(a, shape) }
 
 // FullIn is Full allocating from the arena (nil means heap).
 func FullIn(a *Arena, v float64, shape ...int) *Tensor {
-	t := newRawIn(a, shape)
+	t := NewRawIn(a, shape...)
 	for i := range t.data {
 		t.data[i] = v
 	}
@@ -69,21 +69,25 @@ func FullIn(a *Arena, v float64, shape ...int) *Tensor {
 func (t *Tensor) Arena() *Arena { return t.arena }
 
 func newIn(a *Arena, shape []int) *Tensor {
-	t := newRawIn(a, shape)
+	t := NewRawIn(a, shape...)
 	if a != nil {
 		clear(t.data)
 	}
 	return t
 }
 
-// newRawIn is newIn without the zero-fill of arena memory: the data holds
-// whatever an earlier step left there. Only operations that write every
-// element of their result before anything reads it may use it (Clone,
-// the elementwise ops, AddRow, the transposes); anything that
-// accumulates into its output (GEMM, SumAxis0, pooling backward) or
-// writes only some elements (ReLU) must take newIn. Heap memory comes
-// from make and is zeroed either way.
-func newRawIn(a *Arena, shape []int) *Tensor {
+// NewRawIn is NewIn without the zero-fill of arena memory: the data holds
+// whatever an earlier step left there. An operation may allocate its
+// result with it only if it writes every element before anything reads
+// one. Those that do are Clone, FullIn, the elementwise ops, AddRow, the
+// transposes, MatVec, Outer, SumAxis1, SoftmaxRows, Concat2DRows,
+// Im2Col, Col2Im's result, the conv output and kernel matrix, both
+// poolings' outputs, and in autograd ConstantIn, ReLU, BatchNorm2D,
+// LayerNorm and every backward that assigns its gradient rather than
+// adding to it. Anything that accumulates into its output (the GEMMs,
+// SumAxis0, Col2Im's padded planes, max-pool backward) must take NewIn.
+// Heap memory comes from make and is zeroed either way.
+func NewRawIn(a *Arena, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if a == nil {
 		return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
@@ -93,6 +97,16 @@ func newRawIn(a *Arena, shape []int) *Tensor {
 	t.data = a.alloc(n)
 	t.arena = a
 	return t
+}
+
+// intsIn returns an int slice of length n from the arena's int slabs, or
+// from the heap when a is nil. Arena ints are not cleared, so the caller
+// must write every element.
+func intsIn(a *Arena, n int) []int {
+	if a == nil {
+		return make([]int, n)
+	}
+	return a.allocInts(n)
 }
 
 // viewIn builds a tensor sharing data, placing the struct and shape copy in
@@ -134,14 +148,20 @@ func (a *Arena) alloc(n int) []float64 {
 
 // shapeCopy stores a copy of shape in the int slabs.
 func (a *Arena) shapeCopy(shape []int) []int {
-	n := len(shape)
+	s := a.allocInts(len(shape))
+	copy(s, shape)
+	return s
+}
+
+// allocInts returns an int slice of length n from the int slabs. Like
+// alloc, it is not cleared.
+func (a *Arena) allocInts(n int) []int {
 	for {
 		if a.iSlab < len(a.ints) {
 			slab := a.ints[a.iSlab]
 			if a.iOf+n <= len(slab) {
 				s := slab[a.iOf : a.iOf+n : a.iOf+n]
 				a.iOf += n
-				copy(s, shape)
 				return s
 			}
 			a.iSlab++

@@ -76,8 +76,9 @@ func TestIm2ColDeterministicAcrossWorkers(t *testing.T) {
 		pool := parallel.NewWorkerPool(workers)
 		defer pool.Close()
 		cols := make([]float64, nImg*oh*ow*c*kh*kw)
+		xp, hp, wp := padPlanes(nil, x.Data(), nImg*c, h, w, opts.Padding)
 		pool.RunRange(nImg*oh, convRowGrain, func(lo, hi int) {
-			im2colRows(cols, x.Data(), lo, hi, c, h, w, oh, ow, kh, kw, opts.Stride, opts.Padding)
+			im2colRows(cols, xp, lo, hi, c, hp, wp, oh, ow, kh, kw, opts.Stride)
 		})
 		return cols
 	}
@@ -110,10 +111,18 @@ func TestCol2ImDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []float64 {
 		pool := parallel.NewWorkerPool(workers)
 		defer pool.Close()
-		x := make([]float64, nImg*c*h*w)
+		hp, wp := h+2*opts.Padding, w+2*opts.Padding
+		xp := make([]float64, nImg*c*hp*wp)
 		pool.RunRange(nImg, 1, func(lo, hi int) {
-			col2imImages(x, cols.Data(), lo, hi, c, h, w, oh, ow, kh, kw, opts.Stride, opts.Padding)
+			col2imImages(xp, cols.Data(), lo, hi, c, hp, wp, oh, ow, kh, kw, opts.Stride)
 		})
+		// The padded planes' interiors, as Col2Im returns them.
+		x := make([]float64, 0, nImg*c*h*w)
+		for pl := 0; pl < nImg*c; pl++ {
+			for y := 0; y < h; y++ {
+				x = append(x, xp[(pl*hp+y+opts.Padding)*wp+opts.Padding:][:w]...)
+			}
+		}
 		return x
 	}
 	ref := run(1)

@@ -281,7 +281,7 @@ func (t *Tensor) Transpose2DIn(a *Arena) *Tensor {
 		panic("tensor: Transpose2D of non-matrix")
 	}
 	m, n := t.shape[0], t.shape[1]
-	r := newRawIn(a, []int{n, m})
+	r := NewRawIn(a, n, m)
 	for i0 := 0; i0 < m; i0 += transposeBlock {
 		i1 := min(i0+transposeBlock, m)
 		for j0 := 0; j0 < n; j0 += transposeBlock {
@@ -303,7 +303,7 @@ func (t *Tensor) MatVec(v *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatVec shapes %v, %v", t.shape, v.shape))
 	}
 	m, n := t.shape[0], t.shape[1]
-	r := newIn(t.arena, []int{m})
+	r := NewRawIn(t.arena, m)
 	for i := 0; i < m; i++ {
 		row := t.data[i*n : (i+1)*n]
 		var s float64
@@ -334,7 +334,7 @@ func (t *Tensor) Outer(u *Tensor) *Tensor {
 		panic("tensor: Outer of non-vectors")
 	}
 	m, n := t.shape[0], u.shape[0]
-	r := newIn(t.arena, []int{m, n})
+	r := NewRawIn(t.arena, m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			r.data[i*n+j] = t.data[i] * u.data[j]

@@ -33,6 +33,9 @@ func poisonCases() []poisonCase {
 	cnn := nn.NewSmallCNN(rng, nn.SmallCNNConfig{InChannels: 1, ImageSize: 8, Channels: []int{8, 16}, Classes: 4})
 	img := tensor.Randn(rng, 1, 8, 1, 8, 8)
 	labels := []int{0, 1, 2, 3, 3, 2, 1, 0}
+	block := nn.NewTransformerBlock(rng, 16, 2, 32, "block")
+	seq := tensor.Randn(rng, 1, 12, 16)
+	target := tensor.Randn(rng, 1, 12, 16)
 	return []poisonCase{
 		{"residual-mlp", func(a *tensor.Arena) [][]float64 {
 			nn.ZeroGrads(mlp)
@@ -47,6 +50,14 @@ func poisonCases() []poisonCase {
 			loss := autograd.SoftmaxCrossEntropy(out, labels)
 			loss.Backward(nil)
 			return snapshot(out, loss, cnn.Params())
+		}},
+		// LayerNorm, attention's Softmax and the GELU feed-forward.
+		{"transformer-block", func(a *tensor.Arena) [][]float64 {
+			nn.ZeroGrads(block)
+			out := block.Forward(autograd.ConstantIn(a, seq))
+			loss := autograd.MSE(out, target)
+			loss.Backward(nil)
+			return snapshot(out, loss, block.Params())
 		}},
 	}
 }

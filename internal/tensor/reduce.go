@@ -27,7 +27,7 @@ func (t *Tensor) SumAxis1() *Tensor {
 		panic("tensor: SumAxis1 of non-matrix")
 	}
 	m, n := t.shape[0], t.shape[1]
-	r := newIn(t.arena, []int{m})
+	r := NewRawIn(t.arena, m)
 	for i := 0; i < m; i++ {
 		row := t.data[i*n : (i+1)*n]
 		var s float64
@@ -67,7 +67,7 @@ func (t *Tensor) SoftmaxRows() *Tensor {
 		panic("tensor: SoftmaxRows of non-matrix")
 	}
 	m, n := t.shape[0], t.shape[1]
-	r := newIn(t.arena, []int{m, n})
+	r := NewRawIn(t.arena, m, n)
 	for i := 0; i < m; i++ {
 		row := t.data[i*n : (i+1)*n]
 		out := r.data[i*n : (i+1)*n]
@@ -121,7 +121,7 @@ func Concat2DRows(ts ...*Tensor) *Tensor {
 		}
 		rows += t.shape[0]
 	}
-	r := newIn(ts[0].arena, []int{rows, n})
+	r := NewRawIn(ts[0].arena, rows, n)
 	off := 0
 	for _, t := range ts {
 		copy(r.data[off:], t.data)

@@ -127,7 +127,7 @@ func (t *Tensor) offset(idx []int) int {
 
 // Clone returns a deep copy (in t's arena, when it has one).
 func (t *Tensor) Clone() *Tensor {
-	c := newRawIn(t.arena, t.shape)
+	c := NewRawIn(t.arena, t.shape...)
 	copy(c.data, t.data)
 	return c
 }
@@ -182,7 +182,7 @@ func (t *Tensor) Zero() { t.Fill(0) }
 // Add returns t + u elementwise.
 func (t *Tensor) Add(u *Tensor) *Tensor {
 	t.mustMatch(u, "Add")
-	r := newRawIn(t.arena, t.shape)
+	r := NewRawIn(t.arena, t.shape...)
 	for i := range t.data {
 		r.data[i] = t.data[i] + u.data[i]
 	}
@@ -192,7 +192,7 @@ func (t *Tensor) Add(u *Tensor) *Tensor {
 // Sub returns t - u elementwise.
 func (t *Tensor) Sub(u *Tensor) *Tensor {
 	t.mustMatch(u, "Sub")
-	r := newRawIn(t.arena, t.shape)
+	r := NewRawIn(t.arena, t.shape...)
 	for i := range t.data {
 		r.data[i] = t.data[i] - u.data[i]
 	}
@@ -202,7 +202,7 @@ func (t *Tensor) Sub(u *Tensor) *Tensor {
 // Mul returns t * u elementwise (Hadamard product).
 func (t *Tensor) Mul(u *Tensor) *Tensor {
 	t.mustMatch(u, "Mul")
-	r := newRawIn(t.arena, t.shape)
+	r := NewRawIn(t.arena, t.shape...)
 	for i := range t.data {
 		r.data[i] = t.data[i] * u.data[i]
 	}
@@ -212,7 +212,7 @@ func (t *Tensor) Mul(u *Tensor) *Tensor {
 // Div returns t / u elementwise.
 func (t *Tensor) Div(u *Tensor) *Tensor {
 	t.mustMatch(u, "Div")
-	r := newRawIn(t.arena, t.shape)
+	r := NewRawIn(t.arena, t.shape...)
 	for i := range t.data {
 		r.data[i] = t.data[i] / u.data[i]
 	}
@@ -241,7 +241,7 @@ func (t *Tensor) AddScaledInPlace(u *Tensor, s float64) *Tensor {
 
 // Scale returns t * s elementwise.
 func (t *Tensor) Scale(s float64) *Tensor {
-	r := newRawIn(t.arena, t.shape)
+	r := NewRawIn(t.arena, t.shape...)
 	for i := range t.data {
 		r.data[i] = t.data[i] * s
 	}
@@ -258,7 +258,7 @@ func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 
 // AddScalar returns t + s elementwise.
 func (t *Tensor) AddScalar(s float64) *Tensor {
-	r := newRawIn(t.arena, t.shape)
+	r := NewRawIn(t.arena, t.shape...)
 	for i := range t.data {
 		r.data[i] = t.data[i] + s
 	}
@@ -267,7 +267,7 @@ func (t *Tensor) AddScalar(s float64) *Tensor {
 
 // Apply returns f applied elementwise.
 func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	r := newRawIn(t.arena, t.shape)
+	r := NewRawIn(t.arena, t.shape...)
 	for i := range t.data {
 		r.data[i] = f(t.data[i])
 	}
@@ -280,7 +280,7 @@ func (t *Tensor) AddRow(row *Tensor) *Tensor {
 	if t.Rank() != 2 || row.Rank() != 1 || row.shape[0] != t.shape[1] {
 		panic(fmt.Sprintf("tensor: AddRow shapes %v, %v", t.shape, row.shape))
 	}
-	r := newRawIn(t.arena, t.shape)
+	r := NewRawIn(t.arena, t.shape...)
 	n, c := t.shape[0], t.shape[1]
 	for i := 0; i < n; i++ {
 		base := i * c
