@@ -32,7 +32,7 @@ help:
 	@echo "             no baseline"
 	@echo "  repro      full reproduction report (cmd/summit-repro)"
 	@echo "  examples   run every example once"
-	@echo "  figures    regenerate the paper figures as SVG"
+	@echo "  figures    regenerate the paper figures and scaling curves as SVG"
 	@echo "  clean      remove generated figures"
 
 # Tier-1 gate: what CI (and the growth driver) holds the repo to.
@@ -148,10 +148,10 @@ examples:
 		$(GO) run ./$$d || exit 1; \
 	done
 
-# Regenerate the paper's figures as SVG under ./figures/.
+# Regenerate the paper's figures and the S1-S5 scaling curves as SVG
+# under ./figures/.
 figures:
 	$(GO) run ./cmd/summit-report -svg figures
-	$(GO) run ./cmd/summit-scale -svg figures >/dev/null
 
 clean:
 	rm -rf figures

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -164,21 +165,22 @@ func checkKernelFloors(fresh *document) (lines []string, failed []string) {
 // baseline document needed, so it works on any runner regardless of
 // what core count the committed baseline was measured at (`make
 // bench-floors`, the CI perf-smoke job).
-func runFloors(fresh *document) {
+func runFloors(fresh *document, stdout, stderr io.Writer) int {
 	lines, failed := checkKernelFloors(fresh)
-	fmt.Printf("kernel floor check (gomaxprocs %d):\n", fresh.Gomaxprocs)
+	fmt.Fprintf(stdout, "kernel floor check (gomaxprocs %d):\n", fresh.Gomaxprocs)
 	if len(lines) == 0 {
-		fmt.Fprintln(os.Stderr, "summit-bench: no kernel-floor benchmarks in stream (need Gemm*, MDForces, ServeHotPath, CampaignHotPath, CheckpointDrain, TrainStepAlloc)")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "summit-bench: no kernel-floor benchmarks in stream (need Gemm*, MDForces, ServeHotPath, CampaignHotPath, CheckpointDrain, TrainStepAlloc)")
+		return 1
 	}
 	for _, l := range lines {
-		fmt.Println(l)
+		fmt.Fprintln(stdout, l)
 	}
 	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "summit-bench: %d kernel floor(s) breached: %v\n", len(failed), failed)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "summit-bench: %d kernel floor(s) breached: %v\n", len(failed), failed)
+		return 1
 	}
-	fmt.Println("summit-bench: kernel floors hold")
+	fmt.Fprintln(stdout, "summit-bench: kernel floors hold")
+	return 0
 }
 
 // compareDoc diffs fresh against old benchmark-by-benchmark and returns
@@ -239,42 +241,43 @@ func relDelta(old, fresh float64) float64 {
 	return (fresh - old) / old
 }
 
-// runCheck loads the baseline, parses fresh results from doc, prints the
-// comparison, and exits nonzero on regression.
-func runCheck(baselinePath string, fresh *document) {
+// runCheck loads the baseline, prints the comparison of doc against it
+// and returns 1 on regression.
+func runCheck(baselinePath string, fresh *document, stdout, stderr io.Writer) int {
 	b, err := os.ReadFile(baselinePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "summit-bench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "summit-bench:", err)
+		return 1
 	}
 	var old document
 	if err := json.Unmarshal(b, &old); err != nil {
-		fmt.Fprintf(os.Stderr, "summit-bench: parsing %s: %v\n", baselinePath, err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "summit-bench: parsing %s: %v\n", baselinePath, err)
+		return 1
 	}
 	oldProcs := old.Gomaxprocs
 	if oldProcs == 0 {
 		oldProcs = 1 // documents predating the field were 1-core runs
 	}
 	if oldProcs != fresh.Gomaxprocs {
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"summit-bench: refusing to compare: baseline %s was measured at gomaxprocs=%d, this run at %d — parallel-kernel timings from different core counts are not comparable; regenerate the baseline on a matching machine\n",
 			baselinePath, oldProcs, fresh.Gomaxprocs)
-		os.Exit(1)
+		return 1
 	}
 	lines, failed := compareDoc(&old, fresh)
 	if kl, kf := checkKernelFloors(fresh); len(kl) > 0 {
 		lines = append(lines, kl...)
 		failed = append(failed, kf...)
 	}
-	fmt.Printf("benchmark check vs %s (tolerance +-%.0f%%):\n", baselinePath, 100*checkTolerance)
+	fmt.Fprintf(stdout, "benchmark check vs %s (tolerance +-%.0f%%):\n", baselinePath, 100*checkTolerance)
 	for _, l := range lines {
-		fmt.Println(l)
+		fmt.Fprintln(stdout, l)
 	}
 	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "summit-bench: %d benchmark(s) regressed beyond %.0f%%: %v\n",
+		fmt.Fprintf(stderr, "summit-bench: %d benchmark(s) regressed beyond %.0f%%: %v\n",
 			len(failed), 100*checkTolerance, failed)
-		os.Exit(1)
+		return 1
 	}
-	fmt.Println("summit-bench: no regressions")
+	fmt.Fprintln(stdout, "summit-bench: no regressions")
+	return 0
 }

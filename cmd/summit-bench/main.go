@@ -18,8 +18,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -49,32 +51,46 @@ type document struct {
 }
 
 func main() {
-	check := flag.String("check", "", "baseline JSON to diff the fresh results against; exit 1 on regression")
-	floors := flag.Bool("floors", false, "evaluate only the within-run kernel floor rules (no baseline); exit 1 on breach")
-	flag.Parse()
-	doc, err := parse(bufio.NewScanner(os.Stdin))
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, reads the benchmark stream
+// from stdin, writes the JSON document (or the -check/-floors report) to
+// stdout and diagnostics to stderr, and returns the exit code: 1 for an
+// empty or unreadable stream, a regression or a breached floor.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("summit-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	check := fs.String("check", "", "baseline JSON to diff the fresh results against; exit 1 on regression")
+	floors := fs.Bool("floors", false, "evaluate only the within-run kernel floor rules (no baseline); exit 1 on breach")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	doc, err := parse(bufio.NewScanner(stdin))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "summit-bench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "summit-bench:", err)
+		return 1
 	}
 	if len(doc.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "summit-bench: no benchmark lines on stdin")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "summit-bench: no benchmark lines on stdin")
+		return 1
 	}
 	if *floors {
-		runFloors(doc)
-		return
+		return runFloors(doc, stdout, stderr)
 	}
 	if *check != "" {
-		runCheck(*check, doc)
-		return
+		return runCheck(*check, doc, stdout, stderr)
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(doc); err != nil {
-		fmt.Fprintln(os.Stderr, "summit-bench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "summit-bench:", err)
+		return 1
 	}
+	return 0
 }
 
 // parse consumes the benchmark stream. Header lines (goos/goarch/cpu/pkg)

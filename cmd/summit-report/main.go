@@ -9,26 +9,51 @@
 //	summit-report -table 3   # one table
 //	summit-report -gb        # the §IV-A Gordon Bell review
 //	summit-report -seed 7    # alternative dataset seed
+//	summit-report -svg figures   # Figures 1-6 and the S1-S5 scaling curves as SVG
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 
+	"summitscale/internal/core"
 	"summitscale/internal/portfolio"
 )
 
 func main() {
-	fig := flag.Int("fig", 0, "render a single figure (1-6)")
-	table := flag.Int("table", 0, "render a single table (1-3)")
-	gb := flag.Bool("gb", false, "render the Gordon Bell AI/ML finalist review")
-	hours := flag.Bool("hours", false, "render the allocation-hours view")
-	csvOut := flag.String("csv", "", "export CSV to stdout: projects | fig2 | fig6")
-	svgDir := flag.String("svg", "", "write all six figures as SVG files into this directory")
-	seed := flag.Uint64("seed", 1, "portfolio dataset seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, writes the artifacts to
+// stdout (or, with -svg, into a directory) and diagnostics to stderr,
+// and returns the exit code. An unknown figure, table or CSV export
+// exits 2 before anything is printed.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("summit-report", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.Int("fig", 0, "render a single figure (1-6)")
+	table := fs.Int("table", 0, "render a single table (1-3)")
+	gb := fs.Bool("gb", false, "render the Gordon Bell AI/ML finalist review")
+	hours := fs.Bool("hours", false, "render the allocation-hours view")
+	csvOut := fs.String("csv", "", "export CSV to stdout: projects | fig2 | fig6")
+	svgDir := fs.String("svg", "", "write the six figures and the five Summit scaling curves (s1-s5) as SVG files into this directory")
+	seed := fs.Uint64("seed", 1, "portfolio dataset seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "summit-report: "+format+"\n", a...)
+		return code
+	}
 
 	d := portfolio.Generate(*seed)
 	figs := map[int]func() string{
@@ -42,59 +67,64 @@ func main() {
 	switch {
 	case *svgDir != "":
 		if err := os.MkdirAll(*svgDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "summit-report: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
-		for stem, svg := range d.AllFigureSVGs() {
+		svgs := d.AllFigureSVGs()
+		for _, s := range core.ScalingStudies() {
+			svgs[strings.ToLower(s.ID)] = core.RenderScalingSVG(s)
+		}
+		// Sorted stems: figure1..figure6, then s1..s5.
+		stems := make([]string, 0, len(svgs))
+		for stem := range svgs {
+			stems = append(stems, stem)
+		}
+		sort.Strings(stems)
+		for _, stem := range stems {
 			path := filepath.Join(*svgDir, stem+".svg")
-			if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "summit-report: %v\n", err)
-				os.Exit(1)
+			if err := os.WriteFile(path, []byte(svgs[stem]), 0o644); err != nil {
+				return fail(1, "%v", err)
 			}
-			fmt.Println("wrote", path)
+			fmt.Fprintln(stdout, "wrote", path)
 		}
 	case *csvOut != "":
 		var err error
 		switch *csvOut {
 		case "projects":
-			err = d.WriteProjectsCSV(os.Stdout)
+			err = d.WriteProjectsCSV(stdout)
 		case "fig2":
-			err = d.WriteFigure2CSV(os.Stdout)
+			err = d.WriteFigure2CSV(stdout)
 		case "fig6":
-			err = d.WriteFigure6CSV(os.Stdout)
+			err = d.WriteFigure6CSV(stdout)
 		default:
-			fmt.Fprintf(os.Stderr, "summit-report: unknown csv export %q\n", *csvOut)
-			os.Exit(2)
+			return fail(2, "unknown csv export %q", *csvOut)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "summit-report: %v\n", err)
-			os.Exit(1)
+			return fail(1, "%v", err)
 		}
 	case *fig != 0:
 		f, ok := figs[*fig]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "summit-report: no figure %d\n", *fig)
-			os.Exit(2)
+			return fail(2, "no figure %d", *fig)
 		}
-		fmt.Print(f())
+		fmt.Fprint(stdout, f())
 	case *table != 0:
 		t, ok := tables[*table]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "summit-report: no table %d\n", *table)
-			os.Exit(2)
+			return fail(2, "no table %d", *table)
 		}
-		fmt.Print(t())
+		fmt.Fprint(stdout, t())
 	case *gb:
-		fmt.Print(portfolio.RenderGordonBellReview())
+		fmt.Fprint(stdout, portfolio.RenderGordonBellReview())
 	case *hours:
-		fmt.Print(d.RenderHours())
+		fmt.Fprint(stdout, d.RenderHours())
 	default:
 		for i := 1; i <= 3; i++ {
-			fmt.Println(tables[i]())
+			fmt.Fprintln(stdout, tables[i]())
 		}
 		for i := 1; i <= 6; i++ {
-			fmt.Println(figs[i]())
+			fmt.Fprintln(stdout, figs[i]())
 		}
-		fmt.Print(portfolio.RenderGordonBellReview())
+		fmt.Fprint(stdout, portfolio.RenderGordonBellReview())
 	}
+	return 0
 }

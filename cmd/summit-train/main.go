@@ -139,10 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.StepTime = 1
 	}
 	if *hier > 0 {
-		group := *hier
-		cfg.Allreduce = func(c *mp.Comm, g []float64) []float64 {
-			return c.AllReduceHierarchical(g, group)
-		}
+		cfg.Allreduce = ddl.HierarchicalAllreduce(*hier)
 	}
 	j := &job{
 		stdout: stdout, stderr: stderr,

@@ -429,19 +429,6 @@ func (sc *Scenario) Scaled(k float64) *Scenario {
 	return &out
 }
 
-// Census renders a one-line directive count. The sdc segment appears
-// only when the scenario declares bursts, so pre-SDC censuses render
-// unchanged.
-func (sc *Scenario) Census() string {
-	base := fmt.Sprintf("%d nodes over %v: %d cascade(s), %d flap(s), %d brownout(s), %d storm(s), %d outage(s), %d repair(s)",
-		sc.Nodes, sc.Horizon, len(sc.Cascades), len(sc.Flaps), len(sc.Brownouts),
-		len(sc.Storms), len(sc.Outages), len(sc.Repairs))
-	if len(sc.SDCs) > 0 {
-		base += fmt.Sprintf(", %d sdc burst(s)", len(sc.SDCs))
-	}
-	return base
-}
-
 // builtins are the named scenarios shipped with the engine; RS3 sweeps
 // them and `summit-chaos -list` prints them.
 var builtins = map[string]string{

@@ -4,8 +4,7 @@
 // runs in this repository can stop and resume. On top of the single-file
 // format, Store (store.go) keeps a versioned, manifest-indexed history
 // across storage tiers (node-local NVMe, partner-node replica, GPFS)
-// with asynchronous drain between tiers, and tiers.go prices the tiers
-// from the platform registry with per-tier Young/Daly cadence.
+// with asynchronous drain between tiers.
 //
 // Format (version 2):
 //

@@ -11,9 +11,7 @@ import (
 
 	"summitscale/internal/autograd"
 	"summitscale/internal/nn"
-	"summitscale/internal/platform"
 	"summitscale/internal/stats"
-	"summitscale/internal/units"
 )
 
 func testTiers(t *testing.T) []TierDir {
@@ -396,70 +394,5 @@ func TestVerifyLocalizesCorruption(t *testing.T) {
 	}
 	if bad != 1 {
 		t.Fatalf("%d corrupt sections after one flipped byte, want exactly 1", bad)
-	}
-}
-
-func TestTiersForSummit(t *testing.T) {
-	p := platform.MustLookup("summit")
-	tiers := TiersFor(p, 64)
-	if len(tiers) != 3 {
-		t.Fatalf("summit has %d tiers, want 3", len(tiers))
-	}
-	names := []string{"nvme", "replica", "gpfs"}
-	for i, want := range names {
-		if tiers[i].Name != want {
-			t.Fatalf("tier %d = %s, want %s", i, tiers[i].Name, want)
-		}
-		if tiers[i].WriteBW <= 0 || tiers[i].ReadBW <= 0 || tiers[i].MTBF <= 0 {
-			t.Fatalf("tier %s has non-positive pricing: %+v", want, tiers[i])
-		}
-	}
-	// Deeper tiers survive rarer events.
-	if !(tiers[0].MTBF < tiers[1].MTBF && tiers[1].MTBF < tiers[2].MTBF) {
-		t.Fatalf("tier MTBFs not increasing with depth: %v %v %v",
-			tiers[0].MTBF, tiers[1].MTBF, tiers[2].MTBF)
-	}
-}
-
-func TestTiersForDiskless(t *testing.T) {
-	p := platform.MustLookup("juwels-booster")
-	if p.HasNodeLocal() {
-		t.Skip("juwels-booster grew node-local storage")
-	}
-	tiers := TiersFor(p, 64)
-	if len(tiers) != 2 || tiers[0].Name != "replica" || tiers[1].Name != "gpfs" {
-		t.Fatalf("diskless machine tiers = %+v, want [replica gpfs]", tiers)
-	}
-}
-
-func TestPlanTiersIntervalsSpread(t *testing.T) {
-	p := platform.MustLookup("summit")
-	plans := PlanTiers(p, 256, units.Bytes(4*units.TB))
-	for i := 1; i < len(plans); i++ {
-		if plans[i].Interval <= plans[i-1].Interval {
-			t.Fatalf("tier %s interval %v not deeper than %s's %v",
-				plans[i].Tier.Name, plans[i].Interval, plans[i-1].Tier.Name, plans[i-1].Interval)
-		}
-	}
-}
-
-func TestSimulateDrainAsyncNeverStallsMore(t *testing.T) {
-	p := platform.MustLookup("summit")
-	plans := PlanTiers(p, 256, units.Bytes(4*units.TB))
-	horizon := 24 * units.Hour
-	syncOut := SimulateDrain(plans, horizon, false, nil)
-	asyncOut := SimulateDrain(plans, horizon, true, nil)
-	if asyncOut.Stall > syncOut.Stall {
-		t.Fatalf("async stall %v exceeds sync stall %v", asyncOut.Stall, syncOut.Stall)
-	}
-	if syncOut.Commits[0] == 0 {
-		t.Fatal("no tier-0 commits over a day")
-	}
-	// Sync services every due drain inline; async may defer but never
-	// commits more than sync.
-	for i := range plans {
-		if asyncOut.Commits[i] > syncOut.Commits[i] {
-			t.Fatalf("tier %d: async committed %d > sync %d", i, asyncOut.Commits[i], syncOut.Commits[i])
-		}
 	}
 }

@@ -92,9 +92,6 @@ type Guards struct {
 	ABFTTol float64
 }
 
-// Any reports whether any guard is armed.
-func (g Guards) Any() bool { return g.NaN || g.GradNormLimit > 0 || g.ABFT }
-
 // GuardedConfig configures a guarded run.
 type GuardedConfig struct {
 	Ranks           int

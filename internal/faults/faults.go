@@ -312,17 +312,6 @@ func (t *Trace) FailureTimes() []units.Seconds {
 	return out
 }
 
-// In returns the events with onset in [from, to), preserving order.
-func (t *Trace) In(from, to units.Seconds) []Event {
-	var out []Event
-	for _, e := range t.Events {
-		if e.Time >= from && e.Time < to {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // NodeFailedIn reports whether the given node suffers a fatal failure
 // with onset in [from, to).
 func (t *Trace) NodeFailedIn(node int, from, to units.Seconds) bool {

@@ -7,7 +7,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"summitscale/internal/obs"
 	"summitscale/internal/units"
@@ -265,24 +264,4 @@ func GeometricIntervals(lo, hi units.Seconds, n int) []units.Seconds {
 	}
 	out[n-1] = hi
 	return out
-}
-
-// RenderSweep formats the sweep as an aligned table with the measured and
-// predicted optima marked.
-func RenderSweep(shape RunShape, pts []SweepPoint, daly units.Seconds) string {
-	var b strings.Builder
-	best := Optimum(pts)
-	fmt.Fprintf(&b, "  %10s %12s %10s %10s %9s\n",
-		"interval", "mean wall", "overhead", "failures", "eff")
-	for _, p := range pts {
-		mark := ""
-		if p.Interval == best.Interval {
-			mark = "  <- measured optimum"
-		}
-		fmt.Fprintf(&b, "  %10.0fs %12.0fs %9.2f%% %10.2f %8.1f%%%s\n",
-			float64(p.Interval), float64(p.MeanWall), 100*p.Overhead,
-			p.MeanFailures, 100*p.Efficiency, mark)
-	}
-	fmt.Fprintf(&b, "  Young/Daly optimum sqrt(2*delta*MTBF) = %.0fs\n", float64(daly))
-	return b.String()
 }

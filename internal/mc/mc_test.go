@@ -136,43 +136,3 @@ func BenchmarkLatticeSweep(b *testing.B) {
 		l.Sweep(rng, 2.0)
 	}
 }
-
-func TestMeasureObservablesSane(t *testing.T) {
-	rng := stats.NewRNG(11)
-	l := NewLattice(6, refModel())
-	obs := Measure(rng, l, 2.0, 30, 20)
-	if obs.OrderParameter < 0 || obs.OrderParameter > 1 {
-		t.Fatalf("order parameter = %v", obs.OrderParameter)
-	}
-	if obs.Susceptibility < 0 || obs.HeatCapacity < 0 {
-		t.Fatalf("negative variance observables: %+v", obs)
-	}
-	if obs.EnergyPerSite > 0 {
-		t.Fatalf("ordering alloy has positive energy/site: %v", obs.EnergyPerSite)
-	}
-}
-
-// TestSusceptibilityPeaksAtTransition: the susceptibility must be larger
-// near the order-disorder transition than deep in either phase, and the
-// located Tc must fall strictly between the ordered and disordered
-// regimes established by TestOrderDisorderTransition.
-func TestSusceptibilityPeaksAtTransition(t *testing.T) {
-	rng := stats.NewRNG(12)
-	temps := []float64{0.5, 4, 6, 8, 30}
-	tc, curve := LocateTransition(rng, 6, refModel(), temps, 50, 40)
-	if tc <= 0.5 || tc >= 30 {
-		t.Fatalf("located Tc = %v at the scan edge", tc)
-	}
-	cold := curve[0].Susceptibility
-	hot := curve[len(curve)-1].Susceptibility
-	var peak float64
-	for _, o := range curve {
-		if o.Susceptibility > peak {
-			peak = o.Susceptibility
-		}
-	}
-	if peak <= cold || peak <= hot {
-		t.Fatalf("susceptibility does not peak mid-scan: cold %v peak %v hot %v",
-			cold, peak, hot)
-	}
-}

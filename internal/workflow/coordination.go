@@ -1,81 +1,6 @@
 package workflow
 
-import (
-	"fmt"
-	"sort"
-)
-
-// SteeringConfig parameterizes a DeepDriveMD-style steering loop
-// (Casalino, Amaro, Trifan: MD sampling guided by a latent-space model).
-type SteeringConfig struct {
-	Iterations int
-	// Walkers is the number of concurrent simulations per iteration.
-	Walkers int
-	// PickTop is how many most-interesting states seed the next iteration.
-	PickTop int
-}
-
-// SteeringHooks supplies the domain pieces of the loop.
-type SteeringHooks[State any] struct {
-	// Simulate advances one walker from a start state, returning visited
-	// states (the "trajectory").
-	Simulate func(start State, walker int) []State
-	// TrainScorer fits the ML model (CVAE/AAE) on all states seen so far
-	// and returns a novelty score function — higher means more
-	// undersampled, so more worth steering toward.
-	TrainScorer func(seen []State) func(State) float64
-}
-
-// SteeringResult reports the loop's progress.
-type SteeringResult[State any] struct {
-	// Seen is every state visited.
-	Seen []State
-	// BestPerIteration is the top novelty score of each iteration.
-	BestPerIteration []float64
-	// FinalSeeds are the states that would seed the next iteration.
-	FinalSeeds []State
-}
-
-// Steer runs the steering loop from the given initial seeds.
-func Steer[State any](cfg SteeringConfig, seeds []State, hooks SteeringHooks[State]) (*SteeringResult[State], error) {
-	if cfg.Iterations <= 0 || cfg.Walkers <= 0 || cfg.PickTop <= 0 {
-		return nil, fmt.Errorf("workflow: degenerate steering config %+v", cfg)
-	}
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("workflow: steering needs initial seeds")
-	}
-	res := &SteeringResult[State]{}
-	current := seeds
-	for it := 0; it < cfg.Iterations; it++ {
-		var visited []State
-		for wkr := 0; wkr < cfg.Walkers; wkr++ {
-			start := current[wkr%len(current)]
-			visited = append(visited, hooks.Simulate(start, wkr)...)
-		}
-		res.Seen = append(res.Seen, visited...)
-		score := hooks.TrainScorer(res.Seen)
-		type scored struct {
-			s State
-			v float64
-		}
-		ranked := make([]scored, len(visited))
-		for i, s := range visited {
-			ranked[i] = scored{s, score(s)}
-		}
-		sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].v > ranked[j].v })
-		res.BestPerIteration = append(res.BestPerIteration, ranked[0].v)
-		k := cfg.PickTop
-		if k > len(ranked) {
-			k = len(ranked)
-		}
-		current = current[:0]
-		for i := 0; i < k; i++ {
-			current = append(current, ranked[i].s)
-		}
-	}
-	res.FinalSeeds = current
-	return res, nil
-}
+import "fmt"
 
 // ActiveLearningConfig parameterizes the ML+modsim refinement loop of Liu
 // et al. (§V-A): a cheap learned surrogate drives the simulation, and

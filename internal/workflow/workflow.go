@@ -1,10 +1,9 @@
 // Package workflow is the AI-coordinated science-campaign engine of the
 // paper's §V: a DAG of tasks executed concurrently (goroutines) or
-// simulated on capacity-limited facilities (internal/des), plus the two
-// coordination primitives the case studies instantiate — the steering loop
-// (DeepDriveMD pattern: simulate → embed → pick outliers → resample) and
-// the active-learning loop (Liu pattern: surrogate-driven modsim with
-// on-the-fly refinement from reference calculations).
+// simulated on capacity-limited facilities (internal/des), plus the
+// active-learning loop the materials case study instantiates (Liu
+// pattern: surrogate-driven modsim with on-the-fly refinement from
+// reference calculations).
 package workflow
 
 import (

@@ -185,60 +185,6 @@ func TestSimulateMultiFacility(t *testing.T) {
 	}
 }
 
-// TestSteerFindsRareRegion drives the steering loop on a 1-D toy: states
-// near x=5 are "rare"; the novelty scorer prefers states far from the
-// bulk, so seeds must migrate outward — the DeepDriveMD behaviour.
-func TestSteerFindsRareRegion(t *testing.T) {
-	rng := stats.NewRNG(1)
-	hooks := SteeringHooks[float64]{
-		Simulate: func(start float64, _ int) []float64 {
-			out := make([]float64, 8)
-			for i := range out {
-				out[i] = start + rng.NormFloat64()*0.5
-			}
-			return out
-		},
-		TrainScorer: func(seen []float64) func(float64) float64 {
-			var mean float64
-			for _, s := range seen {
-				mean += s
-			}
-			mean /= float64(len(seen))
-			return func(s float64) float64 { return math.Abs(s - mean) }
-		},
-	}
-	res, err := Steer(SteeringConfig{Iterations: 8, Walkers: 4, PickTop: 2},
-		[]float64{0}, hooks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exploration must have pushed the frontier beyond the initial basin.
-	var maxAbs float64
-	for _, s := range res.FinalSeeds {
-		if a := math.Abs(s); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs < 2 {
-		t.Fatalf("steering failed to explore: final seeds %v", res.FinalSeeds)
-	}
-	if len(res.BestPerIteration) != 8 {
-		t.Fatalf("iterations recorded: %d", len(res.BestPerIteration))
-	}
-}
-
-func TestSteerValidatesConfig(t *testing.T) {
-	_, err := Steer(SteeringConfig{}, []float64{0}, SteeringHooks[float64]{})
-	if err == nil {
-		t.Fatal("degenerate config accepted")
-	}
-	_, err = Steer(SteeringConfig{Iterations: 1, Walkers: 1, PickTop: 1},
-		nil, SteeringHooks[float64]{})
-	if err == nil {
-		t.Fatal("empty seeds accepted")
-	}
-}
-
 // TestActiveLearnReducesError reproduces the Liu et al. loop in miniature:
 // a ridge surrogate of a quadratic reference improves as rounds add data.
 func TestActiveLearnReducesError(t *testing.T) {
