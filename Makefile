@@ -16,7 +16,7 @@ help:
 	@echo "  bench-json hot-path benchmarks (RunAll, DAGSchedule, MDForces,"
 	@echo "             TrainStepAlloc, TrainStepPhases, LAMBStep, Gemm, ObsHotPath, ChaosHotPath,"
 	@echo "             ServeHotPath, ServeRun, ForestPredict, LatticeSweep,"
-	@echo "             CampaignHotPath, CheckpointDrain, SmallCNNLayers)"
+	@echo "             Sweep, CampaignHotPath, CheckpointDrain, SmallCNNLayers)"
 	@echo "             -> BENCH_hotpath.json"
 	@echo "  trace      RS2 campaign trace -> out.json (Chrome trace-event)"
 	@echo "  chaos      every builtin adversarial scenario + invariant suite"
@@ -80,9 +80,11 @@ bench:
 # + drive every subsystem probe), the serving layer (the
 # batched-vs-unbatched inference hot path plus a full simulated serving
 # run), the two §V surrogate/simulation kernels under S6 and W1 (one
-# random-forest prediction, one alloy Monte-Carlo sweep), and the
-# benchmark-campaign evaluation pair.
-BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|TrainStepPhases|LAMBStep|SmallCNNLayers|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|ForestPredict|LatticeSweep|CampaignHotPath|CheckpointDrain
+# random-forest prediction, one alloy Monte-Carlo sweep), RS1's Kurth
+# checkpoint-interval sweep (BenchmarkSweep, named in full so that
+# BenchmarkPlatformScalingSweep stays out), and the benchmark-campaign
+# evaluation pair.
+BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|TrainStepPhases|LAMBStep|SmallCNNLayers|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|ForestPredict|LatticeSweep|BenchmarkSweep|CampaignHotPath|CheckpointDrain
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem ./... \
 		| $(GO) run ./cmd/summit-bench > BENCH_hotpath.json

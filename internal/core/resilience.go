@@ -106,21 +106,22 @@ func checkpointSweepExperiment(p platform.Platform) Experiment {
 			jp := faults.ParamsFor(p.Machine, job.Nodes)
 			daly := faults.DalyInterval(shape.CheckpointCost, jp.SystemMTBF())
 
-			// Common random numbers: the same trace set across every
-			// interval keeps the sweep smooth and the argmin stable.
-			traces := make([]*faults.Trace, 160)
-			for i := range traces {
-				traces[i] = jp.Generate(resilienceSeed+uint64(i), 2*shape.TotalWork)
+			// Common random numbers: the same failures across every
+			// interval keep the sweep smooth and the argmin stable. The
+			// sweep reads only the fatal failures, so only those are drawn.
+			failureSets := make([][]units.Seconds, 160)
+			for i := range failureSets {
+				failureSets[i] = jp.FailureTimes(resilienceSeed+uint64(i), 2*shape.TotalWork)
 			}
 			grid := faults.GeometricIntervals(daly/8, daly*8, 33)
-			pts := faults.Sweep(shape, grid, traces)
+			pts := faults.Sweep(shape, grid, failureSets)
 			best := faults.Optimum(pts)
 
 			if ob != nil && sc.id == "Kurth" {
 				// Representative replay for the trace: the measured-optimum
 				// cadence against the first trace, emitting work/checkpoint/
 				// lost-work/restart spans on the job clock.
-				faults.Simulate(shape, best.Interval, traces[0], ob)
+				faults.Simulate(shape, best.Interval, jp.Generate(resilienceSeed, 2*shape.TotalWork), ob)
 			}
 
 			idealEff := 1 / (1 + faults.DalyOverhead(daly, shape.CheckpointCost, jp.SystemMTBF()))

@@ -69,7 +69,5 @@ func SimulateAdaptive(shape RunShape, pol AdaptivePolicy, trace *Trace, ob *obs.
 	if shape.CheckpointCost <= 0 {
 		panic("faults: adaptive control needs a positive checkpoint cost")
 	}
-	return simulateDynamic(shape, func(wall units.Seconds, failures int) units.Seconds {
-		return pol.Interval(shape.CheckpointCost, wall, failures)
-	}, trace.FailureTimes(), ob)
+	return replay(shape, 0, &pol, trace.FailureTimes(), ob)
 }

@@ -178,10 +178,22 @@ type Trace struct {
 	Events  []Event
 }
 
-// Generate draws a trace for the horizon. All randomness flows from the
-// seed: the same (params, seed, horizon) triple yields the same trace on
-// every platform and every run.
-func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
+// failureStream is a trace's fatal-failure process: a system-level
+// renewal process at rate Nodes/NodeMTBF with Weibull(shape)
+// inter-arrivals whose mean is the system MTBF (scale = mean /
+// Γ(1+1/shape)). Each failure takes one Weibull draw for its onset, then
+// one Intn(Nodes) draw for its node.
+type failureStream struct {
+	rng                   stats.RNG // by value, so the stream stays off the heap
+	shape, scale, horizon float64
+	nodes                 int
+	t                     float64
+}
+
+// failures validates p and the horizon and returns the failure stream
+// drawn from root's first Split, the one place that split happens, so
+// Generate and FailureTimes draw the same values.
+func (p Params) failures(root *stats.RNG, horizon units.Seconds) failureStream {
 	if p.Nodes <= 0 {
 		panic("faults: params need a positive node count")
 	}
@@ -195,30 +207,45 @@ func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
 	if shape <= 0 {
 		shape = 1
 	}
+	return failureStream{
+		rng:     *root.Split(),
+		shape:   shape,
+		scale:   float64(p.SystemMTBF()) / math.Gamma(1+1/shape),
+		horizon: float64(horizon),
+		nodes:   p.Nodes,
+	}
+}
+
+// next draws the next failure; ok is false once the onset reaches the
+// horizon.
+func (s *failureStream) next() (t units.Seconds, node int, ok bool) {
+	s.t += s.rng.Weibull(s.shape, s.scale)
+	if s.t >= s.horizon {
+		return 0, 0, false
+	}
+	return units.Seconds(s.t), s.rng.Intn(s.nodes), true
+}
+
+// Generate draws a trace for the horizon. All randomness flows from the
+// seed: the same (params, seed, horizon) triple yields the same trace on
+// every platform and every run.
+func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
 	root := stats.NewRNG(seed)
 	// Independent streams per process so adding one fault class never
-	// perturbs another class's schedule. The SDC streams split AFTER the
-	// original three: traces that predate the class stay byte-identical.
-	failRNG, stragRNG, linkRNG := root.Split(), root.Split(), root.Split()
+	// perturbs another class's schedule. The failure stream is the first
+	// split, and the SDC streams split AFTER the original three: traces
+	// that predate the class stay byte-identical.
+	fails := p.failures(root, horizon)
+	stragRNG, linkRNG := root.Split(), root.Split()
 	sdcRNG, tornRNG, staleRNG := root.Split(), root.Split(), root.Split()
 
 	tr := &Trace{Params: p, Seed: seed, Horizon: horizon}
-
-	// Fatal failures: a system-level renewal process at rate
-	// Nodes/NodeMTBF with Weibull(shape) inter-arrivals whose mean is the
-	// system MTBF (scale = mean / Γ(1+1/shape)).
-	sysMTBF := float64(p.SystemMTBF())
-	scale := sysMTBF / math.Gamma(1+1/shape)
-	for t := 0.0; ; {
-		t += failRNG.Weibull(shape, scale)
-		if t >= float64(horizon) {
+	for {
+		t, node, ok := fails.next()
+		if !ok {
 			break
 		}
-		tr.Events = append(tr.Events, Event{
-			Time: units.Seconds(t),
-			Kind: NodeFailure,
-			Node: failRNG.Intn(p.Nodes),
-		})
+		tr.Events = append(tr.Events, Event{Time: t, Kind: NodeFailure, Node: node})
 	}
 
 	transient := func(rng *stats.RNG, mtbe units.Seconds, kind Kind,
@@ -310,6 +337,21 @@ func (t *Trace) FailureTimes() []units.Seconds {
 		}
 	}
 	return out
+}
+
+// FailureTimes returns the fatal-failure onsets of Generate(seed,
+// horizon), bit for bit, without drawing the transient classes: the
+// failure stream consumes the same draws either way.
+func (p Params) FailureTimes(seed uint64, horizon units.Seconds) []units.Seconds {
+	fails := p.failures(stats.NewRNG(seed), horizon)
+	var out []units.Seconds
+	for {
+		t, _, ok := fails.next()
+		if !ok {
+			return out
+		}
+		out = append(out, t)
+	}
 }
 
 // NodeFailedIn reports whether the given node suffers a fatal failure

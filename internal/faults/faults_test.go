@@ -205,12 +205,12 @@ func TestSweepOptimumNearDaly(t *testing.T) {
 	p := summitParams()
 	shape := RunShape{TotalWork: 12 * units.Hour, CheckpointCost: 4, RestartCost: 180}
 	daly := DalyInterval(shape.CheckpointCost, p.SystemMTBF())
-	traces := make([]*Trace, 256)
-	for i := range traces {
-		traces[i] = p.Generate(uint64(1000+i), 10*24*units.Hour)
+	failureSets := make([][]units.Seconds, 256)
+	for i := range failureSets {
+		failureSets[i] = p.FailureTimes(uint64(1000+i), 10*24*units.Hour)
 	}
 	grid := GeometricIntervals(daly/6, daly*6, 41)
-	best := Optimum(Sweep(shape, grid, traces))
+	best := Optimum(Sweep(shape, grid, failureSets))
 	rel := math.Abs(float64(best.Interval-daly)) / float64(daly)
 	if rel > 0.15 {
 		t.Fatalf("measured optimum %v vs Daly %v (%.0f%% off)", best.Interval, daly, 100*rel)

@@ -13,11 +13,14 @@ import (
 // generated trace must hold the structural invariants the simulators rely
 // on — sorted non-negative onsets inside the horizon, node indices in
 // range, non-negative durations, and severity factors on the documented
-// side of 1 for each kind.
+// side of 1 for each kind. Params.FailureTimes, which draws the failure
+// stream alone, must return the trace's failure onsets bit for bit.
 func FuzzTraceGenerate(f *testing.F) {
 	f.Add(uint64(1), 64, float64(30*24*3600), float64(48*3600), 1.0)
 	f.Add(uint64(20220523), 4608, float64(2*8766*3600), float64(24*3600), 0.7)
 	f.Add(uint64(7), 1, float64(3600), float64(600), 3.0)
+	f.Add(uint64(11), 512, float64(24*3600), float64(48*3600), 0.3)
+	f.Add(uint64(12), 512, float64(24*3600), float64(48*3600), 4.0)
 	f.Fuzz(func(t *testing.T, seed uint64, nodes int, mtbf, horizon, shape float64) {
 		// Clamp the numeric knobs into the domain Params documents; the
 		// fuzzer's job is exploring seeds and magnitudes inside it, not
@@ -98,6 +101,16 @@ func FuzzTraceGenerate(f *testing.F) {
 			tr.Count(SilentCorruption) + tr.Count(TornWrite) + tr.Count(StaleReplica)
 		if n != len(tr.Events) {
 			t.Fatalf("census %d vs %d events", n, len(tr.Events))
+		}
+		// The failure-only draw matches the full trace, bit for bit.
+		want, got := tr.FailureTimes(), p.FailureTimes(seed, units.Seconds(horizon))
+		if len(got) != len(want) {
+			t.Fatalf("FailureTimes drew %d failures, the trace holds %d", len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
+				t.Fatalf("failure %d: FailureTimes %v, trace %v", i, got[i], want[i])
+			}
 		}
 		// Replay determinism: the same triple yields the same trace.
 		again := p.Generate(seed, units.Seconds(horizon))

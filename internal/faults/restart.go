@@ -80,81 +80,95 @@ func simulate(shape RunShape, interval units.Seconds, failures []units.Seconds, 
 	if interval <= 0 {
 		panic("faults: checkpoint interval must be positive")
 	}
-	return simulateDynamic(shape,
-		func(units.Seconds, int) units.Seconds { return interval }, failures, ob)
+	return replay(shape, interval, nil, failures, ob)
 }
 
-// simulateDynamic is the shared replay loop behind the static and
-// adaptive checkpoint policies: intervalAt is consulted at the start of
-// every work segment with the current wall clock and the failures endured
-// so far, so an online controller can re-solve its cadence as evidence
-// accumulates. A constant intervalAt reproduces the static simulator
-// byte for byte.
-func simulateDynamic(shape RunShape, intervalAt func(wall units.Seconds, failures int) units.Seconds,
+// replay is the one replay loop behind the static and adaptive
+// checkpoint policies. A nil pol checkpoints every interval; otherwise
+// pol re-solves the interval at the start of every work segment from the
+// wall clock and the failures endured so far, so an online controller can
+// tighten its cadence as evidence accumulates. Every observer call sits
+// behind an ob != nil test, so an unobserved static replay makes no call
+// per segment. Failures are consumed in order, so the failure count
+// indexes the next one, which waits in next (+Inf once none is left).
+func replay(shape RunShape, interval units.Seconds, pol *AdaptivePolicy,
 	failures []units.Seconds, ob *obs.Observer) Outcome {
 	if shape.TotalWork <= 0 {
 		panic("faults: run shape needs positive total work")
 	}
-	var out Outcome
-	var wall, saved units.Seconds
-	fi := 0
-	fail := func(f, lost units.Seconds) {
-		out.Failures++
-		ob.Inc("faults.failures")
-		ob.Event("job", "fault", "failure", f)
-		if lost > 0 {
-			ob.Span("job", "fault", "lost-work", f-lost, lost)
-			ob.Observe("faults.lost_work_s", float64(lost))
-		}
-		ob.Span("job", "restart", "restart", f, shape.RestartCost)
-		ob.Inc("faults.restarts")
+	var wall, saved, lostWork, ckptTime, restartTime units.Seconds
+	var checkpoints, fails int
+	next := units.Seconds(math.Inf(1)) // the next failure's onset
+	if len(failures) > 0 {
+		next = failures[0]
 	}
 	for saved < shape.TotalWork {
-		// Failure during a restart window restarts the restart.
-		if fi < len(failures) && failures[fi] < wall {
-			f := failures[fi]
-			fi++
-			out.RestartTime -= wall - f // the tail of the aborted restart never ran
-			fail(f, 0)
-			wall = f + shape.RestartCost
-			out.RestartTime += shape.RestartCost
-			continue
+		var f, lost units.Seconds
+		if next < wall {
+			// Failure during a restart window restarts the restart.
+			f = next
+			restartTime -= wall - f // the tail of the aborted restart never ran
+		} else {
+			chunk := interval
+			if pol != nil {
+				chunk = pol.Interval(shape.CheckpointCost, wall, fails)
+				if chunk <= 0 {
+					panic("faults: checkpoint interval must be positive")
+				}
+			}
+			if rem := shape.TotalWork - saved; rem < chunk {
+				chunk = rem
+			}
+			segment := chunk
+			if saved+chunk < shape.TotalWork {
+				segment += shape.CheckpointCost // the final segment needs no commit
+			}
+			if next < wall+segment {
+				f = next
+				lost = f - wall
+				lostWork += lost
+			} else {
+				if ob != nil {
+					ob.Span("job", "work", "segment", wall, chunk)
+					if segment > chunk {
+						ob.Span("job", "ckpt", "checkpoint-write", wall+chunk, shape.CheckpointCost)
+						ob.Inc("faults.checkpoints")
+					}
+				}
+				wall += segment
+				saved += chunk
+				if segment > chunk {
+					checkpoints++
+					ckptTime += segment - chunk
+				}
+				continue
+			}
 		}
-		chunk := intervalAt(wall, out.Failures)
-		if chunk <= 0 {
-			panic("faults: checkpoint interval must be positive")
+		fails++
+		next = units.Seconds(math.Inf(1))
+		if fails < len(failures) {
+			next = failures[fails]
 		}
-		if rem := shape.TotalWork - saved; rem < chunk {
-			chunk = rem
+		if ob != nil {
+			ob.Inc("faults.failures")
+			ob.Event("job", "fault", "failure", f)
+			if lost > 0 {
+				ob.Span("job", "fault", "lost-work", f-lost, lost)
+				ob.Observe("faults.lost_work_s", float64(lost))
+			}
+			ob.Span("job", "restart", "restart", f, shape.RestartCost)
+			ob.Inc("faults.restarts")
 		}
-		segment := chunk
-		if saved+chunk < shape.TotalWork {
-			segment += shape.CheckpointCost // the final segment needs no commit
-		}
-		if fi < len(failures) && failures[fi] < wall+segment {
-			f := failures[fi]
-			fi++
-			out.LostWork += f - wall
-			fail(f, f-wall)
-			wall = f + shape.RestartCost
-			out.RestartTime += shape.RestartCost
-			continue
-		}
-		ob.Span("job", "work", "segment", wall, chunk)
-		if segment > chunk {
-			ob.Span("job", "ckpt", "checkpoint-write", wall+chunk, shape.CheckpointCost)
-			ob.Inc("faults.checkpoints")
-		}
-		wall += segment
-		saved += chunk
-		if segment > chunk {
-			out.Checkpoints++
-			out.CkptTime += segment - chunk
-		}
+		wall = f + shape.RestartCost
+		restartTime += shape.RestartCost
 	}
-	out.Wall = wall
-	ob.Set("faults.wall_s", float64(out.Wall))
-	return out
+	if ob != nil {
+		ob.Set("faults.wall_s", float64(wall))
+	}
+	return Outcome{
+		Wall: wall, LostWork: lostWork, Checkpoints: checkpoints,
+		CkptTime: ckptTime, RestartTime: restartTime, Failures: fails,
+	}
 }
 
 // DalyInterval returns the Young/Daly first-order optimal checkpoint
@@ -196,7 +210,8 @@ func DalyOverhead(interval, ckptCost, systemMTBF units.Seconds) float64 {
 	return float64(ckptCost)/float64(interval) + float64(interval)/(2*float64(systemMTBF))
 }
 
-// SweepPoint is one checkpoint interval evaluated against a trace set.
+// SweepPoint is one checkpoint interval evaluated against a set of
+// failure traces.
 type SweepPoint struct {
 	Interval     units.Seconds
 	MeanWall     units.Seconds
@@ -205,17 +220,14 @@ type SweepPoint struct {
 	Efficiency   float64 // TotalWork/MeanWall
 }
 
-// Sweep simulates the run at every interval against every trace (common
-// random numbers: the same traces across all intervals, so the curve is
-// smooth in the interval and the argmin is statistically stable) and
-// returns one aggregated point per interval.
-func Sweep(shape RunShape, intervals []units.Seconds, traces []*Trace) []SweepPoint {
-	if len(intervals) == 0 || len(traces) == 0 {
-		panic("faults: sweep needs intervals and traces")
-	}
-	failureSets := make([][]units.Seconds, len(traces))
-	for i, tr := range traces {
-		failureSets[i] = tr.FailureTimes()
+// Sweep simulates the run at every interval against every set of
+// fatal-failure onsets (common random numbers: the same failures across
+// all intervals, so the curve is smooth in the interval and the argmin is
+// statistically stable) and returns one aggregated point per interval.
+// Params.FailureTimes draws the sets without the rest of each trace.
+func Sweep(shape RunShape, intervals []units.Seconds, failureSets [][]units.Seconds) []SweepPoint {
+	if len(intervals) == 0 || len(failureSets) == 0 {
+		panic("faults: sweep needs intervals and failure sets")
 	}
 	pts := make([]SweepPoint, len(intervals))
 	for i, iv := range intervals {
@@ -226,12 +238,12 @@ func Sweep(shape RunShape, intervals []units.Seconds, traces []*Trace) []SweepPo
 			wall += o.Wall
 			fails += o.Failures
 		}
-		mean := wall / units.Seconds(len(traces))
+		mean := wall / units.Seconds(len(failureSets))
 		pts[i] = SweepPoint{
 			Interval:     iv,
 			MeanWall:     mean,
 			Overhead:     float64(mean)/float64(shape.TotalWork) - 1,
-			MeanFailures: float64(fails) / float64(len(traces)),
+			MeanFailures: float64(fails) / float64(len(failureSets)),
 			Efficiency:   float64(shape.TotalWork) / float64(mean),
 		}
 	}

@@ -196,35 +196,3 @@ func BenchmarkStep125Particles(b *testing.B) {
 		s.Step(0.002)
 	}
 }
-
-func TestVelocityRescaleHitsTarget(t *testing.T) {
-	s := newTestSystem(t, 3, 2.0)
-	VelocityRescale{Target: 0.7}.Apply(s, 0.002)
-	if got := s.Temperature(); math.Abs(got-0.7) > 1e-9 {
-		t.Fatalf("rescaled temperature = %v", got)
-	}
-}
-
-func TestBerendsenRelaxesTowardTarget(t *testing.T) {
-	s := newTestSystem(t, 3, 2.0)
-	before := math.Abs(s.Temperature() - 0.5)
-	b := Berendsen{Target: 0.5, Tau: 0.02}
-	for i := 0; i < 50; i++ {
-		s.StepNVT(0.002, b)
-	}
-	after := math.Abs(s.Temperature() - 0.5)
-	if after >= before {
-		t.Fatalf("Berendsen did not relax: |dT| %v -> %v", before, after)
-	}
-	if after > 0.2 {
-		t.Fatalf("temperature still %v from target", after)
-	}
-}
-
-func TestEquilibrate(t *testing.T) {
-	s := newTestSystem(t, 3, 3.0)
-	got := s.Equilibrate(1.0, 0.002, 200)
-	if math.Abs(got-1.0) > 0.25 {
-		t.Fatalf("equilibrated temperature = %v, want ~1.0", got)
-	}
-}

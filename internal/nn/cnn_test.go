@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"summitscale/internal/autograd"
@@ -78,24 +79,33 @@ func TestConv2DAppliedTwiceGetsBothKernelGradients(t *testing.T) {
 
 // BenchmarkSmallCNNLayers times each layer op of train-cnn's SmallCNN
 // (batch 8, 1x8x8 input, channels [8, 16]) in a warm arena: fwd runs the
-// op's forward alone, fwdbwd its forward and backward. Each op gets the
-// activation the model's forward feeds it; only conv0's input is a
-// constant, as a training batch is. Every iteration resets the arena and
-// copies the input into it, as a training step does with its batch.
+// op's forward alone, fwdbwd its forward and backward. Each op cycles
+// through the activations the model's forward feeds it for 32 seeded
+// input batches, one per iteration, so the branch predictor cannot learn
+// one input's data-dependent branches (ReLU, the max-pool argmax), as it
+// cannot in training, where every batch is new. Every iteration resets
+// the arena and copies its input into it, as a training step does with
+// its batch.
 func BenchmarkSmallCNNLayers(b *testing.B) {
+	const inputs = 32
 	rng := stats.NewRNG(61)
 	m := NewSmallCNN(rng, SmallCNNConfig{InChannels: 1, ImageSize: 8, Channels: []int{8, 16}, Classes: 2})
 	params := m.Params()
 	type layerOp struct {
 		name    string
-		in      *tensor.Tensor
+		ins     []*tensor.Tensor // the op's input for each seeded batch
 		forward func(*autograd.Value) *autograd.Value
 	}
 	var ops []layerOp
-	h := tensor.Randn(rng, 1, 8, 1, 8, 8)
+	hs := make([]*tensor.Tensor, inputs)
+	for k := range hs {
+		hs[k] = tensor.Randn(rng, 1, 8, 1, 8, 8)
+	}
 	add := func(name string, forward func(*autograd.Value) *autograd.Value) {
-		ops = append(ops, layerOp{name, h, forward})
-		h = forward(autograd.Constant(h)).Data
+		ops = append(ops, layerOp{name, slices.Clone(hs), forward})
+		for k, h := range hs {
+			hs[k] = forward(autograd.Constant(h)).Data
+		}
 	}
 	for i, conv := range m.Convs {
 		add(fmt.Sprintf("conv%d", i), conv.Forward)
@@ -110,13 +120,16 @@ func BenchmarkSmallCNNLayers(b *testing.B) {
 
 	arena := tensor.NewArena()
 	for i, op := range ops {
+		next := 0
 		input := func() *autograd.Value {
 			arena.Reset()
 			for _, p := range params {
 				p.Value.ZeroGrad()
 			}
-			in := tensor.NewIn(arena, op.in.Shape()...)
-			copy(in.Data(), op.in.Data())
+			src := op.ins[next%inputs]
+			next++
+			in := tensor.NewIn(arena, src.Shape()...)
+			copy(in.Data(), src.Data())
 			return autograd.NewLeaf(in, i > 0)
 		}
 		b.Run(op.name, func(b *testing.B) {

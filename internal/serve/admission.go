@@ -52,24 +52,25 @@ func newAdmitQueue(cfg AdmissionConfig) *admitQueue {
 	return &admitQueue{cfg: cfg}
 }
 
-// offer decides one arrival. It returns nil on admission (the caller owns
-// the request now and must later release it when service starts) or a
-// typed rejection.
-func (q *admitQueue) offer(r Request, now units.Seconds) *Rejection {
+// offer decides one arrival. It reports admitted on admission (the
+// caller owns the request now and must later release it when service
+// starts); otherwise it returns the typed rejection, by value, so a
+// refusal allocates nothing.
+func (q *admitQueue) offer(r Request, now units.Seconds) (rej Rejection, admitted bool) {
 	if q.depth >= q.cfg.QueueCap {
 		q.full++
-		return &Rejection{ID: r.ID, Model: r.Model, Tier: r.Tier, Code: RejectQueueFull, At: now}
+		return Rejection{ID: r.ID, Model: r.Model, Tier: r.Tier, Code: RejectQueueFull, At: now}, false
 	}
 	if q.cfg.ShedAt > 0 && q.depth >= q.cfg.ShedAt && r.Tier == Bulk {
 		q.shed++
-		return &Rejection{ID: r.ID, Model: r.Model, Tier: r.Tier, Code: RejectShed, At: now}
+		return Rejection{ID: r.ID, Model: r.Model, Tier: r.Tier, Code: RejectShed, At: now}, false
 	}
 	q.depth++
 	q.admitted++
 	if q.depth > q.peakDepth {
 		q.peakDepth = q.depth
 	}
-	return nil
+	return Rejection{}, true
 }
 
 // release retires n admitted requests from the ledger when their batch

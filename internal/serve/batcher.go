@@ -25,6 +25,9 @@ func DefaultBatch() BatchConfig {
 type batcher struct {
 	cfg     BatchConfig
 	pending []Request
+	// spare holds the buffers of finished batches: a new batch fills one
+	// instead of regrowing from an empty slice.
+	spare [][]Request
 	// epoch guards deadline timers: closing a batch bumps it, so a timer
 	// scheduled for an already-closed batch expires as a no-op.
 	epoch int
@@ -45,6 +48,11 @@ func newBatcher(cfg BatchConfig) *batcher {
 // it (nil otherwise), and deadline is true when the caller must schedule
 // a deadline timer for the batch this request just opened.
 func (b *batcher) add(r Request) (closed []Request, deadline bool) {
+	if b.pending == nil {
+		if n := len(b.spare); n > 0 {
+			b.pending, b.spare = b.spare[n-1], b.spare[:n-1]
+		}
+	}
 	b.pending = append(b.pending, r)
 	if len(b.pending) >= b.cfg.MaxBatch {
 		return b.close(), false
@@ -61,6 +69,12 @@ func (b *batcher) close() []Request {
 	b.pending = nil
 	b.epoch++
 	return batch
+}
+
+// recycle takes back the buffer of a batch whose completion has run, the
+// first moment nothing reads it any more.
+func (b *batcher) recycle(batch []Request) {
+	b.spare = append(b.spare, batch[:0])
 }
 
 // expire handles a deadline timer for the given epoch: it closes the open

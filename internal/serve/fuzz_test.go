@@ -36,8 +36,8 @@ func FuzzAdmissionQueue(f *testing.F) {
 				if op&2 != 0 {
 					tier = Interactive
 				}
-				rej := q.offer(Request{ID: id, Tier: tier}, units.Seconds(float64(id)))
-				if rej != nil {
+				rej, admitted := q.offer(Request{ID: id, Tier: tier}, units.Seconds(float64(id)))
+				if !admitted {
 					if rej.Code == RejectShed && tier == Interactive {
 						t.Fatalf("op %d: shed an Interactive request", id)
 					}

@@ -221,14 +221,17 @@ func (m *MLPModel) FlopsPerSample() float64 { return m.flops }
 func (m *MLPModel) WeightBytes() float64 { return m.bytes }
 
 // BytesPerSample implements Model: widest activation in and out.
-func (m *MLPModel) BytesPerSample() float64 {
+func (m *MLPModel) BytesPerSample() float64 { return 16 * float64(m.widest()) }
+
+// widest is the widest activation: the input or any layer's output.
+func (m *MLPModel) widest() int {
 	widest := m.in
 	for _, l := range m.layers {
 		if len(l.b) > widest {
 			widest = len(l.b)
 		}
 	}
-	return 16 * float64(widest)
+	return widest
 }
 
 // forwardRow evaluates one sample, ping-ponging between the caller's two
@@ -246,17 +249,19 @@ func (m *MLPModel) forwardRow(row, bufA, bufB []float64) float64 {
 	return cur[0]
 }
 
+// mlpStackWidth is the widest activation whose scratch PredictBatch keeps
+// on each chunk's stack; a wider model takes heap scratch per chunk.
+const mlpStackWidth = 64
+
 // PredictBatch implements Model.
 func (m *MLPModel) PredictBatch(pool *parallel.WorkerPool, workers int, rows [][]float64, out []float64) {
-	widest := m.in
-	for _, l := range m.layers {
-		if len(l.b) > widest {
-			widest = len(l.b)
-		}
-	}
+	widest := m.widest()
 	pool.RunRangeMax(workers, len(rows), batchGrain, func(lo, hi int) {
-		bufA := make([]float64, widest)
-		bufB := make([]float64, widest)
+		var stackA, stackB [mlpStackWidth]float64
+		bufA, bufB := stackA[:], stackB[:]
+		if widest > mlpStackWidth {
+			bufA, bufB = make([]float64, widest), make([]float64, widest)
+		}
 		for i := lo; i < hi; i++ {
 			out[i] = m.forwardRow(rows[i], bufA, bufB)
 		}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"summitscale/internal/nn"
@@ -130,5 +131,48 @@ func TestReLUKeepsNegativeZero(t *testing.T) {
 	m := &MLPModel{layers: []denseLayer{l}, in: in}
 	if v := m.forwardRow(cur, make([]float64, out), make([]float64, out)); !math.Signbit(v) {
 		t.Fatalf("forwardRow = %v, want -0", v)
+	}
+}
+
+// TestQuantileMatchesSort: selecting an order statistic in place returns
+// the bits that sort-then-index reads. The samples are positive, like
+// served latencies, and mostly heavily tied (a handful of distinct
+// values), some ascending or descending already; lengths 0 to 3 and
+// 1,000; q = 0, 0.5, 0.99 and 1, selected one after another on the same
+// slice, as finish does.
+func TestQuantileMatchesSort(t *testing.T) {
+	rng := stats.NewRNG(5)
+	for _, n := range []int{0, 1, 2, 3, 1000} {
+		for trial := 0; trial < 24; trial++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				switch trial % 4 {
+				case 0:
+					xs[i] = 1e-3 * float64(1+rng.Intn(5))
+				case 1:
+					xs[i] = 1e-3 + rng.Float64()
+				case 2:
+					xs[i] = 1e-3 * float64(1+i/7) // ascending, in runs of ties
+				default:
+					xs[i] = 1e-3 * float64(n-i/3) // descending, in runs of ties
+				}
+			}
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			for _, q := range []float64{0, 0.5, 0.99, 1} {
+				want := 0.0
+				if n > 0 {
+					want = sorted[int(q*float64(n-1))]
+				}
+				if got := quantile(xs, q); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d trial %d q=%v: selected %v, sort-then-index %v", n, trial, q, got, want)
+				}
+			}
+			again := append([]float64(nil), xs...)
+			sort.Float64s(again)
+			if !sameBits(again, sorted) {
+				t.Fatalf("n=%d trial %d: selection changed the sample's values", n, trial)
+			}
+		}
 	}
 }

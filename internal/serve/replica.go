@@ -14,7 +14,7 @@ type replicaPool struct {
 	// past means free. A lost replica is marked with busyUntil = +inf.
 	busyUntil []units.Seconds
 	lost      []bool
-	waiting   [][]Request // closed batches awaiting a free replica, FIFO
+	waiting   queue[[]Request] // closed batches awaiting a free replica
 
 	started   int // batches dispatched into service
 	lostCount int
@@ -84,6 +84,36 @@ func (p *replicaPool) repair() bool {
 		}
 	}
 	return false
+}
+
+// queue is a FIFO that keeps its backing array: a pop advances a head
+// index instead of reslicing away the array's front, and a push into a
+// full array slides the live items down when at least half of it is
+// spent, so the array neither regrows per item nor grows beyond a
+// constant factor of the longest backlog.
+type queue[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *queue[T]) len() int { return len(q.items) - q.head }
+
+func (q *queue[T]) push(v T) {
+	if q.head > 0 && len(q.items) == cap(q.items) && 2*q.head >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, v)
+}
+
+// pop removes and returns the oldest item; the queue must not be empty.
+func (q *queue[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	return v
 }
 
 // ReplicasFor sizes one model's replica pool from the platform registry:

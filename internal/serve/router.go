@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -114,9 +115,49 @@ type modelState struct {
 	batch    *batcher
 	replicas *replicaPool
 
+	// deadlines holds the epochs of this model's pending deadline timers,
+	// oldest first. The timers fire in the order they were scheduled
+	// (MaxDelay is fixed, the clock never goes back, and ties run first
+	// in, first out), so onDeadline, bound once, fires the oldest.
+	deadlines  queue[int]
+	onDeadline func(*des.Sim)
+	// idle holds in-flight records whose completion has run.
+	idle []*inflight
+
 	latencies  []float64
 	batchSizes []int
 	served     int
+}
+
+// inflight is one batch in service on a replica, with its completion
+// bound once as an event action. A record goes back to its model's idle
+// list only after its completion has run: a replica counts as free at
+// the instant its completion is still pending, so a record per replica
+// would be overwritten while its batch is in flight.
+type inflight struct {
+	rt       *router
+	mi       int
+	replica  int
+	done     units.Seconds
+	batch    []Request
+	rows     [][]float64
+	out      []float64
+	complete func(*des.Sim)
+}
+
+// router is one Run's event-loop state. Its arrival, deadline and
+// completion actions are bound once per run, per model and per in-flight
+// record, so serving a batch schedules its events without allocating.
+type router struct {
+	states  []*modelState
+	byName  map[string]int
+	sorted  []Request
+	rep     *Report
+	pricer  Pricer
+	pool    *parallel.WorkerPool
+	workers int
+	link    func(units.Seconds) float64
+	o       *obs.Observer
 }
 
 // Run drives the request stream through admission, micro-batching, and
@@ -159,172 +200,59 @@ func run(cfg Config, reqs []Request, maxEvents int) (*Report, error) {
 	if workers <= 0 {
 		workers = pool.Workers()
 	}
-	link := cfg.LinkFactorAt
-	linkAt := func(t units.Seconds) float64 {
-		if link == nil {
-			return 1
-		}
-		f := link(t)
-		if f < 0.01 {
-			f = 0.01
-		}
-		if f > 1 {
-			f = 1
-		}
-		return f
+	rt := &router{
+		states: make([]*modelState, len(cfg.Models)),
+		byName: make(map[string]int, len(cfg.Models)),
+		sorted: sortRequests(reqs),
+		rep: &Report{
+			Platform: cfg.Platform.Name,
+			Workers:  workers,
+			Replicas: replicas,
+			Requests: len(reqs),
+			// Most requests get served; presizing keeps the hot loop free
+			// of growslice churn.
+			Responses: make([]Response, 0, len(reqs)),
+		},
+		pricer:  pricer,
+		pool:    pool,
+		workers: workers,
+		link:    cfg.LinkFactorAt,
+		o:       cfg.Obs,
 	}
-	o := cfg.Obs
-
-	states := make([]*modelState, len(cfg.Models))
-	byName := make(map[string]int, len(cfg.Models))
 	for i, m := range cfg.Models {
-		if _, dup := byName[m.Name()]; dup {
+		if _, dup := rt.byName[m.Name()]; dup {
 			return nil, fmt.Errorf("serve: duplicate model name %q", m.Name())
 		}
-		byName[m.Name()] = i
-		states[i] = &modelState{
+		rt.byName[m.Name()] = i
+		st := &modelState{
 			m:        m,
 			admit:    newAdmitQueue(cfg.Admission),
 			batch:    newBatcher(cfg.Batch),
 			replicas: newReplicaPool(replicas),
 		}
+		st.onDeadline = func(s *des.Sim) {
+			if b := st.batch.expire(st.deadlines.pop()); b != nil {
+				rt.dispatch(s, i, b)
+			}
+		}
+		rt.states[i] = st
 	}
-
-	rep := &Report{
-		Platform: cfg.Platform.Name,
-		Workers:  workers,
-		Replicas: replicas,
-		Requests: len(reqs),
-		// Most requests get served; presizing keeps the hot loop free of
-		// growslice churn.
-		Responses: make([]Response, 0, len(reqs)),
-	}
-
-	sorted := sortRequests(reqs)
 	sim := des.New()
-
-	// start services a batch on a replica: releases the admission ledger,
-	// runs the real inference kernel, and schedules completion at the
-	// roofline-priced service time (inflated while links are degraded).
-	var drain func(s *des.Sim, mi int)
-	start := func(s *des.Sim, mi, replica int, batch []Request) {
-		st := states[mi]
-		now := units.Seconds(s.Now())
-		st.admit.release(len(batch))
-		if o != nil {
-			o.Set("serve.queue."+st.m.Name(), float64(st.admit.depth))
-		}
-		rows := make([][]float64, len(batch))
-		for i, r := range batch {
-			rows[i] = r.Features
-		}
-		out := make([]float64, len(batch))
-		st.m.PredictBatch(pool, workers, rows, out)
-		svc := pricer.ServiceTime(st.m, len(batch)) / units.Seconds(linkAt(now))
-		done := now + svc
-		st.replicas.busyUntil[replica] = done
-		st.replicas.started++
-		st.batchSizes = append(st.batchSizes, len(batch))
-		// The obs layer is nil-safe, but its labels are built at the call
-		// site; guarding keeps the unobserved hot path allocation-free.
-		if o != nil {
-			o.Observe("serve.batch.size", float64(len(batch)))
-			o.Span("serve/"+st.m.Name(), "serve", fmt.Sprintf("batch/%d", len(batch)), now, svc,
-				obs.Num("rows", float64(len(batch))), obs.Num("replica", float64(replica)))
-		}
-		bcopy := batch
-		s.At(float64(done), func(s *des.Sim) {
-			rtt := pricer.RTT / units.Seconds(linkAt(done))
-			for i, rq := range bcopy {
-				resp := Response{
-					ID: rq.ID, Model: rq.Model, Tier: rq.Tier, Value: out[i],
-					Arrival: rq.Arrival, Done: done + rtt,
-					BatchSize: len(bcopy), Replica: replica,
-				}
-				rep.Responses = append(rep.Responses, resp)
-				rep.Checksum += resp.Value
-				lat := float64(resp.Latency())
-				st.latencies = append(st.latencies, lat)
-				st.served++
-				if o != nil {
-					o.Observe("serve.latency_ms."+rq.Tier.String(), lat*1e3)
-					o.Span("serve/"+rq.Model+"/req", "serve", rq.Tier.String(), rq.Arrival, resp.Done-rq.Arrival,
-						obs.Num("id", float64(rq.ID)), obs.Num("batch", float64(len(bcopy))))
-				}
-			}
-			drain(s, mi)
-		})
-	}
-	drain = func(s *des.Sim, mi int) {
-		st := states[mi]
-		now := units.Seconds(s.Now())
-		for len(st.replicas.waiting) > 0 {
-			r := st.replicas.free(now)
-			if r < 0 {
-				return
-			}
-			batch := st.replicas.waiting[0]
-			st.replicas.waiting = st.replicas.waiting[1:]
-			start(s, mi, r, batch)
-		}
-	}
-	dispatch := func(s *des.Sim, mi int, batch []Request) {
-		states[mi].replicas.waiting = append(states[mi].replicas.waiting, batch)
-		drain(s, mi)
-	}
 
 	// Arrivals are data fed beside the event heap, not one closure and
 	// one queued event per request. Fed before any other event is
 	// scheduled, each arrival orders before every other event at its
 	// instant, and each still counts against the event budget.
-	arrivals := make([]float64, len(sorted))
-	for i, r := range sorted {
+	arrivals := make([]float64, len(rt.sorted))
+	for i, r := range rt.sorted {
 		arrivals[i] = float64(r.Arrival)
 	}
-	sim.Feed(arrivals, func(s *des.Sim, i int) {
-		r := sorted[i]
-		now := units.Seconds(s.Now())
-		mi, ok := byName[r.Model]
-		if !ok {
-			rep.Rejections = append(rep.Rejections, Rejection{
-				ID: r.ID, Model: r.Model, Tier: r.Tier, Code: RejectUnknownModel, At: now,
-			})
-			o.Inc("serve.reject.unknown_model")
-			return
-		}
-		st := states[mi]
-		st.admit.requests++
-		if o != nil {
-			o.Inc("serve.requests")
-		}
-		if rej := st.admit.offer(r, now); rej != nil {
-			rep.Rejections = append(rep.Rejections, *rej)
-			if o != nil {
-				o.Inc("serve.reject." + rej.Code.String())
-			}
-			return
-		}
-		if o != nil {
-			o.Set("serve.queue."+r.Model, float64(st.admit.depth))
-		}
-		closed, deadline := st.batch.add(r)
-		if closed != nil {
-			dispatch(s, mi, closed)
-			return
-		}
-		if deadline {
-			epoch := st.batch.epoch
-			s.At(float64(now+st.batch.cfg.MaxDelay), func(s *des.Sim) {
-				if b := st.batch.expire(epoch); b != nil {
-					dispatch(s, mi, b)
-				}
-			})
-		}
-	})
+	sim.Feed(arrivals, rt.arrive)
 
 	// Chaos threading: replica losses hit the model with the most live
 	// replicas (ties to the lowest model index), repairs return capacity
 	// to the model with the fewest.
+	o, states := cfg.Obs, rt.states
 	for _, t := range cfg.ReplicaFails {
 		sim.At(float64(t), func(s *des.Sim) {
 			best, most := -1, -1
@@ -352,7 +280,7 @@ func run(cfg Config, reqs []Request, maxEvents int) (*Report, error) {
 				states[best].replicas.repair()
 				o.Inc("serve.replica.repaired")
 				o.Set("serve.replicas."+states[best].m.Name(), float64(states[best].replicas.alive()))
-				drain(s, best)
+				rt.drain(s, best)
 			}
 		})
 	}
@@ -366,24 +294,176 @@ func run(cfg Config, reqs []Request, maxEvents int) (*Report, error) {
 	if horizon <= 0 {
 		horizon = end
 	}
-	rep.Horizon = horizon
-	finish(rep, states, pricer, cfg.Batch)
-	return rep, nil
+	rt.rep.Horizon = horizon
+	finish(rt.rep, states, pricer, cfg.Batch)
+	return rt.rep, nil
+}
+
+// linkAt is the interconnect health factor at t, clamped to [0.01, 1];
+// 1 without a LinkFactorAt.
+func (rt *router) linkAt(t units.Seconds) float64 {
+	if rt.link == nil {
+		return 1
+	}
+	f := rt.link(t)
+	if f < 0.01 {
+		f = 0.01
+	}
+	if f > 1 {
+		f = 1
+	}
+	return f
+}
+
+// arrive admits the i-th sorted request and adds it to its model's open
+// batch, dispatching the batch when it fills and scheduling its deadline
+// timer when it opens.
+func (rt *router) arrive(s *des.Sim, i int) {
+	r := rt.sorted[i]
+	now := units.Seconds(s.Now())
+	o := rt.o
+	mi, ok := rt.byName[r.Model]
+	if !ok {
+		rt.rep.Rejections = append(rt.rep.Rejections, Rejection{
+			ID: r.ID, Model: r.Model, Tier: r.Tier, Code: RejectUnknownModel, At: now,
+		})
+		o.Inc("serve.reject.unknown_model")
+		return
+	}
+	st := rt.states[mi]
+	st.admit.requests++
+	if o != nil {
+		o.Inc("serve.requests")
+	}
+	if rej, admitted := st.admit.offer(r, now); !admitted {
+		rt.rep.Rejections = append(rt.rep.Rejections, rej)
+		if o != nil {
+			o.Inc("serve.reject." + rej.Code.String())
+		}
+		return
+	}
+	if o != nil {
+		o.Set("serve.queue."+r.Model, float64(st.admit.depth))
+	}
+	closed, deadline := st.batch.add(r)
+	if closed != nil {
+		rt.dispatch(s, mi, closed)
+		return
+	}
+	if deadline {
+		st.deadlines.push(st.batch.epoch)
+		s.At(float64(now+st.batch.cfg.MaxDelay), st.onDeadline)
+	}
+}
+
+// dispatch queues a closed batch for a replica and starts what it can.
+func (rt *router) dispatch(s *des.Sim, mi int, batch []Request) {
+	rt.states[mi].replicas.waiting.push(batch)
+	rt.drain(s, mi)
+}
+
+// drain starts waiting batches, oldest first, while replicas are free.
+func (rt *router) drain(s *des.Sim, mi int) {
+	st := rt.states[mi]
+	now := units.Seconds(s.Now())
+	for st.replicas.waiting.len() > 0 {
+		r := st.replicas.free(now)
+		if r < 0 {
+			return
+		}
+		rt.start(s, mi, r, st.replicas.waiting.pop())
+	}
+}
+
+// start services a batch on a replica: releases the admission ledger,
+// runs the real inference kernel, and schedules completion at the
+// roofline-priced service time (inflated while links are degraded).
+func (rt *router) start(s *des.Sim, mi, replica int, batch []Request) {
+	st := rt.states[mi]
+	o := rt.o
+	now := units.Seconds(s.Now())
+	st.admit.release(len(batch))
+	if o != nil {
+		o.Set("serve.queue."+st.m.Name(), float64(st.admit.depth))
+	}
+	var b *inflight
+	if n := len(st.idle); n > 0 {
+		b, st.idle = st.idle[n-1], st.idle[:n-1]
+	} else {
+		b = &inflight{rt: rt, mi: mi}
+		b.complete = b.finish
+	}
+	b.replica, b.batch = replica, batch
+	b.rows = b.rows[:0]
+	for _, r := range batch {
+		b.rows = append(b.rows, r.Features)
+	}
+	b.out = slices.Grow(b.out[:0], len(batch))[:len(batch)]
+	st.m.PredictBatch(rt.pool, rt.workers, b.rows, b.out)
+	svc := rt.pricer.ServiceTime(st.m, len(batch)) / units.Seconds(rt.linkAt(now))
+	b.done = now + svc
+	st.replicas.busyUntil[replica] = b.done
+	st.replicas.started++
+	st.batchSizes = append(st.batchSizes, len(batch))
+	// The obs layer is nil-safe, but its labels are built at the call
+	// site, so they are built only when observed. Unobserved, the one
+	// allocation per batch is PredictBatch's pool dispatch
+	// (TestRunAllocsPerBatch).
+	if o != nil {
+		o.Observe("serve.batch.size", float64(len(batch)))
+		o.Span("serve/"+st.m.Name(), "serve", fmt.Sprintf("batch/%d", len(batch)), now, svc,
+			obs.Num("rows", float64(len(batch))), obs.Num("replica", float64(replica)))
+	}
+	s.At(float64(b.done), b.complete)
+}
+
+// finish is a batch's completion: it records every response, recycles
+// the batch's buffer and the record, then starts waiting batches.
+func (b *inflight) finish(s *des.Sim) {
+	rt := b.rt
+	st := rt.states[b.mi]
+	o := rt.o
+	rtt := rt.pricer.RTT / units.Seconds(rt.linkAt(b.done))
+	for i, rq := range b.batch {
+		resp := Response{
+			ID: rq.ID, Model: rq.Model, Tier: rq.Tier, Value: b.out[i],
+			Arrival: rq.Arrival, Done: b.done + rtt,
+			BatchSize: len(b.batch), Replica: b.replica,
+		}
+		rt.rep.Responses = append(rt.rep.Responses, resp)
+		rt.rep.Checksum += resp.Value
+		lat := float64(resp.Latency())
+		st.latencies = append(st.latencies, lat)
+		st.served++
+		if o != nil {
+			o.Observe("serve.latency_ms."+rq.Tier.String(), lat*1e3)
+			o.Span("serve/"+rq.Model+"/req", "serve", rq.Tier.String(), rq.Arrival, resp.Done-rq.Arrival,
+				obs.Num("id", float64(rq.ID)), obs.Num("batch", float64(len(b.batch))))
+		}
+	}
+	st.batch.recycle(b.batch)
+	b.batch = nil
+	st.idle = append(st.idle, b)
+	rt.drain(s, b.mi)
 }
 
 // finish folds per-model state into the report's summary fields.
 func finish(rep *Report, states []*modelState, pricer Pricer, bc BatchConfig) {
-	var interactive, bulk []float64
+	// One buffer holds both tiers' latencies: interactive from the front,
+	// bulk from the back. Selection does not care about their order.
+	lats := make([]float64, len(rep.Responses))
+	ni, nb := 0, len(lats)
 	for _, r := range rep.Responses {
 		lat := float64(r.Latency())
 		if r.Tier == Interactive {
-			interactive = append(interactive, lat)
+			lats[ni] = lat
+			ni++
 		} else {
-			bulk = append(bulk, lat)
+			nb--
+			lats[nb] = lat
 		}
 	}
-	sort.Float64s(interactive)
-	sort.Float64s(bulk)
+	interactive, bulk := lats[:ni], lats[nb:]
 	rep.InteractiveP50 = units.Seconds(quantile(interactive, 0.50))
 	rep.InteractiveP99 = units.Seconds(quantile(interactive, 0.99))
 	rep.BulkP50 = units.Seconds(quantile(bulk, 0.50))
@@ -421,12 +501,9 @@ func finish(rep *Report, states []*modelState, pricer Pricer, bc BatchConfig) {
 			ms.MeanBatch = float64(sum) / float64(len(st.batchSizes))
 		}
 		totalBatches += len(st.batchSizes)
-		sort.Float64s(st.latencies)
 		ms.P50 = units.Seconds(quantile(st.latencies, 0.50))
 		ms.P99 = units.Seconds(quantile(st.latencies, 0.99))
-		if n := len(st.latencies); n > 0 {
-			ms.Max = units.Seconds(st.latencies[n-1])
-		}
+		ms.Max = units.Seconds(quantile(st.latencies, 1))
 		meanB := ms.MeanBatch
 		if meanB < 1 {
 			meanB = 1

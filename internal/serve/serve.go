@@ -119,14 +119,60 @@ type Rejection struct {
 	At    units.Seconds
 }
 
-// quantile returns the q-quantile of a sorted ascending sample using the
-// same nearest-rank rule as internal/obs, so serving reports and metrics
-// summaries agree. An empty sample yields zero.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
+// quantile returns the q-quantile of a sample by the nearest-rank rule
+// of internal/obs (index int(q·(n−1)) of the sorted sample), so serving
+// reports and metrics summaries agree. It selects that order statistic
+// in place rather than sorting, so it reorders xs; q = 1 selects the
+// maximum. Served latencies are positive and finite, so equal values
+// have equal bits, and the value selected is exactly the one
+// sort-then-index reads. An empty sample yields zero.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
 		return 0
 	}
-	return sorted[int(q*float64(len(sorted)-1))]
+	k := int(q * float64(len(xs)-1))
+	// Hoare-partition quickselect with a median-of-three pivot: equal
+	// values split evenly between the two sides, so heavy ties stay
+	// linear.
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] <= pivot <= xs[i..hi], and anything strictly
+		// between j and i equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
 }
 
 // sortRequests orders a workload canonically: by arrival time, ties by

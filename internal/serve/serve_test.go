@@ -8,6 +8,7 @@ import (
 	"summitscale/internal/obs"
 	"summitscale/internal/parallel"
 	"summitscale/internal/platform"
+	"summitscale/internal/stats"
 	"summitscale/internal/units"
 )
 
@@ -375,25 +376,25 @@ func TestBatcherSizeAndDeadline(t *testing.T) {
 func TestAdmitQueueBounds(t *testing.T) {
 	q := newAdmitQueue(AdmissionConfig{QueueCap: 4, ShedAt: 2})
 	now := units.Seconds(0)
-	if rej := q.offer(Request{ID: 1, Tier: Bulk}, now); rej != nil {
+	if _, ok := q.offer(Request{ID: 1, Tier: Bulk}, now); !ok {
 		t.Fatal("first bulk offer rejected")
 	}
-	if rej := q.offer(Request{ID: 2, Tier: Bulk}, now); rej != nil {
+	if _, ok := q.offer(Request{ID: 2, Tier: Bulk}, now); !ok {
 		t.Fatal("second bulk offer rejected below ShedAt")
 	}
-	rej := q.offer(Request{ID: 3, Tier: Bulk}, now)
-	if rej == nil || rej.Code != RejectShed {
-		t.Fatalf("bulk at ShedAt: got %v, want RejectShed", rej)
+	rej, ok := q.offer(Request{ID: 3, Tier: Bulk}, now)
+	if ok || rej.Code != RejectShed {
+		t.Fatalf("bulk at ShedAt: got %+v (admitted %v), want RejectShed", rej, ok)
 	}
-	if rej := q.offer(Request{ID: 4, Tier: Interactive}, now); rej != nil {
+	if _, ok := q.offer(Request{ID: 4, Tier: Interactive}, now); !ok {
 		t.Fatal("interactive offer shed")
 	}
-	if rej := q.offer(Request{ID: 5, Tier: Interactive}, now); rej != nil {
+	if _, ok := q.offer(Request{ID: 5, Tier: Interactive}, now); !ok {
 		t.Fatal("interactive offer below cap rejected")
 	}
-	rej = q.offer(Request{ID: 6, Tier: Interactive}, now)
-	if rej == nil || rej.Code != RejectQueueFull {
-		t.Fatalf("interactive at cap: got %v, want RejectQueueFull", rej)
+	rej, ok = q.offer(Request{ID: 6, Tier: Interactive}, now)
+	if ok || rej.Code != RejectQueueFull {
+		t.Fatalf("interactive at cap: got %+v (admitted %v), want RejectQueueFull", rej, ok)
 	}
 	if q.depth != 4 || q.peakDepth != 4 {
 		t.Fatalf("depth %d peak %d, want 4/4", q.depth, q.peakDepth)
@@ -518,5 +519,72 @@ func TestRunEventBudgetExhausted(t *testing.T) {
 	}
 	if _, err := Run(cfg, reqs); err != nil {
 		t.Fatalf("default budget: %v", err)
+	}
+}
+
+// TestRunAllocsPerBatch pins the serving loop's allocation rule: an
+// unobserved Run allocates once per dispatched batch, the closure of
+// PredictBatch's pool dispatch, plus a constant for its set-up and the
+// doubling growth of its ledgers; nothing per request or per event.
+func TestRunAllocsPerBatch(t *testing.T) {
+	p := platform.MustLookup("summit")
+	models := DefaultModels(7)
+	spec := testTraffic()
+	reqs, err := spec.Generate(42, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Platform: p, Models: models, Horizon: spec.Horizon}
+	for _, unbatched := range []bool{false, true} {
+		if unbatched {
+			cfg.Batch = BatchConfig{MaxBatch: 1}
+		}
+		rep, err := Run(cfg, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches := 0
+		for _, m := range rep.Models {
+			batches += m.Batches
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := Run(cfg, reqs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(batches + 256); allocs > limit {
+			t.Fatalf("unbatched=%v: %.0f allocs per Run for %d requests in %d batches, limit %.0f",
+				unbatched, allocs, len(reqs), batches, limit)
+		}
+	}
+}
+
+// TestQueueFIFO drives the queue through growing, shrinking and steady
+// phases against a plain slice: it pops in push order, and its backing
+// array stays within a constant factor of the longest backlog.
+func TestQueueFIFO(t *testing.T) {
+	var q queue[int]
+	var ref []int
+	rng := stats.NewRNG(9)
+	next, peak := 0, 0
+	for step := 0; step < 30000; step++ {
+		pushP := []float64{0.75, 0.25, 0.5}[step/1000%3] // grow, drain, hold
+		if len(ref) == 0 || rng.Float64() < pushP {
+			q.push(next)
+			ref = append(ref, next)
+			next++
+		} else {
+			if got := q.pop(); got != ref[0] {
+				t.Fatalf("step %d: popped %d, want %d", step, got, ref[0])
+			}
+			ref = ref[1:]
+		}
+		if q.len() != len(ref) {
+			t.Fatalf("step %d: len %d, want %d", step, q.len(), len(ref))
+		}
+		peak = max(peak, len(ref))
+	}
+	if cap(q.items) > 4*peak+8 {
+		t.Fatalf("backing array of %d for a peak backlog of %d", cap(q.items), peak)
 	}
 }

@@ -110,6 +110,11 @@ func (s TrafficSpec) peakRate() float64 {
 	return rate * worst
 }
 
+// featureSlab is how many feature values one allocation holds: Generate
+// carves request rows from slabs of this size rather than allocating
+// each row on its own.
+const featureSlab = 4096
+
 // Generate samples the workload at the given seed across the model
 // fleet. Arrivals come from an inhomogeneous Poisson process (thinning
 // against the peak rate); each request's model, tier, and features draw
@@ -129,6 +134,7 @@ func (s TrafficSpec) Generate(seed uint64, models []Model) ([]Request, error) {
 	}
 	arrivalRNG := stats.NewRNG(seed)
 	var reqs []Request
+	var slab []float64 // feature rows are carved from shared slabs
 	var id uint64
 	for t := units.Seconds(0); ; {
 		t += units.Seconds(arrivalRNG.ExpFloat64() / peak)
@@ -145,7 +151,12 @@ func (s TrafficSpec) Generate(seed uint64, models []Model) ([]Request, error) {
 		if rng.Float64() < s.InteractiveFrac {
 			tier = Interactive
 		}
-		features := make([]float64, m.FeatureDim())
+		dim := m.FeatureDim()
+		if len(slab) < dim {
+			slab = make([]float64, max(featureSlab, dim))
+		}
+		features := slab[:dim:dim]
+		slab = slab[dim:]
 		for j := range features {
 			features[j] = rng.NormFloat64()
 		}
