@@ -16,15 +16,15 @@ help:
 	@echo "  bench-json hot-path benchmarks (RunAll, DAGSchedule, MDForces,"
 	@echo "             TrainStepAlloc, TrainStepPhases, LAMBStep, Gemm, ObsHotPath, ChaosHotPath,"
 	@echo "             ServeHotPath, ServeRun, ForestPredict, LatticeSweep,"
-	@echo "             Sweep, CampaignHotPath, CheckpointDrain, SmallCNNLayers)"
-	@echo "             -> BENCH_hotpath.json"
+	@echo "             Sweep, CampaignHotPath, CheckpointDrain, SmallCNNLayers,"
+	@echo "             AllReduceRing2x1330) at -cpu 1 -> BENCH_hotpath.json"
 	@echo "  trace      RS2 campaign trace -> out.json (Chrome trace-event)"
 	@echo "  chaos      every builtin adversarial scenario + invariant suite"
 	@echo "  fuzz-smoke short fuzz pass over the scenario parser, the"
 	@echo "             fault-trace generator, the serving admission queue,"
 	@echo "             and the checkpoint loader"
-	@echo "  bench-check rerun hot-path benchmarks and fail on >30% regression"
-	@echo "             vs the committed BENCH_hotpath.json"
+	@echo "  bench-check rerun hot-path benchmarks at -cpu 1 and fail on >30%"
+	@echo "             regression vs the committed BENCH_hotpath.json"
 	@echo "  bench-floors kernel floor rules only (MDForces 1.2x,"
 	@echo "             ServeHotPath batching 2x, CampaignHotPath 1.2x,"
 	@echo "             CheckpointDrain async 1.5x at >=4 cores;"
@@ -82,22 +82,25 @@ bench:
 # run), the two §V surrogate/simulation kernels under S6 and W1 (one
 # random-forest prediction, one alloy Monte-Carlo sweep), RS1's Kurth
 # checkpoint-interval sweep (BenchmarkSweep, named in full so that
-# BenchmarkPlatformScalingSweep stays out), and the benchmark-campaign
-# evaluation pair.
-BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|TrainStepPhases|LAMBStep|SmallCNNLayers|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|ForestPredict|LatticeSweep|BenchmarkSweep|CampaignHotPath|CheckpointDrain
+# BenchmarkPlatformScalingSweep stays out), the benchmark-campaign
+# evaluation pair, and train-cnn's latency-bound 2-rank ring allreduce.
+# Both targets run at -cpu 1, the width BENCH_hotpath.json is recorded
+# at: summit-bench refuses to compare runs at different widths.
+BENCH_HOT = RunAll|DAGSchedule|MDForces|TrainStepAlloc|TrainStepPhases|LAMBStep|SmallCNNLayers|Gemm|ObsHotPath|ChaosHotPath|ServeHotPath|ServeRun|ForestPredict|LatticeSweep|BenchmarkSweep|CampaignHotPath|CheckpointDrain|AllReduceRing2x1330
 bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem ./... \
+	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -cpu 1 ./... \
 		| $(GO) run ./cmd/summit-bench > BENCH_hotpath.json
 	@echo "wrote BENCH_hotpath.json"
 
-# Regression gate: rerun the hot-path benchmarks and diff against the
-# committed baseline; exits 1 beyond +-30% ns/op or allocs/op, or when a
-# within-run floor breaks: the warm DAG engine must beat a cold run
-# (RunAllParallel) >=100x at any core count, and the cold engine at -j 4
-# must beat -j 1 (RunAllSequential) >=1.5x from 4 recorded cores.
-# Timings on shared runners are noisy, so CI runs this job non-blocking.
+# Regression gate: rerun the hot-path benchmarks at -cpu 1 and diff
+# against the committed baseline; exits 1 beyond +-30% ns/op or
+# allocs/op, or when a within-run floor breaks: the warm DAG engine must
+# beat a cold run (RunAllParallel) >=100x at any core count, and the cold
+# engine at -j 4 must beat -j 1 (RunAllSequential) >=1.5x from 4 recorded
+# cores. Timings on shared runners are noisy, so CI runs this job
+# non-blocking.
 bench-check:
-	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem ./... \
+	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -cpu 1 ./... \
 		| $(GO) run ./cmd/summit-bench -check BENCH_hotpath.json
 
 # Kernel floor rules without a baseline: ratios within one fresh run

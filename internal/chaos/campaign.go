@@ -128,21 +128,15 @@ func RunCampaign(p platform.Platform, sc *Scenario, seed uint64, c bench.Campaig
 	for i, ir := range base.Instances {
 		// Failures inside this instance's run window that land on one
 		// of its allocated nodes, re-based to instance-relative time.
-		var times []units.Seconds
+		var events []faults.Event
 		for _, f := range fails {
 			if f.t < ir.Start || f.t >= ir.End || !inRanges(ranges[ir.ID], f.node) {
 				continue
 			}
-			times = append(times, units.Seconds(f.t-ir.Start))
+			events = append(events, faults.Event{Time: units.Seconds(f.t - ir.Start), Kind: faults.NodeFailure})
 		}
-		trace := &faults.Trace{
-			Params:  faults.ParamsFor(p.Machine, ir.TTT.Nodes),
-			Seed:    seed,
-			Horizon: units.Seconds(base.Sched.Makespan),
-		}
-		for _, t := range times {
-			trace.Events = append(trace.Events, faults.Event{Time: t, Kind: faults.NodeFailure})
-		}
+		trace := faults.NewTrace(faults.ParamsFor(p.Machine, ir.TTT.Nodes), seed,
+			units.Seconds(base.Sched.Makespan), events)
 
 		shape := faults.RunShape{
 			TotalWork: ir.TTT.Train,
@@ -173,7 +167,7 @@ func RunCampaign(p platform.Platform, sc *Scenario, seed uint64, c bench.Campaig
 		rep.Instances[i] = CampaignInstanceChaos{
 			ID:           ir.ID,
 			Workload:     ir.Workload,
-			Failures:     len(times),
+			Failures:     len(events),
 			AdaptiveWall: adaptive.Wall,
 			NaiveWall:    naive.Wall,
 			AdaptiveEff:  adaptive.Efficiency(shape),
@@ -189,7 +183,7 @@ func RunCampaign(p platform.Platform, sc *Scenario, seed uint64, c bench.Campaig
 			Walltime: float64(ir.TTT.StageIn + naive.Wall), Submit: sub,
 		}
 		o.Inc("chaos.campaign.instances")
-		o.Add("chaos.campaign.failures", int64(len(times)))
+		o.Add("chaos.campaign.failures", int64(len(events)))
 	}
 
 	s := sched.NewScheduler(p.Nodes)

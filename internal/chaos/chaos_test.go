@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"summitscale/internal/faults"
 	"summitscale/internal/units"
 )
 
@@ -213,5 +214,54 @@ flap from 80m to 90m period 1m duty 0.5 factor 0.5
 	}
 	if err := h.Validate(); err != nil {
 		t.Fatalf("scaled scenario invalid: %v", err)
+	}
+}
+
+// TestCompiledLookupsMatchFullScan: on every builtin scenario's compiled
+// schedule (straggler storms and link flaps included) the trace's
+// lookups return what a scan of every event from the first returns, at
+// each event's onset and end and halfway between consecutive ones.
+func TestCompiledLookupsMatchFullScan(t *testing.T) {
+	scan := func(tr *faults.Trace, kind faults.Kind, at units.Seconds) float64 {
+		worst := 1.0
+		for _, e := range tr.Events {
+			if e.Time > at {
+				break
+			}
+			if e.Kind == kind && at < e.Time+e.Duration &&
+				(kind == faults.Straggler && e.Factor > worst || kind == faults.LinkDegrade && e.Factor < worst) {
+				worst = e.Factor
+			}
+		}
+		return worst
+	}
+	for _, name := range Names() {
+		sc, err := Builtin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= 3; seed++ {
+			s, err := sc.Compile(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var probes []units.Seconds
+			for _, e := range s.Trace.Events {
+				for _, m := range []units.Seconds{e.Time, e.Time + e.Duration} {
+					if n := len(probes); n > 0 {
+						probes = append(probes, (probes[n-1]+m)/2)
+					}
+					probes = append(probes, m)
+				}
+			}
+			for _, at := range probes {
+				if got, want := s.Trace.SlowdownAt(at), scan(s.Trace, faults.Straggler, at); got != want {
+					t.Fatalf("%s seed %d: SlowdownAt(%v) = %v, full scan %v", name, seed, at, got, want)
+				}
+				if got, want := s.LinkFactorAt(at), scan(s.Trace, faults.LinkDegrade, at); got != want {
+					t.Fatalf("%s seed %d: LinkFactorAt(%v) = %v, full scan %v", name, seed, at, got, want)
+				}
+			}
+		}
 	}
 }

@@ -140,14 +140,9 @@ func (sc *Scenario) Compile(seed uint64) (*Schedule, error) {
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
 
 	sched := &Schedule{
-		Scenario: sc,
-		Seed:     seed,
-		Trace: &faults.Trace{
-			Params:  params,
-			Seed:    seed,
-			Horizon: sc.Horizon,
-			Events:  events,
-		},
+		Scenario:  sc,
+		Seed:      seed,
+		Trace:     faults.NewTrace(params, seed, sc.Horizon, events),
 		Brownouts: append([]Brownout(nil), sc.Brownouts...),
 		Outages:   append([]Outage(nil), sc.Outages...),
 		Repairs:   append([]Repair(nil), sc.Repairs...),

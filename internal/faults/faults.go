@@ -171,11 +171,35 @@ func (p Params) SystemMTBF() units.Seconds {
 }
 
 // Trace is a seeded, sorted fault schedule over a wall-clock horizon.
+// Generate and NewTrace build one; Events must not change afterwards,
+// because SlowdownAt and LinkFactorAt read lists they derive from it.
 type Trace struct {
 	Params  Params
 	Seed    uint64
 	Horizon units.Seconds
 	Events  []Event
+
+	// stragglers and links are the Straggler and LinkDegrade events in
+	// onset order, so the lookups skip the node failures that make up
+	// most traces. NewTrace builds them before the trace is shared, not on
+	// first use, because DAG goroutines read one trace concurrently.
+	stragglers, links []Event
+}
+
+// NewTrace returns the trace of events, which must be sorted by onset.
+func NewTrace(p Params, seed uint64, horizon units.Seconds, events []Event) *Trace {
+	t := &Trace{Params: p, Seed: seed, Horizon: horizon, Events: events}
+	t.stragglers = make([]Event, 0, t.Count(Straggler))
+	t.links = make([]Event, 0, t.Count(LinkDegrade))
+	for _, e := range events {
+		switch e.Kind {
+		case Straggler:
+			t.stragglers = append(t.stragglers, e)
+		case LinkDegrade:
+			t.links = append(t.links, e)
+		}
+	}
+	return t
 }
 
 // failureStream is a trace's fatal-failure process: a system-level
@@ -239,13 +263,13 @@ func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
 	stragRNG, linkRNG := root.Split(), root.Split()
 	sdcRNG, tornRNG, staleRNG := root.Split(), root.Split(), root.Split()
 
-	tr := &Trace{Params: p, Seed: seed, Horizon: horizon}
+	var events []Event
 	for {
 		t, node, ok := fails.next()
 		if !ok {
 			break
 		}
-		tr.Events = append(tr.Events, Event{Time: t, Kind: NodeFailure, Node: node})
+		events = append(events, Event{Time: t, Kind: NodeFailure, Node: node})
 	}
 
 	transient := func(rng *stats.RNG, mtbe units.Seconds, kind Kind,
@@ -259,7 +283,7 @@ func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
 			if t >= float64(horizon) {
 				break
 			}
-			tr.Events = append(tr.Events, Event{
+			events = append(events, Event{
 				Time:     units.Seconds(t),
 				Kind:     kind,
 				Node:     rng.Intn(p.Nodes),
@@ -296,7 +320,7 @@ func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
 				e.Word = rng.Intn(words)
 				e.Bit = rng.Intn(64)
 			}
-			tr.Events = append(tr.Events, e)
+			events = append(events, e)
 		}
 	}
 	sdc(sdcRNG, p.SDCMTBE, SilentCorruption)
@@ -305,7 +329,7 @@ func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
 
 	// Ordered by < alone, not cmp.Compare (which sorts NaN first), so the
 	// stable order is that of a plain less-than on onset time.
-	slices.SortStableFunc(tr.Events, func(a, b Event) int {
+	slices.SortStableFunc(events, func(a, b Event) int {
 		switch {
 		case a.Time < b.Time:
 			return -1
@@ -314,7 +338,7 @@ func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
 		}
 		return 0
 	})
-	return tr
+	return NewTrace(p, seed, horizon, events)
 }
 
 // Count returns the number of events of the given kind.
@@ -370,11 +394,11 @@ func (t *Trace) NodeFailedIn(node int, from, to units.Seconds) bool {
 // synchronous step runs at the slowest member's pace), or 1.
 func (t *Trace) SlowdownAt(at units.Seconds) float64 {
 	worst := 1.0
-	for _, e := range t.Events {
+	for _, e := range t.stragglers {
 		if e.Time > at {
-			break // events sorted by onset
+			break // sorted by onset
 		}
-		if e.Kind == Straggler && at < e.Time+e.Duration && e.Factor > worst {
+		if at < e.Time+e.Duration && e.Factor > worst {
 			worst = e.Factor
 		}
 	}
@@ -385,11 +409,11 @@ func (t *Trace) SlowdownAt(at units.Seconds) float64 {
 // t (a degraded member throttles the whole ring), or 1.
 func (t *Trace) LinkFactorAt(at units.Seconds) float64 {
 	worst := 1.0
-	for _, e := range t.Events {
+	for _, e := range t.links {
 		if e.Time > at {
 			break
 		}
-		if e.Kind == LinkDegrade && at < e.Time+e.Duration && e.Factor < worst {
+		if at < e.Time+e.Duration && e.Factor < worst {
 			worst = e.Factor
 		}
 	}

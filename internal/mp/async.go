@@ -1,5 +1,7 @@
 package mp
 
+import "summitscale/internal/parallel"
+
 // PendingReduce is an in-flight asynchronous collective started by
 // AllReduceAsync. Wait blocks until it completes and returns the reduced
 // vector; calling Wait again returns the same slice without blocking.
@@ -34,7 +36,7 @@ func (c *Comm) AllReduceAsync(data []float64, reduce func(c *Comm, data []float6
 // Wait blocks until the collective completes and returns its result.
 func (p *PendingReduce) Wait() []float64 {
 	if !p.got {
-		p.out = <-p.done
+		p.out, _ = parallel.Recv(p.done)
 		p.got = true
 	}
 	return p.out

@@ -94,6 +94,7 @@ func (c *Comm) ringAmongLeaders(acc []float64, groupSize, nLeaders int) []float6
 		for i := range in {
 			acc[lo+i] += in[i]
 		}
+		c.recycle(in)
 	}
 	for s := 0; s < nLeaders-1; s++ {
 		sendChunk := (l + 1 - s + nLeaders*2) % nLeaders
@@ -101,6 +102,7 @@ func (c *Comm) ringAmongLeaders(acc []float64, groupSize, nLeaders int) []float6
 		c.Send(next, tagRingAG+s, acc[bounds[sendChunk]:bounds[sendChunk+1]])
 		in := c.Recv(prev, tagRingAG+s)
 		copy(acc[bounds[recvChunk]:bounds[recvChunk+1]], in)
+		c.recycle(in)
 	}
 	return acc
 }

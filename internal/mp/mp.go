@@ -9,14 +9,17 @@
 // the analytic α–β models in internal/netsim.
 //
 // The ring allreduce reduces in place, into the caller's vector: it copies
-// only the chunks it sends, and at world size 1 it does nothing. The other
-// collectives return fresh vectors and leave their input alone.
+// only the chunks it sends, into payloads it received earlier, and at world
+// size 1 it does nothing. The other collectives return fresh vectors and
+// leave their input alone.
 package mp
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"summitscale/internal/parallel"
 )
 
 // message is a tagged payload between two ranks.
@@ -126,6 +129,9 @@ type Comm struct {
 	rank  int
 	// pending holds received-but-unmatched messages per source.
 	pending [][]message
+	// spare holds ring payloads this rank has consumed, for Send to copy
+	// into instead of allocating (see recycle).
+	spare [][]float64
 }
 
 // Rank returns this rank's id.
@@ -154,8 +160,39 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 			break
 		}
 	}
-	payload := append([]float64(nil), data...)
-	c.world.link(c.rank, dst) <- message{tag: tag, data: payload}
+	c.world.link(c.rank, dst) <- message{tag: tag, data: c.payload(data)}
+}
+
+// maxSpare bounds a Comm's spare list. A ring step receives one payload
+// for each it sends, so between collectives a rank holds about one spare;
+// the bound caps what payloads of mixed sizes can leave behind.
+const maxSpare = 4
+
+// payload copies data for Send: into the most recent spare that is large
+// enough, else into a fresh slice. The message owns the copy, so the
+// spare leaves the list.
+func (c *Comm) payload(data []float64) []float64 {
+	if len(data) > 0 {
+		for i := len(c.spare) - 1; i >= 0; i-- {
+			if b := c.spare[i]; cap(b) >= len(data) {
+				last := len(c.spare) - 1
+				c.spare[i], c.spare[last] = c.spare[last], nil
+				c.spare = c.spare[:last]
+				return append(b[:0], data...)
+			}
+		}
+	}
+	return append([]float64(nil), data...)
+}
+
+// recycle keeps a received payload that the rank has consumed for a later
+// Send to reuse; a full list drops it. Only the ring collectives recycle:
+// the others may hand a received payload to their caller, which must
+// never find it overwritten.
+func (c *Comm) recycle(b []float64) {
+	if cap(b) > 0 && len(c.spare) < maxSpare {
+		c.spare = append(c.spare, b)
+	}
 }
 
 // Recv blocks until a message with the given tag arrives from src and
@@ -178,7 +215,7 @@ func (c *Comm) Recv(src, tag int) []float64 {
 		}
 	}
 	for {
-		m := <-c.world.link(src, c.rank)
+		m, _ := parallel.Recv(c.world.link(src, c.rank))
 		if m.tag == tag {
 			return m.data
 		}
@@ -331,13 +368,16 @@ func (c *Comm) AllReduceRing(data []float64) []float64 {
 		for i, v := range in {
 			acc[i] += v
 		}
+		c.recycle(in)
 	}
 	// Allgather: circulate the fully reduced chunks.
 	for s := 0; s < p-1; s++ {
 		sendChunk := (c.rank + 1 - s + p*2) % p
 		recvChunk := (c.rank - s + p*2) % p
 		c.Send(next, tagRingAG+s, chunk(sendChunk))
-		copy(chunk(recvChunk), c.Recv(prev, tagRingAG+s))
+		in := c.Recv(prev, tagRingAG+s)
+		copy(chunk(recvChunk), in)
+		c.recycle(in)
 	}
 	return data
 }

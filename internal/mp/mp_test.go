@@ -390,6 +390,23 @@ func BenchmarkAllReduceRing8x65536(b *testing.B) {
 	}
 }
 
+// BenchmarkAllReduceRing2x1330 times train-cnn's exchange: two ranks
+// reducing its 1,330-float flat gradient, one warm World for every
+// iteration. Each rank sends two 5.3 KB chunks, so the time is the
+// hand-off latency between the ranks, not bandwidth as in 8x65536.
+func BenchmarkAllReduceRing2x1330(b *testing.B) {
+	p, n := 2, 1330
+	vs := rankVectors(1, p, n)
+	w := NewWorld(p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	w.Run(func(c *Comm) {
+		for i := 0; i < b.N; i++ {
+			c.AllReduceRing(vs[c.Rank()])
+		}
+	})
+}
+
 func BenchmarkAllReduceTree8x65536(b *testing.B) {
 	p, n := 8, 65536
 	vs := rankVectors(1, p, n)

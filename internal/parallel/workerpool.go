@@ -7,7 +7,8 @@ import (
 )
 
 // WorkerPool is the persistent counterpart of ForEach: a fixed set of
-// long-lived worker goroutines that park between calls, so a hot kernel
+// long-lived worker goroutines that wait between calls with a hot receive
+// (Recv: a short poll, then park), so a hot kernel
 // (GEMM row panels, MD force slabs, sharded optimizer loops) pays no
 // goroutine-spawn cost per invocation. Work is dispatched as chunked
 // ranges claimed through an atomic cursor; callers that write results to
@@ -128,7 +129,11 @@ func NewWorkerPool(workers int) *WorkerPool {
 }
 
 func (p *WorkerPool) helper() {
-	for j := range p.jobs {
+	for {
+		j, ok := Recv(p.jobs)
+		if !ok {
+			return
+		}
 		j.work()
 		j.finish()
 	}
@@ -224,7 +229,7 @@ func (p *WorkerPool) RunRangeMax(max, n, grain int, fn func(lo, hi int)) {
 	}
 	j.work()
 	j.finish()
-	<-j.done
+	Recv(j.done)
 	first := j.first
 	j.fn = nil
 	jobPool.Put(j)
