@@ -10,8 +10,8 @@ all: build vet test
 help:
 	@echo "Targets:"
 	@echo "  all        build + vet + test"
-	@echo "  tier1      build + vet + gofmt check + test + race + arm64 cross-build"
-	@echo "             (the CI gate)"
+	@echo "  tier1      build + vet (root and perfbench modules) + gofmt check"
+	@echo "             + test + race + arm64 cross-build (the CI gate)"
 	@echo "  bench      every benchmark with -benchmem"
 	@echo "  bench-json hot-path benchmarks (RunAll, DAGSchedule, MDForces,"
 	@echo "             TrainStepAlloc, TrainStepPhases, LAMBStep, Gemm, ObsHotPath, ChaosHotPath,"
@@ -41,8 +41,12 @@ tier1: build vet fmt test race cross
 build:
 	$(GO) build ./...
 
+# perfbench/ is its own module (replace summitscale => ../) that imports
+# internal packages, and the root module's ./... skips nested modules:
+# vet it too, so a change that breaks the benchmark's build fails here.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # gofmt cleanliness: fail listing the offending files, fix nothing.
 fmt:

@@ -533,24 +533,3 @@ func Softmax(a *Value) *Value {
 	}
 	return n
 }
-
-// Concat2DRows stacks rank-2 values vertically with gradient routing.
-func Concat2DRows(vals ...*Value) *Value {
-	ts := make([]*tensor.Tensor, len(vals))
-	parents := make([]*Value, len(vals))
-	for i, v := range vals {
-		ts[i] = v.Data
-		parents[i] = v
-	}
-	out := tensor.Concat2DRows(ts...)
-	n := newNode(out, parents...)
-	n.backward = func() {
-		off := 0
-		for _, v := range vals {
-			rows := v.Data.Dim(0)
-			v.accum(n.Grad.Slice2DRows(off, off+rows))
-			off += rows
-		}
-	}
-	return n
-}

@@ -218,31 +218,6 @@ func TestEmbeddingRepeatedIDsAccumulate(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainEval(t *testing.T) {
-	rng := stats.NewRNG(18)
-	x := NewLeaf(tensor.Full(1, 100, 10), true)
-	// Eval mode: identity.
-	if out := Dropout(x, 0.5, false, rng); out != x {
-		t.Fatal("eval dropout is not identity")
-	}
-	// Train mode: roughly p of elements zeroed, survivors scaled.
-	out := Dropout(x, 0.5, true, rng)
-	zeros := 0
-	for _, v := range out.Data.Data() {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-		default:
-			t.Fatalf("unexpected dropout value %v", v)
-		}
-	}
-	frac := float64(zeros) / 1000
-	if math.Abs(frac-0.5) > 0.06 {
-		t.Fatalf("dropout zero fraction = %v", frac)
-	}
-}
-
 func TestSharedParameterAccumulates(t *testing.T) {
 	// y = a*a summed: dy/da = 2a, exercising gradient accumulation when the
 	// same leaf appears twice in the graph.
@@ -264,15 +239,6 @@ func TestConstantGetsNoGrad(t *testing.T) {
 	}
 	if a.Grad.At(0) != 2 {
 		t.Fatalf("grad through constant = %v", a.Grad.At(0))
-	}
-}
-
-func TestConcatBackward(t *testing.T) {
-	rng := stats.NewRNG(19)
-	a, b := leaf(rng, 1, 2, 3), leaf(rng, 1, 4, 3)
-	f := func() *Value { return Sum(Square(Concat2DRows(a, b))) }
-	if w := GradCheck(f, []*Value{a, b}, 1e-6); w > gradTol {
-		t.Fatalf("Concat gradcheck error %v", w)
 	}
 }
 

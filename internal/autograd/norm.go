@@ -3,7 +3,6 @@ package autograd
 import (
 	"math"
 
-	"summitscale/internal/stats"
 	"summitscale/internal/tensor"
 )
 
@@ -220,29 +219,6 @@ func gradSums2(nd, xd []float64, nIn, c, hw, c0, c1 int, g0, g1 float64) [2]bnSu
 		}
 	}
 	return [2]bnSums{s0, s1}
-}
-
-// Dropout zeroes each element with probability p during training and scales
-// the survivors by 1/(1-p) (inverted dropout). With train=false it is the
-// identity.
-func Dropout(a *Value, p float64, train bool, rng *stats.RNG) *Value {
-	if !train || p <= 0 {
-		return a
-	}
-	if p >= 1 {
-		panic("autograd: dropout probability must be < 1")
-	}
-	mask := tensor.New(a.Data.Shape()...)
-	md := mask.Data()
-	keep := 1 / (1 - p)
-	for i := range md {
-		if !rng.Bool(p) {
-			md[i] = keep
-		}
-	}
-	n := newNode(a.Data.Mul(mask), a)
-	n.backward = func() { a.take(n.Grad.Mul(mask)) }
-	return n
 }
 
 // EmbeddingLookup gathers rows of the embedding table for each id, returning

@@ -282,7 +282,6 @@ func TestTakeAccumulatesLikeClone(t *testing.T) {
 		}},
 		{"MaxPool2D", []int{2, 3, 4, 4}, func(x *Value) *Value { return MaxPool2D(x, 2, 2) }},
 		{"AvgPoolGlobal", []int{2, 3, 4, 4}, AvgPoolGlobal},
-		{"Dropout", []int{4, 5}, func(x *Value) *Value { return Dropout(x, 0.5, true, stats.NewRNG(5)) }},
 		{"EmbeddingLookup", []int{6, 5}, func(x *Value) *Value { return EmbeddingLookup(x, []int{1, 4, 1, 0}) }},
 		{"Conv1D", []int{2, 3, 6}, func(x *Value) *Value { return Conv1D(x, Constant(k1), nil, 2) }},
 	} {

@@ -32,7 +32,7 @@ type SDCConfig struct {
 	// Jobs bounds how many legs run concurrently (<= 1 means serial).
 	// The report is a pure function of (scenario, seed) at any value.
 	Jobs int
-	// Obs, if non-nil, receives the per-leg ddl.sdc.* counters and events.
+	// Obs, if non-nil, receives the per-leg ddl.elastic.* counters and events.
 	Obs *obs.Observer
 }
 
@@ -48,9 +48,9 @@ type SDCReport struct {
 	Flips, Torn, Stale int
 	Injections         []ddl.SDCInjection
 
-	Clean *ddl.GuardedResult // guards armed, no injections
-	On    *ddl.GuardedResult // guards armed, injections live
-	Off   *ddl.GuardedResult // guards disarmed, injections live
+	Clean *ddl.ResilientResult // guards armed, no injections
+	On    *ddl.ResilientResult // guards armed, injections live
+	Off   *ddl.ResilientResult // guards disarmed, injections live
 
 	// OnMatchesClean: the detection-on leg's final parameters are
 	// bit-identical to the clean leg's — recovery left no trace.
@@ -160,7 +160,7 @@ func RunSDC(sc *Scenario, seed uint64, cfg SDCConfig) (*SDCReport, error) {
 		name   string
 		guards ddl.Guards
 		inj    []ddl.SDCInjection
-		out    **ddl.GuardedResult
+		out    **ddl.ResilientResult
 	}{
 		{"clean", sdcGuards(), nil, &rep.Clean},
 		{"detect-on", sdcGuards(), injections, &rep.On},
@@ -175,11 +175,11 @@ func RunSDC(sc *Scenario, seed uint64, cfg SDCConfig) (*SDCReport, error) {
 	var wg sync.WaitGroup
 	for i, leg := range legs {
 		wg.Add(1)
-		go func(i int, name string, guards ddl.Guards, inj []ddl.SDCInjection, out **ddl.GuardedResult) {
+		go func(i int, name string, guards ddl.Guards, inj []ddl.SDCInjection, out **ddl.ResilientResult) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res, err := ddl.RunGuarded(ddl.GuardedConfig{
+			res, err := ddl.RunResilient(ddl.ResilientConfig{
 				Ranks:           sdcProbeRanks,
 				Steps:           sdcProbeSteps,
 				CheckpointEvery: sdcProbeCkEach,
@@ -260,7 +260,7 @@ func (r *SDCReport) Render() string {
 	fmt.Fprintf(&b, "sdc ablation %s (seed %d)\n", r.Scenario, r.Seed)
 	fmt.Fprintf(&b, "  injected over %d steps x %d ranks: %d flip(s), %d torn-drain(s), %d stale-replica(s)\n",
 		r.Steps, r.Ranks, r.Flips, r.Torn, r.Stale)
-	leg := func(name string, g *ddl.GuardedResult) {
+	leg := func(name string, g *ddl.ResilientResult) {
 		fmt.Fprintf(&b, "  %-11s committed %d, executed %d, lost %d; detections %d (%s), rollbacks %d, restored from [%s]\n",
 			name+":", g.StepsCommitted, g.StepsExecuted, g.LostSteps,
 			g.Detections, guardCensus(g.DetectedBy), g.Rollbacks,

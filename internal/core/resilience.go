@@ -254,9 +254,10 @@ func campaignResilienceExperiment(p platform.Platform) Experiment {
 		failStep := int(etrace.FailureTimes()[0] / (10 * units.Minute))
 
 		serial := elasticSerialParams(steps, lr)
-		res, err := ddl.RunElastic(ddl.ElasticConfig{
+		res, err := ddl.RunResilient(ddl.ResilientConfig{
 			Ranks: 4, Steps: steps, CheckpointEvery: 2,
 			FailAtStep: map[int]int{failStep: 2},
+			Tiers:      []string{"elastic"},
 			Obs:        ob, StepTime: 10 * units.Minute,
 		}, elasticModel, func() optim.Optimizer { return optim.NewSGD(lr) }, elasticLossFn())
 		if err != nil {
@@ -277,7 +278,7 @@ func campaignResilienceExperiment(p platform.Platform) Experiment {
 		)
 		fmt.Fprintf(&detail,
 			"  elastic run:    rank failure at step %d of %d; %d restore(s); %d -> %d ranks; %d step(s) of lost work re-done\n",
-			failStep, steps, res.Restores, 4, res.FinalRanks, res.LostSteps)
+			failStep, steps, res.Rollbacks, 4, res.FinalRanks, res.LostSteps)
 		return Result{Metrics: metrics, Detail: detail.String()}
 	}
 	return Experiment{
@@ -313,9 +314,9 @@ func elasticBatch() (*tensor.Tensor, []int) {
 	return tensor.Randn(stats.NewRNG(7), 1, 8, 4), []int{0, 1, 2, 0, 1, 2, 0, 1}
 }
 
-func elasticLossFn() func(rank, world, step, micro int, m nn.Module) *autograd.Value {
+func elasticLossFn() func(rank, world, step int, m nn.Module) *autograd.Value {
 	x, labels := elasticBatch()
-	return func(rank, world, step, micro int, m nn.Module) *autograd.Value {
+	return func(rank, world, step int, m nn.Module) *autograd.Value {
 		per := 8 / world
 		lo := rank * per
 		out := m.(*nn.Sequential).Forward(autograd.Constant(x.Slice2DRows(lo, lo+per)))

@@ -53,7 +53,7 @@ func ScalingStudiesOn(p platform.Platform) []ScalingStudy {
 	nodeLocal := p.TrainingStore()
 	sharedFS := p.GPFS()
 
-	// S1 — Kurth et al.: DeepLabv3+/Tiramisu climate segmentation.
+	// S1 — Kurth et al.: DeepLabv3+ climate segmentation.
 	// Gradient lag hides the fp16 allreduce; node-local NVMe feeds input;
 	// 0.8%/doubling straggler jitter reproduces the 90.7% efficiency.
 	kurth := p.Job(models.DeepLabV3Plus(), clamp(4560))

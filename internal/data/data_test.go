@@ -280,41 +280,3 @@ func TestBatches(t *testing.T) {
 		t.Fatalf("oversized batch yielded %v", got)
 	}
 }
-
-func TestRenderParseRoundTrip(t *testing.T) {
-	s := NewSMILESSequences(9, 30, 20)
-	for i := 0; i < 30; i++ {
-		ids := s.Sequence(i)
-		str := Render(ids)
-		if str == "" {
-			t.Fatal("empty rendering")
-		}
-		back, err := Parse(str)
-		if err != nil {
-			t.Fatalf("parse %q: %v", str, err)
-		}
-		if len(back) != len(ids) {
-			t.Fatalf("round trip length %d vs %d for %q", len(back), len(ids), str)
-		}
-		for j := range ids {
-			if back[j] != ids[j] {
-				t.Fatalf("round trip token %d differs for %q", j, str)
-			}
-		}
-	}
-}
-
-func TestParseRejectsGarbage(t *testing.T) {
-	if _, err := Parse("C?X"); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-func TestRenderPanicsOutOfVocab(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Render([]int{999})
-}

@@ -1,10 +1,7 @@
 package data
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"summitscale/internal/stats"
 	"summitscale/internal/units"
@@ -152,49 +149,4 @@ func (w *Waveforms) Sample(i int) (series []float64, params [2]float64) {
 	params[0] = (f0 - 0.5) / 2.5
 	params[1] = (k - 0.1) / 1.9
 	return series, params
-}
-
-// Render converts token ids to the SMILES-like string they represent.
-func Render(ids []int) string {
-	var b []byte
-	for _, id := range ids {
-		if id < 0 || id >= len(SMILESVocabulary) {
-			panic(fmt.Sprintf("data: token %d out of vocabulary", id))
-		}
-		b = append(b, SMILESVocabulary[id]...)
-	}
-	return string(b)
-}
-
-// Parse tokenizes a string produced by Render back into ids using
-// greedy longest-match over the vocabulary. It returns an error on any
-// unrecognized span, making Render/Parse a lossless round trip.
-func Parse(s string) ([]int, error) {
-	// Order tokens longest-first for greedy matching.
-	type tok struct {
-		text string
-		id   int
-	}
-	toks := make([]tok, 0, len(SMILESVocabulary))
-	for id, t := range SMILESVocabulary {
-		toks = append(toks, tok{t, id})
-	}
-	sort.SliceStable(toks, func(i, j int) bool { return len(toks[i].text) > len(toks[j].text) })
-
-	var ids []int
-	for pos := 0; pos < len(s); {
-		matched := false
-		for _, t := range toks {
-			if strings.HasPrefix(s[pos:], t.text) {
-				ids = append(ids, t.id)
-				pos += len(t.text)
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return nil, fmt.Errorf("data: unrecognized token at %q", s[pos:])
-		}
-	}
-	return ids, nil
 }

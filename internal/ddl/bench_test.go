@@ -182,7 +182,7 @@ func TestFlattenGradsIntoReusesBuffer(t *testing.T) {
 	if &got[0] != &buf[0] {
 		t.Error("sufficient buffer was not reused")
 	}
-	want := FlattenGrads(params)
+	want := FlattenGradsInto(nil, params)
 	if len(got) != len(want) {
 		t.Fatalf("length %d vs %d", len(got), len(want))
 	}
@@ -293,7 +293,7 @@ func TestStepScratchMatchesAllocatingPath(t *testing.T) {
 				for m := 0; m < accum; m++ {
 					autograd.SoftmaxCrossEntropy(model.Forward(autograd.Constant(data)), labels).Backward(nil)
 				}
-				g := FlattenGrads(params)
+				g := FlattenGradsInto(nil, params)
 				for i := range g {
 					g[i] *= 1 / float64(ranks*accum)
 				}

@@ -41,15 +41,10 @@ const (
 	gradShardGrain = 1 << 13
 )
 
-// FlattenGrads copies all parameter gradients into one contiguous vector
-// (zeroes for nil gradients). The layout is the parameter order.
-func FlattenGrads(params []nn.Param) []float64 {
-	return FlattenGradsInto(nil, params)
-}
-
-// FlattenGradsInto is FlattenGrads writing into dst when its capacity
-// suffices, so a training loop flattens into one persistent buffer instead
-// of allocating a gradient-sized vector every step. It returns the filled
+// FlattenGradsInto copies all parameter gradients into one contiguous
+// vector in parameter order, writing into dst when its capacity suffices,
+// so a training loop flattens into one persistent buffer instead of
+// allocating a gradient-sized vector every step. It returns the filled
 // (possibly newly grown) buffer; segments for nil gradients are zeroed.
 func FlattenGradsInto(dst []float64, params []nn.Param) []float64 {
 	n := 0
@@ -139,7 +134,10 @@ type Config struct {
 	// GradLag — same reduction arithmetic, same application schedule.
 	// Call Rank.Flush before using the Comm for anything else.
 	Overlap bool
-	// Allreduce selects the collective; nil means ring.
+	// Allreduce selects the collective; nil means ring. A collective that
+	// returns nil withholds this step's update: Step applies nothing (the
+	// optimizer does not run) and still returns the loss. Under GradLag
+	// the withheld result is the one skipped a step later.
 	Allreduce func(c *mp.Comm, grads []float64) []float64
 	// Obs, if non-nil, receives step counters (ddl.steps,
 	// ddl.allreduce.bytes) and — when StepTime is positive — one span per
@@ -171,11 +169,11 @@ type Rank struct {
 	// rewound at the top of every Step, so after one warm-up step the
 	// forward/backward graph performs no tensor heap allocation.
 	arena *tensor.Arena
-	// params caches Model.Params(): layer modules rebuild the slice (and
-	// its name strings) on every call, which costs dozens of allocations
-	// per step when taken twice per Step. Parameter sets are stable for
-	// the life of a Rank. size is their element count, the length of a
-	// flat gradient.
+	// params caches Model.Params(), taken once by NewRank: layer modules
+	// rebuild the slice (and its name strings) on every call, which costs
+	// dozens of allocations per step when taken twice per Step. Parameter
+	// sets are stable for the life of a Rank. size is their element count,
+	// the length of a flat gradient.
 	params []nn.Param
 	size   int
 	step   int
@@ -202,7 +200,11 @@ func NewRank(c *mp.Comm, model nn.Module, opt optim.Optimizer, cfg Config) *Rank
 	if cfg.Overlap && !cfg.GradLag {
 		panic("ddl: Overlap requires GradLag — without the one-step lag there is no compute to hide the allreduce behind")
 	}
-	return &Rank{Comm: c, Model: model, Opt: opt, Config: cfg}
+	r := &Rank{Comm: c, Model: model, Opt: opt, Config: cfg, params: model.Params()}
+	for _, p := range r.params {
+		r.size += p.Value.Data.Size()
+	}
+	return r
 }
 
 // HierarchicalAllreduce returns a Config.Allreduce that routes the gradient
@@ -232,14 +234,10 @@ func (r *Rank) Flush() {
 // the loss graph for this rank's micro-batch (called AccumSteps times) and
 // returns the loss value. Step returns the mean loss across this rank's
 // micro-batches for this step. Gradients are averaged over all ranks and
-// micro-batches before the optimizer update.
+// micro-batches before the optimizer update. A step whose applied result
+// is nil — the lagged first step, or a collective that withheld its
+// result — updates nothing.
 func (r *Rank) Step(lossFn func(micro int) *autograd.Value) float64 {
-	if r.params == nil {
-		r.params = r.Model.Params()
-		for _, p := range r.params {
-			r.size += p.Value.Data.Size()
-		}
-	}
 	params := r.params
 	var lossSum float64
 	// Recycle last step's graph memory before dropping the gradients that
@@ -329,11 +327,11 @@ func (r *Rank) Step(lossFn func(micro int) *autograd.Value) float64 {
 		} else {
 			apply, r.lagged = r.lagged, reduced
 		}
-		if apply == nil {
-			// First step: nothing to apply yet.
-			r.step++
-			return lossSum / float64(r.Config.AccumSteps)
-		}
+	}
+	if apply == nil {
+		// The lag's first step, or a withheld result: nothing to apply.
+		r.step++
+		return lossSum / float64(r.Config.AccumSteps)
 	}
 	UnflattenGrads(params, apply)
 	r.Opt.Step(params)

@@ -35,14 +35,14 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 		p.Value.Grad = tensor.Full(i+1, p.Value.Data.Shape()...)
 		i++
 	}
-	flat := FlattenGrads(m.Params())
+	flat := FlattenGradsInto(nil, m.Params())
 	n := nn.ParamCount(m)
 	if len(flat) != n {
 		t.Fatalf("flat length %d, want %d", len(flat), n)
 	}
 	m2 := buildModel()
 	UnflattenGrads(m2.Params(), flat)
-	flat2 := FlattenGrads(m2.Params())
+	flat2 := FlattenGradsInto(nil, m2.Params())
 	for i := range flat {
 		if flat[i] != flat2[i] {
 			t.Fatal("roundtrip mismatch")
@@ -52,7 +52,7 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 
 func TestFlattenGradsNilAsZero(t *testing.T) {
 	m := buildModel()
-	flat := FlattenGrads(m.Params())
+	flat := FlattenGradsInto(nil, m.Params())
 	for _, v := range flat {
 		if v != 0 {
 			t.Fatal("nil grads must flatten to zeros")
@@ -248,7 +248,7 @@ func TestFP16CompressionBoundsError(t *testing.T) {
 		loss := autograd.SoftmaxCrossEntropy(
 			m.Forward(autograd.Constant(x.Slice2DRows(lo, lo+4))), labels[lo:lo+4])
 		loss.Backward(nil)
-		flat := FlattenGrads(m.Params())
+		flat := FlattenGradsInto(nil, m.Params())
 		for i := range flat {
 			flat[i] /= float64(p)
 		}

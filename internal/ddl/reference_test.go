@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -153,15 +154,20 @@ func TestOneRankInPlaceMatchesFlatten(t *testing.T) {
 	}
 }
 
-// recordingOpt is an optimizer that changes nothing and keeps a copy of
-// the gradients each Step was handed.
-type recordingOpt struct{ applied [][]float64 }
+// recordingOpt keeps a copy of the gradients each Step was handed and
+// then steps inner, if set; without one it changes nothing.
+type recordingOpt struct {
+	applied [][]float64
+	inner   optim.Optimizer
+}
 
 func (o *recordingOpt) Step(params []nn.Param) {
-	o.applied = append(o.applied, FlattenGrads(params))
+	o.applied = append(o.applied, FlattenGradsInto(nil, params))
+	if o.inner != nil {
+		o.inner.Step(params)
+	}
 }
-func (o *recordingOpt) SetLR(float64) {}
-func (o *recordingOpt) LR() float64   { return 0 }
+func (o *recordingOpt) LR() float64 { return 0 }
 
 // TestLaggedGradientSurvivesNextFlatten: with GradLag (and Overlap) on one
 // rank, where the ring hands the flat buffer itself back as the reduced
@@ -181,7 +187,7 @@ func TestLaggedGradientSurvivesNextFlatten(t *testing.T) {
 	for i, x := range batches {
 		m := buildModel()
 		autograd.SoftmaxCrossEntropy(m.Forward(autograd.Constant(x)), labels).Backward(nil)
-		want[i] = FlattenGrads(m.Params())
+		want[i] = FlattenGradsInto(nil, m.Params())
 	}
 	for _, cfg := range []Config{{GradLag: true}, {GradLag: true, Overlap: true}} {
 		mp.NewWorld(1).Run(func(c *mp.Comm) {
@@ -206,6 +212,127 @@ func TestLaggedGradientSurvivesNextFlatten(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// withholdingRing returns a Config.Allreduce that ring-reduces every call
+// but returns nil for the calls (counted from 0) listed in withhold. Calls
+// come one at a time, also under Overlap, so the count needs no lock.
+func withholdingRing(withhold ...int) func(*mp.Comm, []float64) []float64 {
+	call := -1
+	return func(c *mp.Comm, g []float64) []float64 {
+		reduced := c.AllReduceRing(g)
+		call++
+		if slices.Contains(withhold, call) {
+			return nil
+		}
+		return reduced
+	}
+}
+
+// requireSameBits fails unless got and want match bit for bit.
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d is %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestWithheldCollectiveAppliesNothing: a Config.Allreduce that returns
+// nil leaves every parameter as it was, the optimizer is not called, and
+// Step still returns the loss. The next step, whose collective returns
+// the reduced gradient, applies it exactly as an ordinary first step
+// would.
+func TestWithheldCollectiveAppliesNothing(t *testing.T) {
+	const p = 2
+	x, labels := globalBatch()
+	shard := func(m nn.Module, rank int) func(int) *autograd.Value {
+		lo, hi := rank*8/p, (rank+1)*8/p
+		return func(int) *autograd.Value {
+			return autograd.SoftmaxCrossEntropy(m.(*nn.Sequential).Forward(autograd.Constant(x.Slice2DRows(lo, hi))), labels[lo:hi])
+		}
+	}
+	// The reference: one ordinary step from the initial parameters.
+	var wantGrad, wantParams []float64
+	mp.NewWorld(p).Run(func(c *mp.Comm) {
+		m := buildModel()
+		opt := &recordingOpt{inner: optim.NewSGD(0.2)}
+		NewRank(c, m, opt, Config{Allreduce: withholdingRing()}).Step(shard(m, c.Rank()))
+		if c.Rank() == 0 {
+			wantGrad, wantParams = opt.applied[0], FlattenParams(m.Params())
+		}
+	})
+
+	var afterWithheld, afterApplied []float64
+	var calls int
+	var loss float64
+	var opt *recordingOpt
+	mp.NewWorld(p).Run(func(c *mp.Comm) {
+		m := buildModel()
+		o := &recordingOpt{inner: optim.NewSGD(0.2)}
+		r := NewRank(c, m, o, Config{Allreduce: withholdingRing(0)})
+		l := r.Step(shard(m, c.Rank()))
+		n := len(o.applied)
+		withheld := FlattenParams(m.Params())
+		r.Step(shard(m, c.Rank()))
+		if c.Rank() == 0 {
+			loss, calls, afterWithheld, opt = l, n, withheld, o
+			afterApplied = FlattenParams(m.Params())
+		}
+	})
+	if calls != 0 || len(opt.applied) != 1 {
+		t.Fatalf("optimizer calls %d after the withheld step and %d after both, want 0 and 1", calls, len(opt.applied))
+	}
+	if want := shard(buildModel(), 0)(0).Data.At(0); math.Float64bits(loss) != math.Float64bits(want) {
+		t.Fatalf("withheld step returned loss %v, want %v", loss, want)
+	}
+	requireSameBits(t, "parameters after the withheld step", afterWithheld, FlattenParams(buildModel().Params()))
+	requireSameBits(t, "applied gradient", opt.applied[0], wantGrad)
+	requireSameBits(t, "parameters after the applied step", afterApplied, wantParams)
+}
+
+// TestWithheldLaggedResultSkipsLater: under GradLag (with or without
+// Overlap) step k applies step k−1's result, so a result withheld at
+// step 1 is the update step 2 skips; steps 1 and 3 apply steps 0 and 2.
+func TestWithheldLaggedResultSkipsLater(t *testing.T) {
+	const steps = 4
+	batches := make([]*tensor.Tensor, steps)
+	rng := stats.NewRNG(61)
+	for i := range batches {
+		batches[i] = tensor.Randn(rng, 1, 8, 4)
+	}
+	labels := []int{0, 1, 2, 0, 1, 2, 0, 1}
+	// The model never changes (the optimizer only records), so each
+	// batch's gradient can be computed up front on a heap graph.
+	want := make([][]float64, steps)
+	for i, x := range batches {
+		m := buildModel()
+		autograd.SoftmaxCrossEntropy(m.Forward(autograd.Constant(x)), labels).Backward(nil)
+		want[i] = FlattenGradsInto(nil, m.Params())
+	}
+	for _, cfg := range []Config{{GradLag: true}, {GradLag: true, Overlap: true}} {
+		cfg.Allreduce = withholdingRing(1)
+		opt := &recordingOpt{}
+		mp.NewWorld(1).Run(func(c *mp.Comm) {
+			m := buildModel()
+			r := NewRank(c, m, opt, cfg)
+			for _, x := range batches {
+				r.Step(func(int) *autograd.Value {
+					return autograd.SoftmaxCrossEntropy(m.Forward(autograd.ConstantIn(r.Arena(), x)), labels)
+				})
+			}
+			r.Flush()
+		})
+		if len(opt.applied) != 2 {
+			t.Fatalf("overlap=%v: %d updates, want 2", cfg.Overlap, len(opt.applied))
+		}
+		requireSameBits(t, fmt.Sprintf("overlap=%v: first update", cfg.Overlap), opt.applied[0], want[0])
+		requireSameBits(t, fmt.Sprintf("overlap=%v: second update", cfg.Overlap), opt.applied[1], want[2])
 	}
 }
 

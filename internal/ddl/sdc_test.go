@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"summitscale/internal/autograd"
 	"summitscale/internal/nn"
 	"summitscale/internal/optim"
 )
@@ -13,38 +12,22 @@ import (
 // guardedTiers is the three-tier layout of the guarded runs.
 var guardedTiers = []string{"nvme", "replica", "gpfs"}
 
-func guardedLoss() func(rank, world, step int, m nn.Module) *autograd.Value {
-	x, labels := globalBatch()
-	return func(rank, world, step int, m nn.Module) *autograd.Value {
-		per := 8 / world
-		lo := rank * per
-		out := m.(*nn.Sequential).Forward(autograd.Constant(x.Slice2DRows(lo, lo+per)))
-		return autograd.SoftmaxCrossEntropy(out, labels[lo:lo+per])
-	}
-}
-
 // allGuards arms every sentinel. The norm limit is far above any clean
 // gradient of this model but far below what an exponent flip produces.
 func allGuards() Guards {
 	return Guards{NaN: true, GradNormLimit: 1.0, ABFT: true}
 }
 
-func runGuarded(t *testing.T, injections []SDCInjection, guards Guards) *GuardedResult {
+func runGuarded(t *testing.T, injections []SDCInjection, guards Guards) *ResilientResult {
 	t.Helper()
-	res, err := RunGuarded(GuardedConfig{
+	return runResilient(t, ResilientConfig{
 		Ranks:           4,
 		Steps:           6,
 		CheckpointEvery: 2,
 		Tiers:           guardedTiers,
 		Injections:      injections,
 		Guards:          guards,
-	}, func() nn.Module { return buildModel() },
-		func() optim.Optimizer { return optim.NewSGD(0.2) },
-		guardedLoss())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	}, 0.2)
 }
 
 // TestGuardedCleanMatchesSerial: without injections, guarded training is
@@ -52,7 +35,6 @@ func runGuarded(t *testing.T, injections []SDCInjection, guards Guards) *Guarded
 // ring's chunk boundaries, so the match with serial training is within
 // reassociation tolerance, not bitwise.
 func TestGuardedCleanMatchesSerial(t *testing.T) {
-	want := trainSerial(6, 0.2)
 	res := runGuarded(t, nil, allGuards())
 	if res.Detections != 0 || res.Rollbacks != 0 || res.LostSteps != 0 {
 		t.Fatalf("clean run reported faults: %+v", res)
@@ -64,11 +46,7 @@ func TestGuardedCleanMatchesSerial(t *testing.T) {
 	if res.Checkpoints != 4 {
 		t.Fatalf("checkpoints %d, want 4", res.Checkpoints)
 	}
-	for i := range want {
-		if math.Abs(res.FinalParams[i]-want[i]) > 1e-9 {
-			t.Fatalf("param %d: guarded %v vs serial %v", i, res.FinalParams[i], want[i])
-		}
-	}
+	requireNearSerial(t, res.FinalParams, 6, 0.2)
 }
 
 // TestGuardedRecoveryBitIdentical is the subsystem's headline: a run hit
@@ -204,7 +182,7 @@ func TestGuardedValidatesConfig(t *testing.T) {
 	op := func() optim.Optimizer { return optim.NewSGD(0.1) }
 	tiers := guardedTiers
 	one := tiers[:1]
-	for _, cfg := range []GuardedConfig{
+	for _, cfg := range []ResilientConfig{
 		{Ranks: 0, Steps: 1, CheckpointEvery: 1, Tiers: tiers},
 		{Ranks: 1, Steps: 0, CheckpointEvery: 1, Tiers: tiers},
 		{Ranks: 1, Steps: 1, CheckpointEvery: 0, Tiers: tiers},
@@ -216,7 +194,7 @@ func TestGuardedValidatesConfig(t *testing.T) {
 		{Ranks: 1, Steps: 1, CheckpointEvery: 1, Tiers: one,
 			Injections: []SDCInjection{{Step: 0, Kind: TornDrain}}},
 	} {
-		if _, err := RunGuarded(cfg, mk, op, guardedLoss()); err == nil {
+		if _, err := RunResilient(cfg, mk, op, shardLoss()); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
 		}
 	}

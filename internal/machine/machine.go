@@ -1,7 +1,6 @@
-// Package machine describes the OLCF systems the paper studies — Summit
-// (original and high-memory nodes), and the Rhea/Andes companion clusters —
-// with the published hardware rates that the performance, storage, and
-// network models consume.
+// Package machine describes the OLCF system the paper studies — Summit,
+// with its original and high-memory nodes — with the published hardware
+// rates that the performance, storage, and network models consume.
 //
 // All figures come from the paper's §II-A system description and §VI-B
 // hardware discussion: 25 GB/s node injection bandwidth, 2.5 TB/s GPFS
@@ -179,32 +178,4 @@ func (m Machine) PeakTensorFlops() units.FlopsPerSecond {
 // bandwidth over n nodes.
 func (m Machine) AggregateNVMeReadBW(n int) units.BytesPerSecond {
 	return m.Node.NVMeReadBW * units.BytesPerSecond(n)
-}
-
-// Rhea is the original companion analysis cluster (retired late 2020).
-func Rhea() Machine {
-	return Machine{
-		Name:  "Rhea",
-		Nodes: 512,
-		Node: Node{
-			Name: "Rhea-CPU", GPUs: 0, CPUCores: 16,
-			DDR: 128 * units.GB, InjectionBW: 7 * units.GBps,
-		},
-		FS:             Alpine(),
-		NetworkLatency: 2e-6,
-	}
-}
-
-// Andes replaced Rhea in late 2020.
-func Andes() Machine {
-	return Machine{
-		Name:  "Andes",
-		Nodes: 704,
-		Node: Node{
-			Name: "Andes-CPU", GPUs: 0, CPUCores: 32,
-			DDR: 256 * units.GB, InjectionBW: 12.5 * units.GBps,
-		},
-		FS:             Alpine(),
-		NetworkLatency: 2e-6,
-	}
 }

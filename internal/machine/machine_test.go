@@ -67,18 +67,6 @@ func TestHighMemNodesMatchPaper(t *testing.T) {
 	}
 }
 
-// TestCompanionClusters checks the Rhea and Andes descriptions (§II-A).
-func TestCompanionClusters(t *testing.T) {
-	r := Rhea()
-	if r.Nodes != 512 || r.Node.CPUCores != 16 || float64(r.Node.DDR) != 128e9 {
-		t.Errorf("Rhea = %+v, paper: 512 nodes, 2x8 cores, 128 GB", r.Node)
-	}
-	a := Andes()
-	if a.Nodes != 704 || a.Node.CPUCores != 32 || float64(a.Node.DDR) != 256e9 {
-		t.Errorf("Andes = %+v, paper: 704 nodes, 2x16 cores, 256 GB", a.Node)
-	}
-}
-
 func TestV100Rates(t *testing.T) {
 	g := V100()
 	if float64(g.PeakTensor) != 125e12 {

@@ -90,9 +90,9 @@ func BERTLarge() ModelSpec {
 	}
 }
 
-// DeepLabV3Plus is Kurth et al.'s climate segmentation network (with the
-// Tiramisu variant below). Mixed-precision training with fp16 gradient
-// exchange; records are 16-channel float32 CAM5 crops.
+// DeepLabV3Plus is Kurth et al.'s climate segmentation network.
+// Mixed-precision training with fp16 gradient exchange; records are
+// 16-channel float32 CAM5 crops.
 func DeepLabV3Plus() ModelSpec {
 	return ModelSpec{
 		Name:                "DeepLabv3+",
@@ -102,19 +102,6 @@ func DeepLabV3Plus() ModelSpec {
 		RecordBytes:         units.Bytes(4 * 16 * 768 * 1152),
 		PerGPUBatch:         2,
 		SingleGPUThroughput: 13.3, // => ~41 TF/s/GPU sustained; 27,360 GPUs => 1.13 EF
-	}
-}
-
-// Tiramisu is the second network of Kurth et al.
-func Tiramisu() ModelSpec {
-	return ModelSpec{
-		Name:                "Tiramisu",
-		Params:              9_300_000,
-		GradBytesPerParam:   2,
-		TrainFlopsPerSample: 1.2 * units.TFlop,
-		RecordBytes:         units.Bytes(4 * 16 * 768 * 1152),
-		PerGPUBatch:         2,
-		SingleGPUThroughput: 18,
 	}
 }
 
@@ -176,34 +163,6 @@ func CVAE() ModelSpec {
 	}
 }
 
-// PointNetAAE is Casalino et al.'s 3D PointNet-based adversarial
-// autoencoder guiding spike-dynamics sampling.
-func PointNetAAE() ModelSpec {
-	return ModelSpec{
-		Name:                "PointNet-AAE",
-		Params:              12_000_000,
-		GradBytesPerParam:   4,
-		TrainFlopsPerSample: 4.2 * units.GFlop,
-		RecordBytes:         units.Bytes(4 * 3 * 2048), // point cloud
-		PerGPUBatch:         32,
-		SingleGPUThroughput: 2400,
-	}
-}
-
-// GNO is Trifan et al.'s graph neural operator coupling FFEA and AAMD
-// resolutions.
-func GNO() ModelSpec {
-	return ModelSpec{
-		Name:                "GNO",
-		Params:              8_500_000,
-		GradBytesPerParam:   4,
-		TrainFlopsPerSample: 6.0 * units.GFlop,
-		RecordBytes:         units.Bytes(4 * 16384),
-		PerGPUBatch:         16,
-		SingleGPUThroughput: 1500,
-	}
-}
-
 // CosmoFlow is the MLPerf HPC cosmology benchmark network (Farrell et
 // al.): a small 3D CNN regressing four cosmological parameters from
 // 128^3x4 dark-matter density volumes. The record dominates the math —
@@ -236,23 +195,4 @@ func DimeNetPP() ModelSpec {
 		PerGPUBatch:         8,
 		SingleGPUThroughput: 75, // GNN gather/scatter sustains far below dense-CNN rates
 	}
-}
-
-// All returns the catalogue.
-func All() []ModelSpec {
-	return []ModelSpec{
-		ResNet50(), BERTLarge(), DeepLabV3Plus(), Tiramisu(), FCDenseNet(),
-		WaveNetGW(), PIGAN(), CVAE(), PointNetAAE(), GNO(),
-		CosmoFlow(), DimeNetPP(),
-	}
-}
-
-// ByName looks a model up in the catalogue.
-func ByName(name string) (ModelSpec, bool) {
-	for _, m := range All() {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return ModelSpec{}, false
 }

@@ -1,17 +1,26 @@
 package mp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
 
-// DefaultABFTTol is the relative tolerance used by AllReduceRingChecked
-// when the caller passes tol <= 0. The guard and the payload sum are the
-// same quantity accumulated in different orders, so they disagree only by
+// DefaultABFTTol is the relative tolerance of AllReduceRingChecked's
+// verdict. The guard and the payload sum are the same quantity
+// accumulated in different orders, so they disagree only by
 // floating-point reassociation — parts in 1e12 of the magnitude for
 // gradient-sized vectors — while a single flipped mantissa bit in a
 // normal-range value shifts the sum by parts in 1e3 or more.
 const DefaultABFTTol = 1e-9
+
+// The two verdicts of a tripped ABFT guard, wrapped with %w in the error
+// AllReduceRingChecked returns: the reduced payload or guard went
+// non-finite, or they are finite and disagree beyond DefaultABFTTol.
+var (
+	ErrABFTNonFinite = errors.New("mp: abft guard non-finite")
+	ErrABFTMismatch  = errors.New("mp: abft checksum mismatch")
+)
 
 // TamperFunc mutates one rank's in-flight contribution to a checked
 // collective. Fault injection calls it after the guard element is
@@ -22,19 +31,21 @@ type TamperFunc func(rank int, data []float64)
 // guard carried through the reduction. Each rank appends the sum of its
 // local vector as one extra element; the ring reduces payload and guard
 // together, and afterwards the reduced guard must equal the sum of the
-// reduced payload to within a relative tolerance. Corruption of any
-// payload element on any rank — in local compute before the collective
-// or on the wire via tamper — breaks that identity and is reported as an
-// error on every rank, because the reduced vector (and so the mismatch)
-// is identical everywhere.
+// reduced payload to within DefaultABFTTol. Corruption of any payload
+// element on any rank — in local compute before the collective or on the
+// wire via tamper — breaks that identity and is reported on every rank,
+// because the reduced vector (and so the mismatch) is identical
+// everywhere.
+//
+// It returns the reduced payload whatever the verdict, so a caller that
+// does not enforce the guard still gets the guard slot's arithmetic: the
+// extra element shifts the ring's chunk boundaries. The error is nil, or
+// wraps ErrABFTNonFinite or ErrABFTMismatch.
 //
 // The guard adds one element to a ring that moves 2(P-1)/P · N elements
-// per rank: overhead ~2/N, unmeasurable at gradient sizes. tol <= 0
-// selects DefaultABFTTol. tamper may be nil.
-func (c *Comm) AllReduceRingChecked(data []float64, tol float64, tamper TamperFunc) ([]float64, error) {
-	if tol <= 0 {
-		tol = DefaultABFTTol
-	}
+// per rank: overhead ~2/N, unmeasurable at gradient sizes. tamper may be
+// nil.
+func (c *Comm) AllReduceRingChecked(data []float64, tamper TamperFunc) ([]float64, error) {
 	guarded := make([]float64, len(data)+1)
 	copy(guarded, data)
 	var local float64
@@ -55,15 +66,15 @@ func (c *Comm) AllReduceRingChecked(data []float64, tol float64, tamper TamperFu
 		sum += v
 	}
 	if math.IsNaN(sum) || math.IsInf(sum, 0) || math.IsNaN(guard) || math.IsInf(guard, 0) {
-		return nil, fmt.Errorf("mp: abft guard non-finite (sum %v, guard %v)", sum, guard)
+		return payload, fmt.Errorf("%w (sum %v, guard %v)", ErrABFTNonFinite, sum, guard)
 	}
 	scale := math.Abs(sum) + math.Abs(guard)
 	if scale < 1 {
 		scale = 1
 	}
-	if math.Abs(sum-guard) > tol*scale {
-		return nil, fmt.Errorf("mp: abft checksum mismatch: payload sums to %g, guard says %g (rel err %.3g, tol %.3g)",
-			sum, guard, math.Abs(sum-guard)/scale, tol)
+	if math.Abs(sum-guard) > DefaultABFTTol*scale {
+		return payload, fmt.Errorf("%w: payload sums to %g, guard says %g (rel err %.3g, tol %.3g)",
+			ErrABFTMismatch, sum, guard, math.Abs(sum-guard)/scale, DefaultABFTTol)
 	}
 	return payload, nil
 }

@@ -1,8 +1,8 @@
 package mp
 
 import (
+	"errors"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -16,16 +16,58 @@ func runChecked(p, n int, tamper TamperFunc) ([][]float64, []error) {
 	errs := make([]error, p)
 	var mu sync.Mutex
 	w.Run(func(c *Comm) {
-		data := make([]float64, n)
-		for i := range data {
-			data[i] = float64(c.Rank()+1) * (1 + 0.01*float64(i))
-		}
-		out, err := c.AllReduceRingChecked(data, 0, tamper)
+		out, err := c.AllReduceRingChecked(checkedData(c.Rank(), n), tamper)
 		mu.Lock()
 		outs[c.Rank()], errs[c.Rank()] = out, err
 		mu.Unlock()
 	})
 	return outs, errs
+}
+
+// checkedData is rank's contribution to the checked-ring tests.
+func checkedData(rank, n int) []float64 {
+	data := make([]float64, n)
+	for i := range data {
+		data[i] = float64(rank+1) * (1 + 0.01*float64(i))
+	}
+	return data
+}
+
+// guardSlotRing is the unenforced guard-slot reduction the checked ring
+// must match bit for bit whatever its verdict: append the local sum,
+// tamper with the payload, ring-reduce the n+1 elements, drop the guard.
+func guardSlotRing(p, n int, tamper TamperFunc) [][]float64 {
+	w := NewWorld(p)
+	outs := make([][]float64, p)
+	w.Run(func(c *Comm) {
+		data := checkedData(c.Rank(), n)
+		var local float64
+		for _, v := range data {
+			local += v
+		}
+		guarded := append(data, local)
+		if tamper != nil {
+			tamper(c.Rank(), guarded[:n])
+		}
+		outs[c.Rank()] = c.AllReduceRing(guarded)[:n]
+	})
+	return outs
+}
+
+// requireBitEqual fails unless every rank's payload matches the
+// guard-slot reference bit for bit (NaN payloads included).
+func requireBitEqual(t *testing.T, got, want [][]float64) {
+	t.Helper()
+	for r := range want {
+		if len(got[r]) != len(want[r]) {
+			t.Fatalf("rank %d: payload of %d elements, want %d", r, len(got[r]), len(want[r]))
+		}
+		for i := range want[r] {
+			if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
+				t.Fatalf("rank %d elem %d: checked %v vs guard-slot ring %v", r, i, got[r][i], want[r][i])
+			}
+		}
+	}
 }
 
 func TestCheckedAllReduceMatchesPlain(t *testing.T) {
@@ -36,11 +78,7 @@ func TestCheckedAllReduceMatchesPlain(t *testing.T) {
 	var ref []float64
 	var mu sync.Mutex
 	w.Run(func(c *Comm) {
-		data := make([]float64, n)
-		for i := range data {
-			data[i] = float64(c.Rank()+1) * (1 + 0.01*float64(i))
-		}
-		out := c.AllReduceRing(data)
+		out := c.AllReduceRing(checkedData(c.Rank(), n))
 		if c.Rank() == 0 {
 			mu.Lock()
 			ref = out
@@ -72,7 +110,9 @@ func TestCheckedAllReduceMatchesPlain(t *testing.T) {
 }
 
 // A single flipped mantissa bit on one rank's payload must trip the guard
-// on EVERY rank — detection is global because the reduced vector is.
+// on EVERY rank — detection is global because the reduced vector is. The
+// tampered payload still comes back, exactly as the unenforced guard-slot
+// ring reduces it.
 func TestCheckedAllReduceDetectsBitFlip(t *testing.T) {
 	const p, n = 4, 64
 	tamper := func(rank int, data []float64) {
@@ -81,15 +121,16 @@ func TestCheckedAllReduceDetectsBitFlip(t *testing.T) {
 			data[17] = math.Float64frombits(bits ^ (1 << 51)) // high mantissa bit
 		}
 	}
-	_, errs := runChecked(p, n, tamper)
+	outs, errs := runChecked(p, n, tamper)
 	for r, err := range errs {
 		if err == nil {
 			t.Fatalf("rank %d did not detect the flip", r)
 		}
-		if !strings.Contains(err.Error(), "abft checksum mismatch") {
-			t.Fatalf("rank %d wrong error: %v", r, err)
+		if !errors.Is(err, ErrABFTMismatch) || errors.Is(err, ErrABFTNonFinite) {
+			t.Fatalf("rank %d wrong verdict: %v", r, err)
 		}
 	}
+	requireBitEqual(t, outs, guardSlotRing(p, n, tamper))
 }
 
 // A flip into the exponent that lands a NaN is reported as non-finite
@@ -101,15 +142,16 @@ func TestCheckedAllReduceDetectsNaN(t *testing.T) {
 			data[3] = math.NaN()
 		}
 	}
-	_, errs := runChecked(3, 16, tamper)
+	outs, errs := runChecked(3, 16, tamper)
 	for r, err := range errs {
 		if err == nil {
 			t.Fatalf("rank %d accepted a NaN payload", r)
 		}
-		if !strings.Contains(err.Error(), "non-finite") {
-			t.Fatalf("rank %d wrong error class: %v", r, err)
+		if !errors.Is(err, ErrABFTNonFinite) || errors.Is(err, ErrABFTMismatch) {
+			t.Fatalf("rank %d wrong verdict: %v", r, err)
 		}
 	}
+	requireBitEqual(t, outs, guardSlotRing(3, 16, tamper))
 }
 
 // The guard must tolerate benign reassociation error: large vectors with

@@ -1,8 +1,8 @@
 // Package optim implements the optimizers used by the paper's scale-out
 // training studies — SGD with momentum, Adam/AdamW, and the layer-wise
 // adaptive large-batch methods LARS (Laanait et al.) and LAMB (Khan,
-// Blanchard et al.) — plus learning-rate schedules (warmup, cosine and step
-// decay) and LARC-style adaptive gradient clipping (Kurth et al.).
+// Blanchard et al.) — plus LARC-style adaptive gradient clipping (Kurth et
+// al.).
 package optim
 
 import (
@@ -35,8 +35,6 @@ type Optimizer interface {
 	// Step applies one update using each parameter's current .Value.Grad.
 	// Parameters with nil gradients are skipped.
 	Step(params []nn.Param)
-	// SetLR changes the learning rate (driven by a Schedule).
-	SetLR(lr float64)
 	// LR returns the current learning rate.
 	LR() float64
 }
@@ -118,9 +116,6 @@ func sgdMomentum(wd, gd, vd []float64, rate, momentum, decay float64, lo, hi int
 	}
 }
 
-// SetLR implements Optimizer.
-func (o *SGD) SetLR(lr float64) { o.Rate = lr }
-
 // LR implements Optimizer.
 func (o *SGD) LR() float64 { return o.Rate }
 
@@ -145,13 +140,6 @@ type Adam struct {
 // NewAdam creates Adam with the customary defaults.
 func NewAdam(lr float64) *Adam {
 	return &Adam{Rate: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
-}
-
-// NewAdamW creates AdamW with decoupled weight decay wd.
-func NewAdamW(lr, wd float64) *Adam {
-	a := NewAdam(lr)
-	a.DecoupledWD = wd
-	return a
 }
 
 // Step implements Optimizer.
@@ -199,9 +187,6 @@ func adamRange(o *Adam, wd, gd, md, vd []float64, bc1, bc2 float64, lo, hi int) 
 		wd[i] -= o.Rate * upd
 	}
 }
-
-// SetLR implements Optimizer.
-func (o *Adam) SetLR(lr float64) { o.Rate = lr }
 
 // LR implements Optimizer.
 func (o *Adam) LR() float64 { return o.Rate }
@@ -263,9 +248,6 @@ func larsRange(wd, gd, vd []float64, lrEff, momentum, decay float64, lo, hi int)
 		wd[i] -= vd[i]
 	}
 }
-
-// SetLR implements Optimizer.
-func (o *LARS) SetLR(lr float64) { o.Rate = lr }
 
 // LR implements Optimizer.
 func (o *LARS) LR() float64 { return o.Rate }
@@ -413,34 +395,8 @@ func (o *LAMB) update(t lambTask) {
 	}
 }
 
-// SetLR implements Optimizer.
-func (o *LAMB) SetLR(lr float64) { o.Rate = lr }
-
 // LR implements Optimizer.
 func (o *LAMB) LR() float64 { return o.Rate }
-
-// ClipGradNorm rescales all gradients so their global L2 norm is at most
-// maxNorm, returning the pre-clip norm.
-func ClipGradNorm(params []nn.Param, maxNorm float64) float64 {
-	var sq float64
-	for _, p := range params {
-		if p.Value.Grad == nil {
-			continue
-		}
-		n := p.Value.Grad.Norm()
-		sq += n * n
-	}
-	total := math.Sqrt(sq)
-	if total > maxNorm && total > 0 {
-		s := maxNorm / total
-		for _, p := range params {
-			if p.Value.Grad != nil {
-				p.Value.Grad.ScaleInPlace(s)
-			}
-		}
-	}
-	return total
-}
 
 // LARCClip applies LARC's per-layer adaptive clipping: each layer's
 // gradient is scaled so its implied local learning rate never exceeds

@@ -39,7 +39,6 @@ func runOpt(t *testing.T, opt Optimizer, steps int, lossTol float64) {
 func TestSGDConverges(t *testing.T)      { runOpt(t, NewSGD(0.3), 200, 1e-6) }
 func TestMomentumConverges(t *testing.T) { runOpt(t, NewMomentumSGD(0.1, 0.9), 200, 1e-6) }
 func TestAdamConverges(t *testing.T)     { runOpt(t, NewAdam(0.1), 400, 1e-4) }
-func TestAdamWConverges(t *testing.T)    { runOpt(t, NewAdamW(0.1, 1e-4), 400, 1e-3) }
 func TestLAMBConverges(t *testing.T)     { runOpt(t, NewLAMB(0.05), 600, 1e-2) }
 
 func TestLARSConverges(t *testing.T) {
@@ -86,33 +85,6 @@ func TestNilGradSkipped(t *testing.T) {
 	}
 }
 
-func TestSetLR(t *testing.T) {
-	for _, opt := range []Optimizer{NewSGD(0.1), NewAdam(0.1), NewLARS(0.1), NewLAMB(0.1)} {
-		opt.SetLR(0.42)
-		if opt.LR() != 0.42 {
-			t.Fatalf("%T SetLR failed", opt)
-		}
-	}
-}
-
-func TestClipGradNorm(t *testing.T) {
-	w := autograd.NewLeaf(tensor.New(2), true)
-	w.Grad = tensor.FromSlice([]float64{3, 4}, 2) // norm 5
-	pre := ClipGradNorm([]nn.Param{{Name: "w", Value: w}}, 1)
-	if math.Abs(pre-5) > 1e-12 {
-		t.Fatalf("pre-clip norm = %v", pre)
-	}
-	if n := w.Grad.Norm(); math.Abs(n-1) > 1e-12 {
-		t.Fatalf("post-clip norm = %v", n)
-	}
-	// Under the limit: untouched.
-	w.Grad = tensor.FromSlice([]float64{0.3, 0.4}, 2)
-	ClipGradNorm([]nn.Param{{Name: "w", Value: w}}, 1)
-	if n := w.Grad.Norm(); math.Abs(n-0.5) > 1e-12 {
-		t.Fatalf("small grad was clipped: %v", n)
-	}
-}
-
 func TestLARCClip(t *testing.T) {
 	w := autograd.NewLeaf(tensor.FromSlice([]float64{1, 0}, 2), true) // ||w|| = 1
 	w.Grad = tensor.FromSlice([]float64{100, 0}, 2)                   // ||g|| = 100
@@ -127,46 +99,6 @@ func TestLARCClip(t *testing.T) {
 	LARCClip([]nn.Param{{Name: "w", Value: w}}, 0.1, 1)
 	if got := w.Grad.At(0); got != 0.001 {
 		t.Fatalf("LARC modified a small gradient: %v", got)
-	}
-}
-
-func TestWarmupSchedule(t *testing.T) {
-	s := WarmupSchedule{Peak: 1, WarmupSteps: 10}
-	if r := s.Rate(0); math.Abs(r-0.1) > 1e-12 {
-		t.Errorf("warmup step 0 rate = %v", r)
-	}
-	if r := s.Rate(9); math.Abs(r-1) > 1e-12 {
-		t.Errorf("warmup step 9 rate = %v", r)
-	}
-	if r := s.Rate(100); r != 1 {
-		t.Errorf("post-warmup rate = %v", r)
-	}
-}
-
-func TestWarmupThenCosine(t *testing.T) {
-	s := WarmupSchedule{Peak: 2, WarmupSteps: 5, After: CosineSchedule{Peak: 2, Floor: 0.2, TotalSteps: 10}}
-	if r := s.Rate(5); math.Abs(r-2) > 1e-12 {
-		t.Errorf("cosine start rate = %v", r)
-	}
-	if r := s.Rate(15); math.Abs(r-0.2) > 1e-12 {
-		t.Errorf("cosine end rate = %v", r)
-	}
-	mid := s.Rate(10)
-	if mid <= 0.2 || mid >= 2 {
-		t.Errorf("cosine mid rate = %v", mid)
-	}
-}
-
-func TestStepSchedule(t *testing.T) {
-	s := StepSchedule{Initial: 1, Gamma: 0.1, EverySteps: 10}
-	if s.Rate(9) != 1 || math.Abs(s.Rate(10)-0.1) > 1e-15 || math.Abs(s.Rate(25)-0.01) > 1e-15 {
-		t.Fatalf("step schedule rates: %v %v %v", s.Rate(9), s.Rate(10), s.Rate(25))
-	}
-}
-
-func TestLinearScaleLR(t *testing.T) {
-	if lr := LinearScaleLR(0.1, 8192, 256); math.Abs(lr-3.2) > 1e-12 {
-		t.Fatalf("linear scaling = %v", lr)
 	}
 }
 

@@ -26,11 +26,6 @@ func RooflineFor(g machine.GPU) Roofline {
 	return Roofline{Peak: g.PeakTensor, MemBW: g.HBMBW}
 }
 
-// V100Roofline returns the tensor-core roofline of Summit's GPU.
-func V100Roofline() Roofline {
-	return RooflineFor(machine.V100())
-}
-
 // Attainable returns the achievable rate at the given arithmetic
 // intensity (flops per byte moved).
 func (r Roofline) Attainable(intensity float64) units.FlopsPerSecond {

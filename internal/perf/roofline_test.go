@@ -3,10 +3,12 @@ package perf
 import (
 	"math"
 	"testing"
+
+	"summitscale/internal/machine"
 )
 
 func TestRooflineShape(t *testing.T) {
-	r := V100Roofline()
+	r := RooflineFor(machine.V100())
 	ridge := r.RidgeIntensity()
 	// V100: 125 TF / 900 GB/s ≈ 139 flops/byte.
 	if math.Abs(ridge-125e12/900e9)/ridge > 1e-9 {
@@ -24,7 +26,7 @@ func TestRooflineShape(t *testing.T) {
 }
 
 func TestAttainableMonotone(t *testing.T) {
-	r := V100Roofline()
+	r := RooflineFor(machine.V100())
 	prev := 0.0
 	for i := 1; i <= 300; i++ {
 		cur := float64(r.Attainable(float64(i)))
@@ -39,7 +41,7 @@ func TestAttainableMonotone(t *testing.T) {
 // operations (matmul/conv at training tile sizes) are compute-bound while
 // recurrent/elementwise operations are memory-bound.
 func TestPaperKernelClassification(t *testing.T) {
-	r := V100Roofline()
+	r := RooflineFor(machine.V100())
 	if !r.ComputeBound(KernelIntensity("matmul", 1024)) {
 		t.Error("1024-matmul should be compute-bound")
 	}

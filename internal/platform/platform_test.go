@@ -72,7 +72,7 @@ func TestSummitFactoriesMatchLegacyConstructors(t *testing.T) {
 	if got, want := *p.NVMe(), *storage.NewNVMe(); got != want {
 		t.Errorf("NVMe = %+v, want %+v", got, want)
 	}
-	if got, want := p.Roofline(), perf.V100Roofline(); got != want {
+	if got, want := p.Roofline(), perf.RooflineFor(machine.V100()); got != want {
 		t.Errorf("Roofline = %+v, want %+v", got, want)
 	}
 	j, legacy := p.Job(models.ResNet50(), 128), perf.SummitJob(models.ResNet50(), 128)

@@ -1,7 +1,7 @@
-// Package stats provides the deterministic random number generator and the
-// small statistical toolkit (descriptive statistics, histograms, linear
-// fits, categorical sampling) that the portfolio generator, the synthetic
-// data generators, and the simulators share.
+// Package stats provides the deterministic random number generator
+// (with categorical sampling) and the mean and percentile that the
+// portfolio generator, the synthetic data generators, and the simulators
+// share.
 //
 // Everything in this package is deterministic given a seed, so every
 // experiment in the repository is exactly reproducible.

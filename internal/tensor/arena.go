@@ -80,8 +80,8 @@ func newIn(a *Arena, shape []int) *Tensor {
 // whatever an earlier step left there. An operation may allocate its
 // result with it only if it writes every element before anything reads
 // one. Those that do are Clone, FullIn, the elementwise ops, AddRow, the
-// transposes, MatVec, Outer, SumAxis1, SoftmaxRows, Concat2DRows,
-// Im2Col, Col2Im's result, the conv output and kernel matrix, both
+// transposes, MatVec, Outer, SumAxis1, SoftmaxRows, Im2Col,
+// Col2Im's result, the conv output and kernel matrix, both
 // poolings' outputs, and in autograd ConstantIn, ReLU, BatchNorm2D,
 // LayerNorm and every backward that assigns its gradient rather than
 // adding to it. Anything that accumulates into its output (the GEMMs,

@@ -107,25 +107,3 @@ func (t *Tensor) Slice2DRows(lo, hi int) *Tensor {
 	n := t.shape[1]
 	return viewIn(t.arena, []int{hi - lo, n}, t.data[lo*n:hi*n])
 }
-
-// Concat2DRows stacks rank-2 tensors with equal column counts vertically.
-func Concat2DRows(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("tensor: Concat2DRows of nothing")
-	}
-	n := ts[0].shape[1]
-	rows := 0
-	for _, t := range ts {
-		if t.Rank() != 2 || t.shape[1] != n {
-			panic("tensor: Concat2DRows column mismatch")
-		}
-		rows += t.shape[0]
-	}
-	r := NewRawIn(ts[0].arena, rows, n)
-	off := 0
-	for _, t := range ts {
-		copy(r.data[off:], t.data)
-		off += len(t.data)
-	}
-	return r
-}

@@ -286,16 +286,6 @@ func TestSlice2DRowsView(t *testing.T) {
 	}
 }
 
-func TestConcat2DRows(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 1, 2)
-	b := FromSlice([]float64{3, 4, 5, 6}, 2, 2)
-	got := Concat2DRows(a, b)
-	want := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 3, 2)
-	if !got.Equal(want, 0) {
-		t.Fatalf("Concat = %v", got)
-	}
-}
-
 func TestApply(t *testing.T) {
 	a := FromSlice([]float64{1, 4, 9}, 3)
 	got := a.Apply(math.Sqrt)

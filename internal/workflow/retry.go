@@ -6,7 +6,6 @@ import (
 
 	"summitscale/internal/faults"
 	"summitscale/internal/obs"
-	"summitscale/internal/stats"
 	"summitscale/internal/units"
 )
 
@@ -149,52 +148,6 @@ func (p RetryPolicy) Wrap(name string, body func(ctx *Context) error) func(*Cont
 		p.Obs.Inc(MetricExhausted)
 		return fmt.Errorf("workflow: task %q failed after %d attempts: %w",
 			name, p.MaxAttempts, last)
-	}
-}
-
-// FaultInjector makes task bodies fail with a given probability — the
-// memoryless failure-injection harness used to test campaign resilience.
-//
-// Wrap-produced bodies are safe for concurrent use: the shared RNG draw
-// and the Injected counter are guarded by a mutex (Workflow.Run executes
-// task bodies from many goroutines, and stats.RNG is not thread-safe).
-type FaultInjector struct {
-	rng  *stats.RNG
-	Prob float64
-	// Injected counts the faults delivered. Read it only after the
-	// workflow has finished (Run's WaitGroup orders the read).
-	Injected int
-	// Obs, if non-nil, counts injections under workflow.faults.injected.
-	Obs *obs.Observer
-
-	mu sync.Mutex // guards rng and Injected
-}
-
-// NewFaultInjector creates an injector with failure probability p.
-func NewFaultInjector(seed uint64, p float64) *FaultInjector {
-	if p < 0 || p >= 1 {
-		panic("workflow: fault probability must be in [0, 1)")
-	}
-	return &FaultInjector{rng: stats.NewRNG(seed), Prob: p}
-}
-
-// Wrap returns a body that fails randomly before running the real body.
-func (f *FaultInjector) Wrap(name string, body func(ctx *Context) error) func(*Context) error {
-	return func(ctx *Context) error {
-		f.mu.Lock()
-		inject := f.rng.Bool(f.Prob)
-		if inject {
-			f.Injected++
-		}
-		f.mu.Unlock()
-		if inject {
-			f.Obs.Inc(MetricFaultsInjected)
-			return fmt.Errorf("workflow: injected fault in %q", name)
-		}
-		if body == nil {
-			return nil
-		}
-		return body(ctx)
 	}
 }
 

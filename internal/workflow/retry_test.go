@@ -90,17 +90,30 @@ func TestRetryStatsExposed(t *testing.T) {
 	}
 }
 
+// faultyTrace generates a failure trace over nodes whose per-node MTBF
+// is mtbf, so trace-driven campaigns meet faults within a few windows.
+func faultyTrace(t *testing.T, seed uint64, nodes int, mtbf, horizon units.Seconds) *faults.Trace {
+	t.Helper()
+	params := faults.ParamsFor(machine.Summit(), nodes)
+	params.NodeMTBF = mtbf
+	tr := params.Generate(seed, horizon)
+	if tr.Count(faults.NodeFailure) == 0 {
+		t.Fatal("trace has no failures; test proves nothing")
+	}
+	return tr
+}
+
 // TestRetryStatsConcurrentCampaign: stats stay consistent when the DAG
-// engine runs wrapped tasks from many goroutines. The injector is shared
-// directly across tasks — FaultInjector now serializes its own RNG.
+// engine runs wrapped tasks from many goroutines. The trace injector is
+// shared directly across all 16 independent tasks.
 func TestRetryStatsConcurrentCampaign(t *testing.T) {
+	ti := NewTraceInjector(faultyTrace(t, 11, 16, 4*units.Hour, 48*units.Hour), units.Hour)
 	st := &RetryStats{}
-	inj := NewFaultInjector(11, 0.3)
 	p := RetryPolicy{MaxAttempts: 20, Backoff: 1, Stats: st}
 	w := New()
 	for i := 0; i < 16; i++ {
 		name := string(rune('a' + i))
-		w.MustAdd(&Task{Name: name, Run: p.Wrap(name, inj.Wrap(name, nil))})
+		w.MustAdd(&Task{Name: name, Run: p.Wrap(name, ti.Wrap(name, nil))})
 	}
 	if err := w.Run(NewContext()); err != nil {
 		t.Fatal(err)
@@ -112,17 +125,15 @@ func TestRetryStatsConcurrentCampaign(t *testing.T) {
 	if s.Attempts != 16+s.Retries {
 		t.Fatalf("attempt accounting inconsistent: %v", s)
 	}
+	if ti.Injected == 0 || ti.Injected != s.Retries {
+		t.Fatalf("injected %d faults but policy recorded %d retries", ti.Injected, s.Retries)
+	}
 }
 
 // TestTraceInjectorDeterministic: the same trace produces the same fault
 // schedule, and tasks pinned to failing nodes fail in their windows.
 func TestTraceInjectorDeterministic(t *testing.T) {
-	params := faults.ParamsFor(machine.Summit(), 8)
-	params.NodeMTBF = 16 * units.Hour // 2h system MTBF on 8 nodes: plenty of failures
-	tr := params.Generate(21, 24*units.Hour)
-	if tr.Count(faults.NodeFailure) == 0 {
-		t.Fatal("trace has no failures; test proves nothing")
-	}
+	tr := faultyTrace(t, 21, 8, 16*units.Hour, 24*units.Hour) // 2h system MTBF on 8 nodes
 	run := func() (int, []error) {
 		ti := NewTraceInjector(tr, 30*units.Minute)
 		var errs []error
@@ -148,10 +159,7 @@ func TestTraceInjectorDeterministic(t *testing.T) {
 // window; later attempts run in later windows where the node (usually)
 // works, so retries drain trace-driven faults.
 func TestTraceInjectorRetriesEventuallyClear(t *testing.T) {
-	params := faults.ParamsFor(machine.Summit(), 4)
-	params.NodeMTBF = 8 * units.Hour
-	tr := params.Generate(5, 12*units.Hour)
-	ti := NewTraceInjector(tr, 1*units.Hour)
+	ti := NewTraceInjector(faultyTrace(t, 5, 4, 8*units.Hour, 12*units.Hour), 1*units.Hour)
 	st := &RetryStats{}
 	p := RetryPolicy{MaxAttempts: 50, Backoff: 30, Stats: st}
 	w := New()
@@ -170,29 +178,11 @@ func TestTraceInjectorRetriesEventuallyClear(t *testing.T) {
 	}
 }
 
-func TestFaultInjectorDeliversFaults(t *testing.T) {
-	f := NewFaultInjector(1, 0.5)
-	fails := 0
-	body := f.Wrap("t", func(*Context) error { return nil })
-	ctx := NewContext()
-	for i := 0; i < 1000; i++ {
-		if body(ctx) != nil {
-			fails++
-		}
-	}
-	if fails != f.Injected {
-		t.Fatalf("fails %d vs injected %d", fails, f.Injected)
-	}
-	if fails < 400 || fails > 600 {
-		t.Fatalf("injected %d faults of 1000 at p=0.5", fails)
-	}
-}
-
 // TestCampaignSurvivesFaultsWithRetries is the §V resilience scenario: a
 // fault-injected multi-stage campaign completes when every task is
 // wrapped in retries.
 func TestCampaignSurvivesFaultsWithRetries(t *testing.T) {
-	inj := NewFaultInjector(7, 0.4)
+	inj := NewTraceInjector(faultyTrace(t, 7, 3, 2*units.Hour, 48*units.Hour), units.Hour)
 	retry := RetryPolicy{MaxAttempts: 10}
 	w := New()
 	var completed []string
@@ -220,14 +210,16 @@ func TestCampaignSurvivesFaultsWithRetries(t *testing.T) {
 }
 
 func TestCampaignFailsWithoutRetries(t *testing.T) {
-	// With p=0.9 per task and three tasks, an unprotected campaign almost
-	// surely fails; assert it reports the failure cleanly.
-	inj := NewFaultInjector(3, 0.9)
+	// Each task's only attempt spans a day on a node that fails every two
+	// hours on average, so the unprotected campaign fails; assert it
+	// reports the failure cleanly.
+	inj := NewTraceInjector(faultyTrace(t, 3, 3, 2*units.Hour, 48*units.Hour), 24*units.Hour)
 	w := New()
 	w.MustAdd(&Task{Name: "a", Run: inj.Wrap("a", nil)})
 	w.MustAdd(&Task{Name: "b", Deps: []string{"a"}, Run: inj.Wrap("b", nil)})
 	w.MustAdd(&Task{Name: "c", Deps: []string{"b"}, Run: inj.Wrap("c", nil)})
-	if err := w.Run(NewContext()); err == nil {
-		t.Skip("improbably lucky run")
+	err := w.Run(NewContext())
+	if err == nil || inj.Injected != 1 || !strings.Contains(err.Error(), "node") {
+		t.Fatalf("unprotected campaign: err %v after %d injected faults, want one node failure", err, inj.Injected)
 	}
 }
