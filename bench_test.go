@@ -187,7 +187,7 @@ func itoa(n int) string {
 // shuffle). One iteration sweeps the whole grid through the model.
 
 func BenchmarkAblationStorage(b *testing.B) {
-	stager := storage.NewStager()
+	stager := platform.Summit().Stager()
 	gpfs := storage.NewGPFS()
 	nvme := storage.NewNVMe()
 	dataset := 150 * units.TB // ImageNet-scale scientific dataset

@@ -19,7 +19,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"summitscale/internal/autograd"
@@ -248,13 +247,13 @@ func verifyCheckpoint(path string, stdout, stderr io.Writer) int {
 // and stop before their first collective.
 func (j *job) maybeLoad(c *mp.Comm, m nn.Module) bool {
 	if j.store != nil {
+		// A store with no committed versions is a fresh start, not a
+		// failure.
+		if j.store.Newest() < 0 {
+			return true
+		}
 		info, err := j.store.Restore(m)
 		if err != nil {
-			// A store with no committed versions is a fresh start, not a
-			// failure.
-			if strings.Contains(err.Error(), "no versions") {
-				return true
-			}
 			j.fail("store restore: %v", err)
 			return false
 		}

@@ -51,6 +51,50 @@ func TestRunGolden(t *testing.T) {
 	}
 }
 
+// TestRunStore: -store on a fresh directory commits v1; a second run
+// restores v1 from the nvme tier and commits v2; once every copy of
+// every version is corrupt, the run exits 1 naming the failed restore.
+func TestRunStore(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-model", "mlp", "-ranks", "2", "-epochs", "1", "-store", dir}
+	for _, want := range [][]string{
+		{"committed checkpoint v1 and drained it to every tier"},
+		{"restored checkpoint v1 from nvme tier", "committed checkpoint v2 and drained it to every tier"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d; stderr:\n%s", code, stderr.String())
+		}
+		for _, line := range want {
+			if !strings.Contains(stdout.String(), line) {
+				t.Errorf("stdout lacks %q:\n%s", line, stdout.String())
+			}
+		}
+	}
+
+	copies, err := filepath.Glob(filepath.Join(dir, "*", "*.ckpt"))
+	if err != nil || len(copies) != 6 {
+		t.Fatalf("store holds %d checkpoint copies (%v), want 2 versions on 3 tiers", len(copies), err)
+	}
+	for _, path := range copies {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0xff
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d over a corrupt store, want 1; stdout:\n%s", code, stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "store restore:") {
+		t.Errorf("stderr lacks the restore failure:\n%s", stderr.String())
+	}
+}
+
 // TestRunUnknownOptimizer: a bad -opt is an argument error, exit 2, with
 // its message on stderr and nothing on stdout.
 func TestRunUnknownOptimizer(t *testing.T) {

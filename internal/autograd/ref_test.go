@@ -197,7 +197,7 @@ func specialFloats() []float64 {
 // it.
 func nanArena(n int) *tensor.Arena {
 	a := tensor.NewArena()
-	junk := a.New(n).Data()
+	junk := tensor.NewIn(a, n).Data()
 	for i := range junk {
 		junk[i] = math.NaN()
 	}

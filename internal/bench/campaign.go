@@ -26,11 +26,11 @@ type Campaign struct {
 	Name      string
 	Seed      uint64
 	Instances []Instance
-	// ProxyRanks/ProxySteps size the reduced-scale real-training run
-	// each instance executes (0 means the defaults: 2 ranks, 8 steps).
-	ProxyRanks int
-	ProxySteps int
 }
+
+// proxyRanks and proxySteps size the reduced-scale real-training run
+// each instance executes.
+const proxyRanks, proxySteps = 2, 8
 
 // InstanceResult is one instance's closed-division measurement plus its
 // placement on the machine.
@@ -78,13 +78,6 @@ func RunCampaign(p platform.Platform, c Campaign, workers int, ob *obs.Observer)
 	if len(c.Instances) == 0 {
 		return nil, fmt.Errorf("bench: campaign %q has no instances", c.Name)
 	}
-	ranks, steps := c.ProxyRanks, c.ProxySteps
-	if ranks < 1 {
-		ranks = 2
-	}
-	if steps < 1 {
-		steps = 8
-	}
 	type eval struct {
 		ttt   TTT
 		proxy ProxyResult
@@ -108,7 +101,7 @@ func RunCampaign(p platform.Platform, c Campaign, workers int, ob *obs.Observer)
 		inst := c.Instances[i]
 		return eval{
 			ttt:   TimeToTrain(p, workloads[i], inst.Nodes),
-			proxy: ProxyTrain(workloads[i], c.Seed+uint64(i)*0x9e3779b9, ranks, steps),
+			proxy: ProxyTrain(workloads[i], c.Seed+uint64(i)*0x9e3779b9, proxyRanks, proxySteps),
 		}
 	})
 

@@ -160,8 +160,7 @@ func RunCampaign(p platform.Platform, sc *Scenario, seed uint64, c bench.Campaig
 				prior = observed
 			}
 		}
-		pol := faults.AdaptivePolicy{Prior: prior}
-		adaptive := faults.SimulateAdaptive(shape, pol, trace, nil)
+		adaptive := faults.SimulateAdaptive(shape, prior, trace, nil)
 		naive := faults.Simulate(shape, shape.TotalWork, trace, nil)
 
 		rep.Instances[i] = CampaignInstanceChaos{

@@ -118,8 +118,7 @@ func Run(sc *Scenario, seed uint64, cfg Config) (*Report, error) {
 	// feeding it this run's observer would race RS1/RS2 for the same keys
 	// when experiments run concurrently. The chaos engine owns the
 	// chaos.<scenario>.ckpt.* gauges below instead.
-	rep.Adaptive = faults.SimulateAdaptive(rep.Shape,
-		faults.AdaptivePolicy{Prior: rep.PriorMTBF}, sched.Trace, nil)
+	rep.Adaptive = faults.SimulateAdaptive(rep.Shape, rep.PriorMTBF, sched.Trace, nil)
 	gauge("ckpt.static_wall_s", float64(rep.Static.Wall))
 	gauge("ckpt.adaptive_wall_s", float64(rep.Adaptive.Wall))
 

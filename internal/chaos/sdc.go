@@ -32,7 +32,11 @@ type SDCConfig struct {
 	// Jobs bounds how many legs run concurrently (<= 1 means serial).
 	// The report is a pure function of (scenario, seed) at any value.
 	Jobs int
-	// Obs, if non-nil, receives the per-leg ddl.elastic.* counters and events.
+	// Obs, if non-nil, receives the detection-on leg's ddl.elastic.*
+	// counters, events and spans, one probe step per Horizon/24 of the
+	// scenario's clock. The other two legs record nothing, or their
+	// counters would sum into the same names and their events stack at
+	// the same instants.
 	Obs *obs.Observer
 }
 
@@ -161,10 +165,11 @@ func RunSDC(sc *Scenario, seed uint64, cfg SDCConfig) (*SDCReport, error) {
 		guards ddl.Guards
 		inj    []ddl.SDCInjection
 		out    **ddl.ResilientResult
+		ob     *obs.Observer
 	}{
-		{"clean", sdcGuards(), nil, &rep.Clean},
-		{"detect-on", sdcGuards(), injections, &rep.On},
-		{"detect-off", ddl.Guards{}, injections, &rep.Off},
+		{"clean", sdcGuards(), nil, &rep.Clean, nil},
+		{"detect-on", sdcGuards(), injections, &rep.On, cfg.Obs},
+		{"detect-off", ddl.Guards{}, injections, &rep.Off, nil},
 	}
 	jobs := cfg.Jobs
 	if jobs < 1 {
@@ -175,7 +180,7 @@ func RunSDC(sc *Scenario, seed uint64, cfg SDCConfig) (*SDCReport, error) {
 	var wg sync.WaitGroup
 	for i, leg := range legs {
 		wg.Add(1)
-		go func(i int, name string, guards ddl.Guards, inj []ddl.SDCInjection, out **ddl.ResilientResult) {
+		go func(i int, name string, guards ddl.Guards, inj []ddl.SDCInjection, out **ddl.ResilientResult, ob *obs.Observer) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -186,7 +191,8 @@ func RunSDC(sc *Scenario, seed uint64, cfg SDCConfig) (*SDCReport, error) {
 				Tiers:           []string{"nvme", "replica", "gpfs"},
 				Injections:      inj,
 				Guards:          guards,
-				Obs:             cfg.Obs,
+				Obs:             ob,
+				StepTime:        sc.Horizon / sdcProbeSteps,
 			}, sdcProbeModel,
 				func() optim.Optimizer { return optim.NewSGD(0.2) },
 				sdcProbeLoss())
@@ -195,7 +201,7 @@ func RunSDC(sc *Scenario, seed uint64, cfg SDCConfig) (*SDCReport, error) {
 				return
 			}
 			*out = res
-		}(i, leg.name, leg.guards, leg.inj, leg.out)
+		}(i, leg.name, leg.guards, leg.inj, leg.out, leg.ob)
 	}
 	wg.Wait()
 	for _, e := range errs {

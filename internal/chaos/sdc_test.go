@@ -1,11 +1,13 @@
 package chaos
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"summitscale/internal/ddl"
 	"summitscale/internal/faults"
+	"summitscale/internal/obs"
 	"summitscale/internal/units"
 )
 
@@ -184,6 +186,57 @@ func TestRunSDCStormAblation(t *testing.T) {
 		if strings.Contains(out, banned) {
 			t.Fatalf("render leaks a raw %s:\n%s", banned, out)
 		}
+	}
+}
+
+// TestRunSDCObservesDetectionLeg: an observer sees the detection-on leg
+// alone, on the scenario's clock: its counters match that leg's result,
+// and every commit sits at its own instant.
+func TestRunSDCObservesDetectionLeg(t *testing.T) {
+	sc, err := Builtin("sdc-storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := obs.New()
+	rep, err := RunSDC(sc, 20220523, SDCConfig{Jobs: 2, Obs: ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int{
+		"ddl.elastic.checkpoints":             rep.On.Checkpoints - 1, // the initial version is not a commit
+		"ddl.elastic.detections":              rep.On.Detections,
+		"ddl.elastic.rollbacks":               rep.On.Rollbacks,
+		"ddl.elastic.lost_steps":              rep.On.LostSteps,
+		"ddl.elastic.injected.torn_drains":    rep.Torn,
+		"ddl.elastic.injected.stale_replicas": rep.Stale,
+	} {
+		if got := ob.Metrics.Counter(name); got != int64(want) {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ts   float64 `json:"ts"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(ob.Trace.ChromeTrace(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[float64]bool{}
+	commits := 0
+	for _, e := range trace.TraceEvents {
+		if e.Name != "checkpoint-commit" {
+			continue
+		}
+		commits++
+		if seen[e.Ts] {
+			t.Errorf("two checkpoint commits at ts %v", e.Ts)
+		}
+		seen[e.Ts] = true
+	}
+	if commits != rep.On.Checkpoints-1 {
+		t.Errorf("%d checkpoint-commit instants, want %d", commits, rep.On.Checkpoints-1)
 	}
 }
 

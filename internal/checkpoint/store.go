@@ -299,18 +299,6 @@ func (s *Store) Newest() int {
 	return newest
 }
 
-// Versions lists a tier's committed versions in ascending order.
-func (s *Store) Versions(tier int) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var vs []int
-	for v := range s.manifests[tier] {
-		vs = append(vs, v)
-	}
-	sort.Ints(vs)
-	return vs
-}
-
 // CorruptVersion flips payload bits of a committed copy — the
 // fault-injection hook for silent-data-corruption experiments. The flip
 // lands in a copy that replaces the stored one, so no other tier's bytes

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,6 +73,18 @@ func sameParams(t *testing.T, a, b nn.Module) {
 	}
 }
 
+// tierVersions lists a tier's committed versions in ascending order.
+func tierVersions(s *Store, tier int) []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var vs []int
+	for v := range s.manifests[tier] {
+		vs = append(vs, v)
+	}
+	slices.Sort(vs)
+	return vs
+}
+
 func TestStoreSaveDrainRestore(t *testing.T) {
 	forEachStore(t, 4, func(t *testing.T, s *Store) {
 		m := testModel(1)
@@ -82,7 +95,7 @@ func TestStoreSaveDrainRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		for tier := 0; tier < 3; tier++ {
-			if got := s.Versions(tier); len(got) != 1 || got[0] != 1 {
+			if got := tierVersions(s, tier); len(got) != 1 || got[0] != 1 {
 				t.Fatalf("tier %d versions = %v, want [1]", tier, got)
 			}
 		}
@@ -172,7 +185,7 @@ func TestDrainRefusesCorruptSource(t *testing.T) {
 		if !strings.Contains(err.Error(), "refusing to drain") {
 			t.Fatalf("unexpected error: %v", err)
 		}
-		if got := s.Versions(1); len(got) != 0 {
+		if got := tierVersions(s, 1); len(got) != 0 {
 			t.Fatalf("replica tier has %v after refused drain", got)
 		}
 	})
@@ -190,7 +203,7 @@ func TestAsyncDrainMatchesSync(t *testing.T) {
 			t.Fatal(err)
 		}
 		for tier := 0; tier < 3; tier++ {
-			if got := s.Versions(tier); len(got) != 3 {
+			if got := tierVersions(s, tier); len(got) != 3 {
 				t.Fatalf("tier %d has versions %v, want 3", tier, got)
 			}
 		}
@@ -204,7 +217,7 @@ func TestRetentionPrunes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := s.Versions(0); len(got) != 2 || got[0] != 4 || got[1] != 5 {
+		if got := tierVersions(s, 0); len(got) != 2 || got[0] != 4 || got[1] != 5 {
 			t.Fatalf("tier 0 retains %v, want [4 5]", got)
 		}
 		// Pruned copies are actually gone from the tier.
@@ -228,7 +241,7 @@ func TestDrainRefusesTornSource(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "refusing to drain") || !strings.Contains(err.Error(), "manifest says") {
 			t.Fatalf("drain of a torn copy: %v, want a size refusal", err)
 		}
-		if got := s.Versions(1); len(got) != 0 {
+		if got := tierVersions(s, 1); len(got) != 0 {
 			t.Fatalf("replica tier has %v after refused drain", got)
 		}
 	})

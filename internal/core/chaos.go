@@ -136,7 +136,7 @@ func chaosPolicyExperiment(p platform.Platform) Experiment {
 		}
 		metrics = append(metrics,
 			Metric{Name: "adaptive beats misestimated static Daly (1=yes)", Paper: 1,
-				Measured: b2f(cascade.Adaptive.Wall < cascade.Static.Wall), Unit: "bool", Tol: 1e-9},
+				Measured: boolMetric(cascade.Adaptive.Wall < cascade.Static.Wall), Unit: "bool", Tol: 1e-9},
 			Metric{Name: "adaptive/static wall under cascade", Measured: float64(cascade.Adaptive.Wall) / float64(cascade.Static.Wall), Unit: "ratio"},
 			Metric{Name: "adaptive/static lost work under cascade", Measured: float64(cascade.Adaptive.LostWork) / float64(cascade.Static.LostWork), Unit: "ratio"},
 		)
@@ -147,7 +147,7 @@ func chaosPolicyExperiment(p platform.Platform) Experiment {
 		// Grow-back on the same cascade (its repair returns the rack).
 		metrics = append(metrics,
 			Metric{Name: "grow-back beats shrink-only (1=yes)", Paper: 1,
-				Measured: b2f(cascade.GrowBackWall < cascade.ShrinkOnlyWall), Unit: "bool", Tol: 1e-9},
+				Measured: boolMetric(cascade.GrowBackWall < cascade.ShrinkOnlyWall), Unit: "bool", Tol: 1e-9},
 			Metric{Name: "grow-back/shrink-only elastic wall", Measured: float64(cascade.GrowBackWall) / float64(cascade.ShrinkOnlyWall), Unit: "ratio"},
 		)
 		fmt.Fprintf(&detail, "  rack-cascade elastic training:    shrink-only %.0fs, grow-back %.0fs\n",
@@ -160,7 +160,7 @@ func chaosPolicyExperiment(p platform.Platform) Experiment {
 		}
 		metrics = append(metrics,
 			Metric{Name: "failover beats waiting out the outage (1=yes)", Paper: 1,
-				Measured: b2f(outage.Failover.Makespan < outage.WaitOut.Makespan), Unit: "bool", Tol: 1e-9},
+				Measured: boolMetric(outage.Failover.Makespan < outage.WaitOut.Makespan), Unit: "bool", Tol: 1e-9},
 			Metric{Name: "failover/wait-out campaign makespan", Measured: float64(outage.Failover.Makespan) / float64(outage.WaitOut.Makespan), Unit: "ratio"},
 			Metric{Name: "hedged launches fired", Measured: float64(outage.Failover.Hedges), Unit: "launches"},
 		)
@@ -174,7 +174,7 @@ func chaosPolicyExperiment(p platform.Platform) Experiment {
 		}
 		metrics = append(metrics,
 			Metric{Name: "perfect-storm: all policies still win (1=yes)", Paper: 1,
-				Measured: b2f(storm.Adaptive.Wall < storm.Static.Wall &&
+				Measured: boolMetric(storm.Adaptive.Wall < storm.Static.Wall &&
 					storm.GrowBackWall < storm.ShrinkOnlyWall &&
 					storm.Failover.Makespan <= storm.WaitOut.Makespan),
 				Unit: "bool", Tol: 1e-9},
@@ -235,11 +235,11 @@ func sdcRecoveryExperiment(p platform.Platform) Experiment {
 		metrics := []Metric{
 			{Name: "sdc invariants hold (1=yes)", Paper: 1, Measured: invariants, Unit: "bool", Tol: 1e-9},
 			{Name: "detection-on recovers bit-identical to clean (1=yes)", Paper: 1,
-				Measured: b2f(rep.OnMatchesClean), Unit: "bool", Tol: 1e-9},
+				Measured: boolMetric(rep.OnMatchesClean), Unit: "bool", Tol: 1e-9},
 			{Name: "detection-off leaves final state corrupted (1=yes)", Paper: 1,
-				Measured: b2f(rep.OffCorrupted), Unit: "bool", Tol: 1e-9},
+				Measured: boolMetric(rep.OffCorrupted), Unit: "bool", Tol: 1e-9},
 			{Name: "detections stay within injected flips (1=yes)", Paper: 1,
-				Measured: b2f(rep.On.Detections >= 1 && rep.On.Detections <= rep.Flips),
+				Measured: boolMetric(rep.On.Detections >= 1 && rep.On.Detections <= rep.Flips),
 				Unit:     "bool", Tol: 1e-9},
 			{Name: "gradient flips injected", Measured: float64(rep.Flips), Unit: "faults"},
 			{Name: "storage corruptions injected", Measured: float64(rep.Torn + rep.Stale), Unit: "faults"},
@@ -261,13 +261,6 @@ func sdcRecoveryExperiment(p platform.Platform) Experiment {
 		Needs: []string{keySDCReport()},
 		Body:  run,
 	}
-}
-
-func b2f(ok bool) float64 {
-	if ok {
-		return 1
-	}
-	return 0
 }
 
 func indent(s string) string {

@@ -85,9 +85,9 @@ func (e Experiment) Run() Result { return e.Body(nil, nil) }
 // Experiments returns the full registry in paper order. The registry is
 // built once and cached — every experiment closure is pure with respect to
 // the registry (each Body constructs its own RNGs and substrates), so the
-// bench harness and ByID can call this per lookup without rebuilding ~22
-// experiment closures each time. Callers must not mutate the returned
-// slice.
+// bench harness and the commands can call this per lookup without
+// rebuilding ~22 experiment closures each time. Callers must not mutate
+// the returned slice.
 var Experiments = sync.OnceValue(buildExperiments)
 
 func buildExperiments() []Experiment {
@@ -104,16 +104,6 @@ func buildExperiments() []Experiment {
 	out = append(out, serveExperiments()...)
 	out = append(out, mlperfExperiments()...)
 	return out
-}
-
-// ByID finds an experiment.
-func ByID(id string) (Experiment, bool) {
-	for _, e := range Experiments() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
 }
 
 // RenderResult formats one experiment outcome.

@@ -2,10 +2,28 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"summitscale/internal/platform"
 )
+
+// flatSummit runs every Summit experiment alone, in registry order, once
+// per test binary: the flat serial results every test reads whose subject
+// is not a cold run.
+var flatSummit = sync.OnceValue(func() []Result {
+	exps := Experiments()
+	rs := make([]Result, len(exps))
+	for i, e := range exps {
+		rs[i] = e.Run()
+	}
+	return rs
+})
+
+// warm is the engine shared by the tests whose subject is not a cold
+// run. An engine keys its results and sub-results by platform, so one
+// engine keeps every platform warm.
+var warm = sync.OnceValue(NewEngine)
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"T1", "T2", "T3", "F1", "F2", "F3", "F4", "F5", "F6", "B1",
@@ -29,24 +47,25 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestByID(t *testing.T) {
-	e, ok := ByID("S1")
-	if !ok || e.ID != "S1" {
-		t.Fatal("ByID failed")
+// experiment returns the registered experiment with the given ID.
+func experiment(t *testing.T, id string) Experiment {
+	t.Helper()
+	for _, e := range Experiments() {
+		if e.ID == id {
+			return e
+		}
 	}
-	if _, ok := ByID("Z9"); ok {
-		t.Fatal("found ghost experiment")
-	}
+	t.Fatalf("experiment %s not registered", id)
+	return Experiment{}
 }
 
 // TestEveryExperimentPasses is the headline reproduction check: every
 // table, figure, scaling study, system-requirement analysis, and workflow
 // case study reproduces its paper value within its stated tolerance.
 func TestEveryExperimentPasses(t *testing.T) {
-	for _, e := range Experiments() {
-		e := e
+	for i, e := range Experiments() {
+		r := flatSummit()[i]
 		t.Run(e.ID, func(t *testing.T) {
-			r := e.Run()
 			if len(r.Metrics) == 0 {
 				t.Fatalf("%s produced no metrics", e.ID)
 			}
@@ -88,7 +107,7 @@ func TestMetricSemantics(t *testing.T) {
 }
 
 func TestRenderResult(t *testing.T) {
-	e, _ := ByID("C1")
+	e := experiment(t, "C1")
 	out := RenderResult(e, e.Run())
 	for _, frag := range []string{"C1", "paper:", "ring algorithm bandwidth", "ok"} {
 		if !strings.Contains(out, frag) {
@@ -98,7 +117,7 @@ func TestRenderResult(t *testing.T) {
 }
 
 func TestRunAll(t *testing.T) {
-	report, pass := NewEngine().RunAllParallel(1)
+	report, pass := warm().RunAllParallel(1)
 	if !pass {
 		t.Error("the full registry run reports failures")
 	}
@@ -162,7 +181,7 @@ func TestScalingStudiesConsistent(t *testing.T) {
 
 func TestRenderMarkdown(t *testing.T) {
 	exps := Experiments()
-	md := RenderMarkdown(exps, NewEngine().Run(platform.Summit(), exps, 4, nil))
+	md := RenderMarkdown(exps, warm().Run(platform.Summit(), exps, 4, nil))
 	if !strings.Contains(md, "| ID |") || !strings.Contains(md, "| S5 |") {
 		t.Fatal("markdown table incomplete")
 	}

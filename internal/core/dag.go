@@ -62,17 +62,6 @@ func (c *Cache) get(key string, build func() any) any {
 	return v
 }
 
-// has reports whether key is already memoized.
-func (c *Cache) has(key string) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.vals[key]
-	return ok
-}
-
 // Len returns the number of memoized entries (observability/tests).
 func (c *Cache) Len() int {
 	if c == nil {
@@ -262,9 +251,6 @@ type Engine struct{ cache *Cache }
 
 // NewEngine returns an engine with a cold cache.
 func NewEngine() *Engine { return &Engine{cache: NewCache()} }
-
-// Cache exposes the engine's memo store (tests and diagnostics).
-func (en *Engine) Cache() *Cache { return en.cache }
 
 // RunAllParallel runs the Summit registry through Run with at most
 // workers goroutines and renders the report in registry order.

@@ -59,14 +59,7 @@ func TestDAGRegistryGraphValid(t *testing.T) {
 // of every experiment run alone, in registry order, on a cold engine at
 // -j 1, 4 and 16 and again on a warm one.
 func TestRunAllDAGMatchesFlat(t *testing.T) {
-	var b strings.Builder
-	flatPass := true
-	for _, e := range Experiments() {
-		r := e.Run()
-		b.WriteString(RenderResult(e, r) + "\n")
-		flatPass = flatPass && r.Pass()
-	}
-	flat := b.String()
+	flat, flatPass := Report(Experiments(), flatSummit())
 	var en *Engine
 	for _, workers := range []int{1, 4, 16} {
 		en = NewEngine()
@@ -95,14 +88,23 @@ func TestRunAllDAGShuffledRegistryOrder(t *testing.T) {
 	for i, e := range exps {
 		shuffled[len(exps)-1-i] = e
 	}
-	var want strings.Builder
-	for _, e := range shuffled {
-		want.WriteString(RenderResult(e, e.Run()) + "\n")
+	flat := make([]Result, len(exps))
+	for i, r := range flatSummit() {
+		flat[len(exps)-1-i] = r
 	}
+	want, _ := Report(shuffled, flat)
 	got, _ := Report(shuffled, NewEngine().Run(platform.Summit(), shuffled, 4, nil))
-	if got != want.String() {
+	if got != want {
 		t.Fatal("shuffled registry order changed the DAG engine's per-experiment output")
 	}
+}
+
+// cached reports whether key is memoized in c.
+func cached(c *Cache, key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.vals[key]
+	return ok
 }
 
 // TestEngineCacheMemoizes pins the memoization contract: one run fills
@@ -110,11 +112,11 @@ func TestRunAllDAGShuffledRegistryOrder(t *testing.T) {
 // second run adds nothing and returns identical bytes.
 func TestEngineCacheMemoizes(t *testing.T) {
 	en := NewEngine()
-	if en.Cache().Len() != 0 {
+	if en.cache.Len() != 0 {
 		t.Fatal("fresh engine cache not empty")
 	}
 	first, _ := en.RunAllParallel(2)
-	filled := en.Cache().Len()
+	filled := en.cache.Len()
 	p := platform.Summit()
 	for _, key := range []string{
 		keyPortfolio,
@@ -125,7 +127,7 @@ func TestEngineCacheMemoizes(t *testing.T) {
 		"result/" + p.Name + "/RS1",
 		"result/" + p.Name + "/W1",
 	} {
-		if !en.Cache().has(key) {
+		if !cached(en.cache, key) {
 			t.Errorf("cache missing %q after a full run", key)
 		}
 	}
@@ -133,7 +135,7 @@ func TestEngineCacheMemoizes(t *testing.T) {
 	if again != first {
 		t.Error("warm run diverged from cold run")
 	}
-	if got := en.Cache().Len(); got != filled {
+	if got := en.cache.Len(); got != filled {
 		t.Errorf("warm run grew the cache from %d to %d entries", filled, got)
 	}
 }
@@ -147,14 +149,14 @@ func TestEnginePullsInSubResultDeps(t *testing.T) {
 	en := NewEngine()
 	var sawFleet bool
 	exp := Experiment{ID: "dep-probe", Needs: []string{replay}, Body: func(c *Cache, _ *obs.Observer) Result {
-		sawFleet = c.has(keyServeFleet) && c.has(replay)
+		sawFleet = cached(c, keyServeFleet) && cached(c, replay)
 		return Result{}
 	}}
 	en.Run(p, []Experiment{exp}, 2, nil)
 	if !sawFleet {
 		t.Fatal("the experiment ran before the fleet and replay were memoized")
 	}
-	if en.Cache().has(keyServeReplay(p, replayStorm)) {
+	if cached(en.cache, keyServeReplay(p, replayStorm)) {
 		t.Error("the engine ran a replay no experiment needs")
 	}
 }
@@ -164,8 +166,7 @@ func TestEnginePullsInSubResultDeps(t *testing.T) {
 // and gauges are last-writer-wins, so the metrics must not depend on
 // which experiment runs last.
 func TestObservedChaosGaugesIndependentOfOrder(t *testing.T) {
-	rs3, _ := ByID("RS3")
-	rs4, _ := ByID("RS4")
+	rs3, rs4 := experiment(t, "RS3"), experiment(t, "RS4")
 	metrics := func(exps ...Experiment) string {
 		ob := obs.New()
 		NewEngine().Run(platform.Summit(), exps, 1, ob)
@@ -197,7 +198,7 @@ func TestEngineKeysResultsByPlatform(t *testing.T) {
 // resolving its scenarios from RS3's memoized runs — must contain the
 // captured Summit goldens byte-for-byte.
 func TestChaosThroughDAGSmoke(t *testing.T) {
-	report, _ := NewEngine().RunAllParallel(4)
+	report, _ := warm().RunAllParallel(4)
 	for _, name := range []string{"chaos-RS3.golden", "chaos-RS4.golden"} {
 		want := readGolden(t, name)
 		if !strings.Contains(report, want) {

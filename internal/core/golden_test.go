@@ -31,9 +31,11 @@ func readGolden(t *testing.T, name string) string {
 
 // TestScalingGoldenSummit pins the §IV-B scaling reports on the baseline.
 func TestScalingGoldenSummit(t *testing.T) {
-	exps := ScalingExperimentsOn(platform.Summit())
-	for _, e := range exps {
-		got := RenderResult(e, e.Run())
+	p := platform.Summit()
+	exps := ScalingExperimentsOn(p)
+	for i, r := range warm().Run(p, exps, 4, nil) {
+		e := exps[i]
+		got := RenderResult(e, r)
 		want := readGolden(t, "scaling-"+e.ID+".golden")
 		if got != want {
 			t.Errorf("%s report diverged from pre-refactor golden:\n--- got ---\n%s\n--- want ---\n%s", e.ID, got, want)
@@ -50,8 +52,11 @@ func TestScalingGoldenSummit(t *testing.T) {
 // a host temp directory.
 func TestResilienceGoldenSummit(t *testing.T) {
 	withoutTempDir(t)
-	for _, e := range ResilienceExperimentsOn(platform.Summit()) {
-		first := RenderResult(e, e.Run())
+	p := platform.Summit()
+	exps := ResilienceExperimentsOn(p)
+	for i, r := range warm().Run(p, exps, 4, nil) {
+		e := exps[i]
+		first := RenderResult(e, r)
 		if again := RenderResult(e, e.Run()); again != first {
 			t.Errorf("%s report not reproducible across reruns at fixed seed", e.ID)
 		}
@@ -68,8 +73,11 @@ func TestResilienceGoldenSummit(t *testing.T) {
 // like the resilience study.
 func TestChaosGoldenSummit(t *testing.T) {
 	withoutTempDir(t)
-	for _, e := range ChaosExperimentsOn(platform.Summit()) {
-		first := RenderResult(e, e.Run())
+	p := platform.Summit()
+	exps := ChaosExperimentsOn(p)
+	for i, r := range warm().Run(p, exps, 4, nil) {
+		e := exps[i]
+		first := RenderResult(e, r)
 		if again := RenderResult(e, e.Run()); again != first {
 			t.Errorf("%s report not reproducible across reruns at fixed seed", e.ID)
 		}
@@ -85,8 +93,11 @@ func TestChaosGoldenSummit(t *testing.T) {
 // serveSeed), so its report must be byte-identical across reruns and
 // match the captured Summit golden.
 func TestServeGoldenSummit(t *testing.T) {
-	for _, e := range ServeExperimentsOn(platform.Summit()) {
-		first := RenderResult(e, e.Run())
+	p := platform.Summit()
+	exps := ServeExperimentsOn(p)
+	for i, r := range warm().Run(p, exps, 4, nil) {
+		e := exps[i]
+		first := RenderResult(e, r)
 		if again := RenderResult(e, e.Run()); again != first {
 			t.Errorf("%s report not reproducible across reruns at fixed seed", e.ID)
 		}
@@ -103,8 +114,11 @@ func TestServeGoldenSummit(t *testing.T) {
 // report must be byte-identical across reruns — at any evaluator width —
 // and match the captured Summit golden.
 func TestMLPerfGoldenSummit(t *testing.T) {
-	for _, e := range MLPerfExperimentsOn(platform.Summit()) {
-		first := RenderResult(e, e.Run())
+	p := platform.Summit()
+	exps := MLPerfExperimentsOn(p)
+	for i, r := range warm().Run(p, exps, 4, nil) {
+		e := exps[i]
+		first := RenderResult(e, r)
 		if again := RenderResult(e, e.Run()); again != first {
 			t.Errorf("%s report not reproducible across reruns at fixed seed", e.ID)
 		}
@@ -130,7 +144,7 @@ func TestReportsFiniteOnAllPlatforms(t *testing.T) {
 		if len(exps) != 15 {
 			t.Fatalf("%s: want 15 experiments, got %d", name, len(exps))
 		}
-		viaEngine := NewEngine().Run(p, exps, 4, nil)
+		viaEngine := warm().Run(p, exps, 4, nil)
 		for i, e := range exps {
 			res := e.Run()
 			if len(res.Metrics) == 0 {

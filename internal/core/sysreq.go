@@ -35,13 +35,6 @@ func refMetric(ref bool, m Metric) Metric {
 	return m
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // rooflineExperiment reproduces §VI-B's device-level claim: AI/ML
 // workloads reduce to convolution, recurrent operations, and matrix
 // multiplication, are "typically computational bound at the device
@@ -172,8 +165,8 @@ func commExperiment(p platform.Platform) Experiment {
 		mach := p.Machine
 		resnet := models.ResNet50()
 		bert := models.BERTLarge()
-		bertNodes := minInt(4032, mach.Nodes)
-		selNodes := minInt(4096, mach.Nodes)
+		bertNodes := min(4032, mach.Nodes)
+		selNodes := min(4096, mach.Nodes)
 		tRes := f.ObservedRingAllReduce(ob, "comm", 0, mach.Nodes, resnet.GradientBytes())
 		tBert := f.ObservedRingAllReduce(ob, "comm", tRes, bertNodes, bert.GradientBytes())
 		if ob != nil {

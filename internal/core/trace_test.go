@@ -18,10 +18,7 @@ import (
 // and the rendered report.
 func rs2Trace(t *testing.T) ([]byte, string) {
 	t.Helper()
-	e, ok := ByID("RS2")
-	if !ok {
-		t.Fatal("RS2 not registered")
-	}
+	e := experiment(t, "RS2")
 	ob := obs.New()
 	r := e.Body(nil, ob)
 	return ob.Trace.ChromeTrace(), RenderResult(e, r)
@@ -36,7 +33,7 @@ func TestRS2TraceGolden(t *testing.T) {
 	if !bytes.Equal(first, again) {
 		t.Error("RS2 trace not byte-identical across reruns")
 	}
-	e, _ := ByID("RS2")
+	e := experiment(t, "RS2")
 	if unobserved := RenderResult(e, e.Run()); report != unobserved {
 		t.Errorf("observing RS2 changed its report:\n--- observed ---\n%s\n--- plain ---\n%s", report, unobserved)
 	}

@@ -211,9 +211,6 @@ func (r *Resource) Acquire(duration float64, done func(*Sim)) {
 	}
 }
 
-// InUse returns the currently held slots.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Utilization returns mean busy slots divided by capacity over [0, Now].
 func (r *Resource) Utilization() float64 {
 	r.account()

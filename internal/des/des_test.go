@@ -105,13 +105,13 @@ func TestResourceInUse(t *testing.T) {
 	r.Acquire(5, nil)
 	r.Acquire(5, nil)
 	s.At(1, func(*Sim) {
-		if r.InUse() != 2 {
-			t.Errorf("in use = %d", r.InUse())
+		if r.inUse != 2 {
+			t.Errorf("in use = %d", r.inUse)
 		}
 	})
 	s.Run(-1)
-	if r.InUse() != 0 {
-		t.Fatalf("resource leaked: %d", r.InUse())
+	if r.inUse != 0 {
+		t.Fatalf("resource leaked: %d", r.inUse)
 	}
 }
 

@@ -28,7 +28,7 @@ func TestAdaptiveBeatsMisestimatedStatic(t *testing.T) {
 	tr := burstTrace(30*units.Minute, 20*24*units.Hour) // what the machine does
 
 	static := Simulate(shape, DalyInterval(shape.CheckpointCost, prior), tr, nil)
-	adaptive := SimulateAdaptive(shape, AdaptivePolicy{Prior: prior}, tr, nil)
+	adaptive := SimulateAdaptive(shape, prior, tr, nil)
 	if adaptive.Wall >= static.Wall {
 		t.Fatalf("adaptive wall %v not better than misestimated static %v", adaptive.Wall, static.Wall)
 	}
@@ -45,7 +45,7 @@ func TestAdaptiveMatchesWellEstimatedStatic(t *testing.T) {
 	mtbf := 2 * units.Hour
 	tr := burstTrace(mtbf, 20*24*units.Hour)
 	static := Simulate(shape, DalyInterval(shape.CheckpointCost, mtbf), tr, nil)
-	adaptive := SimulateAdaptive(shape, AdaptivePolicy{Prior: mtbf}, tr, nil)
+	adaptive := SimulateAdaptive(shape, mtbf, tr, nil)
 	if ratio := float64(adaptive.Wall) / float64(static.Wall); ratio > 1.10 {
 		t.Fatalf("adaptive wall %v is %.1f%% above the well-estimated static %v",
 			adaptive.Wall, 100*(ratio-1), static.Wall)
@@ -57,21 +57,22 @@ func TestAdaptiveDeterministic(t *testing.T) {
 	p := ParamsFor(machine.Summit(), 512)
 	tr := p.Generate(99, 48*units.Hour)
 	shape := RunShape{TotalWork: 12 * units.Hour, CheckpointCost: 45, RestartCost: 200}
-	pol := AdaptivePolicy{Prior: p.SystemMTBF()}
-	a := SimulateAdaptive(shape, pol, tr, nil)
-	b := SimulateAdaptive(shape, pol, tr, nil)
+	a := SimulateAdaptive(shape, p.SystemMTBF(), tr, nil)
+	b := SimulateAdaptive(shape, p.SystemMTBF(), tr, nil)
 	if a != b {
 		t.Fatalf("adaptive replay diverged: %+v vs %+v", a, b)
 	}
 }
 
 func TestAdaptiveIntervalClamps(t *testing.T) {
-	pol := AdaptivePolicy{Prior: units.Hour, Min: 300, Max: 900}
-	if iv := pol.Interval(1, 0, 0); iv != 300 {
-		t.Fatalf("tiny delta not clamped to Min: %v", iv)
+	// Past twice the posterior MTBF, Daly clamps to the MTBF, which is
+	// below the checkpoint cost: the interval is the write itself.
+	if iv := adaptiveInterval(units.Hour, 3*units.Hour, 0, 0); iv != 3*units.Hour {
+		t.Fatalf("huge delta not clamped to the checkpoint cost: %v", iv)
 	}
-	if iv := pol.Interval(2000, 0, 0); iv != 900 {
-		t.Fatalf("huge delta not clamped to Max: %v", iv)
+	// 9,000 s with 9 failures behind a 1,000 s prior: posterior 1,000 s.
+	if iv, want := adaptiveInterval(1000, 8, 9000, 9), DalyInterval(8, 1000); iv != want {
+		t.Fatalf("interval %v, want Daly at the posterior MTBF %v", iv, want)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"summitscale/internal/machine"
 	"summitscale/internal/stats"
@@ -115,20 +114,6 @@ type Params struct {
 	LinkFactor float64
 	// LinkDuration is the episode length.
 	LinkDuration units.Seconds
-	// SDCMTBE is the per-node mean time between silent-corruption flips;
-	// zero (the default) disables the class, which keeps every trace
-	// generated before the class existed byte-identical.
-	SDCMTBE units.Seconds
-	// SDCWords is the nominal flat state size flips land in (Word is
-	// drawn from [0, SDCWords)); consumers reduce it modulo their real
-	// buffer length.
-	SDCWords int
-	// TornWriteMTBE is the per-node mean time between torn checkpoint
-	// writes; zero disables.
-	TornWriteMTBE units.Seconds
-	// StaleReplicaMTBE is the per-node mean time between silently missed
-	// replica drains; zero disables.
-	StaleReplicaMTBE units.Seconds
 }
 
 // DefaultNodeMTBF is used when a machine description does not specify
@@ -257,11 +242,10 @@ func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
 	root := stats.NewRNG(seed)
 	// Independent streams per process so adding one fault class never
 	// perturbs another class's schedule. The failure stream is the first
-	// split, and the SDC streams split AFTER the original three: traces
-	// that predate the class stay byte-identical.
+	// split. The silent-data-corruption classes are not drawn here:
+	// chaos.Compile places them from its scenario.
 	fails := p.failures(root, horizon)
 	stragRNG, linkRNG := root.Split(), root.Split()
-	sdcRNG, tornRNG, staleRNG := root.Split(), root.Split(), root.Split()
 
 	var events []Event
 	for {
@@ -294,38 +278,6 @@ func (p Params) Generate(seed uint64, horizon units.Seconds) *Trace {
 	}
 	transient(stragRNG, p.StragglerMTBE, Straggler, p.StragglerDuration, p.StragglerFactor)
 	transient(linkRNG, p.LinkMTBE, LinkDegrade, p.LinkDuration, p.LinkFactor)
-
-	// Silent-data-corruption classes: instantaneous events (no Duration
-	// or Factor); flips carry a word/bit target.
-	sdc := func(rng *stats.RNG, mtbe units.Seconds, kind Kind) {
-		if mtbe <= 0 {
-			return
-		}
-		mean := float64(mtbe) / float64(p.Nodes)
-		words := p.SDCWords
-		if words <= 0 {
-			words = 1
-		}
-		for t := 0.0; ; {
-			t += mean * rng.ExpFloat64()
-			if t >= float64(horizon) {
-				break
-			}
-			e := Event{
-				Time: units.Seconds(t),
-				Kind: kind,
-				Node: rng.Intn(p.Nodes),
-			}
-			if kind == SilentCorruption {
-				e.Word = rng.Intn(words)
-				e.Bit = rng.Intn(64)
-			}
-			events = append(events, e)
-		}
-	}
-	sdc(sdcRNG, p.SDCMTBE, SilentCorruption)
-	sdc(tornRNG, p.TornWriteMTBE, TornWrite)
-	sdc(staleRNG, p.StaleReplicaMTBE, StaleReplica)
 
 	// Ordered by < alone, not cmp.Compare (which sorts NaN first), so the
 	// stable order is that of a plain less-than on onset time.
@@ -431,24 +383,4 @@ func (t *Trace) Summary() string {
 			t.Count(SilentCorruption), t.Count(TornWrite), t.Count(StaleReplica))
 	}
 	return s + fmt.Sprintf(" (system MTBF %v)", t.Params.SystemMTBF())
-}
-
-// Render lists every event, one per line — the trace exchange format
-// referenced by DESIGN.md §7.
-func (t *Trace) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# fault trace %s\n", t.Summary())
-	for _, e := range t.Events {
-		switch e.Kind {
-		case NodeFailure, TornWrite, StaleReplica:
-			fmt.Fprintf(&b, "%12.1f  %-12s node %d\n", float64(e.Time), e.Kind, e.Node)
-		case SilentCorruption:
-			fmt.Fprintf(&b, "%12.1f  %-12s node %d  word %d bit %d\n",
-				float64(e.Time), e.Kind, e.Node, e.Word, e.Bit)
-		default:
-			fmt.Fprintf(&b, "%12.1f  %-12s node %d  %.0fs x%.2f\n",
-				float64(e.Time), e.Kind, e.Node, float64(e.Duration), e.Factor)
-		}
-	}
-	return b.String()
 }

@@ -3,6 +3,7 @@ package faults
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"summitscale/internal/machine"
@@ -231,52 +232,7 @@ func TestGeometricIntervals(t *testing.T) {
 
 func TestRenderTrace(t *testing.T) {
 	tr := summitParams().Generate(5, 12*units.Hour)
-	out := tr.Render()
-	if out == "" || tr.Summary() == "" {
-		t.Fatal("empty render")
-	}
-}
-
-// TestSDCParamsDoNotPerturbBaseSchedule pins the stream-splitting order:
-// enabling the silent-data-corruption classes draws from RNG streams
-// split AFTER the original three, so every pre-existing trace — and
-// every golden pinned against one — stays byte-identical.
-func TestSDCParamsDoNotPerturbBaseSchedule(t *testing.T) {
-	base := summitParams()
-	withSDC := base
-	withSDC.SDCMTBE = base.NodeMTBF / 25
-	withSDC.SDCWords = 1 << 20
-	withSDC.TornWriteMTBE = base.NodeMTBF / 40
-	withSDC.StaleReplicaMTBE = base.NodeMTBF / 40
-
-	horizon := 24 * units.Hour
-	plain := base.Generate(20220523, horizon)
-	mixed := withSDC.Generate(20220523, horizon)
-
-	keep := func(tr *Trace) []Event {
-		var out []Event
-		for _, e := range tr.Events {
-			switch e.Kind {
-			case NodeFailure, Straggler, LinkDegrade:
-				out = append(out, e)
-			}
-		}
-		return out
-	}
-	a, b := keep(plain), keep(mixed)
-	if len(a) != len(b) {
-		t.Fatalf("base schedule changed size: %d events without SDC, %d with", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("base event %d perturbed: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	sdcs := mixed.Count(SilentCorruption) + mixed.Count(TornWrite) + mixed.Count(StaleReplica)
-	if sdcs == 0 {
-		t.Fatal("SDC-enabled trace generated no SDC events at these rates")
-	}
-	if plain.Count(SilentCorruption)+plain.Count(TornWrite)+plain.Count(StaleReplica) != 0 {
-		t.Fatal("SDC events appeared with zero MTBEs")
+	if out := tr.Summary(); !strings.HasPrefix(out, "seed=5 horizon=") {
+		t.Fatalf("summary = %q", out)
 	}
 }

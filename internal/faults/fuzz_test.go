@@ -47,12 +47,6 @@ func FuzzTraceGenerate(f *testing.F) {
 		p := ParamsFor(machine.Machine{Nodes: nodes}, nodes)
 		p.NodeMTBF = units.Seconds(mtbf)
 		p.Shape = shape
-		// Exercise the silent-data-corruption classes too: frequent enough
-		// that typical horizons see a few of each.
-		p.SDCMTBE = units.Seconds(mtbf / 25)
-		p.SDCWords = 1 << 16
-		p.TornWriteMTBE = units.Seconds(mtbf / 40)
-		p.StaleReplicaMTBE = units.Seconds(mtbf / 40)
 		tr := p.Generate(seed, units.Seconds(horizon))
 
 		prev := units.Seconds(0)
@@ -83,22 +77,12 @@ func FuzzTraceGenerate(f *testing.F) {
 				if !(e.Factor > 0 && e.Factor < 1) {
 					t.Fatalf("link degrade %d factor %v outside (0,1)", i, e.Factor)
 				}
-			case SilentCorruption:
-				if e.Word < 0 || e.Word >= p.SDCWords {
-					t.Fatalf("silent corruption %d word %d outside [0, %d)", i, e.Word, p.SDCWords)
-				}
-				if e.Bit < 0 || e.Bit >= 64 {
-					t.Fatalf("silent corruption %d bit %d outside [0, 64)", i, e.Bit)
-				}
-			case TornWrite, StaleReplica:
-				if e.Word != 0 || e.Bit != 0 {
-					t.Fatalf("%v %d carries flip fields: %+v", e.Kind, i, e)
-				}
+			default:
+				t.Fatalf("event %d has kind %v, which Generate does not draw", i, e.Kind)
 			}
 		}
 		// The census must agree with the event list.
-		n := tr.Count(NodeFailure) + tr.Count(Straggler) + tr.Count(LinkDegrade) +
-			tr.Count(SilentCorruption) + tr.Count(TornWrite) + tr.Count(StaleReplica)
+		n := tr.Count(NodeFailure) + tr.Count(Straggler) + tr.Count(LinkDegrade)
 		if n != len(tr.Events) {
 			t.Fatalf("census %d vs %d events", n, len(tr.Events))
 		}

@@ -1,7 +1,9 @@
 package faults
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"summitscale/internal/units"
@@ -53,29 +55,46 @@ func lookupProbes(tr *Trace) []units.Seconds {
 	return probes
 }
 
+// withSDCEvents returns tr with a silent corruption, a torn write and a
+// stale replica every 20 minutes, kept in onset order.
+func withSDCEvents(tr *Trace) *Trace {
+	events := slices.Clone(tr.Events)
+	for at := units.Seconds(0); at < tr.Horizon; at += 20 * units.Minute {
+		for _, k := range []Kind{SilentCorruption, TornWrite, StaleReplica} {
+			events = append(events, Event{Time: at, Kind: k, Node: 1, Word: 3, Bit: 5})
+		}
+	}
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.Time, b.Time) })
+	return NewTrace(tr.Params, tr.Seed, tr.Horizon, events)
+}
+
 // TestLookupsMatchFullScan: on generated traces, both lookups return the
 // full scan's bits at every event onset and end and between them. The
 // storm-rate traces draw stragglers and degraded links about once a
 // minute on a 64-node job, so tens of episodes overlap at any time, and
-// also carry the SDC classes the lookups must skip.
+// also carry the SDC classes the lookups must skip, placed as
+// chaos.Compile places them.
 func TestLookupsMatchFullScan(t *testing.T) {
 	storm := Params{
 		Nodes: 64, NodeMTBF: 30 * units.Day, Shape: 0.7,
 		StragglerMTBE: units.Hour, StragglerFactor: 2.5, StragglerDuration: 30 * units.Minute,
 		LinkMTBE: units.Hour, LinkFactor: 0.3, LinkDuration: 20 * units.Minute,
-		SDCMTBE: 12 * units.Hour, SDCWords: 1 << 10, TornWriteMTBE: 12 * units.Hour, StaleReplicaMTBE: 12 * units.Hour,
 	}
 	cases := []struct {
 		name    string
 		p       Params
 		horizon units.Seconds
+		sdc     bool
 	}{
-		{"summit", summitParams(), 48 * units.Hour},
-		{"storm", storm, 6 * units.Hour},
+		{"summit", summitParams(), 48 * units.Hour, false},
+		{"storm", storm, 6 * units.Hour, true},
 	}
 	for _, tc := range cases {
 		for seed := uint64(1); seed <= 4; seed++ {
 			tr := tc.p.Generate(seed, tc.horizon)
+			if tc.sdc {
+				tr = withSDCEvents(tr)
+			}
 			if tr.Count(Straggler) == 0 || tr.Count(LinkDegrade) == 0 {
 				t.Fatalf("%s seed %d: trace has no transient episodes to look up", tc.name, seed)
 			}

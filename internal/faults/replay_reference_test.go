@@ -119,7 +119,7 @@ func TestReplayMatchesReference(t *testing.T) {
 		jp := ParamsFor(machine.Summit(), rs.nodes)
 		daly := DalyInterval(rs.shape.CheckpointCost, jp.SystemMTBF())
 		grid := GeometricIntervals(daly/8, daly*8, 33)
-		pol := AdaptivePolicy{Prior: jp.SystemMTBF()}
+		prior := jp.SystemMTBF()
 		for si, fs := range rs1FailureSets(rs.nodes, 16) {
 			for _, iv := range grid {
 				got := simulate(rs.shape, iv, fs, nil)
@@ -128,9 +128,9 @@ func TestReplayMatchesReference(t *testing.T) {
 					t.Fatalf("%s set %d interval %v: replay %+v, reference %+v", rs.name, si, iv, got, want)
 				}
 			}
-			got := replay(rs.shape, 0, &pol, fs, nil)
+			got := replay(rs.shape, 0, prior, fs, nil)
 			want := referenceReplay(rs.shape, func(wall units.Seconds, n int) units.Seconds {
-				return pol.Interval(rs.shape.CheckpointCost, wall, n)
+				return adaptiveInterval(prior, rs.shape.CheckpointCost, wall, n)
 			}, fs, nil)
 			if !sameOutcome(got, want) {
 				t.Fatalf("%s set %d adaptive: replay %+v, reference %+v", rs.name, si, got, want)
@@ -146,16 +146,16 @@ func TestObservedReplayMatchesReference(t *testing.T) {
 	rs := rs1Shapes[0]
 	jp := ParamsFor(machine.Summit(), rs.nodes)
 	iv := DalyInterval(rs.shape.CheckpointCost, jp.SystemMTBF())
-	pol := AdaptivePolicy{Prior: jp.SystemMTBF()}
+	prior := jp.SystemMTBF()
 	for si, fs := range rs1FailureSets(rs.nodes, 1) {
 		for _, adaptive := range []bool{false, true} {
 			got, want := obs.New(), obs.New()
 			intervalAt := func(units.Seconds, int) units.Seconds { return iv }
 			var o Outcome
 			if adaptive {
-				o = replay(rs.shape, 0, &pol, fs, got)
+				o = replay(rs.shape, 0, prior, fs, got)
 				intervalAt = func(wall units.Seconds, n int) units.Seconds {
-					return pol.Interval(rs.shape.CheckpointCost, wall, n)
+					return adaptiveInterval(prior, rs.shape.CheckpointCost, wall, n)
 				}
 			} else {
 				o = simulate(rs.shape, iv, fs, got)

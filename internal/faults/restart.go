@@ -80,18 +80,18 @@ func simulate(shape RunShape, interval units.Seconds, failures []units.Seconds, 
 	if interval <= 0 {
 		panic("faults: checkpoint interval must be positive")
 	}
-	return replay(shape, interval, nil, failures, ob)
+	return replay(shape, interval, 0, failures, ob)
 }
 
 // replay is the one replay loop behind the static and adaptive
-// checkpoint policies. A nil pol checkpoints every interval; otherwise
-// pol re-solves the interval at the start of every work segment from the
-// wall clock and the failures endured so far, so an online controller can
-// tighten its cadence as evidence accumulates. Every observer call sits
-// behind an ob != nil test, so an unobserved static replay makes no call
-// per segment. Failures are consumed in order, so the failure count
+// checkpoint policies. A prior of 0 checkpoints every interval; otherwise
+// adaptiveInterval re-solves the interval from the prior at the start of
+// every work segment from the wall clock and the failures endured so far,
+// so an online controller can tighten its cadence as evidence
+// accumulates. Every observer call sits behind an ob != nil test, so an
+// unobserved static replay makes no call per segment. Failures are consumed in order, so the failure count
 // indexes the next one, which waits in next (+Inf once none is left).
-func replay(shape RunShape, interval units.Seconds, pol *AdaptivePolicy,
+func replay(shape RunShape, interval, prior units.Seconds,
 	failures []units.Seconds, ob *obs.Observer) Outcome {
 	if shape.TotalWork <= 0 {
 		panic("faults: run shape needs positive total work")
@@ -110,8 +110,8 @@ func replay(shape RunShape, interval units.Seconds, pol *AdaptivePolicy,
 			restartTime -= wall - f // the tail of the aborted restart never ran
 		} else {
 			chunk := interval
-			if pol != nil {
-				chunk = pol.Interval(shape.CheckpointCost, wall, fails)
+			if prior != 0 {
+				chunk = adaptiveInterval(prior, shape.CheckpointCost, wall, fails)
 				if chunk <= 0 {
 					panic("faults: checkpoint interval must be positive")
 				}

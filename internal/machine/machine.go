@@ -167,15 +167,3 @@ func Summit() Machine {
 
 // TotalGPUs returns the GPU count of the base partition.
 func (m Machine) TotalGPUs() int { return m.Nodes * m.Node.GPUs }
-
-// PeakTensorFlops returns the aggregate mixed-precision peak of the base
-// partition — Summit's "over 3 AI-ExaOps".
-func (m Machine) PeakTensorFlops() units.FlopsPerSecond {
-	return m.Node.GPU.PeakTensor * units.FlopsPerSecond(m.TotalGPUs())
-}
-
-// AggregateNVMeReadBW returns the summed node-local burst-buffer read
-// bandwidth over n nodes.
-func (m Machine) AggregateNVMeReadBW(n int) units.BytesPerSecond {
-	return m.Node.NVMeReadBW * units.BytesPerSecond(n)
-}

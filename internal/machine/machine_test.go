@@ -40,7 +40,7 @@ func TestSummitMatchesPaperSection2A(t *testing.T) {
 // peak performance" from the introduction.
 func TestSummitExceedsThreeAIExaops(t *testing.T) {
 	m := Summit()
-	if peak := float64(m.PeakTensorFlops()); peak <= 3e18 {
+	if peak := float64(m.Node.GPU.PeakTensor) * float64(m.TotalGPUs()); peak <= 3e18 {
 		t.Fatalf("peak tensor = %v, paper: over 3 AI-ExaOps", peak)
 	}
 	if m.TotalGPUs() != 27648 {
@@ -83,7 +83,7 @@ func TestV100Rates(t *testing.T) {
 
 func TestAggregateNVMe(t *testing.T) {
 	m := Summit()
-	if got := float64(m.AggregateNVMeReadBW(m.Nodes)); got < 27e12 {
+	if got := float64(m.Node.NVMeReadBW) * float64(m.Nodes); got < 27e12 {
 		t.Fatalf("aggregate NVMe = %v, paper: over 27 TB/s", got)
 	}
 }

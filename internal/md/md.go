@@ -384,38 +384,3 @@ func (s *System) Step(dt float64) float64 {
 	}
 	return e
 }
-
-// KineticEnergy returns the total kinetic energy.
-func (s *System) KineticEnergy() float64 {
-	var ke float64
-	for _, v := range s.Vel {
-		ke += 0.5 * s.Mass * v.Norm2()
-	}
-	return ke
-}
-
-// Temperature returns the instantaneous kinetic temperature.
-func (s *System) Temperature() float64 {
-	return 2 * s.KineticEnergy() / (3 * float64(s.N()))
-}
-
-// TotalEnergy returns kinetic + potential energy (recomputing forces).
-func (s *System) TotalEnergy() float64 {
-	return s.KineticEnergy() + s.ComputeForces()
-}
-
-// RadialSamples collects squared pair distances under the cutoff — the
-// training-set generator for learned potentials.
-func (s *System) RadialSamples(limit int) []float64 {
-	var out []float64
-	rc2 := s.Pot.Cutoff() * s.Pot.Cutoff()
-	for i := 0; i < s.N() && len(out) < limit; i++ {
-		for j := i + 1; j < s.N() && len(out) < limit; j++ {
-			r2 := s.minImage(s.Pos[i].Sub(s.Pos[j])).Norm2()
-			if r2 < rc2 {
-				out = append(out, r2)
-			}
-		}
-	}
-	return out
-}

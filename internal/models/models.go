@@ -42,11 +42,6 @@ func (m ModelSpec) GradientBytes() units.Bytes {
 	return units.Bytes(m.Params * int64(m.GradBytesPerParam))
 }
 
-// SustainedFlopsPerGPU returns the implied sustained rate of one device.
-func (m ModelSpec) SustainedFlopsPerGPU() units.FlopsPerSecond {
-	return units.FlopsPerSecond(m.SingleGPUThroughput * float64(m.TrainFlopsPerSample))
-}
-
 // StepComputeTime returns the pure-compute time of one micro-batch step.
 func (m ModelSpec) StepComputeTime() units.Seconds {
 	return units.Seconds(float64(m.PerGPUBatch) / m.SingleGPUThroughput)

@@ -53,10 +53,15 @@ func TestCatalogueComplete(t *testing.T) {
 	}
 }
 
+// sustainedFlopsPerGPU returns the per-device rate a spec implies.
+func sustainedFlopsPerGPU(m ModelSpec) float64 {
+	return m.SingleGPUThroughput * float64(m.TrainFlopsPerSample)
+}
+
 func TestSustainedRatesBelowPeak(t *testing.T) {
 	// No model may claim more than the V100's 125 TF/s tensor peak.
 	for _, m := range catalogue() {
-		if got := m.SustainedFlopsPerGPU(); float64(got) > 125e12 {
+		if got := sustainedFlopsPerGPU(m); got > 125e12 {
 			t.Errorf("%s sustains %v > V100 peak", m.Name, got)
 		}
 	}
@@ -77,7 +82,7 @@ func TestSustainedRatesMatchStudies(t *testing.T) {
 		{PIGAN(), 43.7e12, 0.1},
 	}
 	for _, c := range cases {
-		got := float64(c.model.SustainedFlopsPerGPU())
+		got := sustainedFlopsPerGPU(c.model)
 		if math.Abs(got-c.want)/c.want > c.tol {
 			t.Errorf("%s sustains %v, want ~%v", c.model.Name, got, c.want)
 		}

@@ -2,35 +2,11 @@ package mp
 
 import "fmt"
 
-// Tags for the extended collectives.
+// Tags for the hierarchical allreduce.
 const (
-	tagAlltoAll  = collectiveTagBase + 9*collectiveTagStep
 	tagHierLocal = collectiveTagBase + 10*collectiveTagStep
 	tagHierCross = collectiveTagBase + 11*collectiveTagStep
 )
-
-// AllToAll exchanges equal-length chunks: rank r sends chunk d of its
-// input to rank d and returns the concatenation of chunk r from every
-// rank. len(data) must be divisible by the world size.
-func (c *Comm) AllToAll(data []float64) []float64 {
-	p := c.world.size
-	if len(data)%p != 0 {
-		panic("mp: AllToAll length not divisible by world size")
-	}
-	chunk := len(data) / p
-	out := make([]float64, len(data))
-	copy(out[c.rank*chunk:(c.rank+1)*chunk], data[c.rank*chunk:(c.rank+1)*chunk])
-	// Pairwise exchange schedule: in round s, exchange with rank^s is not
-	// general for non-power-of-two, so use a simple shifted schedule:
-	// round s exchanges with (rank+s) and (rank-s).
-	for s := 1; s < p; s++ {
-		dst := (c.rank + s) % p
-		src := (c.rank - s + p) % p
-		c.Send(dst, tagAlltoAll+s, data[dst*chunk:(dst+1)*chunk])
-		copy(out[src*chunk:(src+1)*chunk], c.Recv(src, tagAlltoAll+s))
-	}
-	return out
-}
 
 // AllReduceHierarchical sums data using a two-level scheme that mirrors
 // Summit's NVLink-island topology: ranks are grouped into islands of

@@ -37,12 +37,10 @@ type World struct {
 	size  int
 	links []atomic.Pointer[chan message] // links[src*size+dst]
 
-	linkMu     sync.Mutex // serializes link creation
-	linksAlloc atomic.Int64
+	linkMu sync.Mutex // serializes link creation
 
 	bytesSent atomic.Int64
 	msgsSent  atomic.Int64
-	maxMsg    atomic.Int64
 }
 
 // NewWorld creates a fully connected world of the given size. No channels
@@ -69,13 +67,8 @@ func (w *World) link(src, dst int) chan message {
 	}
 	ch := make(chan message, 64)
 	slot.Store(&ch)
-	w.linksAlloc.Add(1)
 	return ch
 }
-
-// AllocatedLinks returns how many point-to-point channels have been
-// materialized so far. A world that never communicates reports zero.
-func (w *World) AllocatedLinks() int64 { return w.linksAlloc.Load() }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
@@ -85,18 +78,6 @@ func (w *World) BytesSent() int64 { return w.bytesSent.Load() }
 
 // MessagesSent returns the total number of point-to-point messages.
 func (w *World) MessagesSent() int64 { return w.msgsSent.Load() }
-
-// MaxMessageBytes returns the largest single message sent so far. Tree
-// collectives move whole vectors per hop; the ring moves 1/P chunks, which
-// is what makes it bandwidth-optimal at Summit's gradient sizes.
-func (w *World) MaxMessageBytes() int64 { return w.maxMsg.Load() }
-
-// ResetCounters zeroes the traffic counters.
-func (w *World) ResetCounters() {
-	w.bytesSent.Store(0)
-	w.msgsSent.Store(0)
-	w.maxMsg.Store(0)
-}
 
 // Run executes f concurrently on every rank and waits for all to finish.
 // A panic on any rank is re-raised on the caller after all ranks stop.
@@ -154,12 +135,6 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	nbytes := int64(8 * len(data))
 	c.world.bytesSent.Add(nbytes)
 	c.world.msgsSent.Add(1)
-	for {
-		cur := c.world.maxMsg.Load()
-		if nbytes <= cur || c.world.maxMsg.CompareAndSwap(cur, nbytes) {
-			break
-		}
-	}
 	c.world.link(c.rank, dst) <- message{tag: tag, data: c.payload(data)}
 }
 
@@ -237,31 +212,13 @@ const (
 	collectiveTagBase = 1 << 20
 	collectiveTagStep = 1 << 16 // room for per-round offsets within a collective
 
-	tagBarrier   = collectiveTagBase + 0*collectiveTagStep
 	tagBcast     = collectiveTagBase + 1*collectiveTagStep
 	tagReduce    = collectiveTagBase + 2*collectiveTagStep
 	tagRingRS    = collectiveTagBase + 3*collectiveTagStep
 	tagRingAG    = collectiveTagBase + 4*collectiveTagStep
 	tagRecDouble = collectiveTagBase + 5*collectiveTagStep
 	tagGather    = collectiveTagBase + 6*collectiveTagStep
-	tagScatter   = collectiveTagBase + 7*collectiveTagStep
-	tagAllGather = collectiveTagBase + 8*collectiveTagStep
 )
-
-// Barrier blocks until every rank has entered it, using the dissemination
-// algorithm (log2(P) rounds of pairwise signals).
-func (c *Comm) Barrier() {
-	p := c.world.size
-	if p == 1 {
-		return
-	}
-	for dist := 1; dist < p; dist *= 2 {
-		dst := (c.rank + dist) % p
-		src := (c.rank - dist + p) % p
-		c.Send(dst, tagBarrier+dist, nil)
-		c.Recv(src, tagBarrier+dist)
-	}
-}
 
 // Bcast distributes root's data to every rank using a binomial tree and
 // returns each rank's copy.
@@ -401,43 +358,6 @@ func (c *Comm) AllReduceRecursiveDoubling(data []float64) []float64 {
 	return acc
 }
 
-// ReduceScatter sums data across ranks and leaves rank r with chunk r of
-// the result. len(data) must be divisible by the world size.
-func (c *Comm) ReduceScatter(data []float64) []float64 {
-	p := c.world.size
-	if len(data)%p != 0 {
-		panic("mp: ReduceScatter length not divisible by world size")
-	}
-	full := c.AllReduceRing(append([]float64(nil), data...))
-	chunk := len(data) / p
-	out := make([]float64, chunk)
-	copy(out, full[c.rank*chunk:(c.rank+1)*chunk])
-	return out
-}
-
-// AllGather concatenates each rank's equal-length chunk into the full
-// vector on every rank, using a ring.
-func (c *Comm) AllGather(chunk []float64) []float64 {
-	p := c.world.size
-	n := len(chunk)
-	out := make([]float64, n*p)
-	copy(out[c.rank*n:(c.rank+1)*n], chunk)
-	if p == 1 {
-		return out
-	}
-	next := (c.rank + 1) % p
-	prev := (c.rank - 1 + p) % p
-	cur := append([]float64(nil), chunk...)
-	curIdx := c.rank
-	for s := 0; s < p-1; s++ {
-		c.Send(next, tagAllGather+s, cur)
-		cur = c.Recv(prev, tagAllGather+s)
-		curIdx = (curIdx - 1 + p) % p
-		copy(out[curIdx*n:(curIdx+1)*n], cur)
-	}
-	return out
-}
-
 // Gather collects each rank's chunk on root (concatenated by rank). Other
 // ranks return nil.
 func (c *Comm) Gather(root int, chunk []float64) []float64 {
@@ -455,25 +375,4 @@ func (c *Comm) Gather(root int, chunk []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// Scatter distributes root's data in equal chunks; rank r receives chunk r.
-func (c *Comm) Scatter(root int, data []float64) []float64 {
-	p := c.world.size
-	if c.rank == root {
-		if len(data)%p != 0 {
-			panic("mp: Scatter length not divisible by world size")
-		}
-		chunk := len(data) / p
-		for r := 0; r < p; r++ {
-			if r == root {
-				continue
-			}
-			c.Send(r, tagScatter, data[r*chunk:(r+1)*chunk])
-		}
-		out := make([]float64, chunk)
-		copy(out, data[root*chunk:(root+1)*chunk])
-		return out
-	}
-	return c.Recv(root, tagScatter)
 }

@@ -84,38 +84,15 @@ func TestSendCopiesPayload(t *testing.T) {
 			buf := []float64{42}
 			c.Send(1, 0, buf)
 			buf[0] = 7 // mutation after send must not be visible
-			c.Barrier()
+			c.Send(1, 1, nil)
 		} else {
 			got := c.Recv(0, 0)
-			c.Barrier()
+			c.Recv(0, 1) // rank 0 has mutated buf
 			if got[0] != 42 {
 				t.Errorf("payload mutated in flight: %v", got)
 			}
 		}
 	})
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8} {
-		w := NewWorld(p)
-		var mu sync.Mutex
-		before := 0
-		violated := false
-		w.Run(func(c *Comm) {
-			mu.Lock()
-			before++
-			mu.Unlock()
-			c.Barrier()
-			mu.Lock()
-			if before != p {
-				violated = true
-			}
-			mu.Unlock()
-		})
-		if violated {
-			t.Fatalf("p=%d: rank passed barrier before all arrived", p)
-		}
-	}
 }
 
 func TestBcastAllRoots(t *testing.T) {
@@ -253,27 +230,7 @@ func TestConsecutiveCollectivesDoNotInterfere(t *testing.T) {
 	})
 }
 
-func TestReduceScatterAndAllGather(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 5} {
-		n := p * 6
-		vs := rankVectors(uint64(p)+7, p, n)
-		want := seqSum(vs)
-		w := NewWorld(p)
-		w.Run(func(c *Comm) {
-			chunk := c.ReduceScatter(vs[c.Rank()])
-			lo := c.Rank() * (n / p)
-			if !almostEqual(chunk, want[lo:lo+n/p], 1e-9) {
-				t.Errorf("p=%d rank %d: ReduceScatter wrong", p, c.Rank())
-			}
-			full := c.AllGather(chunk)
-			if !almostEqual(full, want, 1e-9) {
-				t.Errorf("p=%d rank %d: AllGather wrong", p, c.Rank())
-			}
-		})
-	}
-}
-
-func TestGatherScatter(t *testing.T) {
+func TestGather(t *testing.T) {
 	p := 4
 	w := NewWorld(p)
 	w.Run(func(c *Comm) {
@@ -286,16 +243,6 @@ func TestGatherScatter(t *testing.T) {
 			}
 		} else if got != nil {
 			t.Error("non-root Gather returned data")
-		}
-
-		var data []float64
-		if c.Rank() == 1 {
-			data = []float64{0, 1, 2, 3, 4, 5, 6, 7}
-		}
-		sc := c.Scatter(1, data)
-		want := []float64{float64(2 * c.Rank()), float64(2*c.Rank() + 1)}
-		if !almostEqual(sc, want, 0) {
-			t.Errorf("Scatter rank %d = %v", c.Rank(), sc)
 		}
 	})
 }
@@ -326,11 +273,13 @@ func TestRingBandwidthOptimality(t *testing.T) {
 	if treeBytes != ringBytes {
 		t.Errorf("tree bytes = %d, want %d (reduce+bcast moves the same total)", treeBytes, ringBytes)
 	}
-	if got, want := wRing.MaxMessageBytes(), int64(n/p*8); got != want {
-		t.Errorf("ring max message = %d, want %d", got, want)
+	// Every ring message is one N/P chunk; every tree hop is the whole
+	// vector.
+	if got, want := ringBytes/wRing.MessagesSent(), int64(n/p*8); got != want {
+		t.Errorf("ring mean message = %d, want %d", got, want)
 	}
-	if got, want := wTree.MaxMessageBytes(), int64(n*8); got != want {
-		t.Errorf("tree max message = %d, want %d", got, want)
+	if got, want := treeBytes/wTree.MessagesSent(), int64(n*8); got != want {
+		t.Errorf("tree mean message = %d, want %d", got, want)
 	}
 }
 
@@ -345,10 +294,6 @@ func TestTrafficCounters(t *testing.T) {
 	})
 	if w.BytesSent() != 80 || w.MessagesSent() != 1 {
 		t.Fatalf("counters: %d bytes, %d msgs", w.BytesSent(), w.MessagesSent())
-	}
-	w.ResetCounters()
-	if w.BytesSent() != 0 || w.MessagesSent() != 0 {
-		t.Fatal("ResetCounters failed")
 	}
 }
 
@@ -417,10 +362,21 @@ func BenchmarkAllReduceTree8x65536(b *testing.B) {
 	}
 }
 
+// allocatedLinks counts the point-to-point channels w has materialized.
+func allocatedLinks(w *World) int64 {
+	var n int64
+	for i := range w.links {
+		if w.links[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func TestLinksAllocatedLazily(t *testing.T) {
 	// A freshly built world — even a large one — materializes no channels.
 	w := NewWorld(1024)
-	if n := w.AllocatedLinks(); n != 0 {
+	if n := allocatedLinks(w); n != 0 {
 		t.Fatalf("fresh world allocated %d links, want 0", n)
 	}
 
@@ -429,13 +385,13 @@ func TestLinksAllocatedLazily(t *testing.T) {
 	w = NewWorld(p)
 	vs := rankVectors(1, p, 32)
 	w.Run(func(c *Comm) { c.AllReduceRing(vs[c.Rank()]) })
-	if n := w.AllocatedLinks(); n != int64(p) {
+	if n := allocatedLinks(w); n != int64(p) {
 		t.Fatalf("ring allreduce on %d ranks allocated %d links, want %d", p, n, p)
 	}
 
 	// Re-running the collective reuses the existing channels.
 	w.Run(func(c *Comm) { c.AllReduceRing(vs[c.Rank()]) })
-	if n := w.AllocatedLinks(); n != int64(p) {
+	if n := allocatedLinks(w); n != int64(p) {
 		t.Fatalf("second allreduce grew links to %d, want still %d", n, p)
 	}
 }

@@ -84,10 +84,9 @@ func TestInPlaceRingMatchesCopyingRing(t *testing.T) {
 	}
 }
 
-// TestReduceScatterKeepsInput: ReduceScatter and the one-rank-island
-// hierarchical allreduce run the ring on a copy, so their argument is
-// unchanged.
-func TestReduceScatterKeepsInput(t *testing.T) {
+// TestHierarchicalKeepsInput: the one-rank-island hierarchical allreduce
+// runs the ring on a copy, so its argument is unchanged.
+func TestHierarchicalKeepsInput(t *testing.T) {
 	const p, n = 3, 9
 	vs := rankVectors(17, p, n)
 	orig := make([][]float64, p)
@@ -96,7 +95,6 @@ func TestReduceScatterKeepsInput(t *testing.T) {
 	}
 	w := NewWorld(p)
 	w.Run(func(c *Comm) {
-		c.ReduceScatter(vs[c.Rank()])
 		c.AllReduceHierarchical(vs[c.Rank()], 1)
 	})
 	for r := range vs {

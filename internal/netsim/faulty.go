@@ -12,21 +12,6 @@ import (
 // mid-collective discards the partial reduction and re-forms the ring at
 // p-1 before redoing the step.
 
-// Degraded returns a copy of f with the injection bandwidth multiplied by
-// factor in (0, 1] — the whole-ring view of one member's throttled link.
-func (f Fabric) Degraded(factor float64) Fabric {
-	if !(factor > 0 && factor <= 1) {
-		panic(fmt.Sprintf("netsim: link degrade factor must be in (0,1], got %v", factor))
-	}
-	return Fabric{Alpha: f.Alpha, Beta: units.BytesPerSecond(float64(f.Beta) * factor)}
-}
-
-// RingAllReduceDegraded returns the ring allreduce time when the slowest
-// member's injection bandwidth is multiplied by factor.
-func (f Fabric) RingAllReduceDegraded(p int, n units.Bytes, factor float64) units.Seconds {
-	return f.Degraded(factor).RingAllReduce(p, n)
-}
-
 // RingRebuildTime returns the control-plane cost of re-forming the ring
 // after membership changes: a failure-detection timeout plus an
 // O(log2 p) agreement round at the point-to-point latency. The detection

@@ -10,7 +10,7 @@ func TestDegradedScalesBandwidth(t *testing.T) {
 	f := SummitFabric()
 	n := units.Bytes(100 * units.MB)
 	full := f.RingAllReduce(512, n)
-	half := f.RingAllReduceDegraded(512, n, 0.5)
+	half, _ := f.RingAllReduceUnder(512, n, 0, func(units.Seconds) float64 { return 0.5 })
 	if half <= full {
 		t.Fatal("degraded ring not slower")
 	}
@@ -20,13 +20,19 @@ func TestDegradedScalesBandwidth(t *testing.T) {
 	}
 }
 
+// TestDegradedRejectsBadFactor: a link factor outside (0, 1] is an
+// explicit panic, not a silently inverted or infinite collective.
 func TestDegradedRejectsBadFactor(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("factor 0 accepted")
-		}
-	}()
-	SummitFabric().Degraded(0)
+	for _, factor := range []float64{0, -0.5, 1.5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("link factor %v accepted", factor)
+				}
+			}()
+			SummitFabric().RingAllReduceUnder(8, units.MB, 0, func(units.Seconds) float64 { return factor })
+		}()
+	}
 }
 
 func TestNodeLossCostsMoreThanCleanStep(t *testing.T) {

@@ -35,12 +35,6 @@ func HierarchicalFabricFor(m machine.Machine) HierarchicalFabric {
 	}
 }
 
-// SummitHierarchicalFabric returns Summit's parameters: 6 GPUs per node,
-// 50 GB/s NVLink, dual-rail EDR.
-func SummitHierarchicalFabric() HierarchicalFabric {
-	return HierarchicalFabricFor(machine.Summit())
-}
-
 // AllReduce returns the time for a hierarchical allreduce of n bytes per
 // GPU across `nodes` nodes: intra-node reduce-scatter + allgather over
 // NVLink, then the inter-node ring on 1/Rails of the data per rail in
@@ -57,26 +51,4 @@ func (h HierarchicalFabric) AllReduce(nodes int, n units.Bytes) units.Seconds {
 		inter = h.Inter.RingAllReduce(nodes, perRail)
 	}
 	return units.Seconds(intra) + inter
-}
-
-// FlatAllReduce returns the time if every GPU joined one flat ring, each
-// sharing the node's injection bandwidth — the configuration hierarchical
-// reduction exists to avoid.
-func (h HierarchicalFabric) FlatAllReduce(nodes int, n units.Bytes) units.Seconds {
-	ranks := nodes * h.GPUsPerNode
-	if ranks <= 1 {
-		return 0
-	}
-	shared := Fabric{
-		Alpha: h.Inter.Alpha,
-		Beta:  units.BytesPerSecond(float64(h.Inter.Beta) / float64(h.GPUsPerNode)),
-	}
-	return shared.RingAllReduce(ranks, n)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -88,16 +88,6 @@ func (r *Registry) Observe(name string, v float64) {
 	r.mu.Unlock()
 }
 
-// Count returns the number of observations in a series.
-func (r *Registry) Count(name string) int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.series[name])
-}
-
 // Sum returns the deterministic sum of a series: values are sorted before
 // summation, so the float64 result is independent of observation order.
 func (r *Registry) Sum(name string) float64 {

@@ -70,7 +70,7 @@ func TestAdamLambShardedDeterministicAcrossWorkers(t *testing.T) {
 		}
 		pool := parallel.NewWorkerPool(w)
 		defer pool.Close()
-		a := &Adam{Rate: 0.001, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, DecoupledWD: 0.01}
+		a := &Adam{Rate: 0.001, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 		pool.RunRange(n, optimShardGrain, func(lo, hi int) {
 			adamRange(a, wd, gd, md, vd, bc1, bc2, lo, hi)
 		})

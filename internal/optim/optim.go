@@ -1,5 +1,5 @@
 // Package optim implements the optimizers used by the paper's scale-out
-// training studies — SGD with momentum, Adam/AdamW, and the layer-wise
+// training studies — SGD with momentum, Adam, and the layer-wise
 // adaptive large-batch methods LARS (Laanait et al.) and LAMB (Khan,
 // Blanchard et al.) — plus LARC-style adaptive gradient clipping (Kurth et
 // al.).
@@ -126,15 +126,13 @@ type adamState struct {
 	u    *tensor.Tensor
 }
 
-// Adam implements the Adam optimizer; with DecoupledWD it becomes AdamW.
+// Adam implements the Adam optimizer.
 type Adam struct {
 	Rate         float64
 	Beta1, Beta2 float64
 	Eps          float64
-	// DecoupledWD applies decoupled weight decay (AdamW).
-	DecoupledWD float64
-	step        int
-	state       map[*tensor.Tensor]*adamState
+	step         int
+	state        map[*tensor.Tensor]*adamState
 }
 
 // NewAdam creates Adam with the customary defaults.
@@ -172,7 +170,7 @@ func (o *Adam) Step(params []nn.Param) {
 	}
 }
 
-// adamRange applies the fused Adam/AdamW update to elements [lo, hi).
+// adamRange applies the fused Adam update to elements [lo, hi).
 func adamRange(o *Adam, wd, gd, md, vd []float64, bc1, bc2 float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		g := gd[i]
@@ -180,11 +178,7 @@ func adamRange(o *Adam, wd, gd, md, vd []float64, bc1, bc2 float64, lo, hi int) 
 		vd[i] = o.Beta2*vd[i] + (1-o.Beta2)*g*g
 		mhat := md[i] / bc1
 		vhat := vd[i] / bc2
-		upd := mhat / (math.Sqrt(vhat) + o.Eps)
-		if o.DecoupledWD != 0 {
-			upd += o.DecoupledWD * wd[i]
-		}
-		wd[i] -= o.Rate * upd
+		wd[i] -= o.Rate * (mhat / (math.Sqrt(vhat) + o.Eps))
 	}
 }
 

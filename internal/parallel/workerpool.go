@@ -237,25 +237,3 @@ func (p *WorkerPool) RunRangeMax(max, n, grain int, fn func(lo, hi int)) {
 		panic(*first)
 	}
 }
-
-// Grain returns a chunk size that splits n items into roughly
-// chunksPerWorker chunks per pool worker (for dynamic load balancing),
-// never below minGrain (so tiny chunks do not drown the work in
-// dispatch overhead). The result depends only on the arguments and the
-// pool width — not on scheduling — so it is safe to use for
-// deterministic shard layouts only when the pool width itself is fixed;
-// kernels that must be bit-identical across widths derive their grain
-// from the problem shape alone.
-func (p *WorkerPool) Grain(n, chunksPerWorker, minGrain int) int {
-	if chunksPerWorker <= 0 {
-		chunksPerWorker = 1
-	}
-	g := n / (p.workers * chunksPerWorker)
-	if g < minGrain {
-		g = minGrain
-	}
-	if g < 1 {
-		g = 1
-	}
-	return g
-}

@@ -196,21 +196,6 @@ func TestSharedPoolSingleton(t *testing.T) {
 	}
 }
 
-// TestGrainBounds pins the Grain helper's floor behaviour.
-func TestGrainBounds(t *testing.T) {
-	p := NewWorkerPool(4)
-	defer p.Close()
-	if g := p.Grain(1000, 4, 8); g != 62 {
-		t.Fatalf("Grain(1000,4,8) = %d, want 62", g)
-	}
-	if g := p.Grain(10, 4, 8); g != 8 {
-		t.Fatalf("minGrain not applied: %d", g)
-	}
-	if g := p.Grain(0, 0, 0); g != 1 {
-		t.Fatalf("degenerate Grain = %d, want 1", g)
-	}
-}
-
 // inlineAllocProbe gives TestRunRangeInlineNoAllocs a capture-free func
 // value: a closure passed to RunRange is heap-allocated by escape
 // analysis regardless of width (which is why the hot kernels create

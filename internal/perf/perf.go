@@ -209,10 +209,3 @@ func ParallelEfficiency(j Job, baseNodes, atNodes int) float64 {
 	pts := ScalingCurve(j, []int{baseNodes, atNodes})
 	return pts[1].Efficiency
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

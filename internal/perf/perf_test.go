@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"summitscale/internal/machine"
 	"summitscale/internal/models"
 	"summitscale/internal/netsim"
 	"summitscale/internal/storage"
@@ -182,7 +183,7 @@ func TestFixedOverheadCounts(t *testing.T) {
 func TestAnalyzeCommMatchesHierarchicalFabric(t *testing.T) {
 	j := SummitJob(models.ResNet50(), 512)
 	b := Analyze(j)
-	h := netsim.SummitHierarchicalFabric()
+	h := netsim.HierarchicalFabricFor(machine.Summit())
 	h.Rails = 1 // perf.Analyze models a single inter-node ring
 	want := h.AllReduce(512, j.Model.GradientBytes())
 	if rel := math.Abs(float64(b.Comm)-float64(want)) / float64(want); rel > 1e-9 {

@@ -43,12 +43,6 @@ func (p Platform) HasNodeLocal() bool {
 // Fabric returns the inter-node α–β communication model.
 func (p Platform) Fabric() netsim.Fabric { return netsim.FabricFor(p.Machine) }
 
-// HierarchicalFabric returns the two-level (NVLink island + inter-node
-// rails) communication model.
-func (p Platform) HierarchicalFabric() netsim.HierarchicalFabric {
-	return netsim.HierarchicalFabricFor(p.Machine)
-}
-
 // GPFS returns the shared-file-system input path.
 func (p Platform) GPFS() *storage.GPFS { return storage.GPFSFor(p.Machine) }
 

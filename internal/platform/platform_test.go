@@ -63,9 +63,6 @@ func TestSummitFactoriesMatchLegacyConstructors(t *testing.T) {
 	if got, want := p.Fabric(), netsim.SummitFabric(); got != want {
 		t.Errorf("Fabric = %+v, want %+v", got, want)
 	}
-	if got, want := p.HierarchicalFabric(), netsim.SummitHierarchicalFabric(); got != want {
-		t.Errorf("HierarchicalFabric = %+v, want %+v", got, want)
-	}
 	if got, want := *p.GPFS(), *storage.NewGPFS(); got != want {
 		t.Errorf("GPFS = %+v, want %+v", got, want)
 	}

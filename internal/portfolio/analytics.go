@@ -115,42 +115,10 @@ func (d *Dataset) Figure6() map[Domain]map[Motif]int {
 	return out
 }
 
-// CountByProgram tallies non-GB project-years per program (the §III
-// population: INCITE 147, ALCC 72, DD 352, COVID 12, ECP 62).
-func (d *Dataset) CountByProgram() map[Program]int {
-	out := map[Program]int{}
-	for _, p := range d.Projects {
-		out[p.Program]++
-	}
-	return out
-}
-
-// AllocationHoursByStatus sums granted node-hours per adoption status —
-// the paper's alternative "measure by total allocation hours".
-func (d *Dataset) AllocationHoursByStatus() map[Status]float64 {
-	out := map[Status]float64{}
-	for _, p := range d.NonGB() {
-		out[p.Status] += p.AllocationHours
-	}
-	return out
-}
-
 // TopMotifShare returns the combined Figure-5 share of the paper's top
 // five motifs (submodel, classification, analysis, surrogate, MD
 // potentials), which the paper says account for over 3/4 of usage.
 func (d *Dataset) TopMotifShare() float64 {
 	f5 := d.Figure5()
 	return f5[Submodel] + f5[Classification] + f5[Analysis] + f5[SurrogateModel] + f5[MDPotentials]
-}
-
-// SubdomainCounts tallies non-GB project-years per subdomain within a
-// domain — the 3-letter-code granularity of §II-C.
-func (d *Dataset) SubdomainCounts(dom Domain) map[string]int {
-	out := map[string]int{}
-	for _, p := range d.NonGB() {
-		if p.Domain == dom {
-			out[p.Subdomain]++
-		}
-	}
-	return out
 }

@@ -36,8 +36,6 @@ type Config struct {
 	// Horizon, when positive, is the denominator for throughput; zero
 	// falls back to the last completion time.
 	Horizon units.Seconds
-	// Pricer overrides the platform-derived price model.
-	Pricer *Pricer
 	// Pool runs inference kernels; nil uses parallel.Shared().
 	Pool *parallel.WorkerPool
 	// Obs receives spans, queue gauges, and latency series; nil is a
@@ -189,9 +187,6 @@ func run(cfg Config, reqs []Request, maxEvents int) (*Report, error) {
 		cfg.Admission = DefaultAdmission(replicas, cfg.Batch.MaxBatch)
 	}
 	pricer := PricerFor(cfg.Platform)
-	if cfg.Pricer != nil {
-		pricer = *cfg.Pricer
-	}
 	pool := cfg.Pool
 	if pool == nil {
 		pool = parallel.Shared()

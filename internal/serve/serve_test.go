@@ -313,7 +313,7 @@ func TestObserverThreading(t *testing.T) {
 	if got := o.Metrics.Counter("serve.requests"); got != int64(rep.Requests) {
 		t.Errorf("serve.requests counter %d, want %d", got, rep.Requests)
 	}
-	if n := o.Metrics.Count("serve.batch.size"); n == 0 {
+	if n := o.Metrics.Sum("serve.batch.size"); n == 0 {
 		t.Error("no batch-size observations recorded")
 	}
 	if o.Trace.Len() == 0 {

@@ -3,6 +3,7 @@ package storage
 import (
 	"testing"
 
+	"summitscale/internal/machine"
 	"summitscale/internal/obs"
 	"summitscale/internal/units"
 )
@@ -11,7 +12,7 @@ import (
 // stage-in span and returns the same completion as StagingTime, with or
 // without one.
 func TestObservedStagingEmitsSpans(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	d := units.Bytes(100 * units.TB)
 	const nodes = 1024
 	base := s.StagingTime(d, nodes, PartitionDataset)
@@ -31,7 +32,7 @@ func TestObservedStagingEmitsSpans(t *testing.T) {
 }
 
 func TestReplicateRestageDearerThanPartition(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	d := units.Bytes(1 * units.TB) // fits one node's NVMe for replication
 	rep := s.ReStageTime(d, 512, ReplicateDataset)
 	part := s.ReStageTime(d, 512, PartitionDataset)

@@ -143,19 +143,6 @@ func StagerFor(m machine.Machine) *Stager {
 	return &Stager{NVMe: NVMeFor(m.Node), GPFS: GPFSFor(m), ShuffleBW: m.Node.InjectionBW}
 }
 
-// NewStager builds the Summit stager.
-func NewStager() *Stager {
-	return StagerFor(machine.Summit())
-}
-
-// Degraded returns a copy of the stager whose shared file system runs at
-// the given brownout factor; the node-local drives and the shuffle fabric
-// are unaffected. Staging and re-staging times computed through the copy
-// reflect the browned-out GPFS.
-func (s *Stager) Degraded(factor float64) *Stager {
-	return &Stager{NVMe: s.NVMe, GPFS: s.GPFS.Degraded(factor), ShuffleBW: s.ShuffleBW}
-}
-
 // PlanFor returns the staging plan that fits: replication when the
 // dataset fits one node's NVMe (with 10% headroom), else partitioning; an
 // error when even the partition does not fit.

@@ -72,7 +72,7 @@ func TestNVMeScalesLinearly(t *testing.T) {
 }
 
 func TestPlanForReplicationWhenFits(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	plan, err := s.PlanFor(1*units.TB, 128)
 	if err != nil || plan != ReplicateDataset {
 		t.Fatalf("1 TB should replicate onto 1.6 TB drives: %v %v", plan, err)
@@ -87,7 +87,7 @@ func TestPlanForReplicationWhenFits(t *testing.T) {
 }
 
 func TestShuffleFreeWhenReplicated(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	if got := s.EpochShuffleTime(1*units.TB, 512, ReplicateDataset); got != 0 {
 		t.Fatalf("replicated shuffle cost %v", got)
 	}
@@ -98,7 +98,7 @@ func TestShuffleFreeWhenReplicated(t *testing.T) {
 }
 
 func TestStagingCostsGrowWithDataset(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	// Within a plan, a larger dataset always costs more to stage.
 	repSmall := s.StagingTime(100*units.GB, 1024, ReplicateDataset)
 	repBig := s.StagingTime(1*units.TB, 1024, ReplicateDataset)
@@ -122,7 +122,7 @@ func TestStagingCostsGrowWithDataset(t *testing.T) {
 // GPFS bandwidth, 200 TB takes more than a minute even at full aggregate
 // rate.
 func TestHundredsOfTBStagingIsExpensive(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	tm := s.StagingTime(200*units.TB, 4608, PartitionDataset)
 	if float64(tm) < 60 {
 		t.Fatalf("200 TB staged in %v — unrealistically fast", tm)
@@ -130,7 +130,7 @@ func TestHundredsOfTBStagingIsExpensive(t *testing.T) {
 }
 
 func TestShuffleTimeDecreasesWithNodes(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	t64 := s.EpochShuffleTime(10*units.TB, 64, PartitionDataset)
 	t512 := s.EpochShuffleTime(10*units.TB, 512, PartitionDataset)
 	if t512 >= t64 {
@@ -138,30 +138,36 @@ func TestShuffleTimeDecreasesWithNodes(t *testing.T) {
 	}
 }
 
+// browned returns s with its shared file system at the given brownout
+// factor; the node-local drives and the shuffle fabric are unaffected.
+func browned(s *Stager, factor float64) *Stager {
+	return &Stager{NVMe: s.NVMe, GPFS: s.GPFS.Degraded(factor), ShuffleBW: s.ShuffleBW}
+}
+
 // TestDegradedGPFSSlowsStaging pins the brownout model: a browned-out
 // shared file system stretches GPFS-bound staging by ~1/factor and never
 // speeds anything up; factor 1 is a no-op.
 func TestDegradedGPFSSlowsStaging(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	const dataset, nodes = 200 * units.TB, 2048
 	clean := s.StagingTime(dataset, nodes, PartitionDataset)
-	brown := s.Degraded(0.25).StagingTime(dataset, nodes, PartitionDataset)
+	brown := browned(s, 0.25).StagingTime(dataset, nodes, PartitionDataset)
 	if brown <= clean {
 		t.Fatalf("brownout staging %v not slower than clean %v", brown, clean)
 	}
 	if ratio := float64(brown) / float64(clean); ratio < 3.9 || ratio > 4.1 {
 		t.Fatalf("quarter-bandwidth brownout stretched staging %.2fx, want ~4x", ratio)
 	}
-	if same := s.Degraded(1).StagingTime(dataset, nodes, PartitionDataset); same != clean {
+	if same := browned(s, 1).StagingTime(dataset, nodes, PartitionDataset); same != clean {
 		t.Fatalf("factor-1 brownout changed staging: %v vs %v", same, clean)
 	}
 }
 
 func TestDegradedGPFSMonotone(t *testing.T) {
-	s := NewStager()
+	s := StagerFor(machine.Summit())
 	prev := units.Seconds(0)
 	for _, f := range []float64{1, 0.8, 0.5, 0.2, 0.05} {
-		tm := s.Degraded(f).StagingTime(100*units.TB, 1024, PartitionDataset)
+		tm := browned(s, f).StagingTime(100*units.TB, 1024, PartitionDataset)
 		if tm < prev {
 			t.Fatalf("worse brownout factor %v staged faster: %v < %v", f, tm, prev)
 		}

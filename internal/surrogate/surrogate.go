@@ -319,13 +319,3 @@ func (f *RandomForest) Predict(x []float64) float64 {
 	}
 	return s / float64(len(roots))
 }
-
-// MSE returns the forest's mean squared error on a dataset.
-func (f *RandomForest) MSE(x [][]float64, y []float64) float64 {
-	var s float64
-	for i := range x {
-		d := f.Predict(x[i]) - y[i]
-		s += d * d
-	}
-	return s / float64(len(x))
-}

@@ -38,19 +38,6 @@ func (a *Arena) Reset() {
 	a.nSlab, a.nOf = 0, 0
 }
 
-// Cap returns the total float64 capacity across slabs — the arena's
-// high-water footprint, useful for asserting steady state in tests.
-func (a *Arena) Cap() int {
-	n := 0
-	for _, s := range a.floats {
-		n += len(s)
-	}
-	return n
-}
-
-// New returns a zero-filled tensor of the given shape backed by the arena.
-func (a *Arena) New(shape ...int) *Tensor { return newIn(a, shape) }
-
 // NewIn returns a zero-filled tensor of the given shape, backed by the
 // arena when a is non-nil and by the heap otherwise. It is the nil-safe
 // allocation point operations use to inherit their operand's arena.
@@ -80,12 +67,12 @@ func newIn(a *Arena, shape []int) *Tensor {
 // whatever an earlier step left there. An operation may allocate its
 // result with it only if it writes every element before anything reads
 // one. Those that do are Clone, FullIn, the elementwise ops, AddRow, the
-// transposes, MatVec, Outer, SumAxis1, SoftmaxRows, Im2Col,
-// Col2Im's result, the conv output and kernel matrix, both
-// poolings' outputs, and in autograd ConstantIn, ReLU, BatchNorm2D,
-// LayerNorm and every backward that assigns its gradient rather than
-// adding to it. Anything that accumulates into its output (the GEMMs,
-// SumAxis0, Col2Im's padded planes, max-pool backward) must take NewIn.
+// transposes, SoftmaxRows, Im2Col, Col2Im's result, the conv output and
+// kernel matrix, both poolings' outputs, and in autograd ConstantIn,
+// ReLU, BatchNorm2D, LayerNorm and every backward that assigns its
+// gradient rather than adding to it. Anything that accumulates into its
+// output (the GEMMs, SumAxis0, Col2Im's padded planes, max-pool
+// backward) must take NewIn.
 // Heap memory comes from make and is zeroed either way.
 func NewRawIn(a *Arena, shape ...int) *Tensor {
 	n := checkShape(shape)

@@ -7,17 +7,19 @@ import "testing"
 // never alias.
 func TestArenaZeroedAndDisjoint(t *testing.T) {
 	a := NewArena()
-	x := a.New(4, 4)
+	x := NewIn(a, 4, 4)
 	for i := range x.Data() {
 		x.Data()[i] = 7
 	}
-	y := a.New(4, 4)
+	y := NewIn(a, 4, 4)
 	for _, v := range y.Data() {
 		if v != 0 {
 			t.Fatal("arena tensor not zero-filled")
 		}
 	}
-	y.Fill(3)
+	for i := range y.Data() {
+		y.Data()[i] = 3
+	}
 	for _, v := range x.Data() {
 		if v != 7 {
 			t.Fatal("allocations alias")
@@ -36,27 +38,29 @@ func TestArenaResetReusesSlabs(t *testing.T) {
 	pass := func() []*Tensor {
 		var ts []*Tensor
 		for i := 0; i < 10; i++ {
-			ts = append(ts, a.New(32, 32))
+			ts = append(ts, NewIn(a, 32, 32))
 		}
 		return ts
 	}
 	first := pass()
-	warm := a.Cap()
+	warm := SlabFloats(a)
 	if warm == 0 {
 		t.Fatal("warm arena reports zero capacity")
 	}
 	a.Reset()
 	second := pass()
-	if got := a.Cap(); got != warm {
+	if got := SlabFloats(a); got != warm {
 		t.Fatalf("repeat pass grew the arena: %d -> %d floats", warm, got)
 	}
 	if &first[0].Data()[0] != &second[0].Data()[0] {
 		t.Fatal("reset did not recycle slab memory")
 	}
 	// Zeroed again despite the first pass's writes.
-	first[3].Fill(9)
+	for i := range first[3].Data() {
+		first[3].Data()[i] = 9
+	}
 	a.Reset()
-	if v := a.New(32, 32); v.Data()[0] != 0 {
+	if v := NewIn(a, 32, 32); v.Data()[0] != 0 {
 		t.Fatal("recycled memory not re-zeroed")
 	}
 }
@@ -65,12 +69,14 @@ func TestArenaResetReusesSlabs(t *testing.T) {
 // dedicated slab rather than panicking or splitting.
 func TestArenaOversizedAllocation(t *testing.T) {
 	a := NewArena()
-	big := a.New(arenaFloatSlab + 100)
+	big := NewIn(a, arenaFloatSlab+100)
 	if big.Size() != arenaFloatSlab+100 {
 		t.Fatal("oversized allocation has wrong size")
 	}
-	small := a.New(8)
-	small.Fill(1)
+	small := NewIn(a, 8)
+	for i := range small.Data() {
+		small.Data()[i] = 1
+	}
 	if big.Data()[len(big.Data())-1] != 0 {
 		t.Fatal("oversized and small allocations overlap")
 	}

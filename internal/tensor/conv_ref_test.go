@@ -107,7 +107,7 @@ func withSignedZeros(t *Tensor) *Tensor {
 // result that relied on memory it did not write would show it.
 func dirtyArena(floats int) *Arena {
 	a := NewArena()
-	junk := a.New(floats).data
+	junk := NewIn(a, floats).data
 	for i := range junk {
 		junk[i] = math.NaN()
 	}
@@ -128,7 +128,7 @@ func TestIm2ColMatchesElementwise(t *testing.T) {
 		sameBits(t, g.String()+" heap", Im2Col(x, g.k, g.k, opts).data, want)
 
 		a := dirtyArena(len(x.data) + len(want))
-		xa := a.New(x.shape...)
+		xa := NewIn(a, x.shape...)
 		copy(xa.data, x.data)
 		got := Im2Col(xa, g.k, g.k, opts)
 		if got.Arena() != a {
@@ -151,7 +151,7 @@ func TestCol2ImMatchesElementwise(t *testing.T) {
 		sameBits(t, g.String()+" heap", Col2Im(cols, g.n, g.c, g.h, g.w, g.k, g.k, opts).data, want)
 
 		a := dirtyArena(len(cols.data) + len(want))
-		ca := a.New(cols.shape...)
+		ca := NewIn(a, cols.shape...)
 		copy(ca.data, cols.data)
 		sameBits(t, g.String()+" arena", Col2Im(ca, g.n, g.c, g.h, g.w, g.k, g.k, opts).data, want)
 	}

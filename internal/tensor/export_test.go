@@ -9,3 +9,13 @@ func PoisonArena(a *Arena, v float64) {
 		}
 	}
 }
+
+// SlabFloats returns the float64 capacity across a's slabs, the arena's
+// high-water footprint.
+func SlabFloats(a *Arena) int {
+	n := 0
+	for _, s := range a.floats {
+		n += len(s)
+	}
+	return n
+}

@@ -34,7 +34,7 @@ func TestGoFallbackMatchesRowStream(t *testing.T) {
 			b := Randn(rng, 1, k, n)
 			sameBits(t, fmt.Sprintf("MatMul dims %v", dims), a.MatMul(b).Data(), rowStream(a, b))
 			at := Randn(rng, 1, k, m)
-			sameBits(t, fmt.Sprintf("MatMulTA dims %v", dims), at.MatMulTA(b).Data(), rowStream(at.Transpose2D(), b))
+			sameBits(t, fmt.Sprintf("MatMulTA dims %v", dims), at.MatMulTAIn(nil, b).Data(), rowStream(at.Transpose2D(), b))
 			bt := Randn(rng, 1, n, k)
 			sameBits(t, fmt.Sprintf("MatMulTB dims %v", dims), a.MatMulTB(bt).Data(), rowStream(a, bt.Transpose2D()))
 		}
@@ -90,7 +90,7 @@ func TestGemmNaNPayloads(t *testing.T) {
 	}
 	products := func(simd bool) {
 		check("MatMul", a.MatMul(b).data, simd)
-		check("MatMulTA", a.Transpose2D().MatMulTA(b).data, simd)
+		check("MatMulTA", a.Transpose2D().MatMulTAIn(nil, b).data, simd)
 		check("MatMulTB", a.MatMulTB(b.Transpose2D()).data, simd)
 	}
 	products(gemmSIMD)

@@ -57,7 +57,7 @@ func benchGemm(b *testing.B, kernel func(dst, a, bb []float64, m, k, n int), sz 
 	b.SetBytes(int64(2 * sz * sz * sz * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst.Zero()
+		clear(dst.Data())
 		kernel(dst.Data(), a.Data(), bb.Data(), sz, sz, sz)
 	}
 }

@@ -62,25 +62,22 @@ func (t *Tensor) MatMul(u *Tensor) *Tensor {
 	return r
 }
 
-// MatMulTA returns tᵀ·u for the (K, M) tensor t and the (K, N) tensor u,
-// an (M, N) product, without materializing tᵀ: the kernels read t in
+// MatMulTAIn returns tᵀ·u for the (K, M) tensor t and the (K, N) tensor
+// u, an (M, N) product, without materializing tᵀ: the kernels read t in
 // place with strides (1, M). It is bit-identical to
 // t.Transpose2D().MatMul(u) — the same ascending-k sum and the same
 // zero-skip on the same element of t — and is how a backward pass forms
-// a weight gradient Xᵀ·dY.
-func (t *Tensor) MatMulTA(u *Tensor) *Tensor { return t.MatMulTAIn(t.arena, u) }
-
-// MatMulTAIn is MatMulTA allocating the result from arena a (nil means
+// a weight gradient Xᵀ·dY. The result comes from arena a (nil means
 // heap), so a backward pass can put a weight gradient in the step's arena
 // whichever operand lives there.
 func (t *Tensor) MatMulTAIn(a *Arena, u *Tensor) *Tensor {
 	if t.Rank() != 2 || u.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMulTA of rank %d and %d", t.Rank(), u.Rank()))
+		panic(fmt.Sprintf("tensor: MatMulTAIn of rank %d and %d", t.Rank(), u.Rank()))
 	}
 	k, m := t.shape[0], t.shape[1]
 	k2, n := u.shape[0], u.shape[1]
 	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTA inner dims %d vs %d", k, k2))
+		panic(fmt.Sprintf("tensor: MatMulTAIn inner dims %d vs %d", k, k2))
 	}
 	r := newIn(a, []int{m, n})
 	gemm(r.data, t.data, u.data, m, k, n, 1, m)
@@ -291,53 +288,6 @@ func (t *Tensor) Transpose2DIn(a *Arena) *Tensor {
 					r.data[(j0+j)*m+i] = v
 				}
 			}
-		}
-	}
-	return r
-}
-
-// MatVec returns the matrix-vector product of the (M, N) tensor t and the
-// length-N vector v.
-func (t *Tensor) MatVec(v *Tensor) *Tensor {
-	if t.Rank() != 2 || v.Rank() != 1 || t.shape[1] != v.shape[0] {
-		panic(fmt.Sprintf("tensor: MatVec shapes %v, %v", t.shape, v.shape))
-	}
-	m, n := t.shape[0], t.shape[1]
-	r := NewRawIn(t.arena, m)
-	for i := 0; i < m; i++ {
-		row := t.data[i*n : (i+1)*n]
-		var s float64
-		for j, x := range row {
-			s += x * v.data[j]
-		}
-		r.data[i] = s
-	}
-	return r
-}
-
-// Dot returns the inner product of two equal-length rank-1 tensors.
-func (t *Tensor) Dot(u *Tensor) float64 {
-	if t.Rank() != 1 || u.Rank() != 1 || t.shape[0] != u.shape[0] {
-		panic(fmt.Sprintf("tensor: Dot shapes %v, %v", t.shape, u.shape))
-	}
-	var s float64
-	for i := range t.data {
-		s += t.data[i] * u.data[i]
-	}
-	return s
-}
-
-// Outer returns the outer product of rank-1 tensors t (len M) and u (len N),
-// an (M, N) matrix.
-func (t *Tensor) Outer(u *Tensor) *Tensor {
-	if t.Rank() != 1 || u.Rank() != 1 {
-		panic("tensor: Outer of non-vectors")
-	}
-	m, n := t.shape[0], u.shape[0]
-	r := NewRawIn(t.arena, m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			r.data[i*n+j] = t.data[i] * u.data[j]
 		}
 	}
 	return r

@@ -21,24 +21,6 @@ func (t *Tensor) SumAxis0() *Tensor {
 	return r
 }
 
-// SumAxis1 returns the row sums of a rank-2 tensor as a length-M vector.
-func (t *Tensor) SumAxis1() *Tensor {
-	if t.Rank() != 2 {
-		panic("tensor: SumAxis1 of non-matrix")
-	}
-	m, n := t.shape[0], t.shape[1]
-	r := NewRawIn(t.arena, m)
-	for i := 0; i < m; i++ {
-		row := t.data[i*n : (i+1)*n]
-		var s float64
-		for _, x := range row {
-			s += x
-		}
-		r.data[i] = s
-	}
-	return r
-}
-
 // ArgMaxRows returns, for a rank-2 (M, N) tensor, the index of the maximum
 // element in each row.
 func (t *Tensor) ArgMaxRows() []int {
@@ -88,12 +70,6 @@ func (t *Tensor) SoftmaxRows() *Tensor {
 		}
 	}
 	return r
-}
-
-// MeanAxis0 returns the column means of a rank-2 tensor.
-func (t *Tensor) MeanAxis0() *Tensor {
-	r := t.SumAxis0()
-	return r.ScaleInPlace(1 / float64(t.shape[0]))
 }
 
 // Slice2DRows returns rows [lo, hi) of a rank-2 tensor as a view.

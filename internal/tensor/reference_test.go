@@ -56,7 +56,7 @@ func TestMatMulTAMatchesTransposeMatMul(t *testing.T) {
 		m, k, n := d[0], d[1], d[2]
 		a, b := specialOperands(uint64(m*k*n), m, k, n)
 		want := a.Transpose2D().MatMul(b)
-		got := a.MatMulTA(b)
+		got := a.MatMulTAIn(nil, b)
 		if got.shape[0] != m || got.shape[1] != n {
 			t.Fatalf("%v: shape %v", d, got.shape)
 		}
@@ -192,7 +192,7 @@ func TestTransposeMatchesNaive(t *testing.T) {
 	for _, d := range [][2]int{{1, 1}, {1, 40}, {40, 1}, {15, 17}, {16, 16}, {33, 70}, {64, 256}, {256, 256}} {
 		x := Randn(rng, 1, d[0], d[1])
 		ar.Reset()
-		_ = ar.New(d[0] * d[1])
+		_ = NewIn(ar, d[0]*d[1])
 		ar.Reset()
 		PoisonArena(ar, math.NaN())
 		got := x.Transpose2DIn(ar)
@@ -295,7 +295,7 @@ func TestMaxPool2DMatchesBranching(t *testing.T) {
 			wantOut, wantArg := maxPoolBranching(x, k, stride)
 			name := fmt.Sprintf("%v k%d s%d", s, k, stride)
 			ar := dirtyArena(2 * len(x.data))
-			xa := ar.New(x.shape...)
+			xa := NewIn(ar, x.shape...)
 			copy(xa.data, x.data)
 			for _, in := range []*Tensor{x, xa} {
 				out, arg := MaxPool2D(in, k, stride)
@@ -362,7 +362,7 @@ func TestGemmTailsMatchRowStream(t *testing.T) {
 				want := rowStream(a, b)
 				name := fmt.Sprintf("m,k,n=%d,%d,%d", m, k, n)
 				sameBits(t, name+" MatMul", a.MatMul(b).data, want)
-				sameBits(t, name+" MatMulTA", a.Transpose2D().MatMulTA(b).data, want)
+				sameBits(t, name+" MatMulTA", a.Transpose2D().MatMulTAIn(nil, b).data, want)
 				sameBits(t, name+" MatMulTB", a.MatMulTB(b.Transpose2D()).data, want)
 			}
 		}

@@ -169,16 +169,6 @@ func (t *Tensor) mustMatch(u *Tensor, op string) {
 	}
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
-// Zero sets every element to 0.
-func (t *Tensor) Zero() { t.Fill(0) }
-
 // Add returns t + u elementwise.
 func (t *Tensor) Add(u *Tensor) *Tensor {
 	t.mustMatch(u, "Add")
@@ -205,16 +195,6 @@ func (t *Tensor) Mul(u *Tensor) *Tensor {
 	r := NewRawIn(t.arena, t.shape...)
 	for i := range t.data {
 		r.data[i] = t.data[i] * u.data[i]
-	}
-	return r
-}
-
-// Div returns t / u elementwise.
-func (t *Tensor) Div(u *Tensor) *Tensor {
-	t.mustMatch(u, "Div")
-	r := NewRawIn(t.arena, t.shape...)
-	for i := range t.data {
-		r.data[i] = t.data[i] / u.data[i]
 	}
 	return r
 }
@@ -254,15 +234,6 @@ func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 		t.data[i] *= s
 	}
 	return t
-}
-
-// AddScalar returns t + s elementwise.
-func (t *Tensor) AddScalar(s float64) *Tensor {
-	r := NewRawIn(t.arena, t.shape...)
-	for i := range t.data {
-		r.data[i] = t.data[i] + s
-	}
-	return r
 }
 
 // Apply returns f applied elementwise.

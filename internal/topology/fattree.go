@@ -194,24 +194,6 @@ func (t *FatTree) MaxLinkLoad() int {
 	return m
 }
 
-// TotalFlows returns the sum of loads over host-to-edge links, i.e. the
-// number of committed flows.
-func (t *FatTree) TotalFlows() int {
-	n := 0
-	for k, l := range t.load {
-		if NodeKind(k>>60) == Host {
-			n += l
-		}
-	}
-	return n
-}
-
-// PathLinks returns the number of links on the path between two hosts —
-// 2 within an edge switch, 4 within a pod, 6 across pods.
-func (t *FatTree) PathLinks(src, dst int) int {
-	return len(t.Route(src, dst, false)) - 1
-}
-
 // RingNeighborTraffic commits the flow pattern of a ring allreduce over n
 // consecutive hosts (each host sends to the next, wrapping) and returns
 // the resulting maximum link load. The fat tree keeps neighbour rings

@@ -36,13 +36,13 @@ func TestOddRadixPanics(t *testing.T) {
 func TestPathLengths(t *testing.T) {
 	ft := NewFatTree(4)
 	// Hosts 0,1 share an edge switch; 0,2 share a pod; 0,8 cross pods.
-	if got := ft.PathLinks(0, 1); got != 2 {
+	if got := len(ft.Route(0, 1, false)) - 1; got != 2 {
 		t.Errorf("same-edge path links = %d, want 2", got)
 	}
-	if got := ft.PathLinks(0, 2); got != 4 {
+	if got := len(ft.Route(0, 2, false)) - 1; got != 4 {
 		t.Errorf("same-pod path links = %d, want 4", got)
 	}
-	if got := ft.PathLinks(0, 8); got != 6 {
+	if got := len(ft.Route(0, 8, false)) - 1; got != 6 {
 		t.Errorf("cross-pod path links = %d, want 6", got)
 	}
 	if got := len(ft.Route(5, 5, false)); got != 1 {
@@ -106,13 +106,24 @@ func TestCrossPodPathUsesConsistentCoreWiring(t *testing.T) {
 	}
 }
 
+// hostFlows sums the loads on host-to-edge links: the committed flows.
+func hostFlows(t *FatTree) int {
+	n := 0
+	for k, l := range t.load {
+		if NodeKind(k>>60) == Host {
+			n += l
+		}
+	}
+	return n
+}
+
 func TestRingTrafficNearlyCongestionFree(t *testing.T) {
 	ft := NewFatTree(8) // 128 hosts
 	load := ft.RingNeighborTraffic(ft.HostCount, true)
 	if load > 1 {
 		t.Fatalf("adaptive ring max link load = %d, want 1", load)
 	}
-	if got := ft.TotalFlows(); got != ft.HostCount {
+	if got := hostFlows(ft); got != ft.HostCount {
 		t.Fatalf("flows committed = %d", got)
 	}
 }
@@ -161,7 +172,7 @@ func TestResetLoad(t *testing.T) {
 	ft := NewFatTree(4)
 	ft.AddFlow(0, 9, true)
 	ft.ResetLoad()
-	if ft.MaxLinkLoad() != 0 || ft.TotalFlows() != 0 {
+	if ft.MaxLinkLoad() != 0 || hostFlows(ft) != 0 {
 		t.Fatal("ResetLoad left residual state")
 	}
 }

@@ -20,11 +20,10 @@ import (
 
 // Names of the obs counters and series the failover engine records.
 const (
-	MetricFailovers    = "workflow.failover.failovers"
-	MetricHedges       = "workflow.failover.hedges"
-	MetricHedgeWins    = "workflow.failover.hedge_wins"
-	MetricBreakerTrips = "workflow.failover.breaker_trips"
-	MetricOutageWait   = "workflow.failover.wait_s"
+	MetricFailovers  = "workflow.failover.failovers"
+	MetricHedges     = "workflow.failover.hedges"
+	MetricHedgeWins  = "workflow.failover.hedge_wins"
+	MetricOutageWait = "workflow.failover.wait_s"
 )
 
 // Window is a half-open simulated interval [From, To).
@@ -99,13 +98,10 @@ func (o FacilityOutages) downIn(fac string, from, to units.Seconds) (units.Secon
 
 // CircuitBreaker health-gates facilities: after Threshold consecutive
 // task losses on a facility it opens — the policy stops routing there —
-// and half-closes again after Cooldown of simulated time. Counters are
-// recorded on Obs when set.
+// and half-closes again after Cooldown of simulated time.
 type CircuitBreaker struct {
 	Threshold int
 	Cooldown  units.Seconds
-	// Obs, if non-nil, counts trips under workflow.failover.breaker_trips.
-	Obs *obs.Observer
 
 	consecutive map[string]int
 	openUntil   map[string]units.Seconds
@@ -155,9 +151,6 @@ func (b *CircuitBreaker) RecordFailure(fac string, now units.Seconds) {
 		b.openUntil[fac] = now + b.Cooldown
 		b.consecutive[fac] = 0
 		b.trips++
-		b.Obs.Inc(MetricBreakerTrips)
-		b.Obs.Event("failover", "breaker", "breaker-open", now,
-			obs.Str("facility", fac))
 	}
 }
 

@@ -130,14 +130,12 @@ func TestHedgeWinsOnSpeed(t *testing.T) {
 // open its breaker; later tasks route straight to the backup without
 // probing the sick site again.
 func TestCircuitBreakerTrips(t *testing.T) {
-	ob := obs.New()
 	br := NewCircuitBreaker(2, 1000)
-	br.Obs = ob
 	rep, err := RunFailoverCampaign(FailoverPolicy{
 		Facilities: []string{"summit", "perlmutter"},
 		Outages:    FacilityOutages{"summit": {{From: 5, To: 8}, {From: 18, To: 21}}},
 		Breaker:    br,
-		Obs:        ob,
+		Obs:        obs.New(),
 	}, tasksOf(4, 10))
 	if err != nil {
 		t.Fatal(err)
@@ -150,9 +148,6 @@ func TestCircuitBreakerTrips(t *testing.T) {
 	}
 	if rep.PerFacility["perlmutter"] != 4 {
 		t.Fatalf("post-trip tasks not kept off the sick facility: %v", rep.PerFacility)
-	}
-	if got := ob.Metrics.Counter(MetricBreakerTrips); got != 1 {
-		t.Fatalf("obs trip counter %d, want 1", got)
 	}
 	if !br.Allow("summit", 1500) {
 		t.Fatal("breaker must half-close after its cooldown")

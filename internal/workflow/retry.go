@@ -105,8 +105,6 @@ type RetryPolicy struct {
 	// under the workflow.retry.* names — so a campaign's policy shares one
 	// observer with the rest of the instrumented stack.
 	Obs *obs.Observer
-	// OnRetry, if non-nil, observes (task, attempt, err) before each retry.
-	OnRetry func(task string, attempt int, err error)
 }
 
 // Wrap returns a task body that retries body up to MaxAttempts times.
@@ -131,9 +129,6 @@ func (p RetryPolicy) Wrap(name string, body func(ctx *Context) error) func(*Cont
 				return nil
 			}
 			if attempt < p.MaxAttempts {
-				if p.OnRetry != nil {
-					p.OnRetry(name, attempt, last)
-				}
 				if p.Stats != nil {
 					p.Stats.recordRetry(backoff)
 				}

@@ -19,18 +19,15 @@ func TestRetrySucceedsEventually(t *testing.T) {
 		}
 		return nil
 	}
-	var retries []int
-	p := RetryPolicy{MaxAttempts: 5, OnRetry: func(_ string, a int, _ error) {
-		retries = append(retries, a)
-	}}
+	p := RetryPolicy{MaxAttempts: 5, Stats: &RetryStats{}}
 	if err := p.Wrap("t", body)(NewContext()); err != nil {
 		t.Fatal(err)
 	}
 	if attempts != 3 {
 		t.Fatalf("attempts = %d", attempts)
 	}
-	if len(retries) != 2 || retries[0] != 1 || retries[1] != 2 {
-		t.Fatalf("retry observations = %v", retries)
+	if s := p.Stats.Snapshot(); s.Attempts != 3 || s.Retries != 2 || s.Succeeded != 1 {
+		t.Fatalf("retry stats = %v", s)
 	}
 }
 
