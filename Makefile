@@ -28,7 +28,8 @@ help:
 	@echo "  bench-floors kernel floor rules only (MDForces 1.2x,"
 	@echo "             ServeHotPath batching 2x, CampaignHotPath 1.2x,"
 	@echo "             CheckpointDrain async 1.5x at >=4 cores;"
-	@echo "             GemmSIMD 3x and TrainStep allocs <=39 always),"
+	@echo "             GemmSIMD 3x, GemmTrainWide tile8/tile16 1.2x"
+	@echo "             with AVX-512, TrainStep allocs <=39 always),"
 	@echo "             no baseline"
 	@echo "  repro      full reproduction report (cmd/summit-repro)"
 	@echo "  examples   run every example once"
@@ -77,9 +78,10 @@ bench:
 # training-step allocation ceiling, train-wide's step split into its
 # phases (forward, backward, gradient exchange, optimizer) and its LAMB
 # step alone, each SmallCNN layer op's forward and forward+backward at
-# train-cnn's shape, the GEMM kernel ablation (naive, row-stream, AVX2)
-# and train-wide's dX product (transpose then multiply, or MatMulTB's
-# strips), the obs instrumentation
+# train-cnn's shape, the GEMM kernel ablation (naive, row-stream, the
+# assembly tiles), train-wide's dX product (transpose then multiply, or
+# MatMulTB's strips) and its three products with the 16-wide tile off and
+# on (GemmTrainWide), the obs instrumentation
 # overhead, one full chaos scenario pass (compile the perfect-storm spec
 # + drive every subsystem probe), the serving layer (the
 # batched-vs-unbatched inference hot path plus a full simulated serving
@@ -111,9 +113,11 @@ bench-check:
 # (MD forces parallel >= 1.2x serial, serving micro-batch >= 2x
 # single-row dispatch, campaign evaluation parallel >= 1.2x serial,
 # async checkpoint drain >= 1.5x the synchronous stall — all only
-# enforced when the run recorded >= 4 cores), the single-thread AVX2
+# enforced when the run recorded >= 4 cores), the single-thread assembly
 # GEMM >= 3x the serial row-stream at any core count (skipped on hosts
-# without AVX2), plus the deterministic TrainStepAlloc/scratch <= 39
+# without AVX2), train-wide's products with the 16-wide tile >= 1.2x
+# faster than with the 8-wide one at any core count (skipped on hosts
+# without AVX-512), plus the deterministic TrainStepAlloc/scratch <= 39
 # allocs/op ceiling. This is what CI's perf-smoke job runs: it works on
 # any runner, even one whose core count differs from the committed
 # baseline's.

@@ -25,9 +25,19 @@ const checkTolerance = 0.30
 // one thread, and the deterministic allocation floor, apply at any core
 // count.
 const (
-	// minGemmSIMDSpeedup floors GemmRowStream256 / GemmSIMD256: the AVX2
-	// micro-kernel must beat the row-stream kernel 3x on one thread.
+	// minGemmSIMDSpeedup floors GemmRowStream256 / GemmSIMD256: the
+	// assembly tiles (the 16-wide AVX-512 tile beside the 8-wide AVX2 one
+	// where the host has it) must beat the row-stream kernel 3x on one
+	// thread.
 	minGemmSIMDSpeedup = 3.0
+	// minGemm16Speedup floors GemmTrainWide tile8 / tile16: train-wide's
+	// three products must run this much faster with the 16-wide tile on
+	// than off. Both sides run the same products through the same
+	// fan-out, so the floor binds at any core count; hosts without
+	// AVX-512 skip tile16 and so the rule. On a 2-vCPU Sapphire Rapids
+	// Xeon five interleaved 1-core runs read 1.49x to 1.66x, and 2-core
+	// runs 1.33x to 1.64x.
+	minGemm16Speedup = 1.2
 	// minMDSpeedup floors MDForces/serial / MDForces/parallel: the
 	// persistent-pool force kernel must actually beat serial.
 	minMDSpeedup = 1.2
@@ -89,6 +99,9 @@ var ratioRules = []ratioRule{
 	{label: "GemmRowStream256/GemmSIMD256",
 		num: "BenchmarkGemmRowStream256", den: "BenchmarkGemmSIMD256",
 		floor: minGemmSIMDSpeedup, minProcs: 1, denOptional: true},
+	{label: "GemmTrainWide tile8/tile16",
+		num: "BenchmarkGemmTrainWide/tile8", den: "BenchmarkGemmTrainWide/tile16",
+		floor: minGemm16Speedup, minProcs: 1, denOptional: true},
 	{label: "MDForces serial/parallel",
 		num: "BenchmarkMDForces/serial", den: "BenchmarkMDForces/parallel",
 		floor: minMDSpeedup, minProcs: kernelFloorMinProcs},

@@ -299,3 +299,46 @@ func TestGemmSIMDFloor(t *testing.T) {
 		t.Fatalf("absent SIMD benchmark not reported as skipped:\n%s", strings.Join(lines, "\n"))
 	}
 }
+
+// TestGemm16Floor: both sides of the 16-wide tile's floor run the same
+// products at the same width, so it binds at any recorded core count,
+// and a host without AVX-512, whose benchmark skips tile16, skips it.
+func TestGemm16Floor(t *testing.T) {
+	gemm := func(tile8, tile16 float64) *document {
+		d := doc(result{Name: "BenchmarkGemmTrainWide/tile8", NsPerOp: tile8})
+		if tile16 > 0 {
+			d.Benchmarks = append(d.Benchmarks, result{Name: "BenchmarkGemmTrainWide/tile16", NsPerOp: tile16})
+		}
+		return d
+	}
+	// 1.6x clears the floor at 1 and 2 cores.
+	for _, procs := range []int{1, 2} {
+		fresh := gemm(1600, 1000)
+		fresh.Gomaxprocs = procs
+		if _, failed := checkKernelFloors(fresh); len(failed) != 0 {
+			t.Fatalf("1.6x tile16 speedup failed the %.2fx floor at %d cores: %v", minGemm16Speedup, procs, failed)
+		}
+	}
+	// Level tiles breach it, even on one core.
+	fresh := gemm(1000, 1000)
+	fresh.Gomaxprocs = 1
+	lines, failed := checkKernelFloors(fresh)
+	if len(failed) != 1 || failed[0] != "GemmTrainWide tile8/tile16" {
+		t.Fatalf("level tiles not flagged at 1 core: %v", failed)
+	}
+	if !strings.Contains(strings.Join(lines, "\n"), "GemmTrainWide tile8/tile16 ratio 1.00x") ||
+		!strings.Contains(strings.Join(lines, "\n"), "[REGRESSION]") {
+		t.Fatalf("tile16 breach not marked:\n%s", strings.Join(lines, "\n"))
+	}
+	// Without AVX-512 only tile8 runs: the rule is skipped, not failed.
+	fresh = gemm(1000, 0)
+	fresh.Gomaxprocs = 2
+	lines, failed = checkKernelFloors(fresh)
+	if len(failed) != 0 {
+		t.Fatalf("absent tile16 benchmark failed the gate: %v", failed)
+	}
+	if !strings.Contains(strings.Join(lines, "\n"), "GemmTrainWide tile8/tile16 floor") ||
+		!strings.Contains(strings.Join(lines, "\n"), "skipped (BenchmarkGemmTrainWide/tile16 not run on this host)") {
+		t.Fatalf("absent tile16 benchmark not reported as skipped:\n%s", strings.Join(lines, "\n"))
+	}
+}

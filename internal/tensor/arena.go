@@ -67,12 +67,13 @@ func newIn(a *Arena, shape []int) *Tensor {
 // whatever an earlier step left there. An operation may allocate its
 // result with it only if it writes every element before anything reads
 // one. Those that do are Clone, FullIn, the elementwise ops, AddRow, the
-// transposes, SoftmaxRows, Im2Col, Col2Im's result, the conv output and
-// kernel matrix, both poolings' outputs, and in autograd ConstantIn,
-// ReLU, BatchNorm2D, LayerNorm and every backward that assigns its
-// gradient rather than adding to it. Anything that accumulates into its
-// output (the GEMMs, SumAxis0, Col2Im's padded planes, max-pool
-// backward) must take NewIn.
+// transposes, SoftmaxRows, the GEMMs (MatMul, MatMulTAIn, MatMulTB and
+// the conv product, whose kernels store each sum without reading the
+// output), Im2Col, Col2Im's result, the conv output and kernel matrix,
+// both poolings' outputs, and in autograd ConstantIn, ReLU, BatchNorm2D,
+// LayerNorm and every backward that assigns its gradient rather than
+// adding to it. Anything that accumulates into its output (SumAxis0,
+// Col2Im's padded planes, max-pool backward) must take NewIn.
 // Heap memory comes from make and is zeroed either way.
 func NewRawIn(a *Arena, shape ...int) *Tensor {
 	n := checkShape(shape)

@@ -243,7 +243,7 @@ func Conv2D(x, kernel, bias *Tensor, opts Conv2DOpts) (out, cols *Tensor) {
 			km[j*f+i] = kd[i*ck+j]
 		}
 	}
-	prod := newIn(x.arena, []int{n * oh * ow, f}) // (N*OH*OW, F)
+	prod := NewRawIn(x.arena, n*oh*ow, f) // (N*OH*OW, F)
 	matMulInto(prod, cols, kmat)
 	// Each image's (OH*OW, F) block of the product becomes F planes.
 	out = NewRawIn(x.arena, n, f, oh, ow)

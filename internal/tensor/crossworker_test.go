@@ -40,12 +40,14 @@ func TestGemmRowsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestGemmSIMDDeterministicAcrossWorkers drives the SIMD rows through
-// the same gemmRowChunk decomposition matMulParallel uses. m is not a
-// multiple of the chunk or the 4-row tile and n not a multiple of the
-// 8-column strip, so edge rows and columns run at every width.
+// the same gemmRowChunk decomposition matMulParallel uses, with each
+// tile. m is not a multiple of the chunk or the 4-row tile, and n = 158
+// leaves one 8-wide tile and six tail columns after the 16-wide tiles
+// (six after the 8-wide ones), so edge rows and columns run at every
+// width.
 func TestGemmSIMDDeterministicAcrossWorkers(t *testing.T) {
 	rng := stats.NewRNG(31)
-	m, k, n := 133, 140, 150
+	m, k, n := 133, 140, 158
 	a := Randn(rng, 1, m, k)
 	b := Randn(rng, 1, k, n)
 
@@ -59,9 +61,11 @@ func TestGemmSIMDDeterministicAcrossWorkers(t *testing.T) {
 		return dst
 	}
 	ref := rowStream(a, b)
-	for _, w := range []int{1, 2, 4, 8} {
-		sameBits(t, fmt.Sprintf("workers=%d", w), run(w), ref)
-	}
+	forEachTile(t, func(t *testing.T) {
+		for _, w := range []int{1, 2, 4, 8} {
+			sameBits(t, fmt.Sprintf("workers=%d", w), run(w), ref)
+		}
+	})
 }
 
 func TestIm2ColDeterministicAcrossWorkers(t *testing.T) {

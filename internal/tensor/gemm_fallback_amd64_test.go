@@ -19,6 +19,34 @@ func goFallback(f func()) {
 	f()
 }
 
+// setTile16 switches the 16-wide tile on or off and returns a function
+// that restores the switch. Switching it on skips tb on hosts without
+// AVX-512.
+func setTile16(tb testing.TB, on bool) (restore func()) {
+	if on && !hasAVX512 {
+		tb.Skip("no AVX-512 tile on this host")
+	}
+	saved := gemm16
+	gemm16 = on
+	return func() { gemm16 = saved }
+}
+
+// TestGemmTilesFollowProbe logs which tiles this host runs, so that a
+// CI run with -v says whether it exercised the 16-wide tile, and checks
+// that the dispatch took the start-up probe's answer: a second probe
+// agrees, and the 16-wide tile runs only beside the 8-wide one.
+func TestGemmTilesFollowProbe(t *testing.T) {
+	t.Logf("GEMM tiles on this host: 8-wide AVX2 %v, 16-wide AVX-512 %v", gemmSIMD, gemm16)
+	avx2, avx512 := probeSIMD()
+	if gemmSIMD != avx2 || gemm16 != avx512 || HasAVX2() != avx2 {
+		t.Fatalf("dispatch runs AVX2 %v and AVX-512 %v (HasAVX2 %v), the probe says %v and %v",
+			gemmSIMD, gemm16, HasAVX2(), avx2, avx512)
+	}
+	if gemm16 && !gemmSIMD {
+		t.Fatal("the 16-wide tile is on without the 8-wide one")
+	}
+}
+
 // TestGoFallbackMatchesRowStream runs the Go GEMM fallback on amd64,
 // where every product otherwise takes the AVX2 kernel: with gemmSIMD off,
 // MatMul, MatMulTA (a transposed A, read in place by the row-parallel
@@ -47,19 +75,20 @@ func TestGoFallbackMatchesRowStream(t *testing.T) {
 // -Inf, so the sum holds the default NaN of Inf-Inf (0xfff8…0 on x86)
 // when A's NaN product arrives. An SSE or AVX add keeps its destination's
 // NaN, and which operand of a Go += is the destination is the compiler's
-// choice. The AVX2 tiles (VADDPD into the accumulator) and the register
-// tails keep the accumulator's NaN; the row-stream loop (addScaledRow),
-// which computes the trailing m mod 4 rows' first n &^ 7 columns beside
-// the tiles and every element without AVX2, keeps the product's. At
-// m, k, n = 5, 64, 10 every path runs, and a compiler that swaps the
-// operands of any of those adds fails here. A -race build allocates
-// registers differently and swaps some of them, so the pin is for the
-// optimized build only.
+// choice. Both tiles (VADDPD into the accumulator) and the register tails
+// keep the accumulator's NaN; the row-stream loop (addScaledRow), which
+// computes the trailing m mod 4 rows' first n &^ 7 columns beside the
+// tiles and every element without AVX2, keeps the product's. At
+// m, k, n = 5, 64, 26 every path runs, with the 16-wide tile over
+// columns 0–15 where it is on, the 8-wide one over 16–23 and the tails
+// over 24–25, and a compiler that swaps the operands of any of those adds
+// fails here. A -race build allocates registers differently and swaps
+// some of them, so the pin is for the optimized build only.
 func TestGemmNaNPayloads(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes which operand of a Go += is the destination")
 	}
-	const m, k, n = 5, 64, 10
+	const m, k, n = 5, 64, 26
 	const payloadNaN, defaultNaN = 0x7ff8000000000001, 0xfff8000000000000
 	a, b := New(m, k), New(k, n)
 	for i := range a.data {
@@ -74,7 +103,7 @@ func TestGemmNaNPayloads(t *testing.T) {
 	for i := 0; i < m; i++ {
 		a.data[i*k+2] = math.Float64frombits(payloadNaN)
 	}
-	check := func(what string, got []float64, simd bool) {
+	check := func(t *testing.T, what string, got []float64, simd bool) {
 		t.Helper()
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
@@ -88,11 +117,11 @@ func TestGemmNaNPayloads(t *testing.T) {
 			}
 		}
 	}
-	products := func(simd bool) {
-		check("MatMul", a.MatMul(b).data, simd)
-		check("MatMulTA", a.Transpose2D().MatMulTAIn(nil, b).data, simd)
-		check("MatMulTB", a.MatMulTB(b.Transpose2D()).data, simd)
+	products := func(t *testing.T, simd bool) {
+		check(t, "MatMul", a.MatMul(b).data, simd)
+		check(t, "MatMulTA", a.Transpose2D().MatMulTAIn(nil, b).data, simd)
+		check(t, "MatMulTB", a.MatMulTB(b.Transpose2D()).data, simd)
 	}
-	products(gemmSIMD)
-	goFallback(func() { products(false) })
+	forEachTile(t, func(t *testing.T) { products(t, gemmSIMD) })
+	t.Run("go", func(t *testing.T) { goFallback(func() { products(t, false) }) })
 }

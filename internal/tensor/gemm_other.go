@@ -2,9 +2,9 @@
 
 package tensor
 
-// gemmSIMD is false where no assembly micro-kernel is built, so gemm
+// gemmSIMD and gemm16 are false where no assembly tile is built, so gemm
 // runs the Go row-stream kernel, sequentially or fanned out by size.
-const gemmSIMD = false
+const gemmSIMD, gemm16 = false, false
 
 // matmulRowsSIMD is matmulBlock over all columns on these hosts;
 // gemm never calls it.
@@ -14,6 +14,6 @@ func matmulRowsSIMD(dst, a, b []float64, lo, hi, k, n, ars, aks int) {
 
 // matmulTBStrips is never called on these hosts: MatMulTB transposes U
 // and multiplies instead.
-func matmulTBStrips(dst, a, u, panel []float64, lo, hi, m, k, n int) {
-	panic("tensor: no AVX2 micro-kernel on this host")
+func matmulTBStrips(dst, a, u, panel []float64, lo, hi, m, k, n, sw int) {
+	panic("tensor: no AVX2 tile on this host")
 }

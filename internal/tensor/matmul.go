@@ -7,16 +7,18 @@ import (
 	"summitscale/internal/parallel"
 )
 
-// MatMul's dispatch. Where the AVX2 micro-kernel is available
-// (gemm_amd64.go), every product runs it: sequentially below
+// MatMul's dispatch. Where the assembly tiles are available
+// (gemm_amd64.go), every product runs them: sequentially below
 // matmulParallelThreshold, fanned out in gemmRowChunk-row chunks above.
 // Elsewhere the Go row-stream kernel (matmulBlock) takes the same two
 // levels: sequentially below the threshold, fanned out in
 // matmulRowGrain-row chunks above. Every kernel is bit-identical (same
 // ascending-k accumulation per output element, same zero-skip), so the
-// dispatch is pure performance tuning. With the AVX2 kernel, MatMulTB
-// (the product with a transposed right operand) fans out over 8-column
-// strips instead (see gemmTB).
+// dispatch is pure performance tuning. Every kernel also writes each
+// output element it owns without reading it, so products allocate their
+// results raw (NewRawIn). With the tiles, MatMulTB (the product with a
+// transposed right operand) fans out over column strips instead (see
+// gemmTB).
 const (
 	// matmulParallelThreshold is the m*n*k product above which MatMul
 	// fans out across the persistent worker pool. Below it the
@@ -28,8 +30,8 @@ const (
 	matmulRowGrain = 8
 	// gemmRowChunk rows of output form one unit of worker dispatch for
 	// the SIMD fan-out. The value trades load balance against per-chunk
-	// claim overhead, and is a multiple of the SIMD kernel's 4-row tile;
-	// it does not affect results (rows are independent).
+	// claim overhead, and is a multiple of the tiles' 4 rows; it does
+	// not affect results (rows are independent).
 	gemmRowChunk = 16
 )
 
@@ -57,7 +59,7 @@ func (t *Tensor) MatMul(u *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2))
 	}
-	r := newIn(t.arena, []int{m, n})
+	r := NewRawIn(t.arena, m, n)
 	matMulInto(r, t, u)
 	return r
 }
@@ -79,7 +81,7 @@ func (t *Tensor) MatMulTAIn(a *Arena, u *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTAIn inner dims %d vs %d", k, k2))
 	}
-	r := newIn(a, []int{m, n})
+	r := NewRawIn(a, m, n)
 	gemm(r.data, t.data, u.data, m, k, n, 1, m)
 	return r
 }
@@ -88,14 +90,14 @@ func (t *Tensor) MatMulTAIn(a *Arena, u *Tensor) *Tensor {
 // u, an (M, N) product, without a serial transpose of u. It is
 // bit-identical to t.MatMul(u.Transpose2D()) — the same ascending-k sum
 // and the same zero-skip on the same element of t — and is how a
-// backward pass forms an input gradient dY·Wᵀ. With the AVX2 kernel each
-// 8-column strip of the result packs its own eight rows of u (gemmTB);
-// elsewhere u is transposed and multiplied.
+// backward pass forms an input gradient dY·Wᵀ. With the assembly tiles
+// each 16- or 8-column strip of the result packs its own rows of u
+// (gemmTB); elsewhere u is transposed and multiplied.
 func (t *Tensor) MatMulTB(u *Tensor) *Tensor { return t.MatMulTBIn(t.arena, u) }
 
-// MatMulTBIn is MatMulTB allocating the result (and, without the AVX2
-// kernel, uᵀ) from arena a, so a backward pass can put an input gradient
-// in the step's arena whichever operand lives there.
+// MatMulTBIn is MatMulTB allocating the result (and, without the
+// assembly tiles, uᵀ) from arena a, so a backward pass can put an input
+// gradient in the step's arena whichever operand lives there.
 func (t *Tensor) MatMulTBIn(a *Arena, u *Tensor) *Tensor {
 	if t.Rank() != 2 || u.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulTB of rank %d and %d", t.Rank(), u.Rank()))
@@ -105,7 +107,7 @@ func (t *Tensor) MatMulTBIn(a *Arena, u *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTB inner dims %d vs %d", k, k2))
 	}
-	r := newIn(a, []int{m, n})
+	r := NewRawIn(a, m, n)
 	if gemmSIMD {
 		gemmTB(r.data, t.data, u.data, m, k, n)
 	} else {
@@ -114,16 +116,17 @@ func (t *Tensor) MatMulTBIn(a *Arena, u *Tensor) *Tensor {
 	return r
 }
 
-// matMulInto computes the product of t and u into the zero-filled r,
-// dispatching as described above. It lets callers that manage their own
-// result storage (convolution's arena-allocated product) share one
-// multiply implementation; every path produces bit-identical output.
+// matMulInto writes the product of t and u into r, dispatching as
+// described above. It lets callers that manage their own result storage
+// (convolution's arena-allocated product) share one multiply
+// implementation; every path writes every element of r without reading
+// it, so r may come from NewRawIn, and produces bit-identical output.
 func matMulInto(r, t, u *Tensor) {
 	m, k := t.shape[0], t.shape[1]
 	gemm(r.data, t.data, u.data, m, k, u.shape[1], k, 1)
 }
 
-// gemm adds the (m, k)·(k, n) product into dst, reading A's element
+// gemm writes the (m, k)·(k, n) product into dst, reading A's element
 // (i, kk) at a[i*ars+kk*aks]: row-major A has strides (k, 1), A stored
 // transposed has (1, m). Every kernel reads A in place either way.
 func gemm(dst, a, b []float64, m, k, n, ars, aks int) {
@@ -181,9 +184,9 @@ func matMulParallel(dst, a, b []float64, m, k, n, ars, aks int) {
 
 // tbJob carries one MatMulTB product's strips, recycled like gemmJob.
 type tbJob struct {
-	dst, a, u []float64
-	m, k, n   int
-	run       func(lo, hi int)
+	dst, a, u   []float64
+	m, k, n, sw int
+	run         func(lo, hi int)
 }
 
 var tbJobs = sync.Pool{New: func() any {
@@ -192,32 +195,38 @@ var tbJobs = sync.Pool{New: func() any {
 	return j
 }}
 
-// tbPanels recycles the strips' k×8 panels.
+// tbPanels recycles the strips' k×16 and k×8 panels.
 var tbPanels = sync.Pool{New: func() any { return new([]float64) }}
 
 // strips computes strips [lo, hi) through a panel of its own.
 func (j *tbJob) strips(lo, hi int) {
 	p := tbPanels.Get().(*[]float64)
-	if len(*p) < 8*j.k {
-		*p = make([]float64, 8*j.k)
+	if len(*p) < j.sw*j.k {
+		*p = make([]float64, j.sw*j.k)
 	}
-	matmulTBStrips(j.dst, j.a, j.u, *p, lo, hi, j.m, j.k, j.n)
+	matmulTBStrips(j.dst, j.a, j.u, *p, lo, hi, j.m, j.k, j.n, j.sw)
 	tbPanels.Put(p)
 }
 
-// gemmTB adds the product of row-major A (m, k) and the transpose of
-// row-major U (n, k) into dst with the AVX2 kernel, one 8-column strip at
-// a time (matmulTBStrips): in order below matmulParallelThreshold, one
-// strip per pool claim above it, so each strip packs its panel on the
-// worker that multiplies it. Strips write disjoint columns, so the result
-// is bit-identical at any width. Callers must have checked gemmSIMD.
+// gemmTB writes the product of row-major A (m, k) and the transpose of
+// row-major U (n, k) into dst with the assembly tiles, one strip of 16
+// columns (with gemm16) or 8 at a time (matmulTBStrips): in order below
+// matmulParallelThreshold, one strip per pool claim above it, so each
+// strip packs its panel on the worker that multiplies it. Strips write
+// disjoint columns, so the result is bit-identical at any width. With
+// k = 0 the product is +0. Callers must have checked gemmSIMD.
 func gemmTB(dst, a, u []float64, m, k, n int) {
 	if k == 0 {
+		clear(dst)
 		return
 	}
+	sw := 8
+	if gemm16 {
+		sw = 16
+	}
 	j := tbJobs.Get().(*tbJob)
-	j.dst, j.a, j.u, j.m, j.k, j.n = dst, a, u, m, k, n
-	strips := (n + 7) / 8
+	j.dst, j.a, j.u, j.m, j.k, j.n, j.sw = dst, a, u, m, k, n, sw
+	strips := (n + sw - 1) / sw
 	if m*n*k < matmulParallelThreshold {
 		j.strips(0, strips)
 	} else {
@@ -230,12 +239,15 @@ func gemmTB(dst, a, u []float64, m, k, n int) {
 // matmulBlock computes rows [lo, hi) of the (m, n) product restricted to
 // output columns [j0, j1), with A's element (i, kk) at a[i*ars+kk*aks].
 // It is the row-stream kernel: an ikj loop order, which streams through b
-// row-wise and keeps the inner loop vectorizable. Each element's
-// arithmetic is the same at any column range: ascending k, skipping a
-// zero A element.
+// row-wise and keeps the inner loop vectorizable. It clears each row's
+// columns before it adds into them, so it writes them whatever they held
+// and the clearing runs inside the fan-out. Each element's arithmetic is
+// the same at any column range: from +0, ascending k, skipping a zero A
+// element.
 func matmulBlock(dst, a, b []float64, lo, hi, k, n, j0, j1, ars, aks int) {
 	for i := lo; i < hi; i++ {
 		drow := dst[i*n+j0 : i*n+j1]
+		clear(drow)
 		for kk := 0; kk < k; kk++ {
 			av := a[i*ars+kk*aks]
 			if av == 0 {
@@ -248,7 +260,7 @@ func matmulBlock(dst, a, b []float64, lo, hi, k, n, j0, j1, ars, aks int) {
 
 // addScaledRow adds av·s[j] into d[j] for every j. The explicit
 // conversion rounds the product on its own, so no target fuses it into a
-// multiply-add and every architecture keeps the AVX2 kernel's bits. It
+// multiply-add and every architecture keeps the assembly tiles' bits. It
 // stays out of line: inlined into matmulBlock's k loop, the strides kept
 // live there pushed this loop's index onto the stack, which doubled the
 // kernel's time.

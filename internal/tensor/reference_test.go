@@ -49,45 +49,52 @@ func addSpecials(rng *stats.RNG, a, b *Tensor) {
 }
 
 // TestMatMulTAMatchesTransposeMatMul: tᵀ·u read in place is bit-identical
-// to materializing tᵀ and multiplying, on shapes below and above the
-// fan-out threshold with tails in every dimension.
+// to the row-stream kernel on a materialized tᵀ, with the 16-wide tile off
+// and on, on every dispatch shape and on shapes below and above the
+// fan-out threshold with tails in every dimension, with ±0 and NaN in t
+// and ±Inf in u.
 func TestMatMulTAMatchesTransposeMatMul(t *testing.T) {
-	for _, d := range [][3]int{{1, 1, 1}, {3, 5, 7}, {7, 13, 9}, {33, 17, 70}, {64, 64, 256}, {256, 64, 256}, {64, 256, 2}} {
-		m, k, n := d[0], d[1], d[2]
-		a, b := specialOperands(uint64(m*k*n), m, k, n)
-		want := a.Transpose2D().MatMul(b)
-		got := a.MatMulTAIn(nil, b)
-		if got.shape[0] != m || got.shape[1] != n {
-			t.Fatalf("%v: shape %v", d, got.shape)
+	shapes := append([][3]int{{1, 1, 1}, {3, 5, 7}, {7, 13, 9}, {33, 17, 70}, {64, 64, 256}, {256, 64, 256}, {64, 256, 2}}, dispatchShapes()...)
+	forEachTile(t, func(t *testing.T) {
+		for _, d := range shapes {
+			m, k, n := d[0], d[1], d[2]
+			a, b := specialOperands(uint64(m*k*n), m, k, n)
+			got := a.MatMulTAIn(nil, b)
+			if got.shape[0] != m || got.shape[1] != n {
+				t.Fatalf("%v: shape %v", d, got.shape)
+			}
+			sameBits(t, fmt.Sprintf("m,k,n=%v", d), got.data, rowStream(a.Transpose2D(), b))
 		}
-		sameBits(t, fmt.Sprintf("m,k,n=%v", d), got.data, want.data)
-	}
+	})
 }
 
 // TestMatMulTADeterministicAcrossWorkers drives the strided rows through
 // the gemmRowChunk decomposition the fan-out uses, at pool widths 1, 2, 4
-// and 8, on a shape above the fan-out threshold whose m is not a multiple
-// of the chunk or the tile.
+// and 8 with each tile, on a shape above the fan-out threshold whose m is
+// not a multiple of the chunk or the tile.
 func TestMatMulTADeterministicAcrossWorkers(t *testing.T) {
-	const m, k, n = 133, 64, 150
+	const m, k, n = 133, 64, 158
 	if m*k*n < matmulParallelThreshold {
 		t.Fatal("shape no longer fans out")
 	}
 	a, b := specialOperands(71, m, k, n)
-	want := a.Transpose2D().MatMul(b).data
-	for _, w := range []int{1, 2, 4, 8} {
-		pool := parallel.NewWorkerPool(w)
-		dst := make([]float64, m*n)
-		pool.RunRange(m, gemmRowChunk, func(lo, hi int) {
-			matmulRowsSIMD(dst, a.data, b.data, lo, hi, k, n, 1, m)
-		})
-		pool.Close()
-		sameBits(t, fmt.Sprintf("workers=%d", w), dst, want)
-	}
+	want := rowStream(a.Transpose2D(), b)
+	forEachTile(t, func(t *testing.T) {
+		for _, w := range []int{1, 2, 4, 8} {
+			pool := parallel.NewWorkerPool(w)
+			dst := make([]float64, m*n)
+			pool.RunRange(m, gemmRowChunk, func(lo, hi int) {
+				matmulRowsSIMD(dst, a.data, b.data, lo, hi, k, n, 1, m)
+			})
+			pool.Close()
+			sameBits(t, fmt.Sprintf("workers=%d", w), dst, want)
+		}
+	})
 }
 
 // TestMatMulTAFanOutAllocs: like MatMul, a fanned-out MatMulTA into a
-// warm arena allocates nothing; its pool jobs are recycled.
+// warm arena allocates nothing with either tile and with the Go
+// fallback; its pool jobs are recycled.
 func TestMatMulTAFanOutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random, so recycled jobs are reallocated")
@@ -101,69 +108,85 @@ func TestMatMulTAFanOutAllocs(t *testing.T) {
 		ar.Reset()
 		_ = a.MatMulTAIn(ar, b)
 	}
-	iter()
-	if got := testing.AllocsPerRun(20, iter); got != 0 {
-		t.Fatalf("fanned-out MatMulTA into a warm arena allocates %v times per call", got)
+	check := func(t *testing.T) {
+		iter()
+		if got := testing.AllocsPerRun(20, iter); got != 0 {
+			t.Fatalf("fanned-out MatMulTA into a warm arena allocates %v times per call", got)
+		}
 	}
+	forEachTile(t, check)
+	t.Run("go", func(t *testing.T) { goFallback(func() { check(t) }) })
 }
 
 // TestMatMulTBMatchesTransposeMatMul: t·uᵀ from packed strips is
-// bit-identical to materializing uᵀ and multiplying, on every dispatch
-// shape (both sides of the fan-out threshold, every m mod 4 and n mod 8,
-// the traffic shapes), first with normal operands, then with ±0 and NaN
-// in t and ±Inf in u.
+// bit-identical to the row-stream kernel on a materialized uᵀ, with the
+// 16-wide tile off and on, on every dispatch shape (both sides of the
+// fan-out threshold, every m mod 4 and n mod 16, the traffic shapes),
+// first with normal operands, then with ±0 and NaN in t and ±Inf in u.
 func TestMatMulTBMatchesTransposeMatMul(t *testing.T) {
-	rng := stats.NewRNG(79)
-	for _, d := range dispatchShapes() {
-		m, k, n := d[0], d[1], d[2]
-		a := Randn(rng, 1, m, k)
-		u := Randn(rng, 1, n, k)
-		for _, special := range []bool{false, true} {
-			if special {
-				addSpecials(rng, a, u)
+	forEachTile(t, func(t *testing.T) {
+		rng := stats.NewRNG(79)
+		for _, d := range dispatchShapes() {
+			m, k, n := d[0], d[1], d[2]
+			a := Randn(rng, 1, m, k)
+			u := Randn(rng, 1, n, k)
+			for _, special := range []bool{false, true} {
+				if special {
+					addSpecials(rng, a, u)
+				}
+				got := a.MatMulTB(u)
+				if got.shape[0] != m || got.shape[1] != n {
+					t.Fatalf("%v: shape %v", d, got.shape)
+				}
+				sameBits(t, fmt.Sprintf("m,k,n=%v special=%v", d, special), got.data, rowStream(a, u.Transpose2D()))
 			}
-			got := a.MatMulTB(u)
-			if got.shape[0] != m || got.shape[1] != n {
-				t.Fatalf("%v: shape %v", d, got.shape)
-			}
-			sameBits(t, fmt.Sprintf("m,k,n=%v special=%v", d, special), got.data, a.MatMul(u.Transpose2D()).data)
 		}
-	}
+	})
 }
 
 // TestMatMulTBDeterministicAcrossWorkers drives the strips through the
 // one-strip claims gemmTB's fan-out makes, each claim packing its own
-// panel, at pool widths 1, 2, 4 and 8, on a shape above the fan-out
-// threshold whose m is not a multiple of the 4-row tile and whose n is
-// not a multiple of the 8-column strip.
+// panel, at pool widths 1, 2, 4 and 8 with each tile, on shapes above the
+// fan-out threshold whose m is not a multiple of the 4-row tile. With
+// 16-column strips the last strip of n = 150 is 6 columns wide and that
+// of n = 141 is 13 (an 8-column strip and 5 columns); with 8-column
+// strips they are 6 and 5.
 func TestMatMulTBDeterministicAcrossWorkers(t *testing.T) {
 	if !gemmSIMD {
-		t.Skip("no AVX2 micro-kernel on this host")
+		t.Skip("no AVX2 tiles on this host")
 	}
-	const m, k, n = 133, 140, 150
-	if m*k*n < matmulParallelThreshold {
-		t.Fatal("shape no longer fans out")
-	}
-	rng := stats.NewRNG(83)
-	a := Randn(rng, 1, m, k)
-	u := Randn(rng, 1, n, k)
-	addSpecials(rng, a, u)
-	want := a.MatMul(u.Transpose2D()).data
-	for _, w := range []int{1, 2, 4, 8} {
-		pool := parallel.NewWorkerPool(w)
-		dst := make([]float64, m*n)
-		pool.RunRange((n+7)/8, 1, func(lo, hi int) {
-			matmulTBStrips(dst, a.data, u.data, make([]float64, 8*k), lo, hi, m, k, n)
-		})
-		pool.Close()
-		sameBits(t, fmt.Sprintf("workers=%d", w), dst, want)
-	}
+	forEachTile(t, func(t *testing.T) {
+		sw := 8
+		if gemm16 {
+			sw = 16
+		}
+		for _, n := range []int{150, 141} {
+			const m, k = 133, 140
+			if m*k*n < matmulParallelThreshold {
+				t.Fatal("shape no longer fans out")
+			}
+			rng := stats.NewRNG(83)
+			a := Randn(rng, 1, m, k)
+			u := Randn(rng, 1, n, k)
+			addSpecials(rng, a, u)
+			want := rowStream(a, u.Transpose2D())
+			for _, w := range []int{1, 2, 4, 8} {
+				pool := parallel.NewWorkerPool(w)
+				dst := make([]float64, m*n)
+				pool.RunRange((n+sw-1)/sw, 1, func(lo, hi int) {
+					matmulTBStrips(dst, a.data, u.data, make([]float64, sw*k), lo, hi, m, k, n, sw)
+				})
+				pool.Close()
+				sameBits(t, fmt.Sprintf("n=%d workers=%d", n, w), dst, want)
+			}
+		}
+	})
 }
 
 // TestMatMulTBFanOutAllocs: a fanned-out MatMulTB into a warm arena
-// allocates nothing. Its jobs and panels are recycled; without the AVX2
-// kernel it transposes into the arena and multiplies through the
-// recycled row job.
+// allocates nothing. Its jobs and panels are recycled, with either strip
+// width; without the tiles it transposes into the arena and multiplies
+// through the recycled row job.
 func TestMatMulTBFanOutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random, so recycled jobs are reallocated")
@@ -177,10 +200,14 @@ func TestMatMulTBFanOutAllocs(t *testing.T) {
 		ar.Reset()
 		_ = a.MatMulTBIn(ar, u)
 	}
-	iter()
-	if got := testing.AllocsPerRun(20, iter); got != 0 {
-		t.Fatalf("fanned-out MatMulTB into a warm arena allocates %v times per call", got)
+	check := func(t *testing.T) {
+		iter()
+		if got := testing.AllocsPerRun(20, iter); got != 0 {
+			t.Fatalf("fanned-out MatMulTB into a warm arena allocates %v times per call", got)
+		}
 	}
+	forEachTile(t, check)
+	t.Run("go", func(t *testing.T) { goFallback(func() { check(t) }) })
 }
 
 // TestTransposeMatchesNaive: the tiled transpose equals the element loop
